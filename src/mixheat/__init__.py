@@ -16,9 +16,8 @@ from .fractional import (TestFunctionSpec, bracket_laplacian, bracket_profile,
                          make_test_function_spec, psi_ramp, psi_ramp_derivative,
                          scaling_check, time_factor_integral)
 from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
-                   dealias, delta_field, frac_laplacian_spectral, integral,
-                   make_field, make_grid, make_symbol, read_field,
-                   spectral_gradient, write_field)
+                   delta_field, frac_laplacian_spectral, integral, make_field,
+                   make_grid, make_symbol, read_field, write_field)
 from .kernels import (gaussian_kernel, half_width_for_tail, kernel_lq_norm,
                       mixed_kernel, mixed_kernel_quadrature, stable_kernel,
                       stable_kernel_quadrature, stable_tail_constant,
@@ -39,8 +38,8 @@ __all__ = [
     "ConfigurationError", "NumericalFailureError",
     "GridSpec", "Field", "SpectralSymbol",
     "make_grid", "make_field", "delta_field", "integral", "make_symbol",
-    "apply_symbol", "frac_laplacian_spectral", "convolve", "spectral_gradient",
-    "dealias", "write_field", "read_field",
+    "apply_symbol", "frac_laplacian_spectral", "convolve", "write_field",
+    "read_field",
     "gaussian_kernel", "stable_kernel", "mixed_kernel", "kernel_lq_norm",
     "taylor_contraction_error", "stable_tail_constant", "stable_tail_mass",
     "half_width_for_tail", "stable_kernel_quadrature", "mixed_kernel_quadrature",

@@ -4,8 +4,9 @@ Everything downstream works on a truncated periodic box [-L, L)^N with
 N in {1, 2} and a power-of-two point count per axis, so that discrete
 frequencies are xi_k = pi k / L and symbols act diagonally under the FFT.
 Conventions: x_j = -L + j dx with dx = 2L/n, so x = 0 sits exactly on the
-lattice; transforms are plain complex FFTs and real parts are taken on
-the way back.
+lattice. Fields are real, so every transform is a real FFT: symbols live
+on its half lattice, and one helper, _spectral_apply, is the only place
+that transforms.
 """
 
 import struct
@@ -68,11 +69,12 @@ class GridSpec:
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
     def freq_magnitude(self) -> np.ndarray:
-        """|xi| on the full frequency lattice (Nyquist enters unsigned)."""
-        xi = self.axis_freqs()
+        """|xi| on the real-FFT half lattice: FFT order on the leading axis,
+        rfftfreq order on the last (Nyquist enters unsigned)."""
+        half = 2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.spacing)
         if self.dim == 1:
-            return np.abs(xi)
-        kx, ky = np.meshgrid(xi, xi, indexing="ij")
+            return half
+        kx, ky = np.meshgrid(self.axis_freqs(), half, indexing="ij")
         return np.hypot(kx, ky)
 
 
@@ -115,7 +117,7 @@ def integral(f: Field) -> float:
 
 @dataclass(frozen=True)
 class SpectralSymbol:
-    """Fourier symbol on a grid's frequency lattice.
+    """Fourier symbol on a grid's real-FFT half lattice (see freq_magnitude).
 
     kind "mixed" is |xi|^2 + |xi|^alpha (the generator of the mixed
     local/nonlocal flow), "fractional" is |xi|^alpha alone, "laplacian"
@@ -147,15 +149,32 @@ def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed",
     return SpectralSymbol(grid=grid, alpha=float(alpha), kind=kind, values=values)
 
 
+def _spectral_apply(grid: GridSpec, values: np.ndarray, multiplier=None,
+                    kernel=None) -> np.ndarray:
+    """irfftn(rfftn(values) * rfftn(kernel) * multiplier) on the grid.
+
+    The one transform path: multiplier is a real array on the half lattice,
+    kernel a second real grid array (periodic convolution); either may be
+    omitted.
+    """
+    axes = tuple(range(grid.dim))
+    spectrum = np.fft.rfftn(values, axes=axes)
+    if kernel is not None:
+        spectrum *= np.fft.rfftn(kernel, axes=axes)
+    if multiplier is not None:
+        spectrum *= multiplier
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+
+
 def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,
                  mode: str = "multiplier") -> Field:
     """Apply scale*m(xi) (mode "multiplier") or exp(-scale*m(xi))
     (mode "semigroup") to a field in frequency space.
 
-    The zero mode of a semigroup multiplier is exactly 1, so the discrete
-    integral is preserved to rounding. Output is the real part of the
-    inverse transform; the imaginary leakage of a real input is at
-    rounding level by conjugate symmetry of the symbol.
+    The multiplier is real and even, so it acts on the half spectrum of
+    the real field and the inverse real FFT returns a real field. The zero
+    mode of a semigroup multiplier is exactly 1, so the discrete integral
+    is preserved to rounding.
     """
     if f.grid != symbol.grid:
         raise ConfigurationError("field and symbol live on different grids")
@@ -167,7 +186,7 @@ def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,
         mult = np.exp(-scale * symbol.values)
     else:
         raise ConfigurationError(f"unknown apply_symbol mode {mode!r}")
-    out = np.fft.ifftn(mult * np.fft.fftn(f.values)).real
+    out = _spectral_apply(f.grid, f.values, mult)
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError("apply_symbol produced non-finite values")
     return Field(grid=f.grid, values=out)
@@ -189,43 +208,12 @@ def convolve(f: Field, g: Field) -> Field:
     if f.grid != g.grid:
         raise ConfigurationError("convolve needs both fields on one grid")
     grid = f.grid
-    raw = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(g.values)).real
+    raw = _spectral_apply(grid, f.values, kernel=g.values)
     shift = (-(grid.points // 2),) * grid.dim
     out = np.roll(raw, shift, axis=tuple(range(grid.dim))) * grid.cell_volume
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError("convolve produced non-finite values")
     return Field(grid=grid, values=out)
-
-
-def spectral_gradient(f: Field) -> list:
-    """Per-axis spectral derivatives; the odd i*xi multiplier has its
-    Nyquist mode zeroed so real input maps to real output."""
-    grid = f.grid
-    xi = grid.axis_freqs()
-    ixi = 1j * xi
-    ixi[grid.points // 2] = 0.0  # Nyquist slot of an odd multiplier
-    spectrum = np.fft.fftn(f.values)
-    out = []
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.points
-        deriv = np.fft.ifftn(spectrum * ixi.reshape(shape)).real
-        out.append(Field(grid=grid, values=deriv))
-    return out
-
-
-def dealias(f: Field) -> Field:
-    """Zero all modes with any axis frequency above 2/3 of Nyquist."""
-    grid = f.grid
-    xi = grid.axis_freqs()
-    cutoff = (2.0 / 3.0) * np.pi / grid.spacing
-    keep_axis = np.abs(xi) <= cutoff
-    spectrum = np.fft.fftn(f.values)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.points
-        spectrum = spectrum * keep_axis.reshape(shape)
-    return Field(grid=grid, values=np.fft.ifftn(spectrum).real)
 
 
 def write_field(f: Field, path) -> None:

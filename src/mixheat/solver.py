@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
-from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, integral,
-                   make_field, make_symbol)
+from .grid import (Field, GridSpec, SpectralSymbol, _spectral_apply,
+                   apply_symbol, make_field, make_symbol)
 
 _log = logging.getLogger(__name__)
 
@@ -132,6 +132,8 @@ class TableAbsorption:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.size < 2 or times.shape != values.shape:
             raise ConfigurationError("need matching 1d time/value tables, length >= 2")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ConfigurationError("table times and values must be finite")
         if not np.all(np.diff(times) > 0):
             raise ConfigurationError("table times must be strictly increasing")
         if np.any(values < 0) or times[0] < 0:
@@ -199,7 +201,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ConfigurationError(f"alpha must be in (0, 2), got {self.alpha}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
         if not self.p > 1:
             raise ConfigurationError(f"p must be > 1, got {self.p}")
@@ -213,7 +215,7 @@ class ProblemSpec:
 
 def time_to_tau(t, beta: float):
     """tau(t) = t^(beta+1)/(beta+1), the clock in which the flow is autonomous."""
-    if beta < 0:
+    if not beta >= 0:
         raise ConfigurationError(f"beta must be >= 0, got {beta}")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -223,7 +225,7 @@ def time_to_tau(t, beta: float):
 
 
 def tau_to_time(tau, beta: float):
-    if beta < 0:
+    if not beta >= 0:
         raise ConfigurationError(f"beta must be >= 0, got {beta}")
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
@@ -232,8 +234,15 @@ def tau_to_time(tau, beta: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _require_finite(**named) -> None:
+    for key, value in named.items():
+        if not np.isfinite(value):
+            raise ConfigurationError(f"{key} must be finite, got {value}")
+
+
 def geometric_times(t0: float, t1: float, count: int) -> np.ndarray:
     """Log-spaced output times, endpoints included."""
+    _require_finite(t0=t0, t1=t1)
     if not 0 < t0 < t1:
         raise ConfigurationError(f"need 0 < t0 < t1, got {t0}, {t1}")
     if count < 2:
@@ -250,6 +259,7 @@ def default_snapshot_times(t0: float, t1: float) -> np.ndarray:
     A start at t0 = 0 cannot anchor a geometric ladder, so the ladder then
     covers the last factor-2^10 of the horizon and t0 is prepended.
     """
+    _require_finite(t0=t0, t1=t1)
     if t0 > 0:
         span = np.log(t1 / t0)
     else:
@@ -285,6 +295,7 @@ class StepSchedule:
 
 def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
                        snapshot_times=None) -> StepSchedule:
+    _require_finite(t0=t0, t1=t1, dtau_max=dtau_max)
     if not 0 <= t0 < t1:
         raise ConfigurationError(f"need 0 <= t0 < t1, got {t0}, {t1}")
     if not dtau_max > 0:
@@ -476,8 +487,8 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             u = _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p)
             absorbed += (mass_pre - np.sum(u)) * dV
 
-            u = np.fft.ifftn(multiplier * np.fft.fftn(u)).real
-            u, clipped = _clip_negative(u, dV)
+            # the same transform and clip as linear_step, without a Field
+            u, clipped = _clip_negative(_spectral_apply(grid, u, multiplier), dV)
             clipped_total += clipped
 
             mass_pre = np.sum(u)

@@ -184,6 +184,16 @@ def test_cli_rejects_bad_physics(cfg_path, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("override,key", [("beta=nan", "beta"), ("t1=inf", "t1")])
+def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key):
+    rc = main(["solve", "--config", cfg_path, "--set", override,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} ")
+    assert "Traceback" not in err
+
+
 def test_cli_kernel_outputs(cfg_path, tmp_path, capsys):
     out = tmp_path / "kernel_out"
     assert main(["kernel", "--config", cfg_path, "--out-dir", str(out)]) == 0

@@ -8,7 +8,6 @@ from mixheat import (
     NumericalFailureError,
     apply_symbol,
     convolve,
-    dealias,
     delta_field,
     frac_laplacian_spectral,
     integral,
@@ -16,7 +15,6 @@ from mixheat import (
     make_grid,
     make_symbol,
     read_field,
-    spectral_gradient,
     write_field,
 )
 
@@ -206,43 +204,47 @@ def test_convolve_grid_mismatch():
         convolve(a, b)
 
 
-def test_spectral_gradient_exact_for_modes():
-    g = make_grid(1, np.pi, 128)
-    x = g.axis_coords()
-    f = make_field(g, np.sin(3.0 * x))
-    (df,) = spectral_gradient(f)
-    np.testing.assert_allclose(df.values, 3.0 * np.cos(3.0 * x), rtol=0, atol=1e-12)
+def _full_lattice_magnitude(grid):
+    """|xi| on the full complex-FFT lattice, built independently of grid."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    if grid.dim == 1:
+        return np.abs(xi)
+    kx, ky = np.meshgrid(xi, xi, indexing="ij")
+    return np.hypot(kx, ky)
 
 
-def test_spectral_gradient_zeroes_nyquist():
-    g = make_grid(1, np.pi, 64)
-    x = g.axis_coords()
-    # pure Nyquist oscillation has no well-defined odd derivative; the
-    # convention is to drop it
-    f = make_field(g, np.cos(32.0 * x))
-    (df,) = spectral_gradient(f)
-    assert np.abs(df.values).max() < 1e-12
+def _field_with_nyquist(grid, seed):
+    """Random field plus a checkerboard that puts energy at every Nyquist mode."""
+    rng = np.random.default_rng(seed)
+    idx = np.indices(grid.shape)
+    checker = (-1.0) ** idx.sum(axis=0) + (-1.0) ** idx[0]
+    return make_field(grid, rng.random(grid.shape) + 0.5 * checker)
 
 
-def test_spectral_gradient_2d_components():
-    g = make_grid(2, np.pi, 32)
-    xs, ys = g.coords()
-    f = make_field(g, np.sin(2.0 * xs) * np.cos(ys))
-    dx, dy = spectral_gradient(f)
-    np.testing.assert_allclose(dx.values, 2.0 * np.cos(2.0 * xs) * np.cos(ys),
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(dy.values, -np.sin(2.0 * xs) * np.sin(ys),
-                               rtol=0, atol=1e-12)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode,scale", [("multiplier", 0.3), ("semigroup", 0.7)])
+def test_half_spectrum_apply_symbol_matches_complex_oracle(dim, mode, scale):
+    g = make_grid(dim, 32.0, 64 if dim == 1 else 32)
+    f = _field_with_nyquist(g, seed=dim)
+    mag = _full_lattice_magnitude(g)
+    full = mag ** 2 + mag ** 1.3
+    mult = scale * full if mode == "multiplier" else np.exp(-scale * full)
+    oracle = np.fft.ifftn(mult * np.fft.fftn(f.values)).real
+    out = apply_symbol(f, make_symbol(g, 1.3), scale=scale, mode=mode)
+    tol = 1e-13 * np.abs(f.values).max()
+    assert np.abs(out.values - oracle).max() <= tol
 
 
-def test_dealias_removes_top_third():
-    g = make_grid(1, np.pi, 128)
-    x = g.axis_coords()
-    low = np.cos(4.0 * x)
-    high = np.cos(50.0 * x)
-    f = make_field(g, low + high)
-    out = dealias(f)
-    np.testing.assert_allclose(out.values, low, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_half_spectrum_convolve_matches_complex_oracle(dim):
+    g = make_grid(dim, 32.0, 64 if dim == 1 else 32)
+    f = _field_with_nyquist(g, seed=10 + dim)
+    k = gaussian_field(g, width=2.0, center=1.0)
+    raw = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(k.values)).real
+    oracle = np.roll(raw, (-(g.points // 2),) * dim, axis=tuple(range(dim))) * g.cell_volume
+    out = convolve(f, k)
+    tol = 1e-13 * np.abs(f.values).max()
+    assert np.abs(out.values - oracle).max() <= tol
 
 
 def test_field_io_roundtrip(tmp_path):

@@ -160,6 +160,11 @@ def test_table_absorption_validation():
         TableAbsorption(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     with pytest.raises(ConfigurationError):
         TableAbsorption(np.array([0.0, 1.0]), np.array([1.0, -2.0]))
+    # non-finite samples would turn every integral into nan
+    for times, values in (([0, 1, 2], [1, np.nan, 1]), ([0, 1, 2], [1, np.inf, 1]),
+                          ([0, 1, np.inf], [1, 1, 1]), ([0, np.nan, 2], [1, 1, 1])):
+        with pytest.raises(ConfigurationError):
+            TableAbsorption(times, values)
 
 
 def test_make_absorption_dispatch():
@@ -297,6 +302,22 @@ def test_linear_step_accepts_symbol_or_alpha(small_grid):
 def test_linear_step_rejects_negative_span(small_grid):
     with pytest.raises(ConfigurationError):
         linear_step(unit_gaussian(small_grid), -0.1, 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_step_matches_linear_step_bitwise(dim):
+    """With h = 0 one solve substep is exactly linear_step: same spectral
+    helper, same multiplier, same clip."""
+    grid = make_grid(dim, 20.0, 64)
+    u0 = unit_gaussian(grid)
+    prob = ProblemSpec(alpha=1.3, beta=0.0, p=2.0, absorption=NoAbsorption(),
+                       initial=u0)
+    sched = make_step_schedule(1.0, 1.7, 0.0, 1.0, snapshot_times=[1.7])
+    res = solve(prob, sched)
+    assert res.total_steps == 1
+    dtau = sched.knot_taus[1] - sched.knot_taus[0]
+    step = linear_step(u0, dtau, make_symbol(grid, 1.3))
+    np.testing.assert_array_equal(res.final.values, step.values)
 
 
 # -- full solve ---------------------------------------------------------------
