@@ -10,7 +10,8 @@ from .config import (ExperimentConfig, build_absorption, build_grid,
                      config_from_mapping, kernel_times, load_config,
                      parse_config_text, snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError
-from .fractional import (TestFunctionSpec, bracket_laplacian, bracket_profile,
+from .fractional import (TestFunctionSpec, bracket_frac_laplacian,
+                         bracket_laplacian, bracket_profile,
                          bracket_second_derivative, capacity_integral,
                          frac_constant, frac_laplacian_pointwise,
                          make_test_function_spec, psi_ramp, psi_ramp_derivative,
@@ -44,7 +45,8 @@ __all__ = [
     "taylor_contraction_error", "stable_tail_constant", "stable_tail_mass",
     "half_width_for_tail", "stable_kernel_quadrature", "mixed_kernel_quadrature",
     "frac_constant", "bracket_profile", "bracket_second_derivative",
-    "bracket_laplacian", "psi_ramp", "psi_ramp_derivative",
+    "bracket_laplacian", "bracket_frac_laplacian", "psi_ramp",
+    "psi_ramp_derivative",
     "frac_laplacian_pointwise", "scaling_check", "TestFunctionSpec",
     "make_test_function_spec", "capacity_integral", "time_factor_integral",
     "NoAbsorption", "ConstantAbsorption", "PowerAbsorption", "TableAbsorption",

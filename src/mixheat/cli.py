@@ -177,6 +177,10 @@ def cmd_sweep(args) -> int:
 def cmd_capacity(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
     radii = capacity_radii(cfg)
+    for key in ("capacity_b", "capacity_half_width"):
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{key} must be finite and positive, got {value}")
     values = []
     for R in radii:
         grid = make_grid(dim=cfg.dim,

@@ -7,6 +7,7 @@ an error: typos must not silently fall back to defaults.
 """
 
 import csv
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -194,13 +195,15 @@ def parse_float_list(text: str, key: str) -> list:
 
 def kernel_times(cfg: ExperimentConfig) -> list:
     vals = parse_float_list(cfg.kernel_times, "kernel_times")
-    if not vals or any(t <= 0 for t in vals):
-        raise ConfigurationError("kernel_times must be a comma list of positive times")
+    if not vals or not all(math.isfinite(t) and t > 0 for t in vals):
+        raise ConfigurationError(
+            f"kernel_times must be a comma list of finite positive times, got {vals}")
     return vals
 
 
 def capacity_radii(cfg: ExperimentConfig) -> list:
     vals = parse_float_list(cfg.capacity_radii, "capacity_radii")
-    if not vals or any(v < 1 for v in vals):
-        raise ConfigurationError("capacity_radii must be a comma list of values >= 1")
+    if not vals or not all(math.isfinite(v) and v >= 1 for v in vals):
+        raise ConfigurationError(
+            f"capacity_radii must be a comma list of finite values >= 1, got {vals}")
     return vals

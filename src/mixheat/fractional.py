@@ -8,10 +8,11 @@ form of the singular integral,
 
 with the piece below an inner cutoff replaced by its Taylor value so the
 second difference never hits float cancellation, and far tails handled by
-inversion or analytic remainders. Two engines exist: an adaptive scalar
-one built on QUADPACK (the reference, with an error budget), and a
-vectorized fixed-panel one for the bracket family used by the capacity
-integral, cross-validated against the scalar engine in the test suite.
+inversion or analytic remainders. That adaptive QUADPACK evaluation, with
+its error budget, is the reference for any profile. The bracket family
+used by the capacity integral also has a closed form in terms of the
+Gauss hypergeometric function, `bracket_frac_laplacian`, vectorized over
+radii and checked against the quadrature in the test suite.
 """
 
 import math
@@ -19,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln, hyp2f1
 
 from .errors import ConfigurationError, NumericalFailureError
 from .grid import GridSpec
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Inner cutoff for the second-difference form. Below it the integrand is
 # replaced by -phi''(x) y^(1-2s); the quartic Taylor remainder is then
@@ -63,6 +63,38 @@ def bracket_laplacian(r, q0: float, dim: int):
     r = np.asarray(r, dtype=float)
     u = 1.0 + r * r
     out = q0 * u ** (-q0 / 2.0 - 2.0) * ((q0 + 2.0 - dim) * r * r - dim)
+    return float(out) if out.ndim == 0 else out
+
+
+def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
+    """Exact (-Lap)^s of the radial profile <x>^(-q0) in R^dim at radius r,
+
+        4^s Gamma(q0/2 + s) Gamma(N/2 + s) / (Gamma(q0/2) Gamma(N/2))
+            * 2F1(q0/2 + s, N/2 + s; N/2; -r^2),
+
+    elementwise in r (the form given by Dyda, FCAA 15, 2012). The
+    prefactor is built from log-gamma so large q0 cannot overflow.
+    Against 30-digit arithmetic it is good to ~1e-14 relative for r up to
+    3e4; where q0 - N is an even integer (the logarithmic case of the
+    large-r connection formula) to ~3e-8.
+    """
+    if not 0.0 < s < 1.0:
+        raise ConfigurationError(f"s must be in (0, 1), got {s}")
+    if not q0 > 0:
+        raise ConfigurationError(f"q0 must be positive, got {q0}")
+    r = np.asarray(r, dtype=float)
+    a = q0 / 2.0 + s
+    # b = N/2 + s, written so that a - b is exactly (q0 - N)/2: when that is
+    # an integer, hyp2f1 must see it as one or its connection formula
+    # divides by a near-zero gamma reciprocal.
+    b = a - (q0 - dim) / 2.0
+    log_pre = (s * math.log(4.0) + gammaln(a) + gammaln(dim / 2.0 + s)
+               - gammaln(q0 / 2.0) - gammaln(dim / 2.0))
+    out = math.exp(log_pre) * hyp2f1(a, b, dim / 2.0, -r * r)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError(
+            f"closed-form fractional Laplacian is not finite for q0={q0}, "
+            f"s={s}, dim={dim}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -237,83 +269,6 @@ def scaling_check(profile, s: float, R: float, x, dim: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# Vectorized panel engine for the bracket family (capacity integrand).
-
-def _clipped_panel_sum(integrand, lo_edges, hi_edges):
-    """Sum GL16 integrals over panels [lo, hi] given as broadcastable arrays
-    of shape (m, K); empty (lo >= hi) panels contribute zero."""
-    a = lo_edges[..., None]
-    b = hi_edges[..., None]
-    half = 0.5 * np.maximum(b - a, 0.0)
-    nodes = a + half * (_GL_NODES + 1.0)
-    vals = integrand(nodes)
-    return np.sum(vals * (half * _GL_WEIGHTS), axis=(-1, -2))
-
-
-_BATCH_CACHE = {}
-
-
-def _bracket_frac_batch(radii: np.ndarray, s: float, q0: float,
-                        chunk: int = 2048) -> np.ndarray:
-    """(-Lap)^s <x>^(-q0) in 1D at an array of radii (vectorized panels)."""
-    radii = np.asarray(radii, dtype=float)
-    key = (q0, s, radii.shape, hash(radii.tobytes()))
-    hit = _BATCH_CACHE.get(key)
-    if hit is not None:
-        return hit.copy()
-    # Symmetric grids carry every radius twice; compute each value once.
-    uniq, inverse = np.unique(radii, return_inverse=True)
-    if uniq.size < radii.size:
-        out = _bracket_frac_batch(uniq, s, q0, chunk=chunk)[inverse].reshape(radii.shape)
-        _BATCH_CACHE[key] = out.copy()
-        return out
-
-    yc = _INNER_CUTOFF
-    two_s = 2.0 * s
-    phi = lambda y: (1.0 + y * y) ** (-q0 / 2.0)
-    out = np.empty_like(radii)
-    r_max = float(radii.max(initial=0.0))
-    # Ladders are shared across the batch and clipped per point.
-    k_core = max(1, int(np.ceil(np.log2(max(r_max / 2.0, 1.0) / yc))) + 1)
-    core_edges = yc * 2.0 ** np.arange(k_core + 1)
-    far_ratios = 2.0 ** np.arange(41)            # [y0, y0 * 2^40]
-    delta = 0.5
-    k_neg = max(1, int(np.ceil(np.log2(max(r_max / 2.0, 1.0) / delta))) + 1)
-    u_edges = np.concatenate([-delta * 2.0 ** np.arange(k_neg, -1, -1),
-                              [0.0], delta * 2.0 ** np.arange(0, 41)])
-
-    for start in range(0, radii.size, chunk):
-        r = radii[start:start + chunk]
-        y0 = np.maximum(1.0, r / 2.0)
-        inner = -bracket_second_derivative(r, q0) * yc ** (2.0 - two_s) / (2.0 - two_s)
-
-        rr = r[:, None, None]
-        core = _clipped_panel_sum(
-            lambda y: (2.0 * phi(rr) - phi(rr + y) - phi(rr - y)) / y ** (1.0 + two_s),
-            np.minimum(core_edges[None, :-1], y0[:, None]),
-            np.minimum(core_edges[None, 1:], y0[:, None]))
-
-        const_tail = 2.0 * phi(r) * y0 ** (-two_s) / two_s
-
-        far_edges = y0[:, None] * far_ratios[None, :]
-        a_piece = _clipped_panel_sum(
-            lambda y: phi(rr + y) / y ** (1.0 + two_s),
-            far_edges[:, :-1], far_edges[:, 1:])
-
-        lower = (y0 - r)[:, None]
-        b_piece = _clipped_panel_sum(
-            lambda u: phi(u) / (u + rr) ** (1.0 + two_s),
-            np.maximum(u_edges[None, :-1], lower),
-            np.maximum(u_edges[None, 1:], lower))
-
-        out[start:start + chunk] = inner + core + const_tail - a_piece - b_piece
-
-    out *= frac_constant(1, s)
-    _BATCH_CACHE[key] = out.copy()
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Capacity integral.
 
 @dataclass(frozen=True)
@@ -335,7 +290,7 @@ def make_test_function_spec(q0: float, B: float, R: float, p: float,
                             alpha: float, dim: int,
                             ramp: str = "cos2") -> TestFunctionSpec:
     _validate_capacity_window(q0, p, alpha, dim)
-    if B < 1 or R < 1:
+    if not (B >= 1 and R >= 1):
         raise ConfigurationError(f"B and R must be >= 1, got B={B}, R={R}")
     psi_ramp(0.0, kind=ramp)  # validates the ramp name
     return TestFunctionSpec(q0=float(q0), B=float(B), R=float(R),
@@ -358,33 +313,19 @@ def capacity_integral(spec: TestFunctionSpec, p: float, alpha: float,
     """int Phi_R^(-1/(p-1)) |(-Lap + (-Lap)^(alpha/2)) Phi_R|^(p/(p-1)) dx
     on the grid, with Phi_R = <x/(B R)>^(-q0).
 
-    The Laplacian part is analytic; the fractional part is pointwise
-    quadrature at the scaled radii (shared across an R sweep when the
-    grid is proportional to B R). The grid must be wide enough that the
-    extrapolated integrand tail is below 1e-6 of the total.
+    Both operator parts are closed forms at the scaled radii
+    (`bracket_laplacian`, `bracket_frac_laplacian`), in one and two
+    dimensions alike. The grid must be wide enough that the extrapolated
+    integrand tail is below 1e-6 of the total.
     """
     dim = grid.dim
     _validate_capacity_window(spec.q0, p, alpha, dim)
     scale = spec.B * spec.R
-    s = alpha / 2.0
     q0 = spec.q0
     coords = grid.coords()
     radius = np.sqrt(sum(c ** 2 for c in coords)) / scale
 
-    if dim == 1:
-        frac_part = _bracket_frac_batch(radius, s, q0)
-    else:
-        flat = radius.ravel()
-        uniq, inverse = np.unique(flat.round(decimals=12), return_inverse=True)
-        profile2 = lambda pts: bracket_profile(
-            np.linalg.norm(np.asarray(pts, dtype=float), axis=-1), 1.0, q0)
-        lap2 = lambda pt: bracket_laplacian(float(np.linalg.norm(pt)), q0, 2)
-        vals = np.array([
-            frac_laplacian_pointwise(profile2, s, np.array([rv, 0.0]), dim=2,
-                                     laplacian=lap2)
-            for rv in uniq])
-        frac_part = vals[inverse].reshape(radius.shape)
-
+    frac_part = bracket_frac_laplacian(radius, q0, alpha / 2.0, dim)
     neg_lap_part = -bracket_laplacian(radius, q0, dim)
     phi = bracket_profile(radius, 1.0, q0)
     symbol_term = scale ** (-2.0) * neg_lap_part + scale ** (-alpha) * frac_part

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericalFailureError
 from .grid import (Field, GridSpec, apply_symbol, delta_field, integral,
@@ -131,9 +132,18 @@ def half_width_for_tail(alpha: float, t: float, dim: int,
 
 def _cosine_transform(symbol_exponent, x: float, t: float) -> float:
     """(1/pi) int_0^inf exp(-t * symbol(xi)) cos(x xi) dxi for 1D oracles."""
+    if not (t > 0 and math.isfinite(t)):
+        raise ConfigurationError(f"kernel quadrature needs finite t > 0, got {t}")
     f = lambda xi: np.exp(-t * symbol_exponent(xi))
     if abs(x) < 1e-12:
-        val, err = quad(f, 0.0, np.inf, limit=400)
+        # The integrand is a peak of width xi*, where t * symbol(xi*) = 1,
+        # and xi* moves over decades with t; in eta = xi / xi* the peak has
+        # unit width, so the infinite-range map cannot step over it.
+        u_star = brentq(lambda u: t * symbol_exponent(math.exp(u)) - 1.0,
+                        -200.0, 200.0)
+        xi_star = math.exp(u_star)
+        val, err = quad(lambda eta: f(xi_star * eta), 0.0, np.inf, limit=400)
+        val *= xi_star
     else:
         # QAWF Fourier integration; absolute accuracy only.
         val, err = quad(f, 0.0, np.inf, weight="cos", wvar=abs(x), limit=400)

@@ -196,8 +196,9 @@ def test_04_sup_norm_decay(alpha, branch, hw, n, window, target):
     ok = lo <= slope <= hi
     detail = f"slope = {slope:.4f}, band [{lo:.4f}, {hi:.4f}]"
     if branch == "small-t":
-        # At large t the x=0 quadrature misses the narrow spectral peak
-        # for small alpha, so only the small-t rows carry this check.
+        # Only the small-t rows carry this check: on the large-t rows the
+        # lattice slope sits up to 2.6e-3 from the continuum one (alpha=0.5),
+        # more than the tolerance, and that gap is not yet explained.
         continuum = fitted_slope(
             ts, [mixed_kernel_quadrature(0.0, alpha, t) for t in ts])
         ok = ok and abs(slope - continuum) <= ORACLE_SLOPE_TOL

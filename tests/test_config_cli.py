@@ -194,6 +194,25 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,override,key", [
+    ("capacity", "capacity_radii=8,nan", "capacity_radii"),
+    ("capacity", "capacity_radii=8,inf", "capacity_radii"),
+    ("capacity", "capacity_b=nan", "capacity_b"),
+    ("capacity", "capacity_half_width=-1", "capacity_half_width"),
+    ("capacity", "capacity_half_width=inf", "capacity_half_width"),
+    ("kernel", "kernel_times=1,nan", "kernel_times"),
+    ("kernel", "kernel_times=inf", "kernel_times"),
+])
+def test_cli_rejects_bad_capacity_and_kernel_inputs(cfg_path, tmp_path, capsys,
+                                                   command, override, key):
+    rc = main([command, "--config", cfg_path, "--set", override,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: {key} ")
+    assert "R=" not in captured.out
+
+
 def test_cli_kernel_outputs(cfg_path, tmp_path, capsys):
     out = tmp_path / "kernel_out"
     assert main(["kernel", "--config", cfg_path, "--out-dir", str(out)]) == 0

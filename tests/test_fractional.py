@@ -8,6 +8,8 @@ from scipy.integrate import quad
 
 from mixheat import (
     ConfigurationError,
+    NumericalFailureError,
+    bracket_frac_laplacian,
     bracket_laplacian,
     bracket_profile,
     bracket_second_derivative,
@@ -130,6 +132,68 @@ def test_bracket_derivatives_match_finite_differences():
     assert bracket_laplacian(r, 2.0, 2) == pytest.approx(expected2d, rel=1e-4)
 
 
+@pytest.mark.parametrize("r", [0.0, 0.7, 3.0, 50.0])
+@pytest.mark.parametrize("s,q0", [(0.25, 1.2), (0.5, 1.5), (0.75, 2.5)])
+def test_bracket_frac_laplacian_matches_quadrature_1d(s, q0, r):
+    oracle = frac_laplacian_pointwise(
+        lambda y: bracket_profile(y, 1.0, q0), s, r,
+        second_derivative=lambda y: bracket_second_derivative(y, q0))
+    assert bracket_frac_laplacian(r, q0, s, 1) == pytest.approx(
+        oracle, rel=1e-7, abs=1e-8)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 5.0])
+@pytest.mark.parametrize("s,q0", [(0.25, 2.2), (0.5, 2.5), (0.75, 3.0)])
+def test_bracket_frac_laplacian_matches_quadrature_2d(s, q0, r):
+    def radial(pts):
+        return bracket_profile(np.linalg.norm(np.asarray(pts), axis=-1), 1.0, q0)
+
+    oracle = frac_laplacian_pointwise(
+        radial, s, (r, 0.0), dim=2,
+        laplacian=lambda pt: bracket_laplacian(float(np.linalg.norm(pt)), q0, 2))
+    assert bracket_frac_laplacian(r, q0, s, 2) == pytest.approx(
+        oracle, rel=1e-7, abs=1e-8)
+
+
+def test_bracket_frac_laplacian_half_order_closed_form():
+    """(-Lap)^(1/2) (1+x^2)^-1 = (1-x^2) / (1+x^2)^2, vectorized over x."""
+    x = np.array([0.0, 0.3, 1.0, 2.5, 40.0, 1e3])
+    exact = (1.0 - x * x) / (1.0 + x * x) ** 2
+    np.testing.assert_allclose(bracket_frac_laplacian(x, 2.0, 0.5, 1), exact,
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("s,q0,r,dim,expected", [
+    (0.9, 1.5, 16287.2314453125, 1, -1.4168274286668659e-12),
+    (0.5, 1.5, 2e4, 1, -4.1466176833262091e-9),
+    (0.375, 2.5, 1e3, 2, -8.408223104352663e-9),
+])
+def test_bracket_frac_laplacian_far_field_reference(s, q0, r, dim, expected):
+    # 30-digit values of the same hypergeometric closed form
+    assert bracket_frac_laplacian(r, q0, s, dim) == pytest.approx(
+        expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s,q0,dim,expected", [
+    (0.7, 3.0, 1, -5.389241317636086e-05),
+    (0.45, 4.0, 2, -5.470606197987311e-06),
+])
+def test_bracket_frac_laplacian_integer_exponent_gap(s, q0, dim, expected):
+    # q0 - N even: the large-r connection formula takes its logarithmic
+    # form, which hyp2f1 only uses when a - b is exactly an integer
+    assert bracket_frac_laplacian(50.0, q0, s, dim) == pytest.approx(
+        expected, rel=1e-10)
+
+
+def test_bracket_frac_laplacian_validation():
+    with pytest.raises(ConfigurationError):
+        bracket_frac_laplacian(1.0, 1.5, 1.0, 1)
+    with pytest.raises(ConfigurationError):
+        bracket_frac_laplacian(1.0, float("nan"), 0.5, 1)
+    with pytest.raises(NumericalFailureError):
+        bracket_frac_laplacian(np.array([1.0, np.nan]), 1.5, 0.5, 1)
+
+
 @pytest.mark.parametrize("kind", ["cos2", "cubic"])
 def test_psi_ramp_shape(kind):
     assert psi_ramp(0.3, kind=kind) == 1.0
@@ -195,6 +259,19 @@ def test_capacity_integral_tail_guard():
     spec = make_test_function_spec(1.5, 2.0, 8.0, 2.0, 1.0, 1)
     with pytest.raises(ConfigurationError):
         capacity_integral(spec, 2.0, 1.0, make_grid(1, 16.0 * 50.0, 1024))
+
+
+def test_capacity_integral_2d():
+    # alpha = 1.9, p = 3, q0 = 2.1 on a 1024^2 grid spanning 200 B R
+    grid = make_grid(2, 16.0 * 200.0, 1024)
+    a = capacity_integral(make_test_function_spec(2.1, 2.0, 8.0, 3.0, 1.9, 2),
+                          3.0, 1.9, grid)
+    b = capacity_integral(make_test_function_spec(2.1, 4.0, 4.0, 3.0, 1.9, 2),
+                          3.0, 1.9, grid)
+    assert math.isfinite(a) and a > 0.0
+    assert a == b
+    # 1.4124785976 on (16 * 400, 2048^2)
+    assert a == pytest.approx(1.412478094553838, abs=1e-6)
 
 
 def test_time_factor_cubic_exact_value():

@@ -1,6 +1,7 @@
 """Kernel construction, closed forms, tails, and contraction estimates."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -152,6 +153,30 @@ def test_stable_quadrature_matches_cauchy():
         val = stable_kernel_quadrature(x, 1.0, 1.5)
         exact = 1.5 / (np.pi * (1.5 ** 2 + x * x))
         assert val == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha,t", [(0.5, 1e3), (0.5, 1e5), (1.5, 1e5),
+                                     (0.5, 1e-6)])
+def test_stable_quadrature_peak_closed_form(alpha, t):
+    """P(0, t) = Gamma(1 + 1/alpha) / (pi t^(1/alpha)): the spectral peak
+    has width t^(-1/alpha), from 1e-10 to 1e12 across these cases."""
+    exact = math.gamma(1.0 + 1.0 / alpha) / (math.pi * t ** (1.0 / alpha))
+    assert stable_kernel_quadrature(0.0, alpha, t) == pytest.approx(
+        exact, rel=1e-10)
+
+
+def test_mixed_quadrature_narrow_peak():
+    # at t = 1e3 the fractional part sets the width (1e-6); the lattice
+    # sup-norm on (2^24, 2^21) is 6.42e-7
+    val = mixed_kernel_quadrature(0.0, 0.5, 1e3)
+    assert val == pytest.approx(6.366e-7, rel=1e-4)
+    assert val < stable_kernel_quadrature(0.0, 0.5, 1e3)
+
+
+def test_quadrature_needs_positive_time():
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            mixed_kernel_quadrature(0.0, 0.5, t)
 
 
 def test_mixed_quadrature_matches_grid_kernel():
