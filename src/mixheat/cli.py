@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from .config import (build_grid, build_problem, capacity_radii, kernel_times,
-                     load_config, snapshot_times)
+                     load_config, parse_float_list, snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError
 from .fractional import (bracket_profile, bracket_second_derivative,
                          capacity_integral, make_test_function_spec,
@@ -129,10 +129,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
-    try:
-        p_values = [float(tok) for tok in args.p_values.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigurationError(f"cannot parse --p-values: {args.p_values!r}")
+    p_values = parse_float_list(args.p_values, "--p-values")
     out = _out_dir(args)
     p_crit = critical_exponent(cfg.alpha, cfg.beta, cfg.dim)
     print(f"critical_exponent={_fmt(p_crit)}")

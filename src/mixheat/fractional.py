@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, hyp2f1
 
 from .errors import ConfigurationError, NumericalFailureError
-from .grid import GridSpec
+from .grid import GridSpec, _float_or_array
 
 # Inner cutoff for the second-difference form. Below it the integrand is
 # replaced by -phi''(x) y^(1-2s); the quartic Taylor remainder is then
@@ -47,7 +47,7 @@ def bracket_profile(x, scale: float, q0: float):
         raise ConfigurationError(f"scale must be positive, got {scale}")
     x = np.asarray(x, dtype=float) / scale
     out = (1.0 + x * x) ** (-q0 / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def bracket_second_derivative(x, q0: float):
@@ -55,7 +55,7 @@ def bracket_second_derivative(x, q0: float):
     x = np.asarray(x, dtype=float)
     u = 1.0 + x * x
     out = q0 * u ** (-q0 / 2.0 - 2.0) * ((q0 + 1.0) * x * x - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def bracket_laplacian(r, q0: float, dim: int):
@@ -63,7 +63,7 @@ def bracket_laplacian(r, q0: float, dim: int):
     r = np.asarray(r, dtype=float)
     u = 1.0 + r * r
     out = q0 * u ** (-q0 / 2.0 - 2.0) * ((q0 + 2.0 - dim) * r * r - dim)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
@@ -95,7 +95,7 @@ def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
         raise NumericalFailureError(
             f"closed-form fractional Laplacian is not finite for q0={q0}, "
             f"s={s}, dim={dim}")
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def psi_ramp(r, kind: str = "cos2"):
@@ -109,7 +109,7 @@ def psi_ramp(r, kind: str = "cos2"):
     else:
         raise ConfigurationError(f"unknown ramp kind {kind!r}")
     out = np.where(r <= 1.0, 1.0, np.where(r >= 2.0, 0.0, out))
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def psi_ramp_derivative(r, kind: str = "cos2"):
@@ -122,7 +122,7 @@ def psi_ramp_derivative(r, kind: str = "cos2"):
     else:
         raise ConfigurationError(f"unknown ramp kind {kind!r}")
     out = np.where((r <= 1.0) | (r >= 2.0), 0.0, out)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def _fd_second_derivative(profile, x: float) -> float:
@@ -298,8 +298,8 @@ def make_test_function_spec(q0: float, B: float, R: float, p: float,
 
 
 def _validate_capacity_window(q0, p, alpha, dim):
-    if not p > 1:
-        raise ConfigurationError(f"p must be > 1, got {p}")
+    if not (p > 1 and math.isfinite(p)):
+        raise ConfigurationError(f"p must be finite and > 1, got {p}")
     if not 0 < alpha < 2:
         raise ConfigurationError(f"alpha must be in (0, 2), got {alpha}")
     if not dim < q0 < dim + alpha * p:
@@ -371,8 +371,8 @@ def time_factor_integral(p: float, beta: float, kind: str = "cos2") -> float:
     Finite for every p > 1, beta >= 0: the integrand vanishes off [1, 2]
     and the ramp is C^1 there.
     """
-    if not p > 1:
-        raise ConfigurationError(f"p must be > 1, got {p}")
+    if not (p > 1 and math.isfinite(p)):
+        raise ConfigurationError(f"p must be finite and > 1, got {p}")
     if beta < 0:
         raise ConfigurationError(f"beta must be >= 0, got {beta}")
     expo = beta / ((beta + 1.0) * (p - 1.0))

@@ -23,6 +23,10 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _float_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [-half_width, half_width)^dim."""
@@ -150,20 +154,20 @@ def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed",
 
 
 def _spectral_apply(grid: GridSpec, values: np.ndarray, multiplier=None,
-                    kernel=None) -> np.ndarray:
+                    kernel=None, out=None, spectrum=None) -> np.ndarray:
     """irfftn(rfftn(values) * rfftn(kernel) * multiplier) on the grid.
 
-    The one transform path: multiplier is a real array on the half lattice,
-    kernel a second real grid array (periodic convolution); either may be
-    omitted.
+    The one transform path. multiplier (real, half lattice), kernel (a
+    second grid array: periodic convolution) and the buffers out (for the
+    result; may be values) and spectrum (complex) may each be omitted.
     """
     axes = tuple(range(grid.dim))
-    spectrum = np.fft.rfftn(values, axes=axes)
+    spectrum = np.fft.rfftn(values, axes=axes, out=spectrum)
     if kernel is not None:
         spectrum *= np.fft.rfftn(kernel, axes=axes)
     if multiplier is not None:
         spectrum *= multiplier
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, out=out)
 
 
 def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,

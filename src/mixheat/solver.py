@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
-from .grid import (Field, GridSpec, SpectralSymbol, _spectral_apply,
-                   apply_symbol, make_field, make_symbol)
+from .grid import (Field, GridSpec, SpectralSymbol, _float_or_array,
+                   _spectral_apply, apply_symbol, make_field, make_symbol)
 
 _log = logging.getLogger(__name__)
 
@@ -49,7 +49,7 @@ class NoAbsorption:
 
     def rate(self, t):
         out = np.zeros_like(np.asarray(t, dtype=float))
-        return float(out) if out.ndim == 0 else out
+        return _float_or_array(out)
 
     def integral(self, a: float, b: float) -> float:
         return 0.0
@@ -71,7 +71,7 @@ class ConstantAbsorption:
     def rate(self, t):
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, self.coefficient)
-        return float(out) if out.ndim == 0 else out
+        return _float_or_array(out)
 
     def integral(self, a: float, b: float) -> float:
         if not a <= b:
@@ -102,7 +102,7 @@ class PowerAbsorption:
     def rate(self, t):
         t = np.asarray(t, dtype=float)
         out = self.coefficient * (1.0 + t) ** self.exponent
-        return float(out) if out.ndim == 0 else out
+        return _float_or_array(out)
 
     def integral(self, a: float, b: float) -> float:
         if not 0 <= a <= b:
@@ -148,7 +148,7 @@ class TableAbsorption:
         if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
             raise ConfigurationError("time outside the absorption table range")
         out = np.interp(t, self.times, self.values)
-        return float(out) if out.ndim == 0 else out
+        return _float_or_array(out)
 
     def _antiderivative(self, t: float) -> float:
         i = int(np.searchsorted(self.times, t, side="right") - 1)
@@ -203,8 +203,8 @@ class ProblemSpec:
             raise ConfigurationError(f"alpha must be in (0, 2), got {self.alpha}")
         if not self.beta >= 0:
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
-        if not self.p > 1:
-            raise ConfigurationError(f"p must be > 1, got {self.p}")
+        if not (self.p > 1 and np.isfinite(self.p)):
+            raise ConfigurationError(f"p must be finite and > 1, got {self.p}")
         if np.min(self.initial.values) < 0:
             raise ConfigurationError("initial data must be nonnegative")
 
@@ -221,7 +221,7 @@ def time_to_tau(t, beta: float):
     if np.any(t < 0):
         raise ConfigurationError("t must be >= 0")
     out = t ** (beta + 1.0) / (beta + 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def tau_to_time(tau, beta: float):
@@ -231,7 +231,7 @@ def tau_to_time(tau, beta: float):
     if np.any(tau < 0):
         raise ConfigurationError("tau must be >= 0")
     out = ((beta + 1.0) * tau) ** (1.0 / (beta + 1.0))
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(out)
 
 
 def _require_finite(**named) -> None:
@@ -320,24 +320,29 @@ def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
 # ---------------------------------------------------------------------------
 # Substeps.
 
-def _clip_negative(values: np.ndarray, cell_volume: float):
-    """Zero out negative entries; returns (clipped values, clipped mass).
+def _clip_negative(values: np.ndarray, cell_volume: float) -> float:
+    """Zero out negative entries in place; returns the clipped mass.
 
     Clipped mass is positive: it is the mass the clip ADDS, since the
     removed entries are negative ripple."""
     neg = values < 0.0
     if not np.any(neg):
-        return values, 0.0
+        return 0.0
     clipped = -float(np.sum(values[neg])) * cell_volume
-    return np.where(neg, 0.0, values), clipped
+    values[neg] = 0.0
+    return clipped
 
 
-def _absorb(values: np.ndarray, H: float, p: float) -> np.ndarray:
-    """Exact flow of du/dt = -h u^p over an interval with int h dt = H,
-    for nonnegative input. The factored form avoids 0^(1-p) at zeros."""
+def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
+    """Exact flow of du/dt = -h u^p over an interval with int h dt = H, in
+    place (work: scratch). The factored form avoids 0^(1-p) at zeros."""
     if H == 0.0:
-        return values
-    return values * (1.0 + (p - 1.0) * H * values ** (p - 1.0)) ** (-1.0 / (p - 1.0))
+        return
+    np.power(values, p - 1.0, out=work)
+    work *= (p - 1.0) * H
+    work += 1.0
+    work **= -1.0 / (p - 1.0)
+    values *= work
 
 
 def absorption_step(f: Field, t0: float, t1: float, p: float, schedule) -> Field:
@@ -349,19 +354,19 @@ def absorption_step(f: Field, t0: float, t1: float, p: float, schedule) -> Field
     """
     if not t1 >= t0:
         raise ConfigurationError(f"need t1 >= t0, got {t0}, {t1}")
-    if not p > 1:
-        raise ConfigurationError(f"p must be > 1, got {p}")
-    values = f.values
+    if not (p > 1 and np.isfinite(p)):
+        raise ConfigurationError(f"p must be finite and > 1, got {p}")
+    values = f.values.copy()
     floor = np.min(values)
-    if floor < 0:
-        if floor < -_RIPPLE_TOL * np.max(np.abs(values)):
-            raise ConfigurationError(
-                f"negative input beyond ripple tolerance (min {floor:g})")
-        values, _ = _clip_negative(values, f.grid.cell_volume)
+    if floor < -_RIPPLE_TOL * np.max(np.abs(values)):
+        raise ConfigurationError(
+            f"negative input beyond ripple tolerance (min {floor:g})")
+    _clip_negative(values, f.grid.cell_volume)
     H = schedule.integral(t0, t1)
     if H < 0:
         raise ConfigurationError(f"absorbed integral must be >= 0, got {H}")
-    return make_field(f.grid, _absorb(values, H, p))
+    _absorb(values, H, p, np.empty_like(values))
+    return make_field(f.grid, values)
 
 
 def linear_step(f: Field, dtau: float, operator) -> Field:
@@ -376,8 +381,8 @@ def linear_step(f: Field, dtau: float, operator) -> Field:
         symbol = operator
     else:
         symbol = make_symbol(f.grid, float(operator))
-    out = apply_symbol(f, symbol, scale=dtau, mode="semigroup")
-    values, clipped = _clip_negative(out.values, f.grid.cell_volume)
+    values = apply_symbol(f, symbol, scale=dtau, mode="semigroup").values
+    clipped = _clip_negative(values, f.grid.cell_volume)
     if clipped:
         _log.debug("linear_step clipped %.3e negative-ripple mass", clipped)
     return make_field(f.grid, values)
@@ -424,9 +429,9 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     the original-clock interval [t(tau_a), t(tau_m)], exact semigroup of
     length tau_b - tau_a, half absorption over [t(tau_m), t(tau_b)].
     Mass, cumulative absorbed mass and field norms are recorded after
-    every substep; snapshots are taken at the schedule's snapshot times.
-    A non-finite state aborts with the partial result attached to the
-    raised error as .partial.
+    every substep. The state is updated in place; snapshots, copies of it,
+    are taken at the schedule's snapshot times. A non-finite state aborts
+    with the partial result attached to the raised error as .partial.
     """
     if schedule.beta != problem.beta:
         raise ConfigurationError(
@@ -439,15 +444,18 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     dV = grid.cell_volume
 
     u = problem.initial.values.copy()
-    u, clipped_total = _clip_negative(u, dV)
-
+    clipped_total = _clip_negative(u, dV)
+    # the step's only grid-sized buffers: fresh ones would page-fault
+    work = np.empty_like(u)
+    spectrum = np.empty(symbol.values.shape, dtype=complex)
+    mass = np.sum(u)
     t0 = float(schedule.knot_times[0])
     rows_t = [t0]
     rows_tau = [float(schedule.knot_taus[0])]
-    rows_mass = [float(np.sum(u)) * dV]
+    rows_mass = [float(mass) * dV]
     rows_absorbed = [0.0]
-    rows_linf = [float(np.max(np.abs(u)))]
-    rows_l2 = [float(np.sqrt(np.sum(u * u) * dV))]
+    rows_linf = [float(np.max(u))]
+    rows_l2 = [float(np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV))]
     absorbed = 0.0
 
     want = {float(t) for t in schedule.snapshot_times}
@@ -483,19 +491,20 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         dtau = (tau_b - tau_a) / n_sub
         multiplier = np.exp(-dtau * symbol.values)
         for j in range(n_sub):
-            mass_pre = np.sum(u)
-            u = _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p)
-            absorbed += (mass_pre - np.sum(u)) * dV
+            _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p, work)
+            absorbed += (mass - np.sum(u)) * dV
 
             # the same transform and clip as linear_step, without a Field
-            u, clipped = _clip_negative(_spectral_apply(grid, u, multiplier), dV)
-            clipped_total += clipped
+            _spectral_apply(grid, u, multiplier, out=u, spectrum=spectrum)
+            clipped_total += _clip_negative(u, dV)
 
             mass_pre = np.sum(u)
-            u = _absorb(u, absorption.integral(mid_times[j], sub_times[j + 1]), p)
-            absorbed += (mass_pre - np.sum(u)) * dV
+            _absorb(u, absorption.integral(mid_times[j], sub_times[j + 1]), p, work)
+            mass = np.sum(u)
+            absorbed += (mass_pre - mass) * dV
 
-            linf = float(np.max(np.abs(u)))
+            # u >= 0 here, so max is the sup norm (and NaN propagates)
+            linf = float(np.max(u))
             if not np.isfinite(linf):
                 err = NumericalFailureError(
                     f"non-finite state at t = {sub_times[j + 1]:g} "
@@ -504,10 +513,10 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
                 raise err
             rows_t.append(float(sub_times[j + 1]))
             rows_tau.append(float(sub_taus[j + 1]))
-            rows_mass.append(float(np.sum(u)) * dV)
+            rows_mass.append(float(mass) * dV)
             rows_absorbed.append(float(absorbed))
             rows_linf.append(linf)
-            rows_l2.append(float(np.sqrt(np.sum(u * u) * dV)))
+            rows_l2.append(float(np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV)))
         t_knot = float(schedule.knot_times[k + 1])
         if t_knot in want:
             record_snapshot(t_knot, u)

@@ -184,7 +184,8 @@ def test_cli_rejects_bad_physics(cfg_path, tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("override,key", [("beta=nan", "beta"), ("t1=inf", "t1")])
+@pytest.mark.parametrize("override,key", [("beta=nan", "beta"), ("t1=inf", "t1"),
+                                          ("p=inf", "p")])
 def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key):
     rc = main(["solve", "--config", cfg_path, "--set", override,
                "--out-dir", str(tmp_path / "out")])
@@ -284,6 +285,24 @@ def test_cli_sweep(cfg_path, tmp_path, capsys):
                "--out-dir", str(out)])
     assert rc == 0
     assert (out / "sweep.csv").read_text().splitlines() == [lines[0]]
+
+
+def test_cli_sweep_rejects_bad_p_values(cfg_path, tmp_path, capsys):
+    out = tmp_path / "sweep_out"
+    # a non-finite exponent is an error row, not a run that absorbs nothing
+    rc = main(["sweep", "--config", cfg_path, "--p-values", "3,inf",
+               "--out-dir", str(out)])
+    assert rc == 1
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert "error" not in lines[1]
+    assert lines[2].startswith("inf,") and "error: p must be finite" in lines[2]
+    capsys.readouterr()
+
+    rc = main(["sweep", "--config", cfg_path, "--p-values", "1,x",
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "configuration error: cannot parse --p-values: '1,x'\n"
 
 
 def test_cli_capacity(cfg_path, tmp_path, capsys):

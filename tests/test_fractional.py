@@ -232,6 +232,8 @@ def test_test_function_spec_window():
         make_test_function_spec(3.0, 2.0, 8.0, 2.0, 1.0, 1)
     with pytest.raises(ConfigurationError):
         make_test_function_spec(0.9, 2.0, 8.0, 2.0, 1.0, 1)
+    with pytest.raises(ConfigurationError, match="^p must"):
+        make_test_function_spec(1.5, 2.0, 8.0, np.inf, 1.0, 1)
 
 
 def test_capacity_integral_depends_only_on_product_br():
@@ -302,5 +304,7 @@ def test_time_factor_matches_direct_quadrature():
 def test_time_factor_validation():
     with pytest.raises(ConfigurationError):
         time_factor_integral(1.0, 0.0)
+    with pytest.raises(ConfigurationError, match="^p must"):
+        time_factor_integral(np.inf, 0.0)
     with pytest.raises(ConfigurationError):
         time_factor_integral(2.0, -0.5)

@@ -193,9 +193,10 @@ def test_problem_spec_validation(small_grid):
     with pytest.raises(ConfigurationError):
         ProblemSpec(alpha=1.0, beta=-0.1, p=2.0,
                     absorption=NoAbsorption(), initial=u0)
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(alpha=1.0, beta=0.0, p=1.0,
-                    absorption=NoAbsorption(), initial=u0)
+    for p in (1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="^p must"):
+            ProblemSpec(alpha=1.0, beta=0.0, p=p,
+                        absorption=NoAbsorption(), initial=u0)
     with pytest.raises(ConfigurationError):
         ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=NoAbsorption(),
                     initial=make_field(small_grid, u0.values - 0.1))
@@ -270,6 +271,33 @@ def test_absorption_step_rejects_negative_state(small_grid):
         absorption_step(bad, 0.0, 1.0, 2.0, ConstantAbsorption(1.0))
 
 
+def test_absorption_step_rejects_non_finite_p(small_grid):
+    # p = inf would absorb nothing: inf * 0 is NaN and NaN ** -0.0 is 1
+    u0 = unit_gaussian(small_grid)
+    for p in (np.inf, np.nan, 1.0):
+        with pytest.raises(ConfigurationError, match="^p must"):
+            absorption_step(u0, 0.0, 1.0, p, ConstantAbsorption(1.0))
+
+
+def test_steps_and_solve_leave_their_input_unchanged(small_grid):
+    """The stepper works in place on its own copy: input fields stay as
+    they were, and every snapshot is a copy of the state, not a view."""
+    u0 = unit_gaussian(small_grid)
+    rippled = make_field(small_grid, u0.values - 1e-13 * u0.values.max())
+    h = ConstantAbsorption(1.0)
+    for f in (u0, rippled):
+        keep = f.values.copy()
+        absorption_step(f, 0.0, 1.0, 3.0, h)
+        linear_step(f, 0.5, 1.0)
+        np.testing.assert_array_equal(f.values, keep)
+    keep = u0.values.copy()
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=h, initial=u0)
+    res = solve(prob, make_step_schedule(1.0, 4.0, 0.0, 0.5))
+    np.testing.assert_array_equal(u0.values, keep)
+    np.testing.assert_array_equal(res.snapshots[0].values, keep)
+    assert not np.array_equal(res.snapshots[1].values, res.final.values)
+
+
 # -- linear step --------------------------------------------------------------
 
 def test_linear_step_identity_at_zero(small_grid):
@@ -317,6 +345,31 @@ def test_solve_step_matches_linear_step_bitwise(dim):
     assert res.total_steps == 1
     dtau = sched.knot_taus[1] - sched.knot_taus[0]
     step = linear_step(u0, dtau, make_symbol(grid, 1.3))
+    np.testing.assert_array_equal(res.final.values, step.values)
+
+
+@pytest.mark.parametrize("dim,points", [(1, 256), (2, 64)])
+@pytest.mark.parametrize("p", [1.2, 3.0])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_solve_step_is_absorb_linear_absorb_bitwise(dim, points, p, beta):
+    """One solve substep is exactly the Strang composition of the public
+    substeps: the in-place loop and the Field-returning steps agree bit
+    for bit. A delta on a coarse grid makes the semigroup ripple, so the
+    clip runs too."""
+    grid = make_grid(dim, 160.0, points)
+    u0 = delta_field(grid)
+    h = PowerAbsorption(1.0, -0.3)
+    prob = ProblemSpec(alpha=1.3, beta=beta, p=p, absorption=h, initial=u0)
+    sched = make_step_schedule(0.5, 0.8, beta, 1.0, snapshot_times=[0.8])
+    res = solve(prob, sched)
+    assert res.total_steps == 1
+    t_a, t_b = sched.knot_times
+    taus = sched.knot_taus
+    t_m = tau_to_time((taus[:-1] + taus[1:]) / 2.0, beta)[0]
+    half = absorption_step(u0, t_a, t_m, p, h)
+    full = linear_step(half, taus[1] - taus[0], make_symbol(grid, 1.3))
+    step = absorption_step(full, t_m, t_b, p, h)
+    assert res.absorbed[-1] > 0 and res.clipped_mass > 0
     np.testing.assert_array_equal(res.final.values, step.values)
 
 
