@@ -6,12 +6,14 @@ so reruns diff byte-for-byte); files land under --out-dir, which defaults
 to $MIXHEAT_OUTPUT_ROOT or the working directory.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
-failure (including a failing selftest).
+failure (including a failing selftest) or any other internal error, which
+is reported in one line (its traceback goes to the debug log).
 """
 
 import argparse
 import csv
 import dataclasses
+import logging
 import math
 import os
 import sys
@@ -31,6 +33,8 @@ from .observers import (classify_mass_limit, condition_h_check,
                         critical_exponent, mass_trace, read_mass_csv,
                         write_mass_csv)
 from .solver import (make_step_schedule, mass_identity_defect, solve)
+
+_log = logging.getLogger(__name__)
 
 
 def _fmt(x) -> str:
@@ -322,6 +326,10 @@ def main(argv=None) -> int:
         return 1
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        _log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

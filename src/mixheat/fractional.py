@@ -373,7 +373,7 @@ def time_factor_integral(p: float, beta: float, kind: str = "cos2") -> float:
     """
     if not (p > 1 and math.isfinite(p)):
         raise ConfigurationError(f"p must be finite and > 1, got {p}")
-    if beta < 0:
+    if not beta >= 0:
         raise ConfigurationError(f"beta must be >= 0, got {beta}")
     expo = beta / ((beta + 1.0) * (p - 1.0))
     power = p / (p - 1.0)

@@ -115,6 +115,23 @@ def delta_field(grid: GridSpec) -> Field:
     return Field(grid=grid, values=v)
 
 
+def _delta_spectrum(grid: GridSpec) -> np.ndarray:
+    """The real-FFT half spectrum of delta_field(grid), bit for bit,
+    without transforming.
+
+    The delta sits at index n//2 on every axis, so its half spectrum is
+    (1/dV) exp(-i pi sum k) = (-1)^(sum k) / dV, with k the FFT index on
+    each axis; the FFT returns exactly these values with a zero imaginary
+    part. The sign flips are exact, so every entry is +-(1/dV).
+    """
+    shape = grid.shape[:-1] + (grid.points // 2 + 1,)
+    spectrum = np.full(shape, 1.0 / grid.cell_volume)
+    spectrum[..., 1::2] *= -1.0
+    if grid.dim == 2:
+        spectrum[1::2] *= -1.0
+    return spectrum
+
+
 def integral(f: Field) -> float:
     return float(np.sum(f.values) * f.grid.cell_volume)
 
@@ -160,9 +177,13 @@ def _spectral_apply(grid: GridSpec, values: np.ndarray, multiplier=None,
     The one transform path. multiplier (real, half lattice), kernel (a
     second grid array: periodic convolution) and the buffers out (for the
     result; may be values) and spectrum (complex) may each be omitted.
+    values=None means that spectrum already holds the input's half
+    spectrum, so the forward transform is skipped; spectrum is then
+    multiplied in place, and without a kernel it may be real.
     """
     axes = tuple(range(grid.dim))
-    spectrum = np.fft.rfftn(values, axes=axes, out=spectrum)
+    if values is not None:
+        spectrum = np.fft.rfftn(values, axes=axes, out=spectrum)
     if kernel is not None:
         spectrum *= np.fft.rfftn(kernel, axes=axes)
     if multiplier is not None:

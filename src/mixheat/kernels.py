@@ -3,9 +3,12 @@
 The three families are the Gaussian kernel of exp(t Lap), the isotropic
 stable kernel of exp(-t (-Lap)^(alpha/2)), and their convolution, the
 kernel of the full mixed flow. All grid kernels are built in frequency
-space by applying the matching semigroup multiplier to a discrete delta,
-which pins the discrete mass to one at the zero mode and, by Poisson
-summation, makes the grid kernel the periodization of the exact one.
+space by applying the matching semigroup multiplier to the spectrum of a
+discrete delta. That spectrum is known in closed form (grid's
+_delta_spectrum equals the delta's forward transform bit for bit), so a
+kernel costs one inverse transform. The multiplier is exactly 1 at the zero mode,
+which pins the discrete mass to one, and by Poisson summation the grid
+kernel is the periodization of the exact one.
 
 Quadrature inversions of the Fourier formulas are kept as cross-check
 oracles only; they never feed the simulation path.
@@ -19,8 +22,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericalFailureError
-from .grid import (Field, GridSpec, apply_symbol, delta_field, integral,
-                   make_symbol)
+from .grid import (Field, GridSpec, SpectralSymbol, _delta_spectrum,
+                   _spectral_apply, apply_symbol, integral, make_symbol)
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +44,17 @@ def _check_kernel(k: Field, label: str) -> Field:
     return k
 
 
+def _delta_response(sym: SpectralSymbol, t: float) -> Field:
+    """exp(-t m(xi)) applied to the grid delta, bit for bit as apply_symbol
+    would return it, from the delta's closed-form half spectrum."""
+    grid = sym.grid
+    values = _spectral_apply(grid, None, np.exp(-t * sym.values),
+                             spectrum=_delta_spectrum(grid))
+    if not np.all(np.isfinite(values)):
+        raise NumericalFailureError("kernel transform produced non-finite values")
+    return Field(grid=grid, values=values)
+
+
 def gaussian_kernel(grid: GridSpec, t: float) -> Field:
     """Pointwise Gaussian kernel (4 pi t)^(-N/2) exp(-|x|^2 / 4t)."""
     if not t > 0:
@@ -55,8 +69,7 @@ def stable_kernel(grid: GridSpec, alpha: float, t: float) -> Field:
     """Stable kernel: semigroup multiplier exp(-t |xi|^alpha) on a delta."""
     if not t > 0:
         raise ConfigurationError(f"stable_kernel needs t > 0, got {t}")
-    sym = make_symbol(grid, alpha, kind="fractional")
-    k = apply_symbol(delta_field(grid), sym, scale=t, mode="semigroup")
+    k = _delta_response(make_symbol(grid, alpha, kind="fractional"), t)
     return _check_kernel(k, f"stable_kernel(alpha={alpha}, t={t})")
 
 
@@ -64,19 +77,23 @@ def mixed_kernel(grid: GridSpec, alpha: float, t: float) -> Field:
     """Kernel of the mixed flow: exp(-t (|xi|^2 + |xi|^alpha)) on a delta."""
     if not t > 0:
         raise ConfigurationError(f"mixed_kernel needs t > 0, got {t}")
-    sym = make_symbol(grid, alpha, kind="mixed")
-    k = apply_symbol(delta_field(grid), sym, scale=t, mode="semigroup")
+    k = _delta_response(make_symbol(grid, alpha, kind="mixed"), t)
     return _check_kernel(k, f"mixed_kernel(alpha={alpha}, t={t})")
 
 
 def kernel_lq_norm(f: Field, q: float) -> float:
-    """Discrete L^q norm with cell-volume weighting; q = inf gives max |f|."""
-    v = np.abs(f.values)
+    """Discrete L^q norm with cell-volume weighting; q = inf gives max |f|.
+
+    One grid-sized temporary at most: |f|^q is formed in place.
+    """
+    v = f.values
     if q == np.inf:
-        return float(v.max())
+        return float(max(v.max(), -v.min()))
     if not q >= 1:
         raise ConfigurationError(f"q must be >= 1 or inf, got {q}")
-    return float((np.sum(v ** q) * f.grid.cell_volume) ** (1.0 / q))
+    w = np.abs(v)
+    np.power(w, q, out=w)
+    return float((np.sum(w) * f.grid.cell_volume) ** (1.0 / q))
 
 
 def taylor_contraction_error(g: Field, t_list, alpha: float):
@@ -95,7 +112,7 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
     errors = []
     for t in np.atleast_1d(np.asarray(t_list, dtype=float)):
         smoothed = apply_symbol(g, sym, scale=t, mode="semigroup")
-        kern = apply_symbol(delta_field(grid), sym, scale=t, mode="semigroup")
+        kern = _delta_response(sym, t)
         diff = smoothed.values - mass * kern.values
         errors.append(float(np.sum(np.abs(diff)) * grid.cell_volume))
     return np.array(errors), x_moment

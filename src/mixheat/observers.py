@@ -92,12 +92,18 @@ def read_mass_csv(path) -> MassTrace:
 # ---------------------------------------------------------------------------
 # Exponent arithmetic and the coefficient integral test.
 
+def _check_beta_dim(beta: float, dim: int) -> None:
+    if not beta >= 0:
+        raise ConfigurationError(f"beta must be >= 0, got {beta}")
+    if dim < 1:
+        raise ConfigurationError(f"dim must be >= 1, got {dim}")
+
+
 def critical_exponent(alpha: float, beta: float, dim: int) -> float:
     """Exponent separating the mass dichotomy: 1 + alpha/(dim(beta+1))."""
     if not 0 < alpha < 2:
         raise ConfigurationError(f"alpha must be in (0, 2), got {alpha}")
-    if beta < 0 or dim < 1:
-        raise ConfigurationError(f"need beta >= 0 and dim >= 1, got {beta}, {dim}")
+    _check_beta_dim(beta, dim)
     return 1.0 + alpha / (dim * (beta + 1.0))
 
 
@@ -105,8 +111,9 @@ def decay_rate_exponent(p: float, alpha: float, beta: float, dim: int) -> float:
     """r = dim(p-1)(beta+1)/alpha: the linear flow damps u^p mass like t^-r."""
     if not 0 < alpha < 2:
         raise ConfigurationError(f"alpha must be in (0, 2), got {alpha}")
-    if beta < 0 or dim < 1 or not p > 1:
-        raise ConfigurationError(f"need beta >= 0, dim >= 1, p > 1; got {beta}, {dim}, {p}")
+    _check_beta_dim(beta, dim)
+    if not (p > 1 and math.isfinite(p)):
+        raise ConfigurationError(f"p must be finite and > 1, got {p}")
     return dim * (p - 1.0) * (beta + 1.0) / alpha
 
 

@@ -38,9 +38,9 @@ _RIPPLE_TOL = 1e-10  # negative input below -tol*max is a contract violation
 
 
 # ---------------------------------------------------------------------------
-# Absorption coefficients h(t). Anything with rate(t), integral(a, b),
-# infimum(a, b) and tail_exponent works; integral must be exact for the
-# class (no quadrature inside the stepper).
+# Absorption coefficients h(t). Anything with rate(t), integral(a, b) and
+# tail_exponent works; integral must be exact for the class (no quadrature
+# inside the stepper).
 
 class NoAbsorption:
     """h = 0: plain linear flow."""
@@ -52,9 +52,6 @@ class NoAbsorption:
         return _float_or_array(out)
 
     def integral(self, a: float, b: float) -> float:
-        return 0.0
-
-    def infimum(self, a: float, b: float) -> float:
         return 0.0
 
 
@@ -77,9 +74,6 @@ class ConstantAbsorption:
         if not a <= b:
             raise ConfigurationError(f"need a <= b, got a={a}, b={b}")
         return self.coefficient * (b - a)
-
-    def infimum(self, a: float, b: float) -> float:
-        return self.coefficient
 
 
 class PowerAbsorption:
@@ -111,10 +105,6 @@ class PowerAbsorption:
             return self.coefficient * np.log1p((b - a) / (1.0 + a))
         e1 = self.exponent + 1.0
         return self.coefficient * ((1.0 + b) ** e1 - (1.0 + a) ** e1) / e1
-
-    def infimum(self, a: float, b: float) -> float:
-        edge = b if self.exponent < 0 else a
-        return self.coefficient * (1.0 + edge) ** self.exponent
 
 
 class TableAbsorption:
@@ -160,14 +150,6 @@ class TableAbsorption:
             raise ConfigurationError(f"need a <= b, got a={a}, b={b}")
         self.rate(np.array([a, b]))  # range check
         return self._antiderivative(b) - self._antiderivative(a)
-
-    def infimum(self, a: float, b: float) -> float:
-        self.rate(np.array([a, b]))
-        inside = (self.times > a) & (self.times < b)
-        candidates = [self.rate(a), self.rate(b)]
-        if np.any(inside):
-            candidates.append(float(np.min(self.values[inside])))
-        return min(candidates)
 
 
 def make_absorption(kind: str, coefficient: float = 1.0, exponent: float = 0.0,

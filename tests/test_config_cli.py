@@ -11,6 +11,7 @@ from mixheat import (
     read_mass_csv,
     write_field,
 )
+from mixheat import cli
 from mixheat.cli import main
 from mixheat.config import (
     build_absorption,
@@ -305,6 +306,15 @@ def test_cli_sweep_rejects_bad_p_values(cfg_path, tmp_path, capsys):
     assert capsys.readouterr().err == "configuration error: cannot parse --p-values: '1,x'\n"
 
 
+def test_cli_sweep_rejects_nan_beta_before_printing(cfg_path, tmp_path, capsys):
+    rc = main(["sweep", "--config", cfg_path, "--set", "beta=nan",
+               "--p-values", "3", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: beta ")
+    assert "critical_exponent" not in captured.out
+
+
 def test_cli_capacity(cfg_path, tmp_path, capsys):
     out = tmp_path / "cap_out"
     rc = main(["capacity", "--config", cfg_path,
@@ -332,6 +342,19 @@ def test_cli_selftest_detects_injected_nan(monkeypatch, capsys):
     monkeypatch.setenv("MIXHEAT_SELFTEST_INJECT_NAN", "1")
     assert main(["selftest"]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_reports_unexpected_errors_in_one_line(cfg_path, tmp_path,
+                                                    monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("spectral buffer lost")
+
+    monkeypatch.setattr(cli, "cmd_kernel", broken)
+    rc = main(["kernel", "--config", cfg_path, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: spectral buffer lost\n"
+    assert captured.out == ""
 
 
 def test_cli_output_root_env(cfg_path, tmp_path, monkeypatch):

@@ -306,5 +306,6 @@ def test_time_factor_validation():
         time_factor_integral(1.0, 0.0)
     with pytest.raises(ConfigurationError, match="^p must"):
         time_factor_integral(np.inf, 0.0)
-    with pytest.raises(ConfigurationError):
-        time_factor_integral(2.0, -0.5)
+    for beta in (-0.5, np.nan):
+        with pytest.raises(ConfigurationError, match="^beta must"):
+            time_factor_integral(2.0, beta)

@@ -8,13 +8,16 @@ import pytest
 
 from mixheat import (
     ConfigurationError,
+    apply_symbol,
     convolve,
+    delta_field,
     gaussian_kernel,
     half_width_for_tail,
     integral,
     kernel_lq_norm,
     make_field,
     make_grid,
+    make_symbol,
     mixed_kernel,
     mixed_kernel_quadrature,
     stable_kernel,
@@ -23,6 +26,7 @@ from mixheat import (
     stable_tail_mass,
     taylor_contraction_error,
 )
+from mixheat.grid import _delta_spectrum
 
 ALPHAS = (0.5, 1.0, 1.5)
 
@@ -81,6 +85,24 @@ def test_mixed_kernel_is_product_of_factors(alpha):
     np.testing.assert_allclose(direct.values, factored.values, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("builder,kind", [(mixed_kernel, "mixed"),
+                                          (stable_kernel, "fractional")])
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 1024), (1, 2 ** 16), (2, 16), (2, 256)])
+def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n):
+    """Skipping the delta's forward transform changes no bit: the closed
+    form is its rfftn exactly, and the kernel is the apply_symbol result."""
+    g = make_grid(dim, 0.37 * n, n)
+    delta = delta_field(g)
+    spectrum = np.fft.rfftn(delta.values, axes=tuple(range(dim)))
+    assert np.array_equal(_delta_spectrum(g), spectrum.real)
+    assert not spectrum.imag.any()
+    for alpha in ALPHAS:
+        sym = make_symbol(g, alpha, kind)
+        for t in (1e-3, 1.0, 300.0):
+            reference = apply_symbol(delta, sym, scale=t, mode="semigroup")
+            assert np.array_equal(builder(g, alpha, t).values, reference.values)
+
+
 def test_mixed_kernel_mass_exact():
     for dim in (1, 2):
         g = make_grid(dim, 40.0, 256)
@@ -105,6 +127,21 @@ def test_kernel_lq_norms():
     assert kernel_lq_norm(k, 2.0) == pytest.approx(l2, rel=1e-13)
     with pytest.raises(ConfigurationError):
         kernel_lq_norm(k, 0.5)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 64)])
+def test_kernel_lq_norm_matches_plain_expression_bitwise(dim, n):
+    # alpha = 1.5 on a coarse box leaves negative ripple; the negated
+    # kernel puts the largest |value| on the negative side
+    g = make_grid(dim, 40.0, n)
+    k = mixed_kernel(g, 1.5, 0.1)
+    assert k.values.min() < 0
+    for f in (k, make_field(g, -k.values)):
+        v = np.abs(f.values)
+        assert kernel_lq_norm(f, np.inf) == float(v.max())
+        for q in (1.0, 1.5, 2.0, 3.0):
+            expected = float((np.sum(v ** q) * g.cell_volume) ** (1.0 / q))
+            assert kernel_lq_norm(f, q) == expected
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])

@@ -106,11 +106,22 @@ def test_critical_exponent_values():
     assert critical_exponent(1.0, 0.0, 1) == pytest.approx(2.0)
     assert critical_exponent(0.5, 1.0, 2) == pytest.approx(1.125)
     assert critical_exponent(1.5, 0.5, 1) == pytest.approx(2.0)
+    for beta in (-0.5, np.nan):
+        with pytest.raises(ConfigurationError, match="^beta must be >= 0"):
+            critical_exponent(1.0, beta, 1)
+    with pytest.raises(ConfigurationError, match="^dim must"):
+        critical_exponent(1.0, 0.0, 0)
 
 
 def test_decay_rate_exponent_values():
     assert decay_rate_exponent(2.0, 1.0, 0.0, 1) == pytest.approx(1.0)
     assert decay_rate_exponent(3.0, 0.5, 1.0, 2) == pytest.approx(16.0)
+    for beta in (-0.5, np.nan):
+        with pytest.raises(ConfigurationError, match="^beta must be >= 0"):
+            decay_rate_exponent(2.0, 1.0, beta, 1)
+    for p in (1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="^p must be finite and > 1"):
+            decay_rate_exponent(p, 1.0, 0.0, 1)
 
 
 # -- integrability check ------------------------------------------------------

@@ -95,7 +95,6 @@ def test_no_absorption_is_zero():
     h = NoAbsorption()
     assert h.rate(3.0) == 0.0
     assert h.integral(0.0, 10.0) == 0.0
-    assert h.infimum(0.0, 10.0) == 0.0
     assert h.tail_exponent is None
 
 
@@ -103,7 +102,6 @@ def test_constant_absorption():
     h = ConstantAbsorption(2.5)
     assert h.rate(0.3) == 2.5
     assert h.integral(1.0, 4.0) == pytest.approx(7.5)
-    assert h.infimum(1.0, 4.0) == 2.5
     assert h.tail_exponent == 0.0
     with pytest.raises(ConfigurationError):
         ConstantAbsorption(0.0)
@@ -126,10 +124,6 @@ def test_power_absorption_metadata():
     h = PowerAbsorption(1.0, 0.8)
     assert h.tail_exponent == 0.8
     assert h.rate(1.0) == pytest.approx(2.0 ** 0.8)
-    # increasing rate: infimum sits at the left edge; decreasing: right edge
-    assert h.infimum(1.0, 3.0) == pytest.approx(h.rate(1.0))
-    dec = PowerAbsorption(1.0, -0.8)
-    assert dec.infimum(1.0, 3.0) == pytest.approx(dec.rate(3.0))
     with pytest.raises(ConfigurationError):
         PowerAbsorption(-1.0, 0.5)
 
@@ -140,19 +134,13 @@ def test_table_absorption_trapezoid_exact():
     # crossing a knot: integrate 1+t on [0.5, 1], then 3-t on [1, 2]
     assert h.integral(0.5, 2.0) == pytest.approx(0.875 + 1.5, rel=1e-13)
     assert h.rate(0.5) == pytest.approx(1.5)
+    assert h.tail_exponent is None
     with pytest.raises(ConfigurationError):
         h.integral(-0.1, 1.0)
     with pytest.raises(ConfigurationError):
         h.integral(1.0, 3.5)
     with pytest.raises(ConfigurationError):
         h.rate(5.0)
-
-
-def test_table_absorption_infimum_sees_interior_knots():
-    h = TableAbsorption(np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.5, 2.0]))
-    assert h.infimum(0.2, 1.8) == pytest.approx(0.5)
-    assert h.infimum(0.0, 0.5) == pytest.approx(h.rate(0.5))
-    assert h.tail_exponent is None
 
 
 def test_table_absorption_validation():
@@ -438,9 +426,6 @@ class _PoisonAbsorption:
         if b > 4.0:
             return float("nan")
         return b - a
-
-    def infimum(self, a, b):
-        return 1.0
 
 
 def test_solve_attaches_partial_result_on_blowup(small_grid):
