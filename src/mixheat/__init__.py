@@ -1,6 +1,9 @@
 """Simulation and verification toolkit for diffusion with a mixed
 local/fractional operator, a degenerate time weight, and power absorption,
 on a truncated periodic box in one or two dimensions.
+
+The quadrature oracles (`mixheat.oracles`) are imported on first use, so
+importing the package leaves SciPy's quadrature and root finders unloaded.
 """
 
 __version__ = "0.1.0"
@@ -13,15 +16,13 @@ from .errors import ConfigurationError, NumericalFailureError
 from .fractional import (TestFunctionSpec, bracket_frac_laplacian,
                          bracket_laplacian, bracket_profile,
                          bracket_second_derivative, capacity_integral,
-                         frac_constant, frac_laplacian_pointwise,
-                         make_test_function_spec, psi_ramp, psi_ramp_derivative,
-                         scaling_check, time_factor_integral)
+                         frac_constant, make_test_function_spec, psi_ramp,
+                         psi_ramp_derivative, time_factor_integral)
 from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
                    delta_field, frac_laplacian_spectral, integral, make_field,
                    make_grid, make_symbol, read_field, write_field)
 from .kernels import (gaussian_kernel, half_width_for_tail, kernel_lq_norm,
-                      mixed_kernel, mixed_kernel_quadrature, stable_kernel,
-                      stable_kernel_quadrature, stable_tail_constant,
+                      mixed_kernel, stable_kernel, stable_tail_constant,
                       stable_tail_mass, taylor_contraction_error)
 from .observers import (MassClassification, MassTrace,
                         absorbed_integral_tail_ratio, classify_mass_limit,
@@ -63,3 +64,17 @@ __all__ = [
     "load_config", "build_grid", "build_absorption", "build_problem",
     "build_initial", "snapshot_times", "kernel_times", "capacity_radii",
 ]
+
+_ORACLES = ("frac_laplacian_pointwise", "scaling_check",
+            "stable_kernel_quadrature", "mixed_kernel_quadrature")
+
+
+def __getattr__(name):
+    if name in _ORACLES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -25,8 +25,7 @@ from .config import (build_grid, build_problem, capacity_radii, kernel_times,
                      load_config, parse_float_list, snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError
 from .fractional import (bracket_profile, bracket_second_derivative,
-                         capacity_integral, make_test_function_spec,
-                         scaling_check)
+                         capacity_integral, make_test_function_spec)
 from .grid import integral, make_field, make_grid, read_field, write_field
 from .kernels import kernel_lq_norm, mixed_kernel, stable_kernel
 from .observers import (classify_mass_limit, condition_h_check,
@@ -212,6 +211,7 @@ def cmd_selftest(args) -> int:
     MIXHEAT_SELFTEST_INJECT_NAN=1 corrupts a field on purpose to prove the
     numerical-failure path (process exits 2)."""
     from .grid import convolve
+    from .oracles import scaling_check
     from .solver import ProblemSpec, make_absorption
 
     failures = []

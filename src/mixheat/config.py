@@ -154,8 +154,9 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
 
 
 def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
-    if cfg.initial_mass <= 0:
-        raise ConfigurationError(f"initial_mass must be positive, got {cfg.initial_mass}")
+    if not (cfg.initial_mass > 0 and math.isfinite(cfg.initial_mass)):
+        raise ConfigurationError(
+            f"initial_mass must be finite and positive, got {cfg.initial_mass}")
     if cfg.initial == "point":
         f = delta_field(grid)
         return make_field(grid, cfg.initial_mass * f.values)
@@ -167,8 +168,12 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
             raise ConfigurationError(
                 f"initial data grid {f.grid} does not match configured grid {grid}")
         return f
-    if cfg.initial_width <= 0:
-        raise ConfigurationError(f"initial_width must be positive, got {cfg.initial_width}")
+    if not (cfg.initial_width > 0 and math.isfinite(cfg.initial_width)):
+        raise ConfigurationError(
+            f"initial_width must be finite and positive, got {cfg.initial_width}")
+    if not math.isfinite(cfg.initial_center):
+        raise ConfigurationError(
+            f"initial_center must be finite, got {cfg.initial_center}")
     coords = grid.coords()
     r2 = sum((c - cfg.initial_center) ** 2 for c in coords)
     bump = np.exp(-r2 / (2.0 * cfg.initial_width ** 2))

@@ -1,35 +1,21 @@
-"""Pointwise fractional Laplacian, bracket test functions, and the
-nonlinear-capacity integral.
+"""Bracket test functions, their closed-form fractional Laplacian, and
+the nonlinear-capacity integral.
 
-The fractional Laplacian is evaluated from the symmetric second-difference
-form of the singular integral,
-
-    (-Lap)^s v(x) = C(N, s) * (1/2) int (2 v(x) - v(x+y) - v(x-y)) / |y|^(N+2s) dy,
-
-with the piece below an inner cutoff replaced by its Taylor value so the
-second difference never hits float cancellation, and far tails handled by
-inversion or analytic remainders. That adaptive QUADPACK evaluation, with
-its error budget, is the reference for any profile. The bracket family
-used by the capacity integral also has a closed form in terms of the
-Gauss hypergeometric function, `bracket_frac_laplacian`, vectorized over
-radii and checked against the quadrature in the test suite.
+The bracket family used by the capacity integral has a closed form for
+(-Lap)^s in terms of the Gauss hypergeometric function,
+`bracket_frac_laplacian`, vectorized over radii. The adaptive-quadrature
+reference for any profile, `frac_laplacian_pointwise`, lives in
+`mixheat.oracles`; the test suite checks the closed form against it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, hyp2f1
 
 from .errors import ConfigurationError, NumericalFailureError
 from .grid import GridSpec, _float_or_array
-
-# Inner cutoff for the second-difference form. Below it the integrand is
-# replaced by -phi''(x) y^(1-2s); the quartic Taylor remainder is then
-# O(yc^(4-2s)) and the float cancellation in the second difference is
-# avoided entirely.
-_INNER_CUTOFF = 1e-3
 
 
 def frac_constant(dim: int, s: float) -> float:
@@ -123,149 +109,6 @@ def psi_ramp_derivative(r, kind: str = "cos2"):
         raise ConfigurationError(f"unknown ramp kind {kind!r}")
     out = np.where((r <= 1.0) | (r >= 2.0), 0.0, out)
     return _float_or_array(out)
-
-
-def _fd_second_derivative(profile, x: float) -> float:
-    h = 1e-4 * (1.0 + abs(x))
-    return (profile(x + h) - 2.0 * profile(x) + profile(x - h)) / (h * h)
-
-
-def _fd_laplacian_2d(profile, x: np.ndarray) -> float:
-    h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    acc = -4.0 * profile(x)
-    for axis in range(2):
-        e = np.zeros(2)
-        e[axis] = h
-        acc += profile(x + e) + profile(x - e)
-    return acc / (h * h)
-
-
-def _pieces_1d(r: float, inner: float):
-    """Breakpoints for the radial integration beyond the inner cutoff.
-
-    The second difference has a localized feature at y = r (where x - y
-    crosses the origin) whose width does not grow with r; geometric
-    collars r +- 10^k keep it resolvable by adaptive quadrature on every
-    subinterval, however large r is.
-    """
-    pts = {1.0, 10.0}
-    if r > 1.0 + inner:
-        pts.add(2.0 * r)
-        collar = 1.0
-        while collar <= r:
-            if r - collar > inner:
-                pts.add(r - collar)
-            pts.add(r + collar)
-            collar *= 10.0
-    pts = sorted(p for p in pts if p > inner)
-    far = max(pts)
-    return pts, far
-
-
-def frac_laplacian_pointwise(profile, s: float, x, dim: int = 1,
-                             abs_tol: float = 1e-8,
-                             second_derivative=None,
-                             laplacian=None,
-                             angular_nodes: int = 64) -> float:
-    """Evaluate (-Lap)^s profile at a single point by adaptive quadrature.
-
-    Parameters
-    ----------
-    profile : callable
-        For dim=1 a scalar function of a float (vector evaluation not
-        required); for dim=2 a function of points shaped (..., 2).
-    s : float
-        Order in (0, 1).
-    x : float or length-2 array
-        Evaluation point.
-    abs_tol : float
-        Absolute error budget; a larger QUADPACK estimate raises
-        NumericalFailureError.
-    second_derivative, laplacian : callable, optional
-        Analytic profile''(x) (dim=1) or Lap profile (dim=2) for the inner
-        Taylor piece; finite differences are used when absent.
-    angular_nodes : int
-        Trapezoid nodes for the angular average when dim=2. The angular
-        error is not part of the reported budget; keep |x| moderate or
-        raise the node count.
-    """
-    if not 0.0 < s < 1.0:
-        raise ConfigurationError(f"s must be in (0, 1), got {s}")
-    if dim == 1:
-        x = float(x)
-        r = abs(x)
-        d2 = second_derivative(x) if second_derivative else _fd_second_derivative(profile, x)
-        vx = profile(x)
-
-        def g(y):
-            return (2.0 * vx - profile(x + y) - profile(x - y)) / y ** (1.0 + 2.0 * s)
-
-        curvature = -d2
-        prefactor = frac_constant(1, s)
-    elif dim == 2:
-        x = np.asarray(x, dtype=float).reshape(2)
-        r = float(np.linalg.norm(x))
-        lap = laplacian(x) if laplacian else _fd_laplacian_2d(profile, x)
-        vx = float(profile(x))
-        theta = np.pi * (np.arange(angular_nodes) + 0.5) / angular_nodes
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-        def g(y):
-            pts_p = x + y * dirs
-            pts_m = x - y * dirs
-            mean = np.mean(profile(pts_p) + profile(pts_m))
-            return (2.0 * vx - mean) / y ** (1.0 + 2.0 * s)
-
-        curvature = -lap / 2.0
-        # (1/2) int_{R^2} = pi int_0^inf y^(-1-2s) (angular mean) y... dy
-        prefactor = frac_constant(2, s) * np.pi
-    else:
-        raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
-
-    yc = _INNER_CUTOFF
-    total = curvature * yc ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    err_budget = 0.0
-    pts, far = _pieces_1d(r, yc)
-    eps_piece = abs_tol / (len(pts) + 2)
-    lo = yc
-    for b in pts:
-        val, err = quad(g, lo, b, epsabs=eps_piece, epsrel=1e-10, limit=300)
-        total += val
-        err_budget += err
-        lo = b
-    # Tail via y -> 1/v; the endpoint power v^(2s-1) is integrable for s in (0,1).
-    val, err = quad(lambda v: g(1.0 / v) / (v * v), 0.0, 1.0 / far,
-                    epsabs=eps_piece, epsrel=1e-10, limit=300)
-    total += val
-    err_budget += err
-    if err_budget > abs_tol:
-        raise NumericalFailureError(
-            f"pointwise fractional Laplacian error estimate {err_budget:.2e} "
-            f"exceeds budget {abs_tol:.2e}")
-    return prefactor * total
-
-
-def scaling_check(profile, s: float, R: float, x, dim: int = 1,
-                  abs_tol: float = 1e-8, second_derivative=None):
-    """Both sides of the rescaling identity
-    (-Lap)^s [profile(./R)](x) = R^(-2s) [(-Lap)^s profile](x/R),
-    each evaluated independently by quadrature. Returns (lhs, rhs)."""
-    if not R > 0:
-        raise ConfigurationError(f"R must be positive, got {R}")
-    if dim == 1:
-        scaled = lambda y: profile(y / R)
-        scaled_d2 = (lambda y: second_derivative(y / R) / (R * R)) if second_derivative else None
-        lhs = frac_laplacian_pointwise(scaled, s, x, dim=1, abs_tol=abs_tol,
-                                       second_derivative=scaled_d2)
-        rhs = R ** (-2.0 * s) * frac_laplacian_pointwise(
-            profile, s, x / R, dim=1, abs_tol=abs_tol,
-            second_derivative=second_derivative)
-    else:
-        scaled = lambda pts: profile(np.asarray(pts) / R)
-        lhs = frac_laplacian_pointwise(scaled, s, x, dim=2, abs_tol=abs_tol)
-        rhs = R ** (-2.0 * s) * frac_laplacian_pointwise(
-            profile, s, np.asarray(x, dtype=float) / R, dim=2, abs_tol=abs_tol)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +225,7 @@ def time_factor_integral(p: float, beta: float, kind: str = "cos2") -> float:
         return (eta ** expo * psi_ramp(eta, kind=kind)
                 * np.abs(psi_ramp_derivative(eta, kind=kind)) ** power)
 
+    from scipy.integrate import quad
     val, err = quad(f, 1.0, 2.0, epsabs=1e-12, limit=200)
     if err > 1e-8:
         raise NumericalFailureError(f"time factor quadrature error {err:.2e}")

@@ -10,16 +10,15 @@ kernel costs one inverse transform. The multiplier is exactly 1 at the zero mode
 which pins the discrete mass to one, and by Poisson summation the grid
 kernel is the periodization of the exact one.
 
-Quadrature inversions of the Fourier formulas are kept as cross-check
-oracles only; they never feed the simulation path.
+Quadrature inversions of the Fourier formulas, the cross-check oracles
+for these kernels, live in `mixheat.oracles`, which no simulation module
+imports.
 """
 
 import logging
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericalFailureError
 from .grid import (Field, GridSpec, SpectralSymbol, _delta_spectrum,
@@ -145,35 +144,3 @@ def half_width_for_tail(alpha: float, t: float, dim: int,
     a = stable_tail_constant(alpha, dim)
     surface = 2.0 if dim == 1 else 2.0 * np.pi
     return (surface * a * t / (alpha * tail_mass)) ** (1.0 / alpha)
-
-
-def _cosine_transform(symbol_exponent, x: float, t: float) -> float:
-    """(1/pi) int_0^inf exp(-t * symbol(xi)) cos(x xi) dxi for 1D oracles."""
-    if not (t > 0 and math.isfinite(t)):
-        raise ConfigurationError(f"kernel quadrature needs finite t > 0, got {t}")
-    f = lambda xi: np.exp(-t * symbol_exponent(xi))
-    if abs(x) < 1e-12:
-        # The integrand is a peak of width xi*, where t * symbol(xi*) = 1,
-        # and xi* moves over decades with t; in eta = xi / xi* the peak has
-        # unit width, so the infinite-range map cannot step over it.
-        u_star = brentq(lambda u: t * symbol_exponent(math.exp(u)) - 1.0,
-                        -200.0, 200.0)
-        xi_star = math.exp(u_star)
-        val, err = quad(lambda eta: f(xi_star * eta), 0.0, np.inf, limit=400)
-        val *= xi_star
-    else:
-        # QAWF Fourier integration; absolute accuracy only.
-        val, err = quad(f, 0.0, np.inf, weight="cos", wvar=abs(x), limit=400)
-    if not np.isfinite(val):
-        raise NumericalFailureError("kernel quadrature oracle diverged")
-    return val / np.pi
-
-
-def stable_kernel_quadrature(x: float, alpha: float, t: float) -> float:
-    """1D stable kernel by direct Fourier-cosine quadrature (oracle)."""
-    return _cosine_transform(lambda xi: xi ** alpha, x, t)
-
-
-def mixed_kernel_quadrature(x: float, alpha: float, t: float) -> float:
-    """1D mixed kernel by direct Fourier-cosine quadrature (oracle)."""
-    return _cosine_transform(lambda xi: xi ** 2 + xi ** alpha, x, t)

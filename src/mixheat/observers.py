@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError
 from .grid import Field, make_field
@@ -128,6 +127,7 @@ def absorbed_integral_tail_ratio(schedule, p: float, alpha: float, beta: float,
     def integrand(t):
         return float(schedule.rate(t)) * t ** (-r)
 
+    from scipy.integrate import quad
     head, _ = quad(integrand, t_lo, t_mid, limit=200)
     tail, _ = quad(integrand, t_mid, t_hi, limit=200)
     if head <= 0:

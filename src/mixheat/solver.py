@@ -35,6 +35,9 @@ from .grid import (Field, GridSpec, SpectralSymbol, _float_or_array,
 _log = logging.getLogger(__name__)
 
 _RIPPLE_TOL = 1e-10  # negative input below -tol*max is a contract violation
+# Most Strang steps one schedule may hold. A larger count is a config error,
+# caught before any work: such a run would not end in useful time.
+_MAX_STEPS = 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +294,21 @@ def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
     knots = {float(t0), float(t1)}
     knots.update(float(t) for t in snaps)
     knot_times = np.array(sorted(knots))
-    knot_taus = time_to_tau(knot_times, beta)
+    # Overflow to inf is caught below, before the count is cast to int.
+    with np.errstate(over="ignore"):
+        knot_taus = time_to_tau(knot_times, beta)
+    if not np.isfinite(knot_taus[-1]):
+        raise ConfigurationError(
+            f"t1 {t1} overflows tau = t^(beta+1)/(beta+1) at beta={beta}")
     gaps = np.diff(knot_taus)
-    substeps = np.maximum(1, np.ceil(gaps / dtau_max - 1e-12)).astype(int)
+    with np.errstate(over="ignore"):
+        counts = np.maximum(1.0, np.ceil(gaps / dtau_max - 1e-12))
+        total = float(counts.sum())
+    if not total <= _MAX_STEPS:
+        raise ConfigurationError(
+            f"dtau_max {dtau_max} needs {total:.3g} steps on [t0, t1], more "
+            f"than the budget of {_MAX_STEPS:.0e}")
+    substeps = counts.astype(int)
     snapshot_sorted = np.array(sorted({float(t) for t in snaps} | {float(t1)}))
     return StepSchedule(beta=beta, knot_times=knot_times, knot_taus=knot_taus,
                         substeps=substeps, snapshot_times=snapshot_sorted)

@@ -204,6 +204,12 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
     ("capacity", "capacity_half_width=inf", "capacity_half_width"),
     ("kernel", "kernel_times=1,nan", "kernel_times"),
     ("kernel", "kernel_times=inf", "kernel_times"),
+    ("solve", "initial_width=nan", "initial_width"),
+    ("solve", "initial_mass=nan", "initial_mass"),
+    ("solve", "initial_mass=inf", "initial_mass"),
+    ("solve", "initial_center=nan", "initial_center"),
+    ("solve", "dtau_max=1e-25", "dtau_max"),
+    ("solve", "t1=1e300", "dtau_max"),
 ])
 def test_cli_rejects_bad_capacity_and_kernel_inputs(cfg_path, tmp_path, capsys,
                                                    command, override, key):

@@ -34,7 +34,7 @@ from mixheat import (
     time_to_tau,
     tau_to_time,
 )
-from mixheat.solver import geometric_times
+from mixheat.solver import _MAX_STEPS, geometric_times
 
 
 def unit_gaussian(grid, width=1.5):
@@ -215,6 +215,26 @@ def test_make_step_schedule_validation():
         make_step_schedule(1.0, 2.0, 0.0, 0.0)
     with pytest.raises(ConfigurationError):
         make_step_schedule(1.0, 2.0, 0.0, 0.1, snapshot_times=[0.5])
+
+
+@pytest.mark.parametrize("t1,beta,dtau_max,key", [
+    (1e12, 0.0, 1e-6, "dtau_max"),    # 1e18 steps: would run without end
+    (60.0, 0.0, 1e-25, "dtau_max"),   # overflowed the int64 cast
+    (1e300, 0.0, 1e-25, "dtau_max"),  # gaps / dtau_max is inf
+    (1e300, 1.0, 0.2, "t1"),          # tau(t1) is inf
+])
+def test_make_step_schedule_budget(t1, beta, dtau_max, key):
+    with pytest.raises(ConfigurationError, match=f"^{key} "):
+        make_step_schedule(1.0, t1, beta, dtau_max)
+
+
+def test_make_step_schedule_budget_edge():
+    at = make_step_schedule(0.0, 1.0, 0.0, 1.0 / _MAX_STEPS,
+                            snapshot_times=[1.0])
+    assert at.total_steps == _MAX_STEPS
+    with pytest.raises(ConfigurationError, match="^dtau_max "):
+        make_step_schedule(0.0, 1.0, 0.0, 1.0 / (_MAX_STEPS + 1),
+                           snapshot_times=[1.0])
 
 
 # -- absorption step ----------------------------------------------------------
