@@ -29,12 +29,11 @@ from .observers import (MassClassification, MassTrace,
                         condition_h_check, critical_exponent,
                         decay_rate_exponent, h_bound_H, mass_trace,
                         profile_error, read_mass_csv, write_mass_csv)
-from .solver import (ConstantAbsorption, NoAbsorption, PowerAbsorption,
-                     ProblemSpec, SolveResult, StepSchedule, TableAbsorption,
-                     absorption_step, comparison_check, default_snapshot_times,
-                     duhamel_residual, geometric_times, linear_step,
-                     make_absorption, make_step_schedule, mass_identity_defect,
-                     solve, tau_to_time, time_to_tau)
+from .solver import (PowerAbsorption, ProblemSpec, SolveResult, StepSchedule,
+                     TableAbsorption, absorption_step, comparison_check,
+                     default_snapshot_times, duhamel_residual, geometric_times,
+                     linear_step, make_absorption, make_step_schedule,
+                     mass_identity_defect, solve, tau_to_time, time_to_tau)
 
 __all__ = [
     "ConfigurationError", "NumericalFailureError",
@@ -50,7 +49,7 @@ __all__ = [
     "psi_ramp_derivative",
     "frac_laplacian_pointwise", "scaling_check", "TestFunctionSpec",
     "make_test_function_spec", "capacity_integral", "time_factor_integral",
-    "NoAbsorption", "ConstantAbsorption", "PowerAbsorption", "TableAbsorption",
+    "PowerAbsorption", "TableAbsorption",
     "make_absorption", "ProblemSpec", "time_to_tau", "tau_to_time",
     "geometric_times", "default_snapshot_times", "StepSchedule",
     "make_step_schedule", "absorption_step", "linear_step",

@@ -28,7 +28,7 @@ from .fractional import (bracket_profile, bracket_second_derivative,
                          capacity_integral, make_test_function_spec)
 from .grid import integral, make_field, make_grid, read_field, write_field
 from .kernels import kernel_lq_norm, mixed_kernel, stable_kernel
-from .observers import (classify_mass_limit, condition_h_check,
+from .observers import (_loglog_slope, classify_mass_limit, condition_h_check,
                         critical_exponent, mass_trace, read_mass_csv,
                         write_mass_csv)
 from .solver import (make_step_schedule, mass_identity_defect, solve)
@@ -52,19 +52,6 @@ def _add_config_args(sub):
                      help="override a config entry (repeatable)")
     sub.add_argument("--out-dir", default=None,
                      help="output directory (default: $MIXHEAT_OUTPUT_ROOT or .)")
-
-
-def _trailing_slope(times, values) -> float:
-    """Log-log slope over the last decade of positive samples; nan when
-    there are not enough points to fit."""
-    sel = (times > 0) & (values > 0)
-    t, v = times[sel], values[sel]
-    if t.size < 4:
-        return math.nan
-    window = t >= t[-1] / 10.0
-    if np.count_nonzero(window) < 4:
-        return math.nan
-    return float(np.polyfit(np.log(t[window]), np.log(v[window]), 1)[0])
 
 
 def cmd_kernel(args) -> int:
@@ -125,8 +112,9 @@ def cmd_analyze(args) -> int:
     print(f"m_inf_estimate={estimate}")
     print(f"initial_mass={_fmt(trace.initial_mass)}")
     print(f"final_mass={_fmt(trace.mass[-1])}")
-    print(f"linf_trailing_slope={_fmt(_trailing_slope(trace.times, trace.linf))}")
-    print(f"l2_trailing_slope={_fmt(_trailing_slope(trace.times, trace.l2))}")
+    for name in ("linf", "l2"):
+        slope = _loglog_slope(trace.times, getattr(trace, name), last_decade=True)
+        print(f"{name}_trailing_slope={_fmt(slope)}")
     return 0
 
 
@@ -192,7 +180,7 @@ def cmd_capacity(args) -> int:
         print(f"R={_fmt(R)} value={_fmt(values[-1])}")
     slope = math.nan
     if len(radii) >= 2:
-        slope = float(np.polyfit(np.log(radii), np.log(values), 1)[0])
+        slope = _loglog_slope(radii, values)
         print(f"slope={_fmt(slope)}")
         print(f"reference_slope={_fmt(cfg.dim - cfg.alpha * cfg.p / (cfg.p - 1.0))}")
     csv_path = os.path.join(_out_dir(args), "capacity.csv")

@@ -17,6 +17,7 @@ from .grid import Field, GridSpec, delta_field, integral, make_field, make_grid,
 from .solver import (ProblemSpec, default_snapshot_times, geometric_times,
                      make_absorption)
 
+_TINY = float(np.finfo(float).tiny)
 _CASTERS = {int: int, float: float, str: str, "int": int, "float": float, "str": str}
 
 
@@ -127,23 +128,27 @@ def read_absorption_table(path):
         if header is None or [h.strip() for h in header[:2]] != ["time", "value"]:
             raise ConfigurationError(f"absorption table must start with 'time,value': {path}")
         for row in rows:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
+            if not row:
+                continue
+            try:
+                t, h = float(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                raise ConfigurationError(
+                    f"{path}: line {rows.line_num}: expected two numbers "
+                    f"time,value, got {row!r}") from None
+            times.append(t)
+            values.append(h)
     return np.array(times), np.array(values)
 
 
 def build_absorption(cfg: ExperimentConfig):
-    if cfg.absorption == "none":
-        return make_absorption("none")
-    if cfg.absorption == "constant":
-        return make_absorption("constant", coefficient=cfg.absorption_coefficient)
-    if cfg.absorption == "power":
-        return make_absorption("power", coefficient=cfg.absorption_coefficient,
-                               exponent=cfg.absorption_exponent)
-    if not cfg.absorption_table:
-        raise ConfigurationError("absorption = table needs absorption_table = <path>")
-    times, values = read_absorption_table(cfg.absorption_table)
-    return make_absorption("table", times=times, values=values)
+    times = values = None
+    if cfg.absorption == "table":
+        if not cfg.absorption_table:
+            raise ConfigurationError("absorption = table needs absorption_table = <path>")
+        times, values = read_absorption_table(cfg.absorption_table)
+    return make_absorption(cfg.absorption, coefficient=cfg.absorption_coefficient,
+                           exponent=cfg.absorption_exponent, times=times, values=values)
 
 
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
@@ -154,9 +159,11 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
 
 
 def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
-    if not (cfg.initial_mass > 0 and math.isfinite(cfg.initial_mass)):
+    # a subnormal mass loses the ledger to gradual underflow
+    if not _TINY <= cfg.initial_mass < math.inf:
         raise ConfigurationError(
-            f"initial_mass must be finite and positive, got {cfg.initial_mass}")
+            f"initial_mass must be finite and at least {_TINY:g} (the least "
+            f"normal float), got {cfg.initial_mass}")
     if cfg.initial == "point":
         f = delta_field(grid)
         return make_field(grid, cfg.initial_mass * f.values)
@@ -168,15 +175,17 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
             raise ConfigurationError(
                 f"initial data grid {f.grid} does not match configured grid {grid}")
         return f
-    if not (cfg.initial_width > 0 and math.isfinite(cfg.initial_width)):
+    width = cfg.initial_width
+    if not (width > 0 and 0 < width * width < math.inf):
         raise ConfigurationError(
-            f"initial_width must be finite and positive, got {cfg.initial_width}")
+            f"initial_width must be positive with a finite nonzero square, got {width}")
     if not math.isfinite(cfg.initial_center):
         raise ConfigurationError(
             f"initial_center must be finite, got {cfg.initial_center}")
     coords = grid.coords()
     r2 = sum((c - cfg.initial_center) ** 2 for c in coords)
-    bump = np.exp(-r2 / (2.0 * cfg.initial_width ** 2))
+    with np.errstate(over="ignore"):  # a far point's exponent -> -inf: bump 0
+        bump = np.exp(-r2 / (2.0 * width ** 2))
     f = make_field(grid, bump)
     m = integral(f)
     if m <= 0:

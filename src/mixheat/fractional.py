@@ -116,28 +116,19 @@ def psi_ramp_derivative(r, kind: str = "cos2"):
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Rescaled bracket test function <x/(B R)>^(-q0) with its ramp data.
-
-    ell = (2p - 1)/(p - 1) is the ramp power that keeps the time cutoff
-    compatible with the Hoelder split in the capacity estimate.
-    """
+    """Rescaled bracket test function <x/(B R)>^(-q0)."""
 
     q0: float
     B: float
     R: float
-    ell: float
-    ramp: str
 
 
 def make_test_function_spec(q0: float, B: float, R: float, p: float,
-                            alpha: float, dim: int,
-                            ramp: str = "cos2") -> TestFunctionSpec:
+                            alpha: float, dim: int) -> TestFunctionSpec:
     _validate_capacity_window(q0, p, alpha, dim)
     if not (B >= 1 and R >= 1):
         raise ConfigurationError(f"B and R must be >= 1, got B={B}, R={R}")
-    psi_ramp(0.0, kind=ramp)  # validates the ramp name
-    return TestFunctionSpec(q0=float(q0), B=float(B), R=float(R),
-                            ell=(2.0 * p - 1.0) / (p - 1.0), ramp=ramp)
+    return TestFunctionSpec(q0=float(q0), B=float(B), R=float(R))
 
 
 def _validate_capacity_window(q0, p, alpha, dim):

@@ -142,8 +142,7 @@ class SpectralSymbol:
 
     kind "mixed" is |xi|^2 + |xi|^alpha (the generator of the mixed
     local/nonlocal flow), "fractional" is |xi|^alpha alone, "laplacian"
-    is |xi|^2. alpha = 2 collapses the mixed symbol to 2|xi|^2 and is
-    only allowed as an explicit diagnostic.
+    is |xi|^2.
     """
 
     grid: GridSpec
@@ -152,14 +151,11 @@ class SpectralSymbol:
     values: np.ndarray = field(repr=False)
 
 
-def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed",
-                diagnostic_alpha2: bool = False) -> SpectralSymbol:
+def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed") -> SpectralSymbol:
     if kind not in ("mixed", "fractional", "laplacian"):
         raise ConfigurationError(f"unknown symbol kind {kind!r}")
-    if kind != "laplacian":
-        if not (0.0 < alpha < 2.0 or (alpha == 2.0 and diagnostic_alpha2)):
-            raise ConfigurationError(
-                f"alpha must lie in (0, 2) (alpha = 2 needs diagnostic_alpha2), got {alpha}")
+    if kind != "laplacian" and not 0.0 < alpha < 2.0:
+        raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha}")
     mag = grid.freq_magnitude()
     if kind == "mixed":
         values = mag ** 2 + mag ** alpha

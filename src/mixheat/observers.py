@@ -80,7 +80,19 @@ def read_mass_csv(path) -> MassTrace:
         header = next(reader, None)
         if header is None or tuple(header) != _TRACE_COLUMNS:
             raise ConfigurationError(f"{path}: expected header {','.join(_TRACE_COLUMNS)}")
-        rows = [[float(cell) for cell in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                values = []
+            if len(values) != len(_TRACE_COLUMNS):
+                raise ConfigurationError(
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{len(_TRACE_COLUMNS)} numbers, got {row!r}")
+            rows.append(values)
     if not rows:
         raise ConfigurationError(f"{path}: empty trace")
     cols = np.array(rows).T
@@ -190,6 +202,24 @@ class MassClassification:
     m_inf_estimate: float | None
 
 
+def _loglog_slope(x, y, last_decade: bool = False) -> float:
+    """Least-squares slope of log y against log x, the one power-law fit
+    behind the classifier and the CLI's trace and capacity slopes.
+
+    last_decade=True fits only the positive samples with x in the last
+    decade, and gives nan when fewer than 4 of them are left."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if last_decade:
+        keep = (x > 0) & (y > 0)
+        x, y = x[keep], y[keep]
+        if x.size:
+            keep = x >= x[-1] / 10.0
+            x, y = x[keep], y[keep]
+        if x.size < 4:
+            return math.nan
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 _PLATEAU_SLOPE = 0.01
 _DECAY_SLOPE = -0.05
 _PLATEAU_DROP = 0.01
@@ -231,7 +261,7 @@ def classify_mass_limit(trace: MassTrace, window: float | None = None) -> MassCl
         return MassClassification(kind="decaying_to_zero",
                                   trailing_slope=-math.inf,
                                   relative_drop=1.0, m_inf_estimate=None)
-    slope = float(np.polyfit(np.log(tw), np.log(mw), 1)[0])
+    slope = _loglog_slope(tw, mw)
     drop = float(1.0 - mw[-1] / mw[0])
     monotone = bool(np.all(np.diff(mw) <= 1e-12 * mw[0]))
 

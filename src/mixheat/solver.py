@@ -41,60 +41,30 @@ _MAX_STEPS = 10 ** 8
 
 
 # ---------------------------------------------------------------------------
-# Absorption coefficients h(t). Anything with rate(t), integral(a, b) and
-# tail_exponent works; integral must be exact for the class (no quadrature
-# inside the stepper).
-
-class NoAbsorption:
-    """h = 0: plain linear flow."""
-
-    tail_exponent = None
-
-    def rate(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        return _float_or_array(out)
-
-    def integral(self, a: float, b: float) -> float:
-        return 0.0
-
-
-class ConstantAbsorption:
-    """h(t) = c with c > 0."""
-
-    def __init__(self, coefficient: float):
-        if not coefficient > 0:
-            raise ConfigurationError(f"coefficient must be > 0, got {coefficient}")
-        self.coefficient = float(coefficient)
-
-    tail_exponent = 0.0
-
-    def rate(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.full_like(t, self.coefficient)
-        return _float_or_array(out)
-
-    def integral(self, a: float, b: float) -> float:
-        if not a <= b:
-            raise ConfigurationError(f"need a <= b, got a={a}, b={b}")
-        return self.coefficient * (b - a)
-
+# Absorption coefficients h(t): the closed-form power law and sampled
+# tables. The stepper needs rate(t), integral(a, b) and tail_exponent (the
+# sigma of h ~ t^sigma, None without one); integral must be exact (no
+# quadrature inside the stepper).
 
 class PowerAbsorption:
-    """h(t) = c (1 + t)^sigma with c > 0.
+    """h(t) = c (1 + t)^sigma with c >= 0; c = 0 is plain linear flow and
+    sigma = 0 a constant coefficient.
 
     The shift keeps h bounded near t = 0 for any sigma, so the exact
     integral needs no sign restriction on the exponent.
     """
 
     def __init__(self, coefficient: float, exponent: float = 0.0):
-        if not coefficient > 0:
-            raise ConfigurationError(f"coefficient must be > 0, got {coefficient}")
+        _require_finite(coefficient=coefficient, exponent=exponent)
+        if not coefficient >= 0:
+            raise ConfigurationError(f"coefficient must be >= 0, got {coefficient}")
         self.coefficient = float(coefficient)
         self.exponent = float(exponent)
 
     @property
     def tail_exponent(self):
-        return self.exponent
+        # h = 0 has no tail law: condition_h_check calls it convergent
+        return None if self.coefficient == 0 else self.exponent
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
@@ -104,6 +74,9 @@ class PowerAbsorption:
     def integral(self, a: float, b: float) -> float:
         if not 0 <= a <= b:
             raise ConfigurationError(f"need 0 <= a <= b, got a={a}, b={b}")
+        # sigma = 0: b - a is exact where (1+b) - (1+a) rounds
+        if self.exponent == 0.0:
+            return self.coefficient * (b - a)
         if self.exponent == -1.0:
             return self.coefficient * np.log1p((b - a) / (1.0 + a))
         e1 = self.exponent + 1.0
@@ -157,12 +130,15 @@ class TableAbsorption:
 
 def make_absorption(kind: str, coefficient: float = 1.0, exponent: float = 0.0,
                     times=None, values=None):
+    """The law of one absorption kind: "none" is h = 0, "constant" h = c
+    and "power" h = c (1+t)^sigma, all three PowerAbsorption with c > 0
+    for the last two; "table" interpolates the (times, values) samples."""
     if kind == "none":
-        return NoAbsorption()
-    if kind == "constant":
-        return ConstantAbsorption(coefficient)
-    if kind == "power":
-        return PowerAbsorption(coefficient, exponent)
+        return PowerAbsorption(0.0)
+    if kind in ("constant", "power"):
+        if not coefficient > 0:
+            raise ConfigurationError(f"coefficient must be > 0, got {coefficient}")
+        return PowerAbsorption(coefficient, exponent if kind == "power" else 0.0)
     if kind == "table":
         if times is None or values is None:
             raise ConfigurationError("table absorption needs times and values")

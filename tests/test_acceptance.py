@@ -21,7 +21,6 @@ from scipy.integrate import quad
 
 from conftest import record_criterion
 from mixheat import (
-    ConstantAbsorption,
     PowerAbsorption,
     ProblemSpec,
     bracket_profile,
@@ -87,7 +86,7 @@ def reference_problem():
     grid = make_grid(1, 60.0, 1024)
     u0 = gaussian_field(grid, width=1.5)
     return ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
-                       absorption=ConstantAbsorption(1.0), initial=u0)
+                       absorption=PowerAbsorption(1.0), initial=u0)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +117,7 @@ def dichotomy_runs():
     runs = {}
     for p in (3.0, 1.2):
         problem = ProblemSpec(alpha=1.0, beta=0.0, p=p,
-                              absorption=ConstantAbsorption(1.0), initial=u0)
+                              absorption=PowerAbsorption(1.0), initial=u0)
         sched = make_step_schedule(0.0, 1000.0, 0.0, 0.5)
         runs[p] = solve(problem, sched)
     return runs

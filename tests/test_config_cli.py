@@ -1,5 +1,7 @@
 """Config parsing and the command-line harness (exit codes, artifacts)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,18 @@ def test_absorption_table_io(cfg_path, tmp_path):
         read_absorption_table(bad)
 
 
+@pytest.mark.parametrize("body,line", [("0,1.0\n10,abc\n", 3), ("0,1.0\n\n10\n", 4)])
+def test_absorption_table_rejects_garbled_rows(cfg_path, tmp_path, capsys, body, line):
+    table = tmp_path / "h.csv"
+    table.write_text("time,value\n" + body)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(table))}: line {line}: "):
+        read_absorption_table(table)
+    rc = main(["solve", "--config", cfg_path, "--set", "absorption=table",
+               "--set", f"absorption_table={table}", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {table}: line {line}: ")
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_usage_and_help():
@@ -210,15 +224,31 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
     ("solve", "initial_center=nan", "initial_center"),
     ("solve", "dtau_max=1e-25", "dtau_max"),
     ("solve", "t1=1e300", "dtau_max"),
+    # the square underflows to 0; a subnormal mass loses the ledger
+    ("solve", "initial_width=1e-300", "initial_width"),
+    ("solve", "initial_mass=1e-320", "initial_mass"),
+    ("solve", "absorption_coefficient=inf", "coefficient"),
+    ("solve", "absorption=power absorption_exponent=nan", "exponent"),
+    ("solve", "absorption=power absorption_exponent=inf", "exponent"),
 ])
 def test_cli_rejects_bad_capacity_and_kernel_inputs(cfg_path, tmp_path, capsys,
                                                    command, override, key):
-    rc = main([command, "--config", cfg_path, "--set", override,
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    rc = main([command, "--config", cfg_path, *sets,
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"configuration error: {key} ")
     assert "R=" not in captured.out
+
+
+@pytest.mark.parametrize("override", ["initial_width=1e-160", "initial_mass=1e-300"])
+def test_cli_solves_tiny_normal_inputs(cfg_path, tmp_path, capsys, override):
+    rc = main(["solve", "--config", cfg_path, "--set", override,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(lines["ledger_defect"]) <= 2e-15
 
 
 def test_cli_kernel_outputs(cfg_path, tmp_path, capsys):
@@ -246,8 +276,29 @@ def test_cli_solve_analyze_roundtrip(cfg_path, tmp_path, capsys):
     assert main(["analyze", "--trace", str(out / "mass.csv")]) == 0
     stdout = capsys.readouterr().out
     assert "kind=" in stdout and "m_inf_estimate=" in stdout
+    # the norm slopes are plain log-log fits over the trace's last decade
+    printed = dict(line.split("=", 1) for line in stdout.splitlines())
+    last = trace.times >= trace.times[-1] / 10.0
+    for name in ("linf", "l2"):
+        want = np.polyfit(np.log(trace.times[last]),
+                          np.log(getattr(trace, name)[last]), 1)[0]
+        assert float(printed[f"{name}_trailing_slope"]) == want
 
     assert main(["analyze", "--trace", str(out / "missing.csv")]) == 1
+
+
+@pytest.mark.parametrize("edit,line", [(("0.5,", "0.5x,"), 2), ((",0.", ",,0.", 1), 2)])
+def test_cli_analyze_rejects_garbled_trace(cfg_path, tmp_path, capsys, edit, line):
+    out = tmp_path / "solve_out"
+    assert main(["solve", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    trace = out / "mass.csv"
+    trace.write_text(trace.read_text().replace(*edit))
+    where = f"{re.escape(str(trace))}: line {line}: expected 6 numbers"
+    with pytest.raises(ConfigurationError, match=f"^{where}"):
+        read_mass_csv(trace)
+    capsys.readouterr()
+    assert main(["analyze", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {trace}: line {line}: ")
 
 
 def test_cli_analyze_rejects_short_trace(cfg_path, tmp_path):

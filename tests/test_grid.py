@@ -117,9 +117,6 @@ def test_make_symbol_values_and_kinds():
         make_symbol(g, 2.5)
     with pytest.raises(ConfigurationError):
         make_symbol(g, 2.0)
-    # alpha = 2 is a diagnostic-only degenerate case: symbol collapses to 2|xi|^2
-    diag = make_symbol(g, 2.0, diagnostic_alpha2=True)
-    np.testing.assert_allclose(diag.values, 2.0 * mag ** 2)
 
 
 def test_apply_symbol_semigroup_composition():
@@ -161,9 +158,6 @@ def test_laplacian_symbol_matches_second_derivative():
     exact = -(4.0 * x * x - 2.0) * np.exp(-x * x)
     out = apply_symbol(f, make_symbol(g, 1.0, kind="laplacian"))
     np.testing.assert_allclose(out.values, exact, rtol=0, atol=1e-9)
-    # diagnostic alpha = 2 collapses the mixed symbol to twice the Laplacian
-    mixed = apply_symbol(f, make_symbol(g, 2.0, diagnostic_alpha2=True))
-    np.testing.assert_allclose(mixed.values, 2.0 * exact, rtol=0, atol=1e-9)
     # the production fractional route refuses the degenerate endpoint
     with pytest.raises(ConfigurationError):
         frac_laplacian_spectral(f, 2.0)

@@ -8,9 +8,7 @@ from scipy.integrate import quad
 
 from mixheat import (
     ConfigurationError,
-    ConstantAbsorption,
     MassTrace,
-    NoAbsorption,
     PowerAbsorption,
     ProblemSpec,
     TableAbsorption,
@@ -72,7 +70,7 @@ def test_mass_trace_from_solve_result():
     bump = np.exp(-sum(c ** 2 for c in grid.coords()))
     u0 = make_field(grid, bump / integral(make_field(grid, bump)))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
-                       absorption=ConstantAbsorption(1.0), initial=u0)
+                       absorption=PowerAbsorption(1.0), initial=u0)
     res = solve(prob, make_step_schedule(0.5, 4.0, 0.0, 0.2))
     tr = mass_trace(res)
     np.testing.assert_array_equal(tr.times, res.times)
@@ -128,7 +126,7 @@ def test_decay_rate_exponent_values():
 
 def test_absorbed_tail_ratio_closed_form():
     # h = 1, r = 2: ratio of t^-2 masses on [1e3, 1e6] vs [1, 1e3]
-    ratio = absorbed_integral_tail_ratio(ConstantAbsorption(1.0), 3.0, 1.0, 0.0, 1)
+    ratio = absorbed_integral_tail_ratio(PowerAbsorption(1.0), 3.0, 1.0, 0.0, 1)
     head = 1.0 - 1e-3
     tail = 1e-3 - 1e-6
     assert ratio == pytest.approx(tail / head, rel=1e-6)
@@ -136,14 +134,14 @@ def test_absorbed_tail_ratio_closed_form():
 
 def test_condition_h_check_power_family():
     # h constant, alpha = 1, beta = 0, N = 1: r = p - 1
-    assert condition_h_check(3.0, 1.0, 0.0, 1, ConstantAbsorption(1.0)) == "convergent"
+    assert condition_h_check(3.0, 1.0, 0.0, 1, PowerAbsorption(1.0)) == "convergent"
     # at the critical exponent the integral diverges logarithmically
-    assert condition_h_check(2.0, 1.0, 0.0, 1, ConstantAbsorption(1.0)) == "divergent"
+    assert condition_h_check(2.0, 1.0, 0.0, 1, PowerAbsorption(1.0)) == "divergent"
     assert condition_h_check(2.0, 1.0, 0.0, 1, PowerAbsorption(1.0, -2.0)) == "convergent"
     # sigma - r = -1 exactly: still divergent
     assert condition_h_check(2.0, 1.0, 0.0, 1, PowerAbsorption(1.0, 0.0)) == "divergent"
     # no absorption at all integrates to zero
-    assert condition_h_check(2.0, 1.0, 0.0, 1, NoAbsorption()) == "convergent"
+    assert condition_h_check(2.0, 1.0, 0.0, 1, PowerAbsorption(0.0)) == "convergent"
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -161,7 +159,7 @@ def test_condition_h_check_table_heuristic(caplog):
 
 def test_condition_h_check_validation():
     with pytest.raises(ConfigurationError):
-        condition_h_check(1.0, 1.0, 0.0, 1, ConstantAbsorption(1.0))
+        condition_h_check(1.0, 1.0, 0.0, 1, PowerAbsorption(1.0))
 
 
 # -- classification -----------------------------------------------------------

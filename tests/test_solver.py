@@ -8,8 +8,6 @@ from scipy.integrate import quad, solve_ivp
 
 from mixheat import (
     ConfigurationError,
-    ConstantAbsorption,
-    NoAbsorption,
     NumericalFailureError,
     PowerAbsorption,
     ProblemSpec,
@@ -92,19 +90,23 @@ def test_default_snapshot_times():
 # -- absorption laws ---------------------------------------------------------
 
 def test_no_absorption_is_zero():
-    h = NoAbsorption()
+    h = make_absorption("none")
     assert h.rate(3.0) == 0.0
     assert h.integral(0.0, 10.0) == 0.0
     assert h.tail_exponent is None
+    # the coefficient of kind "none" is not read
+    assert make_absorption("none", coefficient=5.0).coefficient == 0.0
 
 
 def test_constant_absorption():
-    h = ConstantAbsorption(2.5)
+    h = make_absorption("constant", coefficient=2.5, exponent=0.7)
+    assert h.exponent == 0.0
     assert h.rate(0.3) == 2.5
-    assert h.integral(1.0, 4.0) == pytest.approx(7.5)
+    assert h.integral(1.0, 4.0) == 7.5
     assert h.tail_exponent == 0.0
-    with pytest.raises(ConfigurationError):
-        ConstantAbsorption(0.0)
+    for kind in ("constant", "power"):
+        with pytest.raises(ConfigurationError, match="^coefficient must be > 0"):
+            make_absorption(kind, coefficient=0.0)
 
 
 @pytest.mark.parametrize("coeff,sigma", [(2.0, 0.7), (1.5, -1.0), (1.0, -2.3)])
@@ -124,8 +126,13 @@ def test_power_absorption_metadata():
     h = PowerAbsorption(1.0, 0.8)
     assert h.tail_exponent == 0.8
     assert h.rate(1.0) == pytest.approx(2.0 ** 0.8)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^coefficient must be >= 0"):
         PowerAbsorption(-1.0, 0.5)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="^coefficient must be finite"):
+            PowerAbsorption(bad, 0.5)
+        with pytest.raises(ConfigurationError, match="^exponent must be finite"):
+            PowerAbsorption(1.0, bad)
 
 
 def test_table_absorption_trapezoid_exact():
@@ -156,10 +163,11 @@ def test_table_absorption_validation():
 
 
 def test_make_absorption_dispatch():
-    assert isinstance(make_absorption("none"), NoAbsorption)
-    assert isinstance(make_absorption("constant", coefficient=1.0), ConstantAbsorption)
-    assert isinstance(make_absorption("power", coefficient=1.0, exponent=-1.0),
-                      PowerAbsorption)
+    for kind, coefficient, exponent in (("none", 0.0, 0.0), ("constant", 1.0, 0.0),
+                                        ("power", 1.0, -1.0)):
+        h = make_absorption(kind, coefficient=1.0, exponent=-1.0)
+        assert isinstance(h, PowerAbsorption)
+        assert (h.coefficient, h.exponent) == (coefficient, exponent)
     table = make_absorption("table", times=np.array([0.0, 1.0]),
                             values=np.array([1.0, 1.0]))
     assert isinstance(table, TableAbsorption)
@@ -172,21 +180,21 @@ def test_make_absorption_dispatch():
 def test_problem_spec_validation(small_grid):
     u0 = unit_gaussian(small_grid)
     good = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
-                       absorption=NoAbsorption(), initial=u0)
+                       absorption=PowerAbsorption(0.0), initial=u0)
     assert good.grid == small_grid
     for alpha in (0.0, 2.0, 2.5):
         with pytest.raises(ConfigurationError):
             ProblemSpec(alpha=alpha, beta=0.0, p=2.0,
-                        absorption=NoAbsorption(), initial=u0)
+                        absorption=PowerAbsorption(0.0), initial=u0)
     with pytest.raises(ConfigurationError):
         ProblemSpec(alpha=1.0, beta=-0.1, p=2.0,
-                    absorption=NoAbsorption(), initial=u0)
+                    absorption=PowerAbsorption(0.0), initial=u0)
     for p in (1.0, np.inf, np.nan):
         with pytest.raises(ConfigurationError, match="^p must"):
             ProblemSpec(alpha=1.0, beta=0.0, p=p,
-                        absorption=NoAbsorption(), initial=u0)
+                        absorption=PowerAbsorption(0.0), initial=u0)
     with pytest.raises(ConfigurationError):
-        ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=NoAbsorption(),
+        ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=PowerAbsorption(0.0),
                     initial=make_field(small_grid, u0.values - 0.1))
 
 
@@ -242,10 +250,10 @@ def test_make_step_schedule_budget_edge():
 def test_absorption_step_closed_form(small_grid):
     ones = make_field(small_grid, np.ones(small_grid.shape))
     # p = 2, H = 1: u -> u / (1 + H u) = 1/2
-    out = absorption_step(ones, 0.0, 1.0, 2.0, ConstantAbsorption(1.0))
+    out = absorption_step(ones, 0.0, 1.0, 2.0, PowerAbsorption(1.0))
     np.testing.assert_allclose(out.values, 0.5, rtol=1e-14)
     # p = 3, H = 2: u -> u (1 + 2 H u^2)^(-1/2) = 5^(-1/2)
-    out = absorption_step(ones, 0.0, 2.0, 3.0, ConstantAbsorption(1.0))
+    out = absorption_step(ones, 0.0, 2.0, 3.0, PowerAbsorption(1.0))
     np.testing.assert_allclose(out.values, 5.0 ** -0.5, rtol=1e-14)
 
 
@@ -263,20 +271,20 @@ def test_absorption_step_matches_ode_solver(small_grid):
 
 def test_absorption_step_edge_cases(small_grid):
     u0 = unit_gaussian(small_grid)
-    same = absorption_step(u0, 1.0, 5.0, 2.0, NoAbsorption())
+    same = absorption_step(u0, 1.0, 5.0, 2.0, PowerAbsorption(0.0))
     np.testing.assert_array_equal(same.values, u0.values)
     zero = make_field(small_grid, np.zeros(small_grid.shape))
-    out = absorption_step(zero, 0.0, 1.0, 2.0, ConstantAbsorption(1.0))
+    out = absorption_step(zero, 0.0, 1.0, 2.0, PowerAbsorption(1.0))
     np.testing.assert_array_equal(out.values, 0.0)
     # mass cannot grow
-    stepped = absorption_step(u0, 0.0, 1.0, 2.0, ConstantAbsorption(1.0))
+    stepped = absorption_step(u0, 0.0, 1.0, 2.0, PowerAbsorption(1.0))
     assert integral(stepped) < integral(u0)
 
 
 def test_absorption_step_rejects_negative_state(small_grid):
     bad = make_field(small_grid, np.full(small_grid.shape, -1.0))
     with pytest.raises(ConfigurationError):
-        absorption_step(bad, 0.0, 1.0, 2.0, ConstantAbsorption(1.0))
+        absorption_step(bad, 0.0, 1.0, 2.0, PowerAbsorption(1.0))
 
 
 def test_absorption_step_rejects_non_finite_p(small_grid):
@@ -284,7 +292,7 @@ def test_absorption_step_rejects_non_finite_p(small_grid):
     u0 = unit_gaussian(small_grid)
     for p in (np.inf, np.nan, 1.0):
         with pytest.raises(ConfigurationError, match="^p must"):
-            absorption_step(u0, 0.0, 1.0, p, ConstantAbsorption(1.0))
+            absorption_step(u0, 0.0, 1.0, p, PowerAbsorption(1.0))
 
 
 def test_steps_and_solve_leave_their_input_unchanged(small_grid):
@@ -292,7 +300,7 @@ def test_steps_and_solve_leave_their_input_unchanged(small_grid):
     they were, and every snapshot is a copy of the state, not a view."""
     u0 = unit_gaussian(small_grid)
     rippled = make_field(small_grid, u0.values - 1e-13 * u0.values.max())
-    h = ConstantAbsorption(1.0)
+    h = PowerAbsorption(1.0)
     for f in (u0, rippled):
         keep = f.values.copy()
         absorption_step(f, 0.0, 1.0, 3.0, h)
@@ -346,7 +354,7 @@ def test_solve_step_matches_linear_step_bitwise(dim):
     helper, same multiplier, same clip."""
     grid = make_grid(dim, 20.0, 64)
     u0 = unit_gaussian(grid)
-    prob = ProblemSpec(alpha=1.3, beta=0.0, p=2.0, absorption=NoAbsorption(),
+    prob = ProblemSpec(alpha=1.3, beta=0.0, p=2.0, absorption=PowerAbsorption(0.0),
                        initial=u0)
     sched = make_step_schedule(1.0, 1.7, 0.0, 1.0, snapshot_times=[1.7])
     res = solve(prob, sched)
@@ -388,7 +396,7 @@ def test_solve_linear_limit_matches_kernel(small_grid):
     semigroup: compare against direct kernel convolution."""
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.2, beta=0.3, p=2.0,
-                       absorption=ConstantAbsorption(1e-12), initial=u0)
+                       absorption=PowerAbsorption(1e-12), initial=u0)
     sched = make_step_schedule(0.5, 5.0, 0.3, 0.05)
     res = solve(prob, sched)
     dtau = time_to_tau(5.0, 0.3) - time_to_tau(0.5, 0.3)
@@ -399,7 +407,7 @@ def test_solve_linear_limit_matches_kernel(small_grid):
 def test_solve_trace_structure(small_grid):
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.0, beta=0.5, p=2.0,
-                       absorption=ConstantAbsorption(1.0), initial=u0)
+                       absorption=PowerAbsorption(1.0), initial=u0)
     sched = make_step_schedule(1.0, 20.0, 0.5, 0.1, snapshot_times=[2.0, 20.0])
     res = solve(prob, sched)
     assert res.times[0] == 1.0 and res.times[-1] == 20.0
@@ -414,7 +422,7 @@ def test_solve_trace_structure(small_grid):
 def test_solve_mass_ledger_and_monotonicity(small_grid):
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
-                       absorption=ConstantAbsorption(1.0), initial=u0)
+                       absorption=PowerAbsorption(1.0), initial=u0)
     res = solve(prob, make_step_schedule(0.0, 10.0, 0.0, 0.1))
     m0 = res.mass[0]
     assert mass_identity_defect(res) <= 1e-12 * m0
@@ -427,7 +435,7 @@ def test_solve_mass_ledger_and_monotonicity(small_grid):
 def test_solve_rejects_mismatched_beta(small_grid):
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.0, beta=0.5, p=2.0,
-                       absorption=NoAbsorption(), initial=u0)
+                       absorption=PowerAbsorption(0.0), initial=u0)
     sched = make_step_schedule(1.0, 2.0, 0.0, 0.1)
     with pytest.raises(ConfigurationError):
         solve(prob, sched)
@@ -467,7 +475,7 @@ def test_solve_attaches_partial_result_on_blowup(small_grid):
 def test_comparison_check_ordering(small_grid):
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
-                       absorption=ConstantAbsorption(1.0), initial=u0)
+                       absorption=PowerAbsorption(1.0), initial=u0)
     sched = make_step_schedule(0.5, 4.0, 0.0, 0.1)
     doubled = make_field(small_grid, 2.0 * u0.values)
     gap = comparison_check(prob, doubled, sched)
@@ -479,7 +487,7 @@ def test_comparison_check_ordering(small_grid):
 def test_comparison_check_rejects_non_dominating(small_grid):
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
-                       absorption=NoAbsorption(), initial=u0)
+                       absorption=PowerAbsorption(0.0), initial=u0)
     sched = make_step_schedule(0.5, 2.0, 0.0, 0.1)
     halved = make_field(small_grid, 0.5 * u0.values)
     with pytest.raises(ConfigurationError):
@@ -494,7 +502,7 @@ def test_duhamel_residual_exact_for_linear_flow(small_grid):
     the semigroup itself; the residual reduces to FFT roundoff."""
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.1, beta=0.4, p=2.0,
-                       absorption=NoAbsorption(), initial=u0)
+                       absorption=PowerAbsorption(0.0), initial=u0)
     sched = make_step_schedule(0.5, 6.0, 0.4, 0.05)
     res = solve(prob, sched)
     assert duhamel_residual(res) < 1e-10
@@ -503,7 +511,7 @@ def test_duhamel_residual_exact_for_linear_flow(small_grid):
 def test_duhamel_residual_shrinks_with_snapshot_density(small_grid):
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
-                       absorption=ConstantAbsorption(1.0), initial=u0)
+                       absorption=PowerAbsorption(1.0), initial=u0)
     coarse = solve(prob, make_step_schedule(
         0.5, 8.0, 0.0, 0.02, snapshot_times=geometric_times(0.5, 8.0, 17)))
     dense = solve(prob, make_step_schedule(
