@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import (build_grid, build_problem, capacity_radii, kernel_times,
                      load_config, parse_float_list, snapshot_times)
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError, require
 from .fractional import (bracket_profile, bracket_second_derivative,
                          capacity_integral, make_test_function_spec)
 from .grid import integral, make_field, make_grid, read_field, write_field
@@ -165,10 +165,8 @@ def cmd_sweep(args) -> int:
 def cmd_capacity(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
     radii = capacity_radii(cfg)
-    for key in ("capacity_b", "capacity_half_width"):
-        value = getattr(cfg, key)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigurationError(f"{key} must be finite and positive, got {value}")
+    require("finite and > 0", capacity_b=cfg.capacity_b,
+            capacity_half_width=cfg.capacity_half_width)
     values = []
     for R in radii:
         grid = make_grid(dim=cfg.dim,

@@ -12,13 +12,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require
 from .grid import Field, GridSpec, delta_field, integral, make_field, make_grid, read_field
 from .solver import (ProblemSpec, default_snapshot_times, geometric_times,
                      make_absorption)
 
 _TINY = float(np.finfo(float).tiny)
-_CASTERS = {int: int, float: float, str: str, "int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     for name, f in spec.items():
         if name not in raw:
             continue
-        caster = _CASTERS[f.type]
+        caster = f.type
         try:
             kwargs[name] = caster(raw[name])
         except ValueError:
@@ -179,9 +178,7 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
     if not (width > 0 and 0 < width * width < math.inf):
         raise ConfigurationError(
             f"initial_width must be positive with a finite nonzero square, got {width}")
-    if not math.isfinite(cfg.initial_center):
-        raise ConfigurationError(
-            f"initial_center must be finite, got {cfg.initial_center}")
+    require("finite", initial_center=cfg.initial_center)
     coords = grid.coords()
     r2 = sum((c - cfg.initial_center) ** 2 for c in coords)
     with np.errstate(over="ignore"):  # a far point's exponent -> -inf: bump 0

@@ -14,23 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError, require
 from .grid import GridSpec, _float_or_array
 
 
 def frac_constant(dim: int, s: float) -> float:
     """Normalization C(N, s) = s 4^s Gamma(N/2 + s) / (pi^(N/2) Gamma(1 - s)),
     the constant that makes the singular integral match the |xi|^(2s) symbol."""
-    if not 0.0 < s < 1.0:
-        raise ConfigurationError(f"s must be in (0, 1), got {s}")
+    require(s=s, dim=dim)
     return (s * 4.0 ** s * math.gamma(dim / 2.0 + s)
             / (math.pi ** (dim / 2.0) * math.gamma(1.0 - s)))
 
 
 def bracket_profile(x, scale: float, q0: float):
     """Japanese-bracket power (1 + |x/scale|^2)^(-q0/2), elementwise in x."""
-    if not scale > 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    require("finite and > 0", scale=scale)
     x = np.asarray(x, dtype=float) / scale
     out = (1.0 + x * x) ** (-q0 / 2.0)
     return _float_or_array(out)
@@ -64,8 +62,7 @@ def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
     3e4; where q0 - N is an even integer (the logarithmic case of the
     large-r connection formula) to ~3e-8.
     """
-    if not 0.0 < s < 1.0:
-        raise ConfigurationError(f"s must be in (0, 1), got {s}")
+    require(s=s, dim=dim)
     if not q0 > 0:
         raise ConfigurationError(f"q0 must be positive, got {q0}")
     r = np.asarray(r, dtype=float)
@@ -126,16 +123,12 @@ class TestFunctionSpec:
 def make_test_function_spec(q0: float, B: float, R: float, p: float,
                             alpha: float, dim: int) -> TestFunctionSpec:
     _validate_capacity_window(q0, p, alpha, dim)
-    if not (B >= 1 and R >= 1):
-        raise ConfigurationError(f"B and R must be >= 1, got B={B}, R={R}")
+    require("finite and >= 1", B=B, R=R)
     return TestFunctionSpec(q0=float(q0), B=float(B), R=float(R))
 
 
 def _validate_capacity_window(q0, p, alpha, dim):
-    if not (p > 1 and math.isfinite(p)):
-        raise ConfigurationError(f"p must be finite and > 1, got {p}")
-    if not 0 < alpha < 2:
-        raise ConfigurationError(f"alpha must be in (0, 2), got {alpha}")
+    require(p=p, alpha=alpha, dim=dim)
     if not dim < q0 < dim + alpha * p:
         raise ConfigurationError(
             f"q0={q0} outside the admissible window ({dim}, {dim + alpha * p}) "
@@ -205,10 +198,7 @@ def time_factor_integral(p: float, beta: float, kind: str = "cos2") -> float:
     Finite for every p > 1, beta >= 0: the integrand vanishes off [1, 2]
     and the ramp is C^1 there.
     """
-    if not (p > 1 and math.isfinite(p)):
-        raise ConfigurationError(f"p must be finite and > 1, got {p}")
-    if not beta >= 0:
-        raise ConfigurationError(f"beta must be >= 0, got {beta}")
+    require(p=p, beta=beta)
     expo = beta / ((beta + 1.0) * (p - 1.0))
     power = p / (p - 1.0)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError, require
 
 _FIELD_MAGIC = b"FHK1"
 
@@ -38,8 +38,7 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
-        if not (self.half_width > 0 and np.isfinite(self.half_width)):
-            raise ConfigurationError(f"half_width must be positive, got {self.half_width}")
+        require("finite and > 0", half_width=self.half_width)
         if not (_is_power_of_two(self.points) and self.points >= 16):
             raise ConfigurationError(
                 f"points must be a power of two >= 16, got {self.points}")
@@ -154,8 +153,8 @@ class SpectralSymbol:
 def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed") -> SpectralSymbol:
     if kind not in ("mixed", "fractional", "laplacian"):
         raise ConfigurationError(f"unknown symbol kind {kind!r}")
-    if kind != "laplacian" and not 0.0 < alpha < 2.0:
-        raise ConfigurationError(f"alpha must lie in (0, 2), got {alpha}")
+    if kind != "laplacian":
+        require(alpha=alpha)
     mag = grid.freq_magnitude()
     if kind == "mixed":
         values = mag ** 2 + mag ** alpha
@@ -200,17 +199,14 @@ def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,
     if f.grid != symbol.grid:
         raise ConfigurationError("field and symbol live on different grids")
     if mode == "multiplier":
+        require("finite", scale=scale)
         mult = scale * symbol.values
     elif mode == "semigroup":
-        if scale < 0:
-            raise ConfigurationError(f"semigroup scale must be >= 0, got {scale}")
+        require(">= 0 and finite", scale=scale)
         mult = np.exp(-scale * symbol.values)
     else:
         raise ConfigurationError(f"unknown apply_symbol mode {mode!r}")
-    out = _spectral_apply(f.grid, f.values, mult)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailureError("apply_symbol produced non-finite values")
-    return Field(grid=f.grid, values=out)
+    return Field(grid=f.grid, values=_spectral_apply(f.grid, f.values, mult))
 
 
 def frac_laplacian_spectral(f: Field, alpha: float) -> Field:
@@ -232,8 +228,6 @@ def convolve(f: Field, g: Field) -> Field:
     raw = _spectral_apply(grid, f.values, kernel=g.values)
     shift = (-(grid.points // 2),) * grid.dim
     out = np.roll(raw, shift, axis=tuple(range(grid.dim))) * grid.cell_volume
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailureError("convolve produced non-finite values")
     return Field(grid=grid, values=out)
 
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError, require
 from .grid import (Field, GridSpec, SpectralSymbol, _delta_spectrum,
                    _spectral_apply, apply_symbol, integral, make_symbol)
 
@@ -49,15 +49,12 @@ def _delta_response(sym: SpectralSymbol, t: float) -> Field:
     grid = sym.grid
     values = _spectral_apply(grid, None, np.exp(-t * sym.values),
                              spectrum=_delta_spectrum(grid))
-    if not np.all(np.isfinite(values)):
-        raise NumericalFailureError("kernel transform produced non-finite values")
     return Field(grid=grid, values=values)
 
 
 def gaussian_kernel(grid: GridSpec, t: float) -> Field:
     """Pointwise Gaussian kernel (4 pi t)^(-N/2) exp(-|x|^2 / 4t)."""
-    if not t > 0:
-        raise ConfigurationError(f"gaussian_kernel needs t > 0, got {t}")
+    require("finite and > 0", t=t)
     coords = grid.coords()
     r2 = sum(c ** 2 for c in coords)
     v = (4.0 * np.pi * t) ** (-grid.dim / 2.0) * np.exp(-r2 / (4.0 * t))
@@ -66,16 +63,14 @@ def gaussian_kernel(grid: GridSpec, t: float) -> Field:
 
 def stable_kernel(grid: GridSpec, alpha: float, t: float) -> Field:
     """Stable kernel: semigroup multiplier exp(-t |xi|^alpha) on a delta."""
-    if not t > 0:
-        raise ConfigurationError(f"stable_kernel needs t > 0, got {t}")
+    require("finite and > 0", t=t)
     k = _delta_response(make_symbol(grid, alpha, kind="fractional"), t)
     return _check_kernel(k, f"stable_kernel(alpha={alpha}, t={t})")
 
 
 def mixed_kernel(grid: GridSpec, alpha: float, t: float) -> Field:
     """Kernel of the mixed flow: exp(-t (|xi|^2 + |xi|^alpha)) on a delta."""
-    if not t > 0:
-        raise ConfigurationError(f"mixed_kernel needs t > 0, got {t}")
+    require("finite and > 0", t=t)
     k = _delta_response(make_symbol(grid, alpha, kind="mixed"), t)
     return _check_kernel(k, f"mixed_kernel(alpha={alpha}, t={t})")
 
@@ -102,6 +97,8 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
     first-moment factor appearing in the contraction bound
     C min(t^(-1/2), t^(-1/alpha)) * x_moment.
     """
+    times = np.atleast_1d(np.asarray(t_list, dtype=float))
+    require(">= 0 and finite", t_list=times)
     grid = g.grid
     sym = make_symbol(grid, alpha, kind="mixed")
     mass = integral(g)
@@ -109,7 +106,7 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
     radius = np.sqrt(sum(c ** 2 for c in coords))
     x_moment = float(np.sum(radius * np.abs(g.values)) * grid.cell_volume)
     errors = []
-    for t in np.atleast_1d(np.asarray(t_list, dtype=float)):
+    for t in times:
         smoothed = apply_symbol(g, sym, scale=t, mode="semigroup")
         kern = _delta_response(sym, t)
         diff = smoothed.values - mass * kern.values
@@ -119,8 +116,7 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
 
 def stable_tail_constant(alpha: float, dim: int) -> float:
     """Far-field constant A in P_alpha(x, t) ~ A t |x|^(-N-alpha)."""
-    if not 0 < alpha < 2:
-        raise ConfigurationError(f"alpha must be in (0, 2), got {alpha}")
+    require(alpha=alpha, dim=dim)
     return (alpha * 2.0 ** (alpha - 1.0) * np.pi ** (-(dim / 2.0 + 1.0))
             * math.sin(math.pi * alpha / 2.0)
             * math.gamma((dim + alpha) / 2.0) * math.gamma(alpha / 2.0))
@@ -128,6 +124,7 @@ def stable_tail_constant(alpha: float, dim: int) -> float:
 
 def stable_tail_mass(alpha: float, t: float, half_width: float, dim: int) -> float:
     """Asymptotic stable-kernel mass outside the box [-L, L)^N."""
+    require("finite and > 0", t=t, half_width=half_width)
     a = stable_tail_constant(alpha, dim)
     surface = 2.0 if dim == 1 else 2.0 * np.pi
     return surface * a * t * half_width ** (-alpha) / alpha
@@ -141,6 +138,7 @@ def half_width_for_tail(alpha: float, t: float, dim: int,
     and can be impractically large; callers sizing sup-norm experiments
     should bound the wrapped peak contamination instead.
     """
+    require("finite and > 0", t=t, tail_mass=tail_mass)
     a = stable_tail_constant(alpha, dim)
     surface = 2.0 if dim == 1 else 2.0 * np.pi
     return (surface * a * t / (alpha * tail_mass)) ** (1.0 / alpha)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require
 from .grid import Field, make_field
 from .kernels import kernel_lq_norm, mixed_kernel
 from .solver import SolveResult, time_to_tau
@@ -88,10 +88,10 @@ def read_mass_csv(path) -> MassTrace:
                 values = [float(cell) for cell in row]
             except ValueError:
                 values = []
-            if len(values) != len(_TRACE_COLUMNS):
+            if len(values) != len(_TRACE_COLUMNS) or not all(map(math.isfinite, values)):
                 raise ConfigurationError(
                     f"{path}: line {reader.line_num}: expected "
-                    f"{len(_TRACE_COLUMNS)} numbers, got {row!r}")
+                    f"{len(_TRACE_COLUMNS)} numbers, all finite, got {row!r}")
             rows.append(values)
     if not rows:
         raise ConfigurationError(f"{path}: empty trace")
@@ -103,28 +103,15 @@ def read_mass_csv(path) -> MassTrace:
 # ---------------------------------------------------------------------------
 # Exponent arithmetic and the coefficient integral test.
 
-def _check_beta_dim(beta: float, dim: int) -> None:
-    if not beta >= 0:
-        raise ConfigurationError(f"beta must be >= 0, got {beta}")
-    if dim < 1:
-        raise ConfigurationError(f"dim must be >= 1, got {dim}")
-
-
 def critical_exponent(alpha: float, beta: float, dim: int) -> float:
     """Exponent separating the mass dichotomy: 1 + alpha/(dim(beta+1))."""
-    if not 0 < alpha < 2:
-        raise ConfigurationError(f"alpha must be in (0, 2), got {alpha}")
-    _check_beta_dim(beta, dim)
+    require(alpha=alpha, beta=beta, dim=dim)
     return 1.0 + alpha / (dim * (beta + 1.0))
 
 
 def decay_rate_exponent(p: float, alpha: float, beta: float, dim: int) -> float:
     """r = dim(p-1)(beta+1)/alpha: the linear flow damps u^p mass like t^-r."""
-    if not 0 < alpha < 2:
-        raise ConfigurationError(f"alpha must be in (0, 2), got {alpha}")
-    _check_beta_dim(beta, dim)
-    if not (p > 1 and math.isfinite(p)):
-        raise ConfigurationError(f"p must be finite and > 1, got {p}")
+    require(alpha=alpha, beta=beta, dim=dim, p=p)
     return dim * (p - 1.0) * (beta + 1.0) / alpha
 
 
@@ -134,6 +121,7 @@ def absorbed_integral_tail_ratio(schedule, p: float, alpha: float, beta: float,
     """Numeric surrogate for convergence of int t^(-r) h(t) dt:
     the ratio of its [t_mid, t_hi] piece to its [t_lo, t_mid] piece.
     Well under 1 for convergent integrands, near or above 1 otherwise."""
+    require("finite and > 0", t_lo=t_lo, t_mid=t_mid, t_hi=t_hi)
     r = decay_rate_exponent(p, alpha, beta, dim)
 
     def integrand(t):
@@ -293,8 +281,7 @@ def profile_error(u: Field, m_inf: float, t: float, alpha: float, beta: float,
     which the supercritical theory sends to zero as t grows, for every
     finite q >= 1.
     """
-    if not t > 0:
-        raise ConfigurationError(f"t must be positive, got {t}")
+    require("finite and > 0", t=t)
     if not (q >= 1 and math.isfinite(q)):
         raise ConfigurationError(f"q must be a finite real >= 1, got {q}")
     if m_inf < 0:
@@ -317,8 +304,7 @@ def h_bound_H(t: float, p: float, alpha: float, beta: float, u0_norms,
     with C = constant (1 by default; the sharp value is not pinned down,
     only the rates). u0_norms is the pair (||u0||_1, ||u0||_p).
     """
-    if not t > 0:
-        raise ConfigurationError(f"t must be positive, got {t}")
+    require("finite and > 0", t=t, p=p, alpha=alpha, beta=beta, dim=dim)
     norm1, normp = (float(v) for v in u0_norms)
     rate = dim * (beta + 1.0) * (p - 1.0)
     local = constant * t ** (-rate / 2.0) * norm1 ** p

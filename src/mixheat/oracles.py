@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError, require
 from .fractional import frac_constant
 
 # Inner cutoff for the second-difference form. Below it the integrand is
@@ -104,8 +104,6 @@ def frac_laplacian_pointwise(profile, s: float, x, dim: int = 1,
         error is not part of the reported budget; keep |x| moderate or
         raise the node count.
     """
-    if not 0.0 < s < 1.0:
-        raise ConfigurationError(f"s must be in (0, 1), got {s}")
     if dim == 1:
         x = float(x)
         r = abs(x)
@@ -165,8 +163,7 @@ def scaling_check(profile, s: float, R: float, x, dim: int = 1,
     """Both sides of the rescaling identity
     (-Lap)^s [profile(./R)](x) = R^(-2s) [(-Lap)^s profile](x/R),
     each evaluated independently by quadrature. Returns (lhs, rhs)."""
-    if not R > 0:
-        raise ConfigurationError(f"R must be positive, got {R}")
+    require("finite and > 0", R=R)
     if dim == 1:
         scaled = lambda y: profile(y / R)
         scaled_d2 = (lambda y: second_derivative(y / R) / (R * R)) if second_derivative else None
@@ -188,8 +185,7 @@ def scaling_check(profile, s: float, R: float, x, dim: int = 1,
 
 def _cosine_transform(symbol_exponent, x: float, t: float) -> float:
     """(1/pi) int_0^inf exp(-t * symbol(xi)) cos(x xi) dxi for 1D oracles."""
-    if not (t > 0 and math.isfinite(t)):
-        raise ConfigurationError(f"kernel quadrature needs finite t > 0, got {t}")
+    require("finite and > 0", t=t)
     f = lambda xi: np.exp(-t * symbol_exponent(xi))
     if abs(x) < 1e-12:
         # The integrand is a peak of width xi*, where t * symbol(xi*) = 1,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError, require
 from .grid import (Field, GridSpec, SpectralSymbol, _float_or_array,
                    _spectral_apply, apply_symbol, make_field, make_symbol)
 
@@ -55,7 +55,7 @@ class PowerAbsorption:
     """
 
     def __init__(self, coefficient: float, exponent: float = 0.0):
-        _require_finite(coefficient=coefficient, exponent=exponent)
+        require("finite", coefficient=coefficient, exponent=exponent)
         if not coefficient >= 0:
             raise ConfigurationError(f"coefficient must be >= 0, got {coefficient}")
         self.coefficient = float(coefficient)
@@ -77,10 +77,13 @@ class PowerAbsorption:
         # sigma = 0: b - a is exact where (1+b) - (1+a) rounds
         if self.exponent == 0.0:
             return self.coefficient * (b - a)
+        # log((1+b)/(1+a)) without the cancellation of (1+b)^e1 - (1+a)^e1
+        # near sigma = -1, whose limit it is
+        log_ratio = np.log1p((b - a) / (1.0 + a))
         if self.exponent == -1.0:
-            return self.coefficient * np.log1p((b - a) / (1.0 + a))
+            return self.coefficient * log_ratio
         e1 = self.exponent + 1.0
-        return self.coefficient * ((1.0 + b) ** e1 - (1.0 + a) ** e1) / e1
+        return self.coefficient * ((1.0 + a) ** e1 * np.expm1(e1 * log_ratio) / e1)
 
 
 class TableAbsorption:
@@ -160,12 +163,7 @@ class ProblemSpec:
     initial: Field
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ConfigurationError(f"alpha must be in (0, 2), got {self.alpha}")
-        if not self.beta >= 0:
-            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
-        if not (self.p > 1 and np.isfinite(self.p)):
-            raise ConfigurationError(f"p must be finite and > 1, got {self.p}")
+        require(alpha=self.alpha, beta=self.beta, p=self.p)
         if np.min(self.initial.values) < 0:
             raise ConfigurationError("initial data must be nonnegative")
 
@@ -176,34 +174,22 @@ class ProblemSpec:
 
 def time_to_tau(t, beta: float):
     """tau(t) = t^(beta+1)/(beta+1), the clock in which the flow is autonomous."""
-    if not beta >= 0:
-        raise ConfigurationError(f"beta must be >= 0, got {beta}")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ConfigurationError("t must be >= 0")
+    require(">= 0 and finite", beta=beta, t=t)
     out = t ** (beta + 1.0) / (beta + 1.0)
     return _float_or_array(out)
 
 
 def tau_to_time(tau, beta: float):
-    if not beta >= 0:
-        raise ConfigurationError(f"beta must be >= 0, got {beta}")
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ConfigurationError("tau must be >= 0")
+    require(">= 0 and finite", beta=beta, tau=tau)
     out = ((beta + 1.0) * tau) ** (1.0 / (beta + 1.0))
     return _float_or_array(out)
 
 
-def _require_finite(**named) -> None:
-    for key, value in named.items():
-        if not np.isfinite(value):
-            raise ConfigurationError(f"{key} must be finite, got {value}")
-
-
 def geometric_times(t0: float, t1: float, count: int) -> np.ndarray:
     """Log-spaced output times, endpoints included."""
-    _require_finite(t0=t0, t1=t1)
+    require("finite", t0=t0, t1=t1)
     if not 0 < t0 < t1:
         raise ConfigurationError(f"need 0 < t0 < t1, got {t0}, {t1}")
     if count < 2:
@@ -220,7 +206,7 @@ def default_snapshot_times(t0: float, t1: float) -> np.ndarray:
     A start at t0 = 0 cannot anchor a geometric ladder, so the ladder then
     covers the last factor-2^10 of the horizon and t0 is prepended.
     """
-    _require_finite(t0=t0, t1=t1)
+    require("finite", t0=t0, t1=t1)
     if t0 > 0:
         span = np.log(t1 / t0)
     else:
@@ -256,11 +242,10 @@ class StepSchedule:
 
 def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
                        snapshot_times=None) -> StepSchedule:
-    _require_finite(t0=t0, t1=t1, dtau_max=dtau_max)
+    require("finite", t0=t0, t1=t1)
+    require("finite and > 0", dtau_max=dtau_max)
     if not 0 <= t0 < t1:
         raise ConfigurationError(f"need 0 <= t0 < t1, got {t0}, {t1}")
-    if not dtau_max > 0:
-        raise ConfigurationError(f"dtau_max must be positive, got {dtau_max}")
     if snapshot_times is None:
         snaps = default_snapshot_times(t0, t1)
     else:
@@ -325,10 +310,9 @@ def absorption_step(f: Field, t0: float, t1: float, p: float, schedule) -> Field
     -1e-10 * max|f| are a contract violation, smaller ones are clipped
     to zero before the flow. Output is within [0, input] pointwise.
     """
+    require(">= 0 and finite", t0=t0, t1=t1, p=p)
     if not t1 >= t0:
         raise ConfigurationError(f"need t1 >= t0, got {t0}, {t1}")
-    if not (p > 1 and np.isfinite(p)):
-        raise ConfigurationError(f"p must be finite and > 1, got {p}")
     values = f.values.copy()
     floor = np.min(values)
     if floor < -_RIPPLE_TOL * np.max(np.abs(values)):
@@ -350,6 +334,7 @@ def linear_step(f: Field, dtau: float, operator) -> Field:
     truncation of the heavy tail) is clipped to zero; the clipped mass is
     logged and is bounded by ~1e-10 of the peak per step.
     """
+    require(">= 0 and finite", dtau=dtau)
     if isinstance(operator, SpectralSymbol):
         symbol = operator
     else:

@@ -1,0 +1,159 @@
+"""The argument contract: a NaN, infinite or out-of-range scalar argument
+of a public function raises ConfigurationError whose message starts with
+"<argument> must"."""
+
+import math
+
+import numpy as np
+import pytest
+
+from mixheat import (
+    ConfigurationError,
+    PowerAbsorption,
+    ProblemSpec,
+    absorbed_integral_tail_ratio,
+    absorption_step,
+    apply_symbol,
+    bracket_frac_laplacian,
+    bracket_profile,
+    critical_exponent,
+    decay_rate_exponent,
+    default_snapshot_times,
+    frac_constant,
+    frac_laplacian_pointwise,
+    gaussian_kernel,
+    geometric_times,
+    h_bound_H,
+    half_width_for_tail,
+    linear_step,
+    make_field,
+    make_grid,
+    make_step_schedule,
+    make_symbol,
+    make_test_function_spec,
+    mixed_kernel,
+    mixed_kernel_quadrature,
+    profile_error,
+    scaling_check,
+    stable_kernel,
+    stable_kernel_quadrature,
+    stable_tail_constant,
+    stable_tail_mass,
+    taylor_contraction_error,
+    tau_to_time,
+    time_factor_integral,
+    time_to_tau,
+)
+
+GRID = make_grid(1, 20.0, 64)
+FIELD = make_field(GRID, np.exp(-GRID.axis_coords() ** 2))
+SYMBOL = make_symbol(GRID, 1.0)
+H0 = PowerAbsorption(0.0)
+
+
+def problem(alpha=1.0, beta=0.0, p=2.0):
+    return ProblemSpec(alpha=alpha, beta=beta, p=p, absorption=H0, initial=FIELD)
+
+
+def profile(y):
+    return bracket_profile(y, 1.0, 2.0)
+
+
+# (function, argument, a finite value out of its range or None when every
+# finite value is allowed, the call with that argument set)
+CASES = [
+    ("ProblemSpec", "alpha", 2.0, lambda v: problem(alpha=v)),
+    ("ProblemSpec", "beta", -0.5, lambda v: problem(beta=v)),
+    ("ProblemSpec", "p", 1.0, lambda v: problem(p=v)),
+    ("time_to_tau", "t", -1.0, lambda v: time_to_tau(v, 0.0)),
+    ("time_to_tau", "beta", -1.0, lambda v: time_to_tau(1.0, v)),
+    ("tau_to_time", "tau", -1.0, lambda v: tau_to_time(v, 0.0)),
+    ("tau_to_time", "beta", -1.0, lambda v: tau_to_time(1.0, v)),
+    ("geometric_times", "t0", None, lambda v: geometric_times(v, 10.0, 3)),
+    ("geometric_times", "t1", None, lambda v: geometric_times(1.0, v, 3)),
+    ("default_snapshot_times", "t0", None, lambda v: default_snapshot_times(v, 10.0)),
+    ("default_snapshot_times", "t1", None, lambda v: default_snapshot_times(1.0, v)),
+    ("make_step_schedule", "t0", None, lambda v: make_step_schedule(v, 10.0, 0.0, 0.1)),
+    ("make_step_schedule", "t1", None, lambda v: make_step_schedule(1.0, v, 0.0, 0.1)),
+    ("make_step_schedule", "beta", -1.0, lambda v: make_step_schedule(1.0, 10.0, v, 0.1)),
+    ("make_step_schedule", "dtau_max", 0.0,
+     lambda v: make_step_schedule(1.0, 10.0, 0.0, v)),
+    ("PowerAbsorption", "coefficient", -1.0, lambda v: PowerAbsorption(v, 0.5)),
+    ("PowerAbsorption", "exponent", None, lambda v: PowerAbsorption(1.0, v)),
+    ("absorption_step", "t0", -1.0, lambda v: absorption_step(FIELD, v, 1.0, 2.0, H0)),
+    ("absorption_step", "t1", -1.0, lambda v: absorption_step(FIELD, 0.0, v, 2.0, H0)),
+    ("absorption_step", "p", 1.0, lambda v: absorption_step(FIELD, 0.0, 1.0, v, H0)),
+    ("linear_step", "dtau", -1.0, lambda v: linear_step(FIELD, v, 1.0)),
+    ("make_grid", "half_width", 0.0, lambda v: make_grid(1, v, 64)),
+    ("make_symbol", "alpha", 2.0, lambda v: make_symbol(GRID, v)),
+    ("apply_symbol/semigroup", "scale", -1.0,
+     lambda v: apply_symbol(FIELD, SYMBOL, scale=v, mode="semigroup")),
+    ("apply_symbol/multiplier", "scale", None,
+     lambda v: apply_symbol(FIELD, SYMBOL, scale=v, mode="multiplier")),
+    ("gaussian_kernel", "t", 0.0, lambda v: gaussian_kernel(GRID, v)),
+    ("stable_kernel", "t", 0.0, lambda v: stable_kernel(GRID, 1.0, v)),
+    ("stable_kernel", "alpha", 0.0, lambda v: stable_kernel(GRID, v, 1.0)),
+    ("mixed_kernel", "t", 0.0, lambda v: mixed_kernel(GRID, 1.0, v)),
+    ("mixed_kernel", "alpha", 2.0, lambda v: mixed_kernel(GRID, v, 1.0)),
+    ("taylor_contraction_error", "t_list", -1.0,
+     lambda v: taylor_contraction_error(FIELD, [1.0, v], 1.0)),
+    ("stable_tail_constant", "alpha", 2.0, lambda v: stable_tail_constant(v, 1)),
+    ("stable_tail_constant", "dim", 0, lambda v: stable_tail_constant(1.0, v)),
+    ("stable_tail_mass", "t", -1.0, lambda v: stable_tail_mass(1.0, v, 10.0, 1)),
+    ("stable_tail_mass", "half_width", 0.0, lambda v: stable_tail_mass(1.0, 1.0, v, 1)),
+    ("half_width_for_tail", "t", 0.0, lambda v: half_width_for_tail(1.0, v, 1)),
+    ("half_width_for_tail", "tail_mass", 0.0,
+     lambda v: half_width_for_tail(1.0, 1.0, 1, tail_mass=v)),
+    ("frac_constant", "s", 1.0, lambda v: frac_constant(1, v)),
+    ("frac_constant", "dim", 0, lambda v: frac_constant(v, 0.5)),
+    ("bracket_profile", "scale", 0.0, lambda v: bracket_profile(1.0, v, 2.0)),
+    ("bracket_frac_laplacian", "s", 0.0, lambda v: bracket_frac_laplacian(1.0, 2.0, v, 1)),
+    ("bracket_frac_laplacian", "dim", 0.5,
+     lambda v: bracket_frac_laplacian(1.0, 2.0, 0.5, v)),
+    ("make_test_function_spec", "B", 0.5,
+     lambda v: make_test_function_spec(1.5, v, 8.0, 2.0, 1.0, 1)),
+    ("make_test_function_spec", "R", 0.5,
+     lambda v: make_test_function_spec(1.5, 2.0, v, 2.0, 1.0, 1)),
+    ("make_test_function_spec", "p", 1.0,
+     lambda v: make_test_function_spec(1.5, 2.0, 8.0, v, 1.0, 1)),
+    ("make_test_function_spec", "alpha", 2.0,
+     lambda v: make_test_function_spec(1.5, 2.0, 8.0, 2.0, v, 1)),
+    ("time_factor_integral", "p", 1.0, lambda v: time_factor_integral(v, 0.0)),
+    ("time_factor_integral", "beta", -1.0, lambda v: time_factor_integral(2.0, v)),
+    ("critical_exponent", "alpha", 2.0, lambda v: critical_exponent(v, 0.0, 1)),
+    ("critical_exponent", "beta", -1.0, lambda v: critical_exponent(1.0, v, 1)),
+    ("critical_exponent", "dim", 0, lambda v: critical_exponent(1.0, 0.0, v)),
+    ("decay_rate_exponent", "p", 1.0, lambda v: decay_rate_exponent(v, 1.0, 0.0, 1)),
+    ("decay_rate_exponent", "alpha", 0.0, lambda v: decay_rate_exponent(2.0, v, 0.0, 1)),
+    ("decay_rate_exponent", "beta", -1.0, lambda v: decay_rate_exponent(2.0, 1.0, v, 1)),
+    ("decay_rate_exponent", "dim", 0, lambda v: decay_rate_exponent(2.0, 1.0, 0.0, v)),
+    ("absorbed_integral_tail_ratio", "t_hi", 0.0,
+     lambda v: absorbed_integral_tail_ratio(H0, 3.0, 1.0, 0.0, 1, t_hi=v)),
+    ("profile_error", "t", 0.0, lambda v: profile_error(FIELD, 1.0, v, 1.0, 0.0, 2.0)),
+    ("h_bound_H", "t", 0.0, lambda v: h_bound_H(v, 2.0, 1.0, 0.0, (1.0, 1.0))),
+    ("h_bound_H", "p", 1.0, lambda v: h_bound_H(1.0, v, 1.0, 0.0, (1.0, 1.0))),
+    ("h_bound_H", "alpha", 5.0, lambda v: h_bound_H(1.0, 2.0, v, 0.0, (1.0, 1.0))),
+    ("h_bound_H", "beta", -1.0, lambda v: h_bound_H(1.0, 2.0, 1.0, v, (1.0, 1.0))),
+    ("h_bound_H", "dim", 0, lambda v: h_bound_H(1.0, 2.0, 1.0, 0.0, (1.0, 1.0), dim=v)),
+    ("frac_laplacian_pointwise", "s", 1.0,
+     lambda v: frac_laplacian_pointwise(profile, v, 0.5)),
+    ("scaling_check", "R", 0.0, lambda v: scaling_check(profile, 0.5, v, 0.5)),
+    ("stable_kernel_quadrature", "t", 0.0, lambda v: stable_kernel_quadrature(0.0, 1.0, v)),
+    ("mixed_kernel_quadrature", "t", 0.0, lambda v: mixed_kernel_quadrature(0.0, 1.0, v)),
+]
+
+
+@pytest.mark.parametrize("function,argument,out_of_range,call", CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_bad_scalar_argument_is_named(function, argument, out_of_range, call):
+    bad = [math.nan, math.inf, -math.inf]
+    if out_of_range is not None:
+        bad.append(out_of_range)
+    for value in bad:
+        with pytest.raises(ConfigurationError, match=f"^{argument} must"):
+            call(value)
+
+
+def test_array_argument_reports_its_first_bad_entry():
+    with pytest.raises(ConfigurationError, match=r"^t must be >= 0 and finite, got nan$"):
+        time_to_tau(np.array([0.0, 1.0, math.nan, -1.0]), 0.0)

@@ -200,7 +200,7 @@ def test_cli_rejects_bad_physics(cfg_path, tmp_path):
 
 
 @pytest.mark.parametrize("override,key", [("beta=nan", "beta"), ("t1=inf", "t1"),
-                                          ("p=inf", "p")])
+                                          ("p=inf", "p"), ("beta=inf", "beta")])
 def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key):
     rc = main(["solve", "--config", cfg_path, "--set", override,
                "--out-dir", str(tmp_path / "out")])
@@ -208,6 +208,18 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {key} ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,override,message", [
+    ("solve", "beta=inf", "beta must be >= 0 and finite, got inf"),
+    ("kernel", "alpha=2.5", "alpha must be in (0, 2), got 2.5"),
+])
+def test_cli_states_the_range_of_a_bad_key(cfg_path, tmp_path, capsys, command,
+                                           override, message):
+    rc = main([command, "--config", cfg_path, "--set", override,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("command,override,key", [
@@ -287,7 +299,9 @@ def test_cli_solve_analyze_roundtrip(cfg_path, tmp_path, capsys):
     assert main(["analyze", "--trace", str(out / "missing.csv")]) == 1
 
 
-@pytest.mark.parametrize("edit,line", [(("0.5,", "0.5x,"), 2), ((",0.", ",,0.", 1), 2)])
+# the third edit turns the absorbed cell of the first row into nan
+@pytest.mark.parametrize("edit,line", [(("0.5,", "0.5x,"), 2), ((",0.", ",,0.", 1), 2),
+                                       ((",0,", ",nan,", 1), 2)])
 def test_cli_analyze_rejects_garbled_trace(cfg_path, tmp_path, capsys, edit, line):
     out = tmp_path / "solve_out"
     assert main(["solve", "--config", cfg_path, "--out-dir", str(out)]) == 0

@@ -1,5 +1,7 @@
-"""Import graph: the quadrature oracles stay off the CLI's import path."""
+"""Import graph and source layout: the quadrature oracles stay off the
+CLI's import path, and the shared argument ranges live in errors.py."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,3 +62,27 @@ def test_unknown_name_raises_attribute_error():
         mixheat.no_such_name
     with pytest.raises(ImportError):
         from mixheat import no_such_name  # noqa: F401
+
+
+# Parameters whose range errors.require holds: comparing one with a number
+# anywhere else writes that range a second time.
+_SHARED_RANGES = {"alpha", "beta", "p", "s"}
+
+
+def test_shared_ranges_are_written_only_in_errors():
+    package = os.path.dirname(os.path.abspath(mixheat.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "errors.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            names = {getattr(o, "id", getattr(o, "attr", None)) for o in operands}
+            if names & _SHARED_RANGES and any(isinstance(o, ast.Constant)
+                                              for o in operands):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "shared ranges outside errors.py:\n" + "\n".join(found)

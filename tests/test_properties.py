@@ -1,19 +1,29 @@
-"""Properties of the absorption law and its exact flow over random inputs."""
+"""Properties over random inputs: the absorption law and its exact flow,
+the config text round trip, and the field reader on damaged files."""
+
+import os
+import string
+import tempfile
+from dataclasses import asdict, fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixheat import PowerAbsorption
+from mixheat import (ConfigurationError, ExperimentConfig, PowerAbsorption,
+                     config_from_mapping, make_field, make_grid,
+                     parse_config_text, read_field, write_field)
+from mixheat.config import _CHOICES
 from mixheat.solver import _absorb
 
 few = settings(max_examples=60, deadline=None)
 
 coefficients = st.floats(0.0, 1e3)
 times = st.floats(0.0, 1e3)
-# near sigma = -1 the general closed form cancels (see the exact branch)
-exponents = st.one_of(st.sampled_from([0.0, -1.0]),
-                      st.floats(-3.0, 3.0).filter(lambda s: abs(s + 1.0) > 0.1))
+# sigma = 0 and -1 take their own branches; the general one runs up to -1
+exponents = st.one_of(st.sampled_from([0.0, -1.0]), st.floats(-3.0, 3.0),
+                      st.floats(-1e-6, 1e-6).map(lambda d: d - 1.0))
 states = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=16).map(np.array)
 p_values = st.floats(1.01, 6.0)
 
@@ -56,3 +66,73 @@ def test_absorb_is_monotone_in_H_and_bounded_by_its_input(u, p, H1, H2):
     assert np.all(more <= less)
     assert np.all(less <= u)
     assert np.all(more >= 0)
+
+
+# -- config text --------------------------------------------------------------
+
+_WORDS = st.text(string.ascii_letters + string.digits + "/._-,", max_size=12)
+_BY_TYPE = {int: st.integers(-10 ** 6, 10 ** 6), str: _WORDS,
+            float: st.floats(allow_nan=False, allow_infinity=False)}
+
+
+def _values_of(f):
+    return st.sampled_from(_CHOICES[f.name]) if f.name in _CHOICES else _BY_TYPE[f.type]
+
+
+_REQUIRED = ("alpha", "half_width", "points")
+config_values = st.fixed_dictionaries(
+    {f.name: _values_of(f) for f in fields(ExperimentConfig) if f.name in _REQUIRED},
+    optional={f.name: _values_of(f) for f in fields(ExperimentConfig)
+              if f.name not in _REQUIRED})
+
+
+def _config_text(values):
+    # repr is the shortest text that reads back as the same float
+    return "# generated\n" + "".join(
+        f"  {key} =  {value!r}  # note\n" if isinstance(value, float)
+        else f"{key}={value}\n" for key, value in values.items())
+
+
+@few
+@given(config_values)
+def test_config_text_round_trips(values):
+    cfg = config_from_mapping(parse_config_text(_config_text(values)))
+    assert cfg == ExperimentConfig(**values)
+    assert config_from_mapping(parse_config_text(_config_text(asdict(cfg)))) == cfg
+
+
+# -- field files --------------------------------------------------------------
+
+def _field_file_bytes():
+    """The bytes of a valid 16-point field file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.fhk")
+        write_field(make_field(make_grid(1, 4.0, 16), np.linspace(0.0, 1.0, 16)), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _read_field_bytes(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.fhk")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return read_field(path)
+
+
+@few
+@given(st.data())
+def test_read_field_rejects_every_truncation(data):
+    blob = _field_file_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(ConfigurationError):
+        _read_field_bytes(blob[:cut])
+
+
+@few
+@given(st.binary(min_size=4, max_size=4).filter(lambda magic: magic != b"FHK1"))
+def test_read_field_rejects_an_altered_magic(magic):
+    blob = _field_file_bytes()
+    assert _read_field_bytes(blob).grid.points == 16
+    with pytest.raises(ConfigurationError, match="bad magic"):
+        _read_field_bytes(magic + blob[4:])

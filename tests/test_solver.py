@@ -122,6 +122,24 @@ def test_power_absorption_log_case_closed_form():
     assert h.integral(0.0, np.e - 1.0) == pytest.approx(1.5, rel=1e-12)
 
 
+# int_a^b c (1+t)^sigma dt at the binary values of the arguments, to 30
+# digits (mpmath, 50-digit arithmetic). ((1+b)^e1 - (1+a)^e1)/e1 with
+# e1 = sigma + 1 cancels near sigma = -1: it is off by 1.1e-1 on the first
+# case and by 2.4e-13 on the second.
+@pytest.mark.parametrize("c,sigma,a,b,exact", [
+    (1.0, -1.0 + 1e-12, 1e-3, 2e-3, "0.000998502329589524368672506024908"),
+    (1.0, -0.3, 1e-3, 2e-3, "0.000999550454440138601274201221336"),
+    (2.0, -1.0 + 1e-6, 0.0, 1.0, "1.38629484157301555908820688233"),
+    (0.5, -1.0 + 1e-9, 0.0, 1.0, "0.346573590400085904818883666906"),
+    (3.0, -1.0 - 1e-7, 10.0, 1e3, "13.5325722224034971030306481832"),
+    (1.5, 2.5, 0.5, 7.0, "618.866217398186878685237715735"),
+    (1.0, -2.3, 0.0, 1e3, "0.769134054562401316839152856204"),
+])
+def test_power_absorption_integral_near_the_log_case(c, sigma, a, b, exact):
+    got = PowerAbsorption(c, sigma).integral(a, b)
+    assert got == pytest.approx(float(exact), rel=2e-15, abs=0)
+
+
 def test_power_absorption_metadata():
     h = PowerAbsorption(1.0, 0.8)
     assert h.tail_exponent == 0.8
