@@ -14,8 +14,7 @@ from .config import (ExperimentConfig, build_absorption, build_grid,
                      parse_config_text, snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError
 from .fractional import (TestFunctionSpec, bracket_frac_laplacian,
-                         bracket_laplacian, bracket_profile,
-                         bracket_second_derivative, capacity_integral,
+                         bracket_laplacian, bracket_profile, capacity_integral,
                          frac_constant, make_test_function_spec, psi_ramp,
                          psi_ramp_derivative, time_factor_integral)
 from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
@@ -24,15 +23,15 @@ from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
 from .kernels import (gaussian_kernel, half_width_for_tail, kernel_lq_norm,
                       mixed_kernel, stable_kernel, stable_tail_constant,
                       stable_tail_mass, taylor_contraction_error)
-from .observers import (MassClassification, MassTrace,
-                        absorbed_integral_tail_ratio, classify_mass_limit,
-                        condition_h_check, critical_exponent,
-                        decay_rate_exponent, h_bound_H, mass_trace,
+from .observers import (MassClassification, absorbed_integral_tail_ratio,
+                        classify_mass_limit, condition_h_check,
+                        critical_exponent, decay_rate_exponent, h_bound_H,
                         profile_error, read_mass_csv, write_mass_csv)
-from .solver import (PowerAbsorption, ProblemSpec, SolveResult, StepSchedule,
-                     TableAbsorption, absorption_step, comparison_check,
-                     default_snapshot_times, duhamel_residual, geometric_times,
-                     linear_step, make_absorption, make_step_schedule,
+from .solver import (MassTrace, PowerAbsorption, ProblemSpec, SolveResult,
+                     StepSchedule, TableAbsorption, absorption_step,
+                     comparison_check, default_snapshot_times,
+                     duhamel_residual, geometric_times, linear_step,
+                     make_absorption, make_step_schedule,
                      mass_identity_defect, solve, tau_to_time, time_to_tau)
 
 __all__ = [
@@ -44,9 +43,8 @@ __all__ = [
     "gaussian_kernel", "stable_kernel", "mixed_kernel", "kernel_lq_norm",
     "taylor_contraction_error", "stable_tail_constant", "stable_tail_mass",
     "half_width_for_tail", "stable_kernel_quadrature", "mixed_kernel_quadrature",
-    "frac_constant", "bracket_profile", "bracket_second_derivative",
-    "bracket_laplacian", "bracket_frac_laplacian", "psi_ramp",
-    "psi_ramp_derivative",
+    "frac_constant", "bracket_profile", "bracket_laplacian",
+    "bracket_frac_laplacian", "psi_ramp", "psi_ramp_derivative",
     "frac_laplacian_pointwise", "scaling_check", "TestFunctionSpec",
     "make_test_function_spec", "capacity_integral", "time_factor_integral",
     "PowerAbsorption", "TableAbsorption",
@@ -55,7 +53,7 @@ __all__ = [
     "make_step_schedule", "absorption_step", "linear_step",
     "SolveResult", "solve", "mass_identity_defect", "comparison_check",
     "duhamel_residual",
-    "MassTrace", "mass_trace", "write_mass_csv", "read_mass_csv",
+    "MassTrace", "write_mass_csv", "read_mass_csv",
     "critical_exponent", "decay_rate_exponent", "absorbed_integral_tail_ratio",
     "condition_h_check", "MassClassification", "classify_mass_limit",
     "profile_error", "h_bound_H",

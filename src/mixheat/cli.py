@@ -24,13 +24,12 @@ import numpy as np
 from .config import (build_grid, build_problem, capacity_radii, kernel_times,
                      load_config, parse_float_list, snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError, require
-from .fractional import (bracket_profile, bracket_second_derivative,
-                         capacity_integral, make_test_function_spec)
+from .fractional import (bracket_laplacian, bracket_profile, capacity_integral,
+                         make_test_function_spec)
 from .grid import integral, make_field, make_grid, read_field, write_field
 from .kernels import kernel_lq_norm, mixed_kernel, stable_kernel
 from .observers import (_loglog_slope, classify_mass_limit, condition_h_check,
-                        critical_exponent, mass_trace, read_mass_csv,
-                        write_mass_csv)
+                        critical_exponent, read_mass_csv, write_mass_csv)
 from .solver import (make_step_schedule, mass_identity_defect, solve)
 
 _log = logging.getLogger(__name__)
@@ -70,7 +69,7 @@ def cmd_kernel(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(("t", "q", "norm"))
         for t, q, norm in rows:
-            writer.writerow((_fmt(t), "inf" if math.isinf(q) else _fmt(q), _fmt(norm)))
+            writer.writerow((_fmt(t), _fmt(q), _fmt(norm)))
     field_path = os.path.join(out, "kernel.fhk")
     write_field(last, field_path)
     print(f"alpha={_fmt(cfg.alpha)}")
@@ -80,21 +79,27 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    cfg = load_config(args.config, overrides=args.set)
+def _solve_config(cfg):
+    """Build the problem, then the schedule (in this order, so the first
+    bad key is the one reported), and run the solver."""
     problem = build_problem(cfg)
     schedule = make_step_schedule(cfg.t0, cfg.t1, cfg.beta, cfg.dtau_max,
                                   snapshot_times=snapshot_times(cfg))
-    result = solve(problem, schedule)
+    return solve(problem, schedule)
+
+
+def cmd_solve(args) -> int:
+    result = _solve_config(load_config(args.config, overrides=args.set))
+    trace = result.trace
     out = _out_dir(args)
     trace_path = os.path.join(out, "mass.csv")
-    write_mass_csv(mass_trace(result), trace_path)
+    write_mass_csv(trace, trace_path)
     field_path = os.path.join(out, "final.fhk")
     write_field(result.final, field_path)
     print(f"steps={result.total_steps}")
-    print(f"initial_mass={_fmt(result.initial_mass)}")
-    print(f"final_mass={_fmt(result.mass[-1])}")
-    print(f"absorbed={_fmt(result.absorbed[-1])}")
+    print(f"initial_mass={_fmt(trace.initial_mass)}")
+    print(f"final_mass={_fmt(trace.mass[-1])}")
+    print(f"absorbed={_fmt(trace.absorbed[-1])}")
     print(f"clipped_mass={_fmt(result.clipped_mass)}")
     print(f"ledger_defect={_fmt(mass_identity_defect(result))}")
     print(f"trace={trace_path}")
@@ -128,18 +133,13 @@ def cmd_sweep(args) -> int:
     failures = []
     for p in p_values:
         try:
-            cfg_p = dataclasses.replace(cfg, p=p)
-            problem = build_problem(cfg_p)
-            schedule = make_step_schedule(cfg_p.t0, cfg_p.t1, cfg_p.beta,
-                                          cfg_p.dtau_max,
-                                          snapshot_times=snapshot_times(cfg_p))
-            result = solve(problem, schedule)
-            trace = mass_trace(result)
+            result = _solve_config(dataclasses.replace(cfg, p=p))
+            trace = result.trace
             trace_path = os.path.join(out, f"mass_p{p:g}.csv")
             write_mass_csv(trace, trace_path)
             c = classify_mass_limit(trace)
             cond = condition_h_check(p, cfg.alpha, cfg.beta, cfg.dim,
-                                     problem.absorption)
+                                     result.problem.absorption)
             estimate = "" if c.m_inf_estimate is None else _fmt(c.m_inf_estimate)
             rows.append((_fmt(p), _fmt(cfg.alpha), _fmt(cfg.beta), c.kind,
                          estimate, _fmt(p_crit), cond))
@@ -226,7 +226,7 @@ def cmd_selftest(args) -> int:
     check("cauchy_closed_form", rel < 1e-6, f"max rel {rel:.2e}")
 
     lhs, rhs = scaling_check(lambda y: bracket_profile(y, 1.0, 2.0), 0.5, 2.0, 0.7,
-                             second_derivative=lambda y: bracket_second_derivative(y, 2.0))
+                             second_derivative=lambda y: bracket_laplacian(y, 2.0, 1))
     sc_rel = abs(lhs - rhs) / abs(rhs)
     check("scaling_identity", sc_rel < 1e-5, f"rel {sc_rel:.2e}")
 

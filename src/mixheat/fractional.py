@@ -34,14 +34,6 @@ def bracket_profile(x, scale: float, q0: float):
     return _float_or_array(out)
 
 
-def bracket_second_derivative(x, q0: float):
-    """Exact d^2/dx^2 of <x>^(-q0) in one dimension."""
-    x = np.asarray(x, dtype=float)
-    u = 1.0 + x * x
-    out = q0 * u ** (-q0 / 2.0 - 2.0) * ((q0 + 1.0) * x * x - 1.0)
-    return _float_or_array(out)
-
-
 def bracket_laplacian(r, q0: float, dim: int):
     """Exact Laplacian of the radial profile <x>^(-q0) in R^dim at radius r."""
     r = np.asarray(r, dtype=float)

@@ -23,44 +23,13 @@ import numpy as np
 from .errors import ConfigurationError, require
 from .grid import Field, make_field
 from .kernels import kernel_lq_norm, mixed_kernel
-from .solver import SolveResult, time_to_tau
+from .solver import MassTrace, time_to_tau
 
 _log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Trace container and CSV round trip.
-
-@dataclass(frozen=True)
-class MassTrace:
-    """Per-step time series of a run: clock, mass ledger, field norms."""
-
-    times: np.ndarray
-    taus: np.ndarray
-    mass: np.ndarray
-    absorbed: np.ndarray
-    linf: np.ndarray
-    l2: np.ndarray
-
-    def __post_init__(self):
-        n = self.times.size
-        for name in ("taus", "mass", "absorbed", "linf", "l2"):
-            if getattr(self, name).size != n:
-                raise ConfigurationError(f"trace column {name} has mismatched length")
-        if n < 2:
-            raise ConfigurationError("trace needs at least 2 rows")
-        if not np.all(np.diff(self.times) > 0):
-            raise ConfigurationError("trace times must be strictly increasing")
-
-    @property
-    def initial_mass(self) -> float:
-        return float(self.mass[0] + self.absorbed[0])
-
-
-def mass_trace(result: SolveResult) -> MassTrace:
-    return MassTrace(times=result.times, taus=result.taus, mass=result.mass,
-                     absorbed=result.absorbed, linf=result.linf, l2=result.l2)
-
+# CSV round trip of the solver's MassTrace.
 
 _TRACE_COLUMNS = ("t", "tau", "mass", "absorbed", "linf", "l2")
 
@@ -93,8 +62,8 @@ def read_mass_csv(path) -> MassTrace:
                     f"{path}: line {reader.line_num}: expected "
                     f"{len(_TRACE_COLUMNS)} numbers, all finite, got {row!r}")
             rows.append(values)
-    if not rows:
-        raise ConfigurationError(f"{path}: empty trace")
+    if len(rows) < 2:
+        raise ConfigurationError(f"{path}: trace needs at least 2 rows")
     cols = np.array(rows).T
     return MassTrace(times=cols[0], taus=cols[1], mass=cols[2],
                      absorbed=cols[3], linf=cols[4], l2=cols[5])
@@ -122,6 +91,9 @@ def absorbed_integral_tail_ratio(schedule, p: float, alpha: float, beta: float,
     the ratio of its [t_mid, t_hi] piece to its [t_lo, t_mid] piece.
     Well under 1 for convergent integrands, near or above 1 otherwise."""
     require("finite and > 0", t_lo=t_lo, t_mid=t_mid, t_hi=t_hi)
+    if not t_lo < t_mid < t_hi:
+        raise ConfigurationError(
+            f"need t_lo < t_mid < t_hi, got {t_lo}, {t_mid}, {t_hi}")
     r = decay_rate_exponent(p, alpha, beta, dim)
 
     def integrand(t):
@@ -152,19 +124,19 @@ def condition_h_check(p: float, alpha: float, beta: float, dim: int,
     sigma = getattr(schedule, "tail_exponent", None)
     if sigma is not None:
         return "convergent" if sigma - r < -1.0 else "divergent"
+    t_lo, t_hi = 1.0, 1e6
+    times = getattr(schedule, "times", None)
+    if times is not None:
+        t_lo, t_hi = max(t_lo, float(times[0])), float(times[-1])
+        if not t_hi > t_lo:
+            raise ConfigurationError(
+                f"absorption table covers [{times[0]:g}, {t_hi:g}], which ends "
+                "at or before t = 1: the tail test needs h beyond t = 1")
     # h == 0 has a trivially convergent (zero) integral.
-    probe = schedule.integral(1.0, 2.0)
-    if probe == 0.0:
+    if schedule.integral(t_lo, t_hi) == 0.0:
         return "convergent"
     _log.warning("tabulated coefficient has no closed-form tail; "
                  "using the numeric tail-ratio heuristic")
-    t_hi = 1e6
-    times = getattr(schedule, "times", None)
-    if times is not None:
-        t_hi = float(times[-1])
-    t_lo = 1.0
-    if times is not None:
-        t_lo = max(t_lo, float(times[0]))
     t_mid = math.sqrt(t_lo * t_hi)
     ratio = absorbed_integral_tail_ratio(schedule, p, alpha, beta, dim,
                                          t_lo=t_lo, t_mid=t_mid, t_hi=t_hi)

@@ -24,7 +24,8 @@ of step size.
 
 import dataclasses
 import logging
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,8 +193,8 @@ def geometric_times(t0: float, t1: float, count: int) -> np.ndarray:
     require("finite", t0=t0, t1=t1)
     if not 0 < t0 < t1:
         raise ConfigurationError(f"need 0 < t0 < t1, got {t0}, {t1}")
-    if count < 2:
-        raise ConfigurationError(f"need count >= 2, got {count}")
+    if not (isinstance(count, numbers.Integral) and count >= 2):
+        raise ConfigurationError(f"count must be an integer >= 2, got {count}")
     return np.geomspace(t0, t1, count)
 
 
@@ -350,34 +351,52 @@ def linear_step(f: Field, dtau: float, operator) -> Field:
 # Driver.
 
 @dataclass(frozen=True)
-class SolveResult:
-    """Final state plus the per-step trace and requested snapshots.
+class MassTrace:
+    """Per-step time series of a run: clock, mass ledger, field norms."""
 
-    Trace arrays run over every substep, starting with the initial row,
-    so times[0] = t0 and mass[0] is the initial mass. clipped_mass is the
-    total negative-ripple mass removed over the run.
-    """
-
-    problem: ProblemSpec
-    schedule: StepSchedule
     times: np.ndarray
     taus: np.ndarray
     mass: np.ndarray
     absorbed: np.ndarray
     linf: np.ndarray
     l2: np.ndarray
+
+    def __post_init__(self):
+        n = self.times.size
+        for name in ("taus", "mass", "absorbed", "linf", "l2"):
+            if getattr(self, name).size != n:
+                raise ConfigurationError(f"trace column {name} has mismatched length")
+        if not np.all(np.diff(self.times) > 0):
+            raise ConfigurationError("trace times must be strictly increasing")
+
+    @property
+    def initial_mass(self) -> float:
+        return float(self.mass[0] + self.absorbed[0])
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Final state plus the per-step trace and requested snapshots.
+
+    The trace runs over every substep, starting with the initial row, so
+    trace.times[0] = t0 and trace.mass[0] is the initial mass. clipped_mass
+    is the total negative-ripple mass removed over the run.
+    """
+
+    problem: ProblemSpec
+    schedule: StepSchedule
+    trace: MassTrace
     snapshot_times: np.ndarray
     snapshots: tuple
     clipped_mass: float
-    total_steps: int
 
     @property
     def final(self) -> Field:
         return self.snapshots[-1]
 
     @property
-    def initial_mass(self) -> float:
-        return float(self.mass[0])
+    def total_steps(self) -> int:
+        return self.trace.times.size - 1
 
 
 def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
@@ -402,18 +421,17 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     dV = grid.cell_volume
 
     u = problem.initial.values.copy()
-    clipped_total = _clip_negative(u, dV)
+    clipped_total = 0.0
     # the step's only grid-sized buffers: fresh ones would page-fault
     work = np.empty_like(u)
     spectrum = np.empty(symbol.values.shape, dtype=complex)
     mass = np.sum(u)
     t0 = float(schedule.knot_times[0])
-    rows_t = [t0]
-    rows_tau = [float(schedule.knot_taus[0])]
-    rows_mass = [float(mass) * dV]
-    rows_absorbed = [0.0]
-    rows_linf = [float(np.max(u))]
-    rows_l2 = [float(np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV))]
+    # one trace row per step, in MassTrace's column order
+    rows = np.empty((6, schedule.total_steps + 1))
+    rows[:, 0] = (t0, schedule.knot_taus[0], mass * dV, 0.0, np.max(u),
+                  np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV))
+    filled = 1
     absorbed = 0.0
 
     want = {float(t) for t in schedule.snapshot_times}
@@ -425,12 +443,9 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
 
     def partial_result():
         return SolveResult(
-            problem=problem, schedule=schedule,
-            times=np.array(rows_t), taus=np.array(rows_tau),
-            mass=np.array(rows_mass), absorbed=np.array(rows_absorbed),
-            linf=np.array(rows_linf), l2=np.array(rows_l2),
+            problem=problem, schedule=schedule, trace=MassTrace(*rows[:, :filled]),
             snapshot_times=np.array(out_times), snapshots=tuple(out_fields),
-            clipped_mass=clipped_total, total_steps=len(rows_t) - 1)
+            clipped_mass=clipped_total)
 
     if t0 in want:
         record_snapshot(t0, u)
@@ -469,12 +484,9 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
                     f"({len(out_fields)} snapshots completed)")
                 err.partial = partial_result()
                 raise err
-            rows_t.append(float(sub_times[j + 1]))
-            rows_tau.append(float(sub_taus[j + 1]))
-            rows_mass.append(float(mass) * dV)
-            rows_absorbed.append(float(absorbed))
-            rows_linf.append(linf)
-            rows_l2.append(float(np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV)))
+            rows[:, filled] = (sub_times[j + 1], sub_taus[j + 1], mass * dV, absorbed,
+                               linf, np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV))
+            filled += 1
         t_knot = float(schedule.knot_times[k + 1])
         if t_knot in want:
             record_snapshot(t_knot, u)
@@ -487,10 +499,11 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
 def mass_identity_defect(result: SolveResult) -> float:
     """max_k |mass_k + absorbed_k - mass(t0)| / mass(t0): zero up to FFT
     roundoff and clipped ripple by construction, whatever the step size."""
-    m0 = result.initial_mass
+    trace = result.trace
+    m0 = trace.initial_mass
     if m0 == 0:
         raise ConfigurationError("initial mass is zero")
-    return float(np.max(np.abs(result.mass + result.absorbed - m0)) / abs(m0))
+    return float(np.max(np.abs(trace.mass + trace.absorbed - m0)) / abs(m0))
 
 
 def comparison_check(problem: ProblemSpec, larger_initial: Field,

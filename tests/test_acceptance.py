@@ -23,8 +23,8 @@ from conftest import record_criterion
 from mixheat import (
     PowerAbsorption,
     ProblemSpec,
+    bracket_laplacian,
     bracket_profile,
-    bracket_second_derivative,
     capacity_integral,
     classify_mass_limit,
     comparison_check,
@@ -42,7 +42,6 @@ from mixheat import (
     make_step_schedule,
     make_test_function_spec,
     mass_identity_defect,
-    mass_trace,
     mixed_kernel,
     mixed_kernel_quadrature,
     profile_error,
@@ -224,7 +223,7 @@ def test_05_rescaling_identity():
             worst_spec = max(worst_spec, float(dev))
 
     prof = lambda y: bracket_profile(y, 1.0, 2.0)
-    d2 = lambda y: bracket_second_derivative(y, 2.0)
+    d2 = lambda y: bracket_laplacian(y, 2.0, 1)
     worst_quad = 0.0
     for s in (0.25, 0.5, 0.75):
         for R in (2.0, 4.0):
@@ -239,7 +238,7 @@ def test_05_rescaling_identity():
 
 def test_06_far_field_decay():
     prof = lambda y: bracket_profile(y, 1.0, 2.0)
-    d2 = lambda y: bracket_second_derivative(y, 2.0)
+    d2 = lambda y: bracket_laplacian(y, 2.0, 1)
     radii = np.geomspace(5.0, 100.0, 25)
     vals = [abs(frac_laplacian_pointwise(prof, 0.5, r, second_derivative=d2))
             for r in radii]
@@ -276,7 +275,7 @@ def test_09_mass_ledger(acceptance_runs):
     worst_defect, worst_rise = 0.0, 0.0
     for _, res in acceptance_runs:
         worst_defect = max(worst_defect, mass_identity_defect(res))
-        rise = float(np.max(np.diff(res.mass), initial=0.0)) / res.initial_mass
+        rise = float(np.max(np.diff(res.trace.mass), initial=0.0)) / res.trace.initial_mass
         worst_rise = max(worst_rise, rise)
     ok = worst_defect <= 1e-6 and worst_rise <= 1e-12
     criterion("C09 mass ledger", ok,
@@ -296,10 +295,10 @@ def test_10_comparison_ordering(reference_problem):
 
 
 def test_11_mass_dichotomy(dichotomy_runs):
-    m0 = dichotomy_runs[3.0].initial_mass
-    sup = classify_mass_limit(mass_trace(dichotomy_runs[3.0]))
-    sub = classify_mass_limit(mass_trace(dichotomy_runs[1.2]))
-    final_frac = float(dichotomy_runs[1.2].mass[-1]) / m0
+    m0 = dichotomy_runs[3.0].trace.initial_mass
+    sup = classify_mass_limit(dichotomy_runs[3.0].trace)
+    sub = classify_mass_limit(dichotomy_runs[1.2].trace)
+    final_frac = float(dichotomy_runs[1.2].trace.mass[-1]) / m0
     ok = (sup.kind == "positive_plateau"
           and sup.m_inf_estimate is not None
           and sup.m_inf_estimate >= 0.5 * m0
@@ -314,7 +313,7 @@ def test_11_mass_dichotomy(dichotomy_runs):
 
 def test_12_profile_convergence(dichotomy_runs):
     res = dichotomy_runs[3.0]
-    est = classify_mass_limit(mass_trace(res)).m_inf_estimate
+    est = classify_mass_limit(res.trace).m_inf_estimate
     errs = [profile_error(f, est, t, 1.0, 0.0, 2.0)
             for t, f in zip(res.snapshot_times, res.snapshots) if t >= 100.0]
     drops = all(b <= a * (1.0 + 1e-9) for a, b in zip(errs, errs[1:]))

@@ -71,6 +71,7 @@ CASES = [
     ("tau_to_time", "beta", -1.0, lambda v: tau_to_time(1.0, v)),
     ("geometric_times", "t0", None, lambda v: geometric_times(v, 10.0, 3)),
     ("geometric_times", "t1", None, lambda v: geometric_times(1.0, v, 3)),
+    ("geometric_times", "count", 2.5, lambda v: geometric_times(1.0, 10.0, v)),
     ("default_snapshot_times", "t0", None, lambda v: default_snapshot_times(v, 10.0)),
     ("default_snapshot_times", "t1", None, lambda v: default_snapshot_times(1.0, v)),
     ("make_step_schedule", "t0", None, lambda v: make_step_schedule(v, 10.0, 0.0, 0.1)),

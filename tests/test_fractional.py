@@ -12,7 +12,6 @@ from mixheat import (
     bracket_frac_laplacian,
     bracket_laplacian,
     bracket_profile,
-    bracket_second_derivative,
     capacity_integral,
     frac_constant,
     frac_laplacian_pointwise,
@@ -30,7 +29,7 @@ def bracket2(r):
 
 
 def bracket2_d2(r):
-    return bracket_second_derivative(r, 2.0)
+    return bracket_laplacian(r, 2.0, 1)
 
 
 def test_frac_constant_half_is_one_over_pi():
@@ -122,13 +121,11 @@ def test_bracket_derivatives_match_finite_differences():
     h = 1e-5
     for r in (0.0, 0.8, 2.7):
         fd = (bracket2(r + h) - 2.0 * bracket2(r) + bracket2(r - h)) / h ** 2
-        assert bracket_second_derivative(r, 2.0) == pytest.approx(fd, rel=1e-4)
+        assert bracket_laplacian(r, 2.0, 1) == pytest.approx(fd, rel=1e-4)
     # radial Laplacian: f'' in 1D, f'' + f'/r in 2D
     r = 1.4
-    assert bracket_laplacian(r, 2.0, 1) == pytest.approx(
-        bracket_second_derivative(r, 2.0), rel=1e-12)
     fp = (bracket2(r + h) - bracket2(r - h)) / (2.0 * h)
-    expected2d = bracket_second_derivative(r, 2.0) + fp / r
+    expected2d = bracket_laplacian(r, 2.0, 1) + fp / r
     assert bracket_laplacian(r, 2.0, 2) == pytest.approx(expected2d, rel=1e-4)
 
 
@@ -137,7 +134,7 @@ def test_bracket_derivatives_match_finite_differences():
 def test_bracket_frac_laplacian_matches_quadrature_1d(s, q0, r):
     oracle = frac_laplacian_pointwise(
         lambda y: bracket_profile(y, 1.0, q0), s, r,
-        second_derivative=lambda y: bracket_second_derivative(y, q0))
+        second_derivative=lambda y: bracket_laplacian(y, q0, 1))
     assert bracket_frac_laplacian(r, q0, s, 1) == pytest.approx(
         oracle, rel=1e-7, abs=1e-8)
 

@@ -1,14 +1,19 @@
 """Import graph and source layout: the quadrature oracles stay off the
-CLI's import path, and the shared argument ranges live in errors.py."""
+CLI's import path, the shared argument ranges live in errors.py, and the
+names the benchmark in perfbench/ uses stay where it finds them."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mixheat
+import mixheat.cli
+from mixheat import fractional, grid, observers, solver
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(mixheat.__file__)))
 
@@ -86,3 +91,26 @@ def test_shared_ranges_are_written_only_in_errors():
                                               for o in operands):
                 found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, "shared ranges outside errors.py:\n" + "\n".join(found)
+
+
+def test_names_the_benchmark_reaches_into(tmp_path):
+    """perfbench/ drives mixheat through these names and signatures, and
+    reads its trace columns and step count; moving one breaks it."""
+    assert mixheat.MassTrace is observers.MassTrace is solver.MassTrace
+    t = np.array([1.0, 2.0])
+    path = str(tmp_path / "mass.csv")
+    observers.write_mass_csv(trace=observers.MassTrace(
+        times=t, taus=t, mass=t, absorbed=t, linf=t, l2=t), path=path)
+    assert observers.read_mass_csv(path).times.tolist() == [1.0, 2.0]
+
+    g = grid.make_grid(1, 8.0, 16)
+    u0 = grid.make_field(g, np.exp(-g.axis_coords() ** 2))
+    result = solver.solve(
+        solver.ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
+                           absorption=solver.PowerAbsorption(1.0), initial=u0),
+        solver.make_step_schedule(1.0, 2.0, 0.0, 1.0))
+    assert result.total_steps == result.schedule.total_steps
+
+    assert list(inspect.signature(fractional.capacity_integral).parameters)[3] == "grid"
+    assert list(inspect.signature(grid.write_field).parameters)[:2] == ["f", "path"]
+    assert list(inspect.signature(mixheat.cli.main).parameters) == ["argv"]

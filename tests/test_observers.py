@@ -1,6 +1,7 @@
 """Mass traces, classification, condition checks, and profile errors."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from mixheat import (
     make_field,
     make_grid,
     make_step_schedule,
-    mass_trace,
     mixed_kernel,
     profile_error,
     read_mass_csv,
@@ -55,9 +55,6 @@ def test_mass_trace_validation():
     bad_t = np.array([1.0, 2.0, 2.0])
     with pytest.raises(ConfigurationError):
         MassTrace(times=bad_t, taus=bad_t, mass=m, absorbed=m, linf=m, l2=m)
-    with pytest.raises(ConfigurationError):
-        MassTrace(times=t[:1], taus=t[:1], mass=m[:1], absorbed=m[:1],
-                  linf=m[:1], l2=m[:1])
 
 
 def test_mass_trace_initial_mass():
@@ -72,9 +69,9 @@ def test_mass_trace_from_solve_result():
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
                        absorption=PowerAbsorption(1.0), initial=u0)
     res = solve(prob, make_step_schedule(0.5, 4.0, 0.0, 0.2))
-    tr = mass_trace(res)
-    np.testing.assert_array_equal(tr.times, res.times)
-    np.testing.assert_array_equal(tr.mass, res.mass)
+    tr = res.trace
+    np.testing.assert_array_equal(tr.times, res.trace.times)
+    np.testing.assert_array_equal(tr.mass, res.trace.mass)
     assert tr.initial_mass == pytest.approx(integral(u0), rel=1e-13)
 
 
@@ -89,6 +86,13 @@ def test_mass_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.mass, tr.mass)
     np.testing.assert_array_equal(back.absorbed, tr.absorbed)
     np.testing.assert_array_equal(back.l2, tr.l2)
+
+
+def test_mass_csv_rejects_one_row(tmp_path):
+    path = tmp_path / "one.csv"
+    write_mass_csv(synthetic_trace([1.0], [1.0]), path)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: "):
+        read_mass_csv(path)
 
 
 def test_mass_csv_rejects_foreign_header(tmp_path):
@@ -130,6 +134,14 @@ def test_absorbed_tail_ratio_closed_form():
     head = 1.0 - 1e-3
     tail = 1e-3 - 1e-6
     assert ratio == pytest.approx(tail / head, rel=1e-6)
+
+
+@pytest.mark.parametrize("t_lo,t_mid,t_hi", [(1.0, 1e6, 1e3), (1e3, 1e3, 1e6),
+                                             (5.0, 1e3, 2.0)])
+def test_absorbed_tail_ratio_rejects_unordered_times(t_lo, t_mid, t_hi):
+    with pytest.raises(ConfigurationError, match="^need t_lo < t_mid < t_hi"):
+        absorbed_integral_tail_ratio(PowerAbsorption(1.0), 3.0, 1.0, 0.0, 1,
+                                     t_lo=t_lo, t_mid=t_mid, t_hi=t_hi)
 
 
 def test_condition_h_check_power_family():

@@ -403,7 +403,7 @@ def test_solve_step_is_absorb_linear_absorb_bitwise(dim, points, p, beta):
     half = absorption_step(u0, t_a, t_m, p, h)
     full = linear_step(half, taus[1] - taus[0], make_symbol(grid, 1.3))
     step = absorption_step(full, t_m, t_b, p, h)
-    assert res.absorbed[-1] > 0 and res.clipped_mass > 0
+    assert res.trace.absorbed[-1] > 0 and res.clipped_mass > 0
     np.testing.assert_array_equal(res.final.values, step.values)
 
 
@@ -428,9 +428,9 @@ def test_solve_trace_structure(small_grid):
                        absorption=PowerAbsorption(1.0), initial=u0)
     sched = make_step_schedule(1.0, 20.0, 0.5, 0.1, snapshot_times=[2.0, 20.0])
     res = solve(prob, sched)
-    assert res.times[0] == 1.0 and res.times[-1] == 20.0
-    assert res.mass[0] == pytest.approx(integral(u0), rel=1e-14)
-    np.testing.assert_allclose(res.taus, time_to_tau(res.times, 0.5), rtol=1e-13)
+    assert res.trace.times[0] == 1.0 and res.trace.times[-1] == 20.0
+    assert res.trace.mass[0] == pytest.approx(integral(u0), rel=1e-14)
+    np.testing.assert_allclose(res.trace.taus, time_to_tau(res.trace.times, 0.5), rtol=1e-13)
     assert list(res.snapshot_times) == [2.0, 20.0]
     np.testing.assert_array_equal(res.final.values, res.snapshots[-1].values)
     assert res.total_steps == sched.total_steps
@@ -442,12 +442,12 @@ def test_solve_mass_ledger_and_monotonicity(small_grid):
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
                        absorption=PowerAbsorption(1.0), initial=u0)
     res = solve(prob, make_step_schedule(0.0, 10.0, 0.0, 0.1))
-    m0 = res.mass[0]
+    m0 = res.trace.mass[0]
     assert mass_identity_defect(res) <= 1e-12 * m0
-    assert np.all(np.diff(res.mass) <= 1e-12 * m0)
-    assert np.all(np.diff(res.absorbed) >= -1e-15)
+    assert np.all(np.diff(res.trace.mass) <= 1e-12 * m0)
+    assert np.all(np.diff(res.trace.absorbed) >= -1e-15)
     # absorption really happened
-    assert res.mass[-1] < 0.9 * m0
+    assert res.trace.mass[-1] < 0.9 * m0
 
 
 def test_solve_rejects_mismatched_beta(small_grid):
@@ -483,9 +483,15 @@ def test_solve_attaches_partial_result_on_blowup(small_grid):
         solve(prob, sched)
     partial = exc.value.partial
     assert isinstance(partial, SolveResult)
-    assert partial.times[0] == 1.0
-    assert partial.times[-1] < 8.0
-    assert np.isfinite(partial.mass).all()
+    assert partial.trace.times[0] == 1.0
+    assert partial.trace.times[-1] < 8.0
+    assert np.isfinite(partial.trace.mass).all()
+
+    # poisoned from the first step: the partial trace is the initial row
+    with pytest.raises(NumericalFailureError) as exc:
+        solve(prob, make_step_schedule(5.0, 8.0, 0.0, 0.5))
+    partial = exc.value.partial
+    assert partial.trace.times.tolist() == [5.0] and partial.total_steps == 0
 
 
 # -- diagnostics --------------------------------------------------------------
