@@ -81,11 +81,15 @@ def cmd_kernel(args) -> int:
 
 def _solve_config(cfg):
     """Build the problem, then the schedule (in this order, so the first
-    bad key is the one reported), and run the solver."""
+    bad key is the one reported), and run the solver. The snapshot ladder
+    only places step knots: the CLI writes no field but the one at t1, so
+    that is the only state the run keeps."""
     problem = build_problem(cfg)
     schedule = make_step_schedule(cfg.t0, cfg.t1, cfg.beta, cfg.dtau_max,
-                                  snapshot_times=snapshot_times(cfg))
-    return solve(problem, schedule)
+                                  snapshot_times=snapshot_times(cfg),
+                                  steps_per_decade=cfg.steps_per_decade)
+    return solve(problem, dataclasses.replace(
+        schedule, snapshot_times=schedule.snapshot_times[-1:]))
 
 
 def cmd_solve(args) -> int:

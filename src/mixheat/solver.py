@@ -24,6 +24,7 @@ of step size.
 
 import dataclasses
 import logging
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,6 +40,11 @@ _RIPPLE_TOL = 1e-10  # negative input below -tol*max is a contract violation
 # Most Strang steps one schedule may hold. A larger count is a config error,
 # caught before any work: such a run would not end in useful time.
 _MAX_STEPS = 10 ** 8
+# Most bytes one solve may hold in snapshots, work arrays and trace rows,
+# checked before it allocates. The trace alone (48 B per step) outgrows it
+# below _MAX_STEPS, at about 8.9e7 steps.
+_MAX_BYTES = 4 * 2 ** 30
+_TRACE_ROW_BYTES = 6 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +121,12 @@ class TableAbsorption:
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
-            raise ConfigurationError("time outside the absorption table range")
+        lo, hi = self.times[0], self.times[-1]
+        outside = (t < lo) | (t > hi)
+        if np.any(outside):
+            raise ConfigurationError(
+                f"time {t[outside].flat[0]:g} outside the absorption "
+                f"table range [{lo:g}, {hi:g}]")
         out = np.interp(t, self.times, self.values)
         return _float_or_array(out)
 
@@ -208,6 +218,8 @@ def default_snapshot_times(t0: float, t1: float) -> np.ndarray:
     covers the last factor-2^10 of the horizon and t0 is prepended.
     """
     require("finite", t0=t0, t1=t1)
+    if not 0 <= t0 < t1:
+        raise ConfigurationError(f"need 0 <= t0 < t1, got {t0}, {t1}")
     if t0 > 0:
         span = np.log(t1 / t0)
     else:
@@ -222,12 +234,15 @@ def default_snapshot_times(t0: float, t1: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Uniform tau-substeps between consecutive knot times.
+    """Uniform tau-substeps between consecutive knot times, and the knots
+    at which solve keeps a copy of the state.
 
-    Knots are the union of snapshot times and endpoints; each gap
-    [tau_k, tau_{k+1}] is cut into enough equal substeps that none
-    exceeds dtau_max, so snapshots are hit exactly instead of by
-    interpolation.
+    Each gap [tau_k, tau_{k+1}] between knots is cut into enough equal
+    substeps that none exceeds dtau_max, so snapshots are hit exactly
+    instead of by interpolation. Every snapshot time must be a knot and
+    the last one must be t1, the final knot: a schedule may keep fewer
+    snapshots than it has knots (dataclasses.replace with a shorter
+    snapshot_times), but SolveResult.final is always the state at t1.
     """
 
     beta: float
@@ -236,26 +251,63 @@ class StepSchedule:
     substeps: np.ndarray
     snapshot_times: np.ndarray
 
+    def __post_init__(self):
+        snaps = self.snapshot_times
+        t1 = self.knot_times[-1]
+        if not (snaps.size and snaps[-1] == t1 and np.all(np.diff(snaps) > 0)
+                and np.all(np.isin(snaps, self.knot_times))):
+            raise ConfigurationError(
+                f"snapshot times must be increasing knot times ending at "
+                f"t1 = {t1}, got {snaps}")
+
     @property
     def total_steps(self) -> int:
         return int(self.substeps.sum())
 
 
+_LADDER_START = 1e-6  # from t0 = 0, the step ladder starts at t1 * this
+
+
 def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
-                       snapshot_times=None) -> StepSchedule:
+                       snapshot_times=None, steps_per_decade: int = 0) -> StepSchedule:
+    """Knots at t0, t1 and every snapshot time (default_snapshot_times
+    when None); solve keeps the state at each snapshot time and at t1.
+
+    steps_per_decade = K > 0 adds knots on a geometric t-ladder,
+    geomspace(lo, t1, n + 1) with n = ceil(K log10(t1 / lo)), so that
+    consecutive knots are at most a factor 10^(1/K) apart. The ladder
+    starts at lo = t0, or at lo = t1 * 1e-6 when t0 = 0, which makes
+    [0, t1 * 1e-6] the first step. K = 0 adds none. Either way dtau_max
+    caps every step in tau. More than 10^8 steps is a ConfigurationError.
+    """
     require("finite", t0=t0, t1=t1)
     require("finite and > 0", dtau_max=dtau_max)
     if not 0 <= t0 < t1:
         raise ConfigurationError(f"need 0 <= t0 < t1, got {t0}, {t1}")
+    if not (isinstance(steps_per_decade, numbers.Integral)
+            and 0 <= steps_per_decade <= _MAX_STEPS):
+        raise ConfigurationError(
+            f"steps_per_decade must be an integer in [0, {_MAX_STEPS}], "
+            f"got {steps_per_decade}")
     if snapshot_times is None:
         snaps = default_snapshot_times(t0, t1)
     else:
         snaps = np.asarray(snapshot_times, dtype=float)
-        if np.any(snaps < t0) or np.any(snaps > t1):
+        if not np.all((snaps >= t0) & (snaps <= t1)):
             raise ConfigurationError("snapshot times must lie inside [t0, t1]")
-    knots = {float(t0), float(t1)}
-    knots.update(float(t) for t in snaps)
-    knot_times = np.array(sorted(knots))
+    ladder = []
+    if steps_per_decade:
+        lo = t0 if t0 > 0 else t1 * _LADDER_START
+        if lo == 0:
+            raise ConfigurationError(f"t1 {t1} is too small to start a step ladder")
+        decades = math.log10(t1) - math.log10(lo)
+        count = max(1, math.ceil(steps_per_decade * decades - 1e-9))
+        if count > _MAX_STEPS:
+            raise ConfigurationError(
+                f"steps_per_decade {steps_per_decade} needs {count:.3g} steps on "
+                f"[t0, t1], more than the budget of {_MAX_STEPS:.0e}")
+        ladder = np.geomspace(lo, t1, count + 1)
+    knot_times = np.unique(np.concatenate([[t0, t1], snaps, ladder]))
     # Overflow to inf is caught below, before the count is cast to int.
     with np.errstate(over="ignore"):
         knot_taus = time_to_tau(knot_times, beta)
@@ -270,10 +322,9 @@ def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
         raise ConfigurationError(
             f"dtau_max {dtau_max} needs {total:.3g} steps on [t0, t1], more "
             f"than the budget of {_MAX_STEPS:.0e}")
-    substeps = counts.astype(int)
-    snapshot_sorted = np.array(sorted({float(t) for t in snaps} | {float(t1)}))
     return StepSchedule(beta=beta, knot_times=knot_times, knot_taus=knot_taus,
-                        substeps=substeps, snapshot_times=snapshot_sorted)
+                        substeps=counts.astype(int),
+                        snapshot_times=np.unique(np.append(snaps, t1)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +458,25 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     length tau_b - tau_a, half absorption over [t(tau_m), t(tau_b)].
     Mass, cumulative absorbed mass and field norms are recorded after
     every substep. The state is updated in place; snapshots, copies of it,
-    are taken at the schedule's snapshot times. A non-finite state aborts
-    with the partial result attached to the raised error as .partial.
+    are taken at the schedule's snapshot times only. A run whose snapshots,
+    three grid-sized work arrays and trace rows would need more than
+    _MAX_BYTES is a ConfigurationError before anything is allocated. A
+    non-finite state aborts with the partial result attached to the raised
+    error as .partial.
     """
     if schedule.beta != problem.beta:
         raise ConfigurationError(
             f"schedule beta {schedule.beta} does not match problem beta {problem.beta}")
     grid = problem.grid
+    n_snaps = schedule.snapshot_times.size
+    u0 = problem.initial.values
+    need = (n_snaps + 3) * u0.nbytes + _TRACE_ROW_BYTES * (schedule.total_steps + 1)
+    if need > _MAX_BYTES:
+        raise ConfigurationError(
+            f"{n_snaps} snapshots of a {u0.size}-point grid "
+            f"and a trace of {schedule.total_steps} steps need about "
+            f"{need / 2 ** 30:.3g} GiB, more than the memory budget of "
+            f"{_MAX_BYTES / 2 ** 30:g} GiB")
     symbol = make_symbol(grid, problem.alpha)
     absorption = problem.absorption
     p = problem.p
@@ -434,7 +497,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     filled = 1
     absorbed = 0.0
 
-    want = {float(t) for t in schedule.snapshot_times}
+    is_snapshot = np.isin(schedule.knot_times, schedule.snapshot_times)
     out_times, out_fields = [], []
 
     def record_snapshot(t_now, values):
@@ -447,7 +510,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             snapshot_times=np.array(out_times), snapshots=tuple(out_fields),
             clipped_mass=clipped_total)
 
-    if t0 in want:
+    if is_snapshot[0]:
         record_snapshot(t0, u)
 
     for k in range(schedule.knot_times.size - 1):
@@ -481,15 +544,14 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             if not np.isfinite(linf):
                 err = NumericalFailureError(
                     f"non-finite state at t = {sub_times[j + 1]:g} "
-                    f"({len(out_fields)} snapshots completed)")
+                    f"({filled - 1} steps completed)")
                 err.partial = partial_result()
                 raise err
             rows[:, filled] = (sub_times[j + 1], sub_taus[j + 1], mass * dV, absorbed,
                                linf, np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV))
             filled += 1
-        t_knot = float(schedule.knot_times[k + 1])
-        if t_knot in want:
-            record_snapshot(t_knot, u)
+        if is_snapshot[k + 1]:
+            record_snapshot(float(schedule.knot_times[k + 1]), u)
 
     if clipped_total:
         _log.debug("solve clipped %.3e negative-ripple mass in total", clipped_total)

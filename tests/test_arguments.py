@@ -155,6 +155,21 @@ def test_bad_scalar_argument_is_named(function, argument, out_of_range, call):
             call(value)
 
 
+# a time window that is out of order or starts below 0 names both ends
+WINDOWS = [
+    ("default_snapshot_times", lambda t0, t1: default_snapshot_times(t0, t1)),
+    ("make_step_schedule", lambda t0, t1: make_step_schedule(t0, t1, 0.0, 0.1)),
+]
+
+
+@pytest.mark.parametrize("t0,t1", [(5.0, 1.0), (-1.0, 10.0), (0.0, -1.0), (2.0, 2.0)])
+@pytest.mark.parametrize("function,call", WINDOWS, ids=[w[0] for w in WINDOWS])
+def test_bad_time_window_names_both_ends(function, call, t0, t1):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^need 0 <= t0 < t1, got {t0}, {t1}$"):
+        call(t0, t1)
+
+
 def test_array_argument_reports_its_first_bad_entry():
     with pytest.raises(ConfigurationError, match=r"^t must be >= 0 and finite, got nan$"):
         time_to_tau(np.array([0.0, 1.0, math.nan, -1.0]), 0.0)

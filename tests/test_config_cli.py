@@ -9,16 +9,20 @@ from mixheat import (
     ConfigurationError,
     integral,
     make_grid,
+    make_step_schedule,
     read_field,
     read_mass_csv,
+    solve,
     write_field,
+    write_mass_csv,
 )
-from mixheat import cli
+from mixheat import cli, solver
 from mixheat.cli import main
 from mixheat.config import (
     build_absorption,
     build_grid,
     build_initial,
+    build_problem,
     config_from_mapping,
     kernel_times,
     load_config,
@@ -213,11 +217,21 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
 @pytest.mark.parametrize("command,override,message", [
     ("solve", "beta=inf", "beta must be >= 0 and finite, got inf"),
     ("kernel", "alpha=2.5", "alpha must be in (0, 2), got 2.5"),
+    ("solve", "snapshot_count=1",
+     "snapshot_count must be an integer in [2, 100000001], got 1"),
+    # rejected before a ladder of that length is allocated
+    ("solve", "snapshot_count=10000000000",
+     "snapshot_count must be an integer in [2, 100000001], got 10000000000"),
+    ("solve", "steps_per_decade=-1",
+     "steps_per_decade must be an integer in [0, 100000000], got -1"),
+    ("solve", "t0=0 steps_per_decade=100000000",
+     "steps_per_decade 100000000 needs 6e+08 steps on [t0, t1], more than the "
+     "budget of 1e+08"),
 ])
 def test_cli_states_the_range_of_a_bad_key(cfg_path, tmp_path, capsys, command,
                                            override, message):
-    rc = main([command, "--config", cfg_path, "--set", override,
-               "--out-dir", str(tmp_path / "out")])
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    rc = main([command, "--config", cfg_path, *sets, "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
@@ -261,6 +275,63 @@ def test_cli_solves_tiny_normal_inputs(cfg_path, tmp_path, capsys, override):
     assert rc == 0
     lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert float(lines["ledger_defect"]) <= 2e-15
+
+
+def test_cli_solve_keeps_one_snapshot_and_the_same_outputs(cfg_path, tmp_path,
+                                                          monkeypatch):
+    """The CLI keeps only the state at t1, and its trace and field are
+    bitwise those of a library solve that keeps every knot's snapshot."""
+    cfg = load_config(cfg_path)
+    every = solve(build_problem(cfg), make_step_schedule(
+        cfg.t0, cfg.t1, cfg.beta, cfg.dtau_max, snapshot_times=snapshot_times(cfg)))
+    assert len(every.snapshots) == 9
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    write_mass_csv(every.trace, lib / "mass.csv")
+    write_field(every.final, lib / "final.fhk")
+
+    # a budget that fits one snapshot but not nine
+    grid_bytes = every.final.values.nbytes
+    monkeypatch.setattr(solver, "_MAX_BYTES",
+                        (1 + 3) * grid_bytes + 48 * (every.total_steps + 1))
+    with pytest.raises(ConfigurationError, match="^9 snapshots of a 256-point grid"):
+        solve(every.problem, every.schedule)
+    kept = []
+
+    def keep(problem, schedule):
+        kept.append(solve(problem, schedule))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "solve", keep)
+    out = tmp_path / "cli"
+    assert main(["solve", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    (result,) = kept
+    assert result.snapshot_times.tolist() == [60.0] and len(result.snapshots) == 1
+    for name in ("mass.csv", "final.fhk"):
+        assert (out / name).read_bytes() == (lib / name).read_bytes()
+
+
+def test_cli_solve_on_a_step_ladder(cfg_path, tmp_path, capsys):
+    rc = main(["solve", "--config", cfg_path, "--set", "t0=0",
+               "--set", "steps_per_decade=10", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    cfg = load_config(cfg_path, overrides=["t0=0"])
+    ladder = make_step_schedule(0.0, 60.0, 0.0, 0.2, snapshot_times=snapshot_times(cfg),
+                                steps_per_decade=10)
+    uniform = make_step_schedule(0.0, 60.0, 0.0, 0.2, snapshot_times=snapshot_times(cfg))
+    assert int(printed["steps"]) == ladder.total_steps > uniform.total_steps
+    assert float(printed["ledger_defect"]) <= 1e-12
+
+
+def test_cli_names_the_time_a_table_misses(cfg_path, tmp_path, capsys):
+    table = tmp_path / "h.csv"
+    table.write_text("time,value\n1,1\n10,1\n")
+    rc = main(["solve", "--config", cfg_path, "--set", "absorption=table",
+               "--set", f"absorption_table={table}", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "configuration error: time 0.5 outside the absorption table range [1, 10]\n")
 
 
 def test_cli_kernel_outputs(cfg_path, tmp_path, capsys):

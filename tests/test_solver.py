@@ -14,6 +14,7 @@ from mixheat import (
     SolveResult,
     TableAbsorption,
     absorption_step,
+    classify_mass_limit,
     comparison_check,
     convolve,
     default_snapshot_times,
@@ -32,6 +33,7 @@ from mixheat import (
     time_to_tau,
     tau_to_time,
 )
+from mixheat import solver
 from mixheat.solver import _MAX_STEPS, geometric_times
 
 
@@ -263,6 +265,58 @@ def test_make_step_schedule_budget_edge():
                            snapshot_times=[1.0])
 
 
+def test_step_ladder_knots():
+    K = 8
+    # from t0 = 0 the first step is [0, t1 * 1e-6], then K knots per decade
+    sched = make_step_schedule(0.0, 1e3, 0.0, 1e9, snapshot_times=[1e3],
+                               steps_per_decade=K)
+    assert sched.knot_times[:2].tolist() == [0.0, 1e3 * 1e-6]
+    assert sched.total_steps == 1 + 6 * K
+    ratios = sched.knot_times[2:] / sched.knot_times[1:-1]
+    np.testing.assert_allclose(ratios, 10.0 ** (1.0 / K), rtol=1e-12)
+    # from t0 > 0 the ladder starts at t0; snapshot times stay knots, and
+    # no two knots are more than a factor 10^(1/K) apart
+    sched = make_step_schedule(0.5, 8.0, 0.0, 1e9, snapshot_times=[1.0, 3.0],
+                               steps_per_decade=K)
+    assert sched.knot_times[0] == 0.5 and sched.knot_times[-1] == 8.0
+    assert {1.0, 3.0} <= set(sched.knot_times.tolist())
+    ratios = sched.knot_times[1:] / sched.knot_times[:-1]
+    assert np.max(ratios) <= 10.0 ** (1.0 / K) * (1 + 1e-12)
+    # dtau_max still caps every step
+    capped = make_step_schedule(0.5, 8.0, 1.0, 0.05, snapshot_times=[8.0],
+                                steps_per_decade=K)
+    assert np.max(np.diff(capped.knot_taus) / capped.substeps) <= 0.05 + 1e-12
+    # K = 0 is the uniform rule
+    plain = make_step_schedule(0.5, 8.0, 0.0, 0.25)
+    zero = make_step_schedule(0.5, 8.0, 0.0, 0.25, steps_per_decade=0)
+    np.testing.assert_array_equal(plain.knot_times, zero.knot_times)
+    np.testing.assert_array_equal(plain.substeps, zero.substeps)
+
+
+@pytest.mark.parametrize("K,t1,message", [
+    (-1, 1e3, "^steps_per_decade must be an integer in"),
+    (2.5, 1e3, "^steps_per_decade must be an integer in"),
+    (10 ** 400, 1e3, "^steps_per_decade must be an integer in"),
+    (_MAX_STEPS, 1e3, "^steps_per_decade 100000000 needs 6e\\+08 steps"),
+    (1, 1e-320, "^t1 1e-320 is too small to start a step ladder"),  # t1 * 1e-6 is 0
+])
+def test_step_ladder_rejects_bad_density(K, t1, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make_step_schedule(0.0, t1, 0.0, 1e9, steps_per_decade=K)
+
+
+def test_schedule_snapshots_are_knots_ending_at_t1():
+    sched = make_step_schedule(0.5, 8.0, 0.0, 0.25, snapshot_times=[1.0, 2.0])
+    assert sched.snapshot_times.tolist() == [1.0, 2.0, 8.0]
+    final_only = dataclasses.replace(sched, snapshot_times=sched.snapshot_times[-1:])
+    assert final_only.snapshot_times.tolist() == [8.0]
+    for bad in ([1.0, 2.0], [1.5, 8.0], [2.0, 1.0, 8.0], []):
+        with pytest.raises(ConfigurationError, match="^snapshot times must be"):
+            dataclasses.replace(sched, snapshot_times=np.array(bad))
+    with pytest.raises(ConfigurationError, match="inside"):
+        make_step_schedule(0.5, 8.0, 0.0, 0.25, snapshot_times=[1.0, np.nan])
+
+
 # -- absorption step ----------------------------------------------------------
 
 def test_absorption_step_closed_form(small_grid):
@@ -459,6 +513,53 @@ def test_solve_rejects_mismatched_beta(small_grid):
         solve(prob, sched)
 
 
+def test_solve_checks_its_memory_budget_before_allocating(monkeypatch):
+    """2^22 points with 241 snapshot knots hold about 7.5 GiB of
+    snapshots: rejected before the symbol or any work array exists."""
+    grid = make_grid(1, 400.0, 2 ** 22)
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                       initial=make_field(grid, np.zeros(grid.shape)))
+    sched = make_step_schedule(1.0, 100.0, 0.0, 1e9,
+                               snapshot_times=geometric_times(1.0, 100.0, 241))
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("solve allocated before its memory check")
+
+    monkeypatch.setattr(solver, "make_symbol", no_allocation)
+    with pytest.raises(ConfigurationError,
+                       match=r"^241 snapshots of a 4194304-point grid and a trace of 240 "
+                             r"steps need about 7\.63 GiB, more than the memory "
+                             r"budget of 4 GiB$"):
+        solve(prob, sched)
+    # the trace rows count too: 48 B per row, two rows for one step
+    small = make_step_schedule(1.0, 100.0, 0.0, 1e9, snapshot_times=[100.0])
+    monkeypatch.setattr(solver, "_MAX_BYTES", (1 + 3) * grid.points * 8 + 48)
+    with pytest.raises(ConfigurationError, match="memory budget"):
+        solve(prob, small)
+
+
+def test_step_ladder_converges_at_order_two_in_the_c11_setting():
+    """The C11 setting (alpha = 1, beta = 0, p = 3, h = 1, L = 400,
+    n = 8192, t in [0, 1e3]) on the geometric ladder with dtau_max lifted:
+    K = 40 per decade reaches the Richardson limit of the uniform runs,
+    0.09996078, to 1e-6 in at most 250 steps, and doubling K cuts the
+    error four times (C08's rule)."""
+    u0 = unit_gaussian(make_grid(1, 400.0, 8192))
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                       initial=make_field(u0.grid, 0.1 * u0.values))
+    m_inf, steps = {}, {}
+    for K in (20, 40, 80):
+        res = solve(prob, make_step_schedule(0.0, 1e3, 0.0, 1e9, snapshot_times=[1e3],
+                                             steps_per_decade=K))
+        c = classify_mass_limit(res.trace)
+        assert c.kind == "positive_plateau"
+        m_inf[K], steps[K] = c.m_inf_estimate, res.total_steps
+    assert steps[40] <= 250
+    assert abs(m_inf[40] / 0.09996078 - 1.0) <= 1e-6
+    ratio = (m_inf[20] - m_inf[40]) / (m_inf[40] - m_inf[80])
+    assert 3.5 <= ratio <= 4.5
+
+
 class _PoisonAbsorption:
     """Valid until t > 4, then reports NaN; drives the solver into its
     non-finite abort path."""
@@ -488,7 +589,8 @@ def test_solve_attaches_partial_result_on_blowup(small_grid):
     assert np.isfinite(partial.trace.mass).all()
 
     # poisoned from the first step: the partial trace is the initial row
-    with pytest.raises(NumericalFailureError) as exc:
+    with pytest.raises(NumericalFailureError,
+                       match=r"^non-finite state at t = 5\.\d+ \(0 steps completed\)$") as exc:
         solve(prob, make_step_schedule(5.0, 8.0, 0.0, 0.5))
     partial = exc.value.partial
     assert partial.trace.times.tolist() == [5.0] and partial.total_steps == 0
