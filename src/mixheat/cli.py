@@ -86,8 +86,7 @@ def _solve_config(cfg):
     that is the only state the run keeps."""
     problem = build_problem(cfg)
     schedule = make_step_schedule(cfg.t0, cfg.t1, cfg.beta, cfg.dtau_max,
-                                  snapshot_times=snapshot_times(cfg),
-                                  steps_per_decade=cfg.steps_per_decade)
+                                  snapshot_times=snapshot_times(cfg))
     return solve(problem, dataclasses.replace(
         schedule, snapshot_times=schedule.snapshot_times[-1:]))
 

@@ -24,7 +24,6 @@ of step size.
 
 import dataclasses
 import logging
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -37,14 +36,19 @@ from .grid import (Field, GridSpec, SpectralSymbol, _float_or_array,
 _log = logging.getLogger(__name__)
 
 _RIPPLE_TOL = 1e-10  # negative input below -tol*max is a contract violation
-# Most Strang steps one schedule may hold. A larger count is a config error,
-# caught before any work: such a run would not end in useful time.
-_MAX_STEPS = 10 ** 8
 # Most bytes one solve may hold in snapshots, work arrays and trace rows,
-# checked before it allocates. The trace alone (48 B per step) outgrows it
-# below _MAX_STEPS, at about 8.9e7 steps.
+# checked before it allocates.
 _MAX_BYTES = 4 * 2 ** 30
 _TRACE_ROW_BYTES = 6 * 8
+# Grid-sized arrays solve holds besides its snapshots: state, work buffer,
+# spectrum, symbol and multiplier (half lattice each) and the FFT's own
+# scratch. On 2^22 points the peak RSS of a solve, less its one snapshot,
+# measured 5.02 grids in 1D and 4.05 in 2D; 6 leaves a margin.
+_WORK_GRIDS = 6
+# Most Strang steps one schedule may hold: the trace rows of one more step
+# would not fit _MAX_BYTES. A larger count is a config error, caught before
+# any work.
+_MAX_STEPS = _MAX_BYTES // _TRACE_ROW_BYTES - 1
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +202,17 @@ def tau_to_time(tau, beta: float):
     return _float_or_array(out)
 
 
-def geometric_times(t0: float, t1: float, count: int) -> np.ndarray:
-    """Log-spaced output times, endpoints included."""
+def geometric_times(t0: float, t1: float, count: int, name: str = "count") -> np.ndarray:
+    """Log-spaced output times, endpoints included. Every gap between two
+    of them costs a step, so count is at most _MAX_STEPS + 1; this is
+    checked before the ladder is built. name is what the error calls
+    count (a config key, say)."""
     require("finite", t0=t0, t1=t1)
     if not 0 < t0 < t1:
         raise ConfigurationError(f"need 0 < t0 < t1, got {t0}, {t1}")
-    if not (isinstance(count, numbers.Integral) and count >= 2):
-        raise ConfigurationError(f"count must be an integer >= 2, got {count}")
+    if not (isinstance(count, numbers.Integral) and 2 <= count <= _MAX_STEPS + 1):
+        raise ConfigurationError(
+            f"{name} must be an integer in [2, {_MAX_STEPS + 1}], got {count}")
     return np.geomspace(t0, t1, count)
 
 
@@ -265,49 +273,33 @@ class StepSchedule:
         return int(self.substeps.sum())
 
 
-_LADDER_START = 1e-6  # from t0 = 0, the step ladder starts at t1 * this
-
-
 def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
-                       snapshot_times=None, steps_per_decade: int = 0) -> StepSchedule:
+                       snapshot_times=None) -> StepSchedule:
     """Knots at t0, t1 and every snapshot time (default_snapshot_times
     when None); solve keeps the state at each snapshot time and at t1.
 
-    steps_per_decade = K > 0 adds knots on a geometric t-ladder,
-    geomspace(lo, t1, n + 1) with n = ceil(K log10(t1 / lo)), so that
-    consecutive knots are at most a factor 10^(1/K) apart. The ladder
-    starts at lo = t0, or at lo = t1 * 1e-6 when t0 = 0, which makes
-    [0, t1 * 1e-6] the first step. K = 0 adds none. Either way dtau_max
-    caps every step in tau. More than 10^8 steps is a ConfigurationError.
+    The snapshot times also set the step density: a geometric ladder of
+    them (geometric_times, or a [0, t_first] step followed by one from
+    t0 = 0) gives steps that grow with t, and dtau_max caps every step in
+    tau. A schedule of more than _MAX_STEPS steps is a ConfigurationError.
     """
     require("finite", t0=t0, t1=t1)
     require("finite and > 0", dtau_max=dtau_max)
     if not 0 <= t0 < t1:
         raise ConfigurationError(f"need 0 <= t0 < t1, got {t0}, {t1}")
-    if not (isinstance(steps_per_decade, numbers.Integral)
-            and 0 <= steps_per_decade <= _MAX_STEPS):
-        raise ConfigurationError(
-            f"steps_per_decade must be an integer in [0, {_MAX_STEPS}], "
-            f"got {steps_per_decade}")
     if snapshot_times is None:
         snaps = default_snapshot_times(t0, t1)
     else:
         snaps = np.asarray(snapshot_times, dtype=float)
+        # each gap between knots costs a step; checked before any array
+        # of their size exists
+        if snaps.size > _MAX_STEPS + 1:
+            raise ConfigurationError(
+                f"{snaps.size} snapshot times need more steps than the budget "
+                f"of {_MAX_STEPS}")
         if not np.all((snaps >= t0) & (snaps <= t1)):
             raise ConfigurationError("snapshot times must lie inside [t0, t1]")
-    ladder = []
-    if steps_per_decade:
-        lo = t0 if t0 > 0 else t1 * _LADDER_START
-        if lo == 0:
-            raise ConfigurationError(f"t1 {t1} is too small to start a step ladder")
-        decades = math.log10(t1) - math.log10(lo)
-        count = max(1, math.ceil(steps_per_decade * decades - 1e-9))
-        if count > _MAX_STEPS:
-            raise ConfigurationError(
-                f"steps_per_decade {steps_per_decade} needs {count:.3g} steps on "
-                f"[t0, t1], more than the budget of {_MAX_STEPS:.0e}")
-        ladder = np.geomspace(lo, t1, count + 1)
-    knot_times = np.unique(np.concatenate([[t0, t1], snaps, ladder]))
+    knot_times = np.unique(np.concatenate([[t0, t1], snaps]))
     # Overflow to inf is caught below, before the count is cast to int.
     with np.errstate(over="ignore"):
         knot_taus = time_to_tau(knot_times, beta)
@@ -321,7 +313,7 @@ def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
     if not total <= _MAX_STEPS:
         raise ConfigurationError(
             f"dtau_max {dtau_max} needs {total:.3g} steps on [t0, t1], more "
-            f"than the budget of {_MAX_STEPS:.0e}")
+            f"than the budget of {_MAX_STEPS}")
     return StepSchedule(beta=beta, knot_times=knot_times, knot_taus=knot_taus,
                         substeps=counts.astype(int),
                         snapshot_times=np.unique(np.append(snaps, t1)))
@@ -459,7 +451,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     Mass, cumulative absorbed mass and field norms are recorded after
     every substep. The state is updated in place; snapshots, copies of it,
     are taken at the schedule's snapshot times only. A run whose snapshots,
-    three grid-sized work arrays and trace rows would need more than
+    _WORK_GRIDS grid-sized work arrays and trace rows would need more than
     _MAX_BYTES is a ConfigurationError before anything is allocated. A
     non-finite state aborts with the partial result attached to the raised
     error as .partial.
@@ -470,7 +462,8 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     grid = problem.grid
     n_snaps = schedule.snapshot_times.size
     u0 = problem.initial.values
-    need = (n_snaps + 3) * u0.nbytes + _TRACE_ROW_BYTES * (schedule.total_steps + 1)
+    need = ((n_snaps + _WORK_GRIDS) * u0.nbytes
+            + _TRACE_ROW_BYTES * (schedule.total_steps + 1))
     if need > _MAX_BYTES:
         raise ConfigurationError(
             f"{n_snaps} snapshots of a {u0.size}-point grid "
@@ -488,6 +481,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     # the step's only grid-sized buffers: fresh ones would page-fault
     work = np.empty_like(u)
     spectrum = np.empty(symbol.values.shape, dtype=complex)
+    multiplier = np.empty_like(symbol.values)
     mass = np.sum(u)
     t0 = float(schedule.knot_times[0])
     # one trace row per step, in MassTrace's column order
@@ -525,7 +519,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         sub_times[-1] = schedule.knot_times[k + 1]
         mid_times = tau_to_time((sub_taus[:-1] + sub_taus[1:]) / 2.0, beta)
         dtau = (tau_b - tau_a) / n_sub
-        multiplier = np.exp(-dtau * symbol.values)
+        np.exp(np.multiply(symbol.values, -dtau, out=multiplier), out=multiplier)
         for j in range(n_sub):
             _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p, work)
             absorbed += (mass - np.sum(u)) * dV

@@ -153,16 +153,19 @@ _SOLVE_GRID = make_grid(1, 20.0, 256)
        c=st.floats(0.0, 10.0), sigma=st.floats(-2.0, 2.0),
        width=st.floats(0.75, 1.5), mass=st.floats(1e-3, 1e3), center=st.floats(-3.0, 3.0),
        t0=st.sampled_from([0.0, 0.5]), t1=st.floats(1.0, 4.0),
-       dtau_max=st.floats(0.05, 1.0), steps_per_decade=st.sampled_from([0, 10]))
+       dtau_max=st.floats(0.05, 1.0), ladder=st.booleans())
 def test_solve_keeps_its_ledger_and_sign(alpha, beta, p, c, sigma, width, mass, center,
-                                         t0, t1, dtau_max, steps_per_decade):
+                                         t0, t1, dtau_max, ladder):
     x = _SOLVE_GRID.axis_coords()
     bump = np.exp(-(x - center) ** 2 / (2.0 * width ** 2))
     u0 = make_field(_SOLVE_GRID, bump * (mass / (np.sum(bump) * _SOLVE_GRID.cell_volume)))
     problem = ProblemSpec(alpha=alpha, beta=beta, p=p,
                           absorption=PowerAbsorption(c, sigma), initial=u0)
-    schedule = make_step_schedule(t0, t1, beta, dtau_max,
-                                  steps_per_decade=steps_per_decade)
+    # the default snapshot ladder, or 10 knots per decade from t0 (from
+    # t1 * 1e-6 after a first step when t0 = 0)
+    lo = t0 or t1 * 1e-6
+    knots = np.geomspace(lo, t1, int(np.ceil(10 * np.log10(t1 / lo))) + 1) if ladder else None
+    schedule = make_step_schedule(t0, t1, beta, dtau_max, snapshot_times=knots)
     result = solve(problem, schedule)
     assert mass_identity_defect(result) <= 1e-12
     assert all(np.min(f.values) >= 0 for f in result.snapshots)

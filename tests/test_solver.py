@@ -265,44 +265,28 @@ def test_make_step_schedule_budget_edge():
                            snapshot_times=[1.0])
 
 
-def test_step_ladder_knots():
-    K = 8
-    # from t0 = 0 the first step is [0, t1 * 1e-6], then K knots per decade
-    sched = make_step_schedule(0.0, 1e3, 0.0, 1e9, snapshot_times=[1e3],
-                               steps_per_decade=K)
-    assert sched.knot_times[:2].tolist() == [0.0, 1e3 * 1e-6]
-    assert sched.total_steps == 1 + 6 * K
-    ratios = sched.knot_times[2:] / sched.knot_times[1:-1]
-    np.testing.assert_allclose(ratios, 10.0 ** (1.0 / K), rtol=1e-12)
-    # from t0 > 0 the ladder starts at t0; snapshot times stay knots, and
-    # no two knots are more than a factor 10^(1/K) apart
-    sched = make_step_schedule(0.5, 8.0, 0.0, 1e9, snapshot_times=[1.0, 3.0],
-                               steps_per_decade=K)
-    assert sched.knot_times[0] == 0.5 and sched.knot_times[-1] == 8.0
-    assert {1.0, 3.0} <= set(sched.knot_times.tolist())
-    ratios = sched.knot_times[1:] / sched.knot_times[:-1]
-    assert np.max(ratios) <= 10.0 ** (1.0 / K) * (1 + 1e-12)
-    # dtau_max still caps every step
-    capped = make_step_schedule(0.5, 8.0, 1.0, 0.05, snapshot_times=[8.0],
-                                steps_per_decade=K)
-    assert np.max(np.diff(capped.knot_taus) / capped.substeps) <= 0.05 + 1e-12
-    # K = 0 is the uniform rule
-    plain = make_step_schedule(0.5, 8.0, 0.0, 0.25)
-    zero = make_step_schedule(0.5, 8.0, 0.0, 0.25, steps_per_decade=0)
-    np.testing.assert_array_equal(plain.knot_times, zero.knot_times)
-    np.testing.assert_array_equal(plain.substeps, zero.substeps)
+def test_knot_counts_past_the_step_budget_fail_before_any_ladder(monkeypatch):
+    """Each gap between knots costs a step, so a ladder or a set of
+    snapshot times longer than _MAX_STEPS + 1 is rejected before it is
+    built; the trace of _MAX_STEPS steps is the most _MAX_BYTES holds."""
+    assert (solver._TRACE_ROW_BYTES * (_MAX_STEPS + 1) <= solver._MAX_BYTES
+            < solver._TRACE_ROW_BYTES * (_MAX_STEPS + 2))
 
+    def built(*args, **kwargs):
+        raise AssertionError("ladder built")
 
-@pytest.mark.parametrize("K,t1,message", [
-    (-1, 1e3, "^steps_per_decade must be an integer in"),
-    (2.5, 1e3, "^steps_per_decade must be an integer in"),
-    (10 ** 400, 1e3, "^steps_per_decade must be an integer in"),
-    (_MAX_STEPS, 1e3, "^steps_per_decade 100000000 needs 6e\\+08 steps"),
-    (1, 1e-320, "^t1 1e-320 is too small to start a step ladder"),  # t1 * 1e-6 is 0
-])
-def test_step_ladder_rejects_bad_density(K, t1, message):
-    with pytest.raises(ConfigurationError, match=message):
-        make_step_schedule(0.0, t1, 0.0, 1e9, steps_per_decade=K)
+    monkeypatch.setattr(np, "geomspace", built)
+    with pytest.raises(AssertionError, match="ladder built"):
+        geometric_times(1.0, 10.0, _MAX_STEPS + 1)
+    with pytest.raises(ConfigurationError,
+                       match=rf"^count must be an integer in \[2, {_MAX_STEPS + 1}\], "
+                             rf"got {_MAX_STEPS + 2}$"):
+        geometric_times(1.0, 10.0, _MAX_STEPS + 2)
+    # a read-only view: the snapshot times themselves take no memory
+    too_many = np.broadcast_to(2.0, (_MAX_STEPS + 2,))
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{_MAX_STEPS + 2} snapshot times need more steps"):
+        make_step_schedule(1.0, 10.0, 0.0, 1e9, snapshot_times=too_many)
 
 
 def test_schedule_snapshots_are_knots_ending_at_t1():
@@ -528,29 +512,32 @@ def test_solve_checks_its_memory_budget_before_allocating(monkeypatch):
     monkeypatch.setattr(solver, "make_symbol", no_allocation)
     with pytest.raises(ConfigurationError,
                        match=r"^241 snapshots of a 4194304-point grid and a trace of 240 "
-                             r"steps need about 7\.63 GiB, more than the memory "
+                             r"steps need about 7\.72 GiB, more than the memory "
                              r"budget of 4 GiB$"):
         solve(prob, sched)
     # the trace rows count too: 48 B per row, two rows for one step
     small = make_step_schedule(1.0, 100.0, 0.0, 1e9, snapshot_times=[100.0])
-    monkeypatch.setattr(solver, "_MAX_BYTES", (1 + 3) * grid.points * 8 + 48)
+    monkeypatch.setattr(solver, "_MAX_BYTES",
+                        (1 + solver._WORK_GRIDS) * grid.points * 8 + 48)
     with pytest.raises(ConfigurationError, match="memory budget"):
         solve(prob, small)
 
 
-def test_step_ladder_converges_at_order_two_in_the_c11_setting():
+def test_geometric_knots_converge_at_order_two_in_the_c11_setting():
     """The C11 setting (alpha = 1, beta = 0, p = 3, h = 1, L = 400,
-    n = 8192, t in [0, 1e3]) on the geometric ladder with dtau_max lifted:
-    K = 40 per decade reaches the Richardson limit of the uniform runs,
-    0.09996078, to 1e-6 in at most 250 steps, and doubling K cuts the
-    error four times (C08's rule)."""
+    n = 8192, t in [0, 1e3]) with dtau_max lifted, stepping from knot to
+    knot: a first step [0, 1e-3], then K knots per decade up to 1e3.
+    K = 40 reaches the Richardson limit of the uniform runs, 0.09996078,
+    to 1e-6 in at most 250 steps, and doubling K cuts the error four
+    times (C08's rule)."""
     u0 = unit_gaussian(make_grid(1, 400.0, 8192))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
                        initial=make_field(u0.grid, 0.1 * u0.values))
     m_inf, steps = {}, {}
     for K in (20, 40, 80):
-        res = solve(prob, make_step_schedule(0.0, 1e3, 0.0, 1e9, snapshot_times=[1e3],
-                                             steps_per_decade=K))
+        knots = np.geomspace(1e-3, 1e3, 6 * K + 1)
+        schedule = make_step_schedule(0.0, 1e3, 0.0, 1e9, snapshot_times=knots)
+        res = solve(prob, dataclasses.replace(schedule, snapshot_times=knots[-1:]))
         c = classify_mass_limit(res.trace)
         assert c.kind == "positive_plateau"
         m_inf[K], steps[K] = c.m_inf_estimate, res.total_steps
