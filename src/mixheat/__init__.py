@@ -21,8 +21,9 @@ from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
                    delta_field, frac_laplacian_spectral, integral, make_field,
                    make_grid, make_symbol, read_field, write_field)
 from .kernels import (gaussian_kernel, half_width_for_tail, kernel_lq_norm,
-                      mixed_kernel, stable_kernel, stable_tail_constant,
-                      stable_tail_mass, taylor_contraction_error)
+                      mixed_kernel, mixed_kernel_norms, stable_kernel,
+                      stable_tail_constant, stable_tail_mass,
+                      taylor_contraction_error)
 from .observers import (MassClassification, absorbed_integral_tail_ratio,
                         classify_mass_limit, condition_h_check,
                         critical_exponent, decay_rate_exponent, h_bound_H,
@@ -40,7 +41,8 @@ __all__ = [
     "make_grid", "make_field", "delta_field", "integral", "make_symbol",
     "apply_symbol", "frac_laplacian_spectral", "convolve", "write_field",
     "read_field",
-    "gaussian_kernel", "stable_kernel", "mixed_kernel", "kernel_lq_norm",
+    "gaussian_kernel", "stable_kernel", "mixed_kernel", "mixed_kernel_norms",
+    "kernel_lq_norm",
     "taylor_contraction_error", "stable_tail_constant", "stable_tail_mass",
     "half_width_for_tail", "stable_kernel_quadrature", "mixed_kernel_quadrature",
     "frac_constant", "bracket_profile", "bracket_laplacian",

@@ -27,7 +27,7 @@ from .errors import ConfigurationError, NumericalFailureError, require
 from .fractional import (bracket_laplacian, bracket_profile, capacity_integral,
                          make_test_function_spec)
 from .grid import integral, make_field, make_grid, read_field, write_field
-from .kernels import kernel_lq_norm, mixed_kernel, stable_kernel
+from .kernels import mixed_kernel, mixed_kernel_norms, stable_kernel
 from .observers import (_loglog_slope, classify_mass_limit, condition_h_check,
                         critical_exponent, read_mass_csv, write_mass_csv)
 from .solver import (make_step_schedule, mass_identity_defect, solve)
@@ -57,19 +57,15 @@ def cmd_kernel(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
     grid = build_grid(cfg)
     out = _out_dir(args)
-    rows = []
-    last = None
-    for t in kernel_times(cfg):
-        k = mixed_kernel(grid, cfg.alpha, t)
-        last = k
-        for q in (1.0, 2.0, math.inf):
-            rows.append((t, q, kernel_lq_norm(k, q)))
+    times = kernel_times(cfg)
+    norms, last = mixed_kernel_norms(grid, cfg.alpha, times)
     csv_path = os.path.join(out, "kernel.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("t", "q", "norm"))
-        for t, q, norm in rows:
-            writer.writerow((_fmt(t), _fmt(q), _fmt(norm)))
+        for t, row in zip(times, norms):
+            for q, norm in zip((1.0, 2.0, math.inf), row):
+                writer.writerow((_fmt(t), _fmt(q), _fmt(norm)))
     field_path = os.path.join(out, "kernel.fhk")
     write_field(last, field_path)
     print(f"alpha={_fmt(cfg.alpha)}")

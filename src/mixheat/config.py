@@ -179,15 +179,19 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
         raise ConfigurationError(
             f"initial_width must be positive with a finite nonzero square, got {width}")
     require("finite", initial_center=cfg.initial_center)
-    coords = grid.coords()
-    r2 = sum((c - cfg.initial_center) ** 2 for c in coords)
+    # |x - c|^2 from per-axis squared offsets broadcast against each other,
+    # then the exponent, exp and scale in place: one grid-sized array
+    d2 = (grid.axis_coords() - cfg.initial_center) ** 2
+    bump = d2 if grid.dim == 1 else d2[:, None] + d2[None, :]
+    np.negative(bump, out=bump)
     with np.errstate(over="ignore"):  # a far point's exponent -> -inf: bump 0
-        bump = np.exp(-r2 / (2.0 * width ** 2))
-    f = make_field(grid, bump)
-    m = integral(f)
+        np.divide(bump, 2.0 * width ** 2, out=bump)
+        np.exp(bump, out=bump)
+    m = integral(make_field(grid, bump))
     if m <= 0:
         raise ConfigurationError("initial bump has zero mass on this grid")
-    return make_field(grid, bump * (cfg.initial_mass / m))
+    bump *= cfg.initial_mass / m
+    return make_field(grid, bump)
 
 
 def snapshot_times(cfg: ExperimentConfig) -> np.ndarray:

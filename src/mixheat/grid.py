@@ -114,23 +114,6 @@ def delta_field(grid: GridSpec) -> Field:
     return Field(grid=grid, values=v)
 
 
-def _delta_spectrum(grid: GridSpec) -> np.ndarray:
-    """The real-FFT half spectrum of delta_field(grid), bit for bit,
-    without transforming.
-
-    The delta sits at index n//2 on every axis, so its half spectrum is
-    (1/dV) exp(-i pi sum k) = (-1)^(sum k) / dV, with k the FFT index on
-    each axis; the FFT returns exactly these values with a zero imaginary
-    part. The sign flips are exact, so every entry is +-(1/dV).
-    """
-    shape = grid.shape[:-1] + (grid.points // 2 + 1,)
-    spectrum = np.full(shape, 1.0 / grid.cell_volume)
-    spectrum[..., 1::2] *= -1.0
-    if grid.dim == 2:
-        spectrum[1::2] *= -1.0
-    return spectrum
-
-
 def integral(f: Field) -> float:
     return float(np.sum(f.values) * f.grid.cell_volume)
 
@@ -238,7 +221,7 @@ def write_field(f: Field, path) -> None:
                          f.grid.points, f.grid.half_width)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
 
 
 def read_field(path) -> Field:

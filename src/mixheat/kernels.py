@@ -4,11 +4,19 @@ The three families are the Gaussian kernel of exp(t Lap), the isotropic
 stable kernel of exp(-t (-Lap)^(alpha/2)), and their convolution, the
 kernel of the full mixed flow. All grid kernels are built in frequency
 space by applying the matching semigroup multiplier to the spectrum of a
-discrete delta. That spectrum is known in closed form (grid's
-_delta_spectrum equals the delta's forward transform bit for bit), so a
-kernel costs one inverse transform. The multiplier is exactly 1 at the zero mode,
-which pins the discrete mass to one, and by Poisson summation the grid
-kernel is the periodization of the exact one.
+discrete delta. That spectrum is known in closed form, +-1/dV, and the
+product is formed in place bit for bit as the delta's forward transform
+times the multiplier would give it, so a kernel costs one inverse
+transform. The multiplier is exactly 1 at the zero mode, which pins the
+discrete mass to one, and by Poisson summation the grid kernel is the
+periodization of the exact one.
+
+A run of kernels on one grid (mixed_kernel_norms) builds one symbol and
+one complex half-spectrum buffer, and each kernel overwrites the array of
+the one before. At its peak the run holds the symbol, the spectrum
+buffer, one kernel and numpy's transform scratch, about five grids of
+float64 (_KERNEL_GRIDS); every kernel builder checks that against the
+solver's memory budget before it allocates anything grid-sized.
 
 Quadrature inversions of the Fourier formulas, the cross-check oracles
 for these kernels, live in `mixheat.oracles`, which no simulation module
@@ -21,8 +29,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, SpectralSymbol, _delta_spectrum,
-                   _spectral_apply, apply_symbol, integral, make_symbol)
+from .grid import (Field, GridSpec, SpectralSymbol, _spectral_apply,
+                   apply_symbol, integral, make_symbol)
 
 log = logging.getLogger(__name__)
 
@@ -31,8 +39,18 @@ log = logging.getLogger(__name__)
 _MASS_FAILURE = 1e-4
 _RIPPLE_REPORT = 1e-10
 
+# Grid-sized float64 arrays a kernel run holds at its peak, during a
+# transform: the symbol (half a grid), the complex spectrum buffer, the
+# kernel and numpy's irfft scratch (about 2.5 grids in 1D). The ru_maxrss
+# of mixed_kernel_norms over nine times, less the interpreter's, measured
+# 5.07, 5.04 and 4.64 grids on 2^21, 2^22 and 2^23 points in 1D and 4.17
+# and 4.04 on 1024^2 and 2048^2 in 2D; 6 leaves a margin.
+_KERNEL_GRIDS = 6
 
-def _check_kernel(k: Field, label: str) -> Field:
+
+def _check_kernel(k: Field, label: str) -> float:
+    """Raise if the kernel's mass is off, log its negative ripple, and
+    return its sup norm max |k|."""
     mass = integral(k)
     if abs(mass - 1.0) > _MASS_FAILURE:
         raise NumericalFailureError(f"{label}: kernel mass {mass} deviates from 1")
@@ -40,16 +58,67 @@ def _check_kernel(k: Field, label: str) -> Field:
     vmin = float(k.values.min())
     if vmin < -_RIPPLE_REPORT * vmax:
         log.warning("%s: negative ripple %.3e relative to peak %.3e", label, vmin, vmax)
-    return k
+    return max(vmax, -vmin)
 
 
-def _delta_response(sym: SpectralSymbol, t: float) -> Field:
+def _kernel_run(grid: GridSpec, alpha: float, kind: str):
+    """The symbol and a zeroed complex half-spectrum buffer for kernels on
+    one grid, once the run is known to fit the solver's memory budget."""
+    from .solver import _MAX_BYTES  # read per call: the budget may be lowered
+
+    points = grid.points ** grid.dim
+    need = _KERNEL_GRIDS * 8 * points
+    if need > _MAX_BYTES:
+        raise ConfigurationError(
+            f"points = {grid.points} gives a {points}-point kernel grid that "
+            f"needs about {need / 2 ** 30:.3g} GiB, more than the memory "
+            f"budget of {_MAX_BYTES / 2 ** 30:g} GiB")
+    sym = make_symbol(grid, alpha, kind)
+    return sym, np.zeros(sym.values.shape, dtype=complex)
+
+
+def _delta_response(sym: SpectralSymbol, spectrum: np.ndarray, t: float,
+                    out: np.ndarray = None) -> Field:
     """exp(-t m(xi)) applied to the grid delta, bit for bit as apply_symbol
-    would return it, from the delta's closed-form half spectrum."""
+    would return it, into out (a fresh array if None).
+
+    The multiplier is formed in the leading entries of out, which the
+    inverse transform then overwrites. The delta sits at index n//2 on
+    every axis, so its half spectrum is (1/dV) exp(-i pi sum k) =
+    (-1)^(sum k) / dV, with k the FFT index on each axis, and a zero
+    imaginary part: spectrum's imaginary part must be zero, and its real
+    part is overwritten with the multiplier times 1/dV, negated where
+    sum k is odd. Sign flips are exact and multiplication commutes, so the
+    product is the delta's forward transform times the multiplier, bit for
+    bit.
+    """
     grid = sym.grid
-    values = _spectral_apply(grid, None, np.exp(-t * sym.values),
-                             spectrum=_delta_spectrum(grid))
-    return Field(grid=grid, values=values)
+    if out is None:
+        out = np.empty(grid.shape)
+    m = out.reshape(-1)[:sym.values.size].reshape(sym.values.shape)
+    np.multiply(sym.values, -t, out=m)
+    np.exp(m, out=m)
+    product = spectrum.real
+    np.multiply(m, 1.0 / grid.cell_volume, out=product)
+    product[..., 1::2] *= -1.0
+    if grid.dim == 2:
+        product[1::2] *= -1.0
+    return Field(grid=grid, values=_spectral_apply(grid, None, spectrum=spectrum, out=out))
+
+
+def _lq_from_power_sum(w: np.ndarray, grid: GridSpec, q: float) -> float:
+    """(sum(w) dV)^(1/q): the L^q norm of f once w holds |f|^q."""
+    return float((np.sum(w) * grid.cell_volume) ** (1.0 / q))
+
+
+def _l1_l2_norms(k: Field):
+    """kernel_lq_norm(k, 1) and (k, 2), bit for bit, from one |k|
+    temporary that is freed on return, before the next transform needs
+    its scratch."""
+    w = np.abs(k.values)
+    l1 = _lq_from_power_sum(w, k.grid, 1.0)
+    np.multiply(w, w, out=w)
+    return l1, _lq_from_power_sum(w, k.grid, 2.0)
 
 
 def gaussian_kernel(grid: GridSpec, t: float) -> Field:
@@ -64,15 +133,41 @@ def gaussian_kernel(grid: GridSpec, t: float) -> Field:
 def stable_kernel(grid: GridSpec, alpha: float, t: float) -> Field:
     """Stable kernel: semigroup multiplier exp(-t |xi|^alpha) on a delta."""
     require("finite and > 0", t=t)
-    k = _delta_response(make_symbol(grid, alpha, kind="fractional"), t)
-    return _check_kernel(k, f"stable_kernel(alpha={alpha}, t={t})")
+    k = _delta_response(*_kernel_run(grid, alpha, "fractional"), t)
+    _check_kernel(k, f"stable_kernel(alpha={alpha}, t={t})")
+    return k
 
 
 def mixed_kernel(grid: GridSpec, alpha: float, t: float) -> Field:
     """Kernel of the mixed flow: exp(-t (|xi|^2 + |xi|^alpha)) on a delta."""
     require("finite and > 0", t=t)
-    k = _delta_response(make_symbol(grid, alpha, kind="mixed"), t)
-    return _check_kernel(k, f"mixed_kernel(alpha={alpha}, t={t})")
+    k = _delta_response(*_kernel_run(grid, alpha, "mixed"), t)
+    _check_kernel(k, f"mixed_kernel(alpha={alpha}, t={t})")
+    return k
+
+
+def mixed_kernel_norms(grid: GridSpec, alpha: float, times):
+    """L^1, L^2 and L^inf norms of the mixed kernel at each time, and the
+    kernel at the last time.
+
+    Returns (norms, kernel): norms has shape (len(times), 3), its columns
+    q = 1, 2, inf, each bit for bit kernel_lq_norm(mixed_kernel(grid,
+    alpha, t), q). The run builds one symbol and one spectrum buffer, and
+    each kernel overwrites the array of the one before, once its norms are
+    taken; one |k| temporary serves its L^1 and L^2 norms.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if times.size == 0:
+        raise ConfigurationError("times must hold at least one time")
+    require("finite and > 0", times=times)
+    sym, spectrum = _kernel_run(grid, alpha, "mixed")
+    out = np.empty(grid.shape)
+    norms = np.empty((times.size, 3))
+    for row, t in zip(norms, times.tolist()):
+        k = _delta_response(sym, spectrum, t, out)
+        row[2] = _check_kernel(k, f"mixed_kernel(alpha={alpha}, t={t})")
+        row[:2] = _l1_l2_norms(k)
+    return norms, k
 
 
 def kernel_lq_norm(f: Field, q: float) -> float:
@@ -87,7 +182,7 @@ def kernel_lq_norm(f: Field, q: float) -> float:
         raise ConfigurationError(f"q must be >= 1 or inf, got {q}")
     w = np.abs(v)
     np.power(w, q, out=w)
-    return float((np.sum(w) * f.grid.cell_volume) ** (1.0 / q))
+    return _lq_from_power_sum(w, f.grid, q)
 
 
 def taylor_contraction_error(g: Field, t_list, alpha: float):
@@ -100,7 +195,7 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
     times = np.atleast_1d(np.asarray(t_list, dtype=float))
     require(">= 0 and finite", t_list=times)
     grid = g.grid
-    sym = make_symbol(grid, alpha, kind="mixed")
+    sym, spectrum = _kernel_run(grid, alpha, "mixed")
     mass = integral(g)
     coords = grid.coords()
     radius = np.sqrt(sum(c ** 2 for c in coords))
@@ -108,7 +203,7 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
     errors = []
     for t in times:
         smoothed = apply_symbol(g, sym, scale=t, mode="semigroup")
-        kern = _delta_response(sym, t)
+        kern = _delta_response(sym, spectrum, t)
         diff = smoothed.values - mass * kern.values
         errors.append(float(np.sum(np.abs(diff)) * grid.cell_volume))
     return np.array(errors), x_moment

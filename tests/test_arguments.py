@@ -32,6 +32,7 @@ from mixheat import (
     make_symbol,
     make_test_function_spec,
     mixed_kernel,
+    mixed_kernel_norms,
     mixed_kernel_quadrature,
     profile_error,
     scaling_check,
@@ -96,6 +97,8 @@ CASES = [
     ("stable_kernel", "alpha", 0.0, lambda v: stable_kernel(GRID, v, 1.0)),
     ("mixed_kernel", "t", 0.0, lambda v: mixed_kernel(GRID, 1.0, v)),
     ("mixed_kernel", "alpha", 2.0, lambda v: mixed_kernel(GRID, v, 1.0)),
+    ("mixed_kernel_norms", "times", 0.0, lambda v: mixed_kernel_norms(GRID, 1.0, [1.0, v])),
+    ("mixed_kernel_norms", "alpha", 2.0, lambda v: mixed_kernel_norms(GRID, v, [1.0])),
     ("taylor_contraction_error", "t_list", -1.0,
      lambda v: taylor_contraction_error(FIELD, [1.0, v], 1.0)),
     ("stable_tail_constant", "alpha", 2.0, lambda v: stable_tail_constant(v, 1)),

@@ -1,6 +1,7 @@
 """Config parsing and the command-line harness (exit codes, artifacts)."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,18 @@ import pytest
 from mixheat import (
     ConfigurationError,
     integral,
+    kernel_lq_norm,
+    make_field,
     make_grid,
     make_step_schedule,
+    mixed_kernel,
     read_field,
     read_mass_csv,
     solve,
     write_field,
     write_mass_csv,
 )
-from mixheat import cli, solver
+from mixheat import cli, kernels, solver
 from mixheat.cli import main
 from mixheat.config import (
     build_absorption,
@@ -154,6 +158,32 @@ def test_build_file_initial(cfg_path, tmp_path):
                                                f"initial_path={wrong}"])
     with pytest.raises(ConfigurationError):
         build_initial(cfg_bad, grid)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_gaussian_initial_is_the_meshgrid_formula_bit_for_bit(cfg_path, dim, n):
+    cfg = load_config(cfg_path, overrides=[f"dim={dim}", f"points={n}",
+                                           "initial_center=3.7", "initial_width=2.3",
+                                           "initial_mass=0.37"])
+    grid = build_grid(cfg)
+    r2 = sum((c - 3.7) ** 2 for c in grid.coords())
+    bump = np.exp(-r2 / (2.0 * 2.3 ** 2))
+    expected = bump * (0.37 / integral(make_field(grid, bump)))
+    assert np.array_equal(build_initial(cfg, grid).values, expected)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2 ** 20), (2, 512)])
+def test_gaussian_initial_peaks_below_two_and_a_half_grids(cfg_path, dim, n):
+    cfg = load_config(cfg_path, overrides=[f"dim={dim}", f"points={n}",
+                                           "initial_center=3.7"])
+    tracemalloc.start()
+    try:
+        problem = build_problem(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.initial.values.nbytes == 8 * n ** dim
+    assert peak <= 2.5 * 8 * n ** dim
 
 
 def test_absorption_table_io(cfg_path, tmp_path):
@@ -330,6 +360,49 @@ def test_cli_kernel_outputs(cfg_path, tmp_path, capsys):
     assert len(lines) == 1 + 3 * 3  # three times, three norms each
     kern = read_field(out / "kernel.fhk")
     assert kern.grid.points == 256
+
+
+def test_cli_kernel_builds_one_symbol_for_all_its_times(cfg_path, tmp_path, monkeypatch,
+                                                         capsys):
+    calls = []
+    make_symbol = kernels.make_symbol
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_symbol(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "make_symbol", counting)
+    out = tmp_path / "kernel_out"
+    assert main(["kernel", "--config", cfg_path, "--out-dir", str(out),
+                 "--set", "kernel_times=0.5,2,8,32"]) == 0
+    assert len(calls) == 1
+    grid = build_grid(load_config(cfg_path))
+    rows = [line.split(",") for line in (out / "kernel.csv").read_text().splitlines()[1:]]
+    expected = []
+    for t in (0.5, 2.0, 8.0, 32.0):
+        k = mixed_kernel(grid, 1.0, t)
+        expected += [[cli._fmt(t), cli._fmt(q), cli._fmt(kernel_lq_norm(k, q))]
+                     for q in (1.0, 2.0, np.inf)]
+    assert rows == expected
+    assert np.array_equal(read_field(out / "kernel.fhk").values, k.values)
+    assert f"mass={cli._fmt(integral(k))}" in capsys.readouterr().out
+
+
+def test_cli_kernel_past_the_memory_budget_exits_1_before_allocating(
+        cfg_path, tmp_path, monkeypatch, capsys):
+    """2^28 points in 1D would hold about 12 GiB; nothing grid-sized is
+    built (make_symbol is the first grid-sized allocation)."""
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the memory check")
+
+    monkeypatch.setattr(kernels, "make_symbol", no_allocation)
+    rc = main(["kernel", "--config", cfg_path, "--out-dir", str(tmp_path / "out"),
+               "--set", f"points={2 ** 28}"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "configuration error: points = 268435456 gives a 268435456-point kernel "
+        "grid that needs about 12 GiB, more than the memory budget of 4 GiB\n")
+    assert not (tmp_path / "out" / "kernel.csv").exists()
 
 
 def test_cli_solve_analyze_roundtrip(cfg_path, tmp_path, capsys):

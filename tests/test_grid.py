@@ -1,5 +1,7 @@
 """Grid, field, and spectral-primitive tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,22 @@ def test_field_io_roundtrip(tmp_path):
         back = read_field(path)
         assert back.grid == g
         np.testing.assert_array_equal(back.values, f.values)
+
+
+def test_field_file_bytes_are_the_header_and_the_samples(tmp_path):
+    """write_field writes the contiguous little-endian samples straight
+    from the array's buffer: the same bytes as the header plus tobytes(),
+    also for a strided 2D view."""
+    rng = np.random.default_rng(5)
+    for dim, values in ((1, rng.standard_normal(32)),
+                        (2, rng.standard_normal((32, 32)).T)):
+        g = make_grid(dim, 6.0, 32)
+        f = make_field(g, values)
+        path = tmp_path / f"field{dim}.fhk"
+        write_field(f, path)
+        header = struct.pack("<4sBQd", b"FHK1", dim, 32, 6.0)
+        samples = np.ascontiguousarray(values, dtype="<f8").tobytes()
+        assert path.read_bytes() == header + samples
 
 
 def test_field_io_rejects_corruption(tmp_path):

@@ -19,6 +19,7 @@ from mixheat import (
     make_grid,
     make_symbol,
     mixed_kernel,
+    mixed_kernel_norms,
     mixed_kernel_quadrature,
     stable_kernel,
     stable_kernel_quadrature,
@@ -26,7 +27,8 @@ from mixheat import (
     stable_tail_mass,
     taylor_contraction_error,
 )
-from mixheat.grid import _delta_spectrum
+from mixheat import kernels, solver
+from mixheat.kernels import _delta_response
 
 ALPHAS = (0.5, 1.0, 1.5)
 
@@ -89,18 +91,30 @@ def test_mixed_kernel_is_product_of_factors(alpha):
                                           (stable_kernel, "fractional")])
 @pytest.mark.parametrize("dim,n", [(1, 16), (1, 1024), (1, 2 ** 16), (2, 16), (2, 256)])
 def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n):
-    """Skipping the delta's forward transform changes no bit: the closed
-    form is its rfftn exactly, and the kernel is the apply_symbol result."""
+    """Skipping the delta's forward transform changes no bit: the in-place
+    product with a multiplier of 1 (t = 0) is its rfftn exactly, every
+    kernel is the apply_symbol result, and a run of mixed kernels over
+    unordered times returns the last of them and the kernel_lq_norm of
+    each, bit for bit."""
     g = make_grid(dim, 0.37 * n, n)
     delta = delta_field(g)
     spectrum = np.fft.rfftn(delta.values, axes=tuple(range(dim)))
-    assert np.array_equal(_delta_spectrum(g), spectrum.real)
     assert not spectrum.imag.any()
+    times = (1.0, 1e-3, 300.0)
     for alpha in ALPHAS:
         sym = make_symbol(g, alpha, kind)
-        for t in (1e-3, 1.0, 300.0):
+        buffer = np.zeros(sym.values.shape, dtype=complex)
+        _delta_response(sym, buffer, 0.0)
+        assert np.array_equal(buffer, spectrum)
+        built = [builder(g, alpha, t) for t in times]
+        for t, k in zip(times, built):
             reference = apply_symbol(delta, sym, scale=t, mode="semigroup")
-            assert np.array_equal(builder(g, alpha, t).values, reference.values)
+            assert np.array_equal(k.values, reference.values)
+        if kind == "mixed":
+            norms, last = mixed_kernel_norms(g, alpha, times)
+            assert np.array_equal(last.values, built[-1].values)
+            assert norms.tolist() == [[kernel_lq_norm(k, q) for q in (1.0, 2.0, np.inf)]
+                                      for k in built]
 
 
 def test_mixed_kernel_mass_exact():
@@ -142,6 +156,49 @@ def test_kernel_lq_norm_matches_plain_expression_bitwise(dim, n):
         for q in (1.0, 1.5, 2.0, 3.0):
             expected = float((np.sum(v ** q) * g.cell_volume) ** (1.0 / q))
             assert kernel_lq_norm(f, q) == expected
+    # the run's norms of the same signed kernel
+    norms, last = mixed_kernel_norms(g, 1.5, [0.1])
+    assert np.array_equal(last.values, k.values)
+    assert norms.tolist() == [[kernel_lq_norm(k, q) for q in (1.0, 2.0, np.inf)]]
+
+
+@pytest.mark.parametrize("times", [[], [1.0, 0.0]])
+def test_kernel_run_rejects_bad_times_before_any_work(monkeypatch, times):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the times were checked")
+
+    monkeypatch.setattr(kernels, "make_symbol", no_allocation)
+    with pytest.raises(ConfigurationError, match="^times must"):
+        mixed_kernel_norms(make_grid(1, 10.0, 64), 1.0, times)
+
+
+def test_every_kernel_builder_checks_the_memory_budget_first(monkeypatch):
+    """A kernel run holds about kernels._KERNEL_GRIDS grids at its peak;
+    past the solver's budget it fails before the symbol, its first
+    grid-sized array, is built."""
+    g = make_grid(2, 10.0, 64)
+    need = kernels._KERNEL_GRIDS * 8 * 64 ** 2
+    x2 = g.axis_coords() ** 2
+    bump = make_field(g, np.exp(-np.add.outer(x2, x2)))
+    builders = [lambda: mixed_kernel_norms(g, 1.0, [1.0]),
+                lambda: mixed_kernel(g, 1.0, 1.0),
+                lambda: stable_kernel(g, 1.0, 1.0),
+                lambda: taylor_contraction_error(bump, [1.0], 1.0)]
+    monkeypatch.setattr(solver, "_MAX_BYTES", need)
+    for build in builders:
+        build()
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the memory check")
+
+    monkeypatch.setattr(solver, "_MAX_BYTES", need - 1)
+    monkeypatch.setattr(kernels, "make_symbol", no_allocation)
+    for build in builders:
+        with pytest.raises(ConfigurationError,
+                           match=r"^points = 64 gives a 4096-point kernel grid that "
+                                 r"needs about 0\.000183 GiB, more than the memory "
+                                 r"budget of 0\.000183105 GiB$"):
+            build()
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])

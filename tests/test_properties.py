@@ -1,6 +1,6 @@
 """Properties over random inputs: the absorption law and its exact flow,
 the config text round trip, the field reader on damaged files, and the
-mass ledger and sign of whole solves."""
+mass ledger, sign and order preservation of whole solves."""
 
 import os
 import string
@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixheat import (ConfigurationError, ExperimentConfig, PowerAbsorption,
-                     ProblemSpec, config_from_mapping, make_field, make_grid,
-                     make_step_schedule, mass_identity_defect,
-                     parse_config_text, read_field, solve, write_field)
+                     ProblemSpec, comparison_check, config_from_mapping,
+                     make_field, make_grid, make_step_schedule,
+                     mass_identity_defect, parse_config_text, read_field, solve,
+                     write_field)
 from mixheat.config import _CHOICES
 from mixheat.solver import _absorb
 
@@ -148,6 +149,12 @@ def test_read_field_rejects_an_altered_magic(magic):
 _SOLVE_GRID = make_grid(1, 20.0, 256)
 
 
+def _gaussian(width, mass, center):
+    x = _SOLVE_GRID.axis_coords()
+    bump = np.exp(-(x - center) ** 2 / (2.0 * width ** 2))
+    return bump * (mass / (np.sum(bump) * _SOLVE_GRID.cell_volume))
+
+
 @settings(max_examples=25, deadline=None)
 @given(alpha=st.floats(0.1, 1.9), beta=st.floats(0.0, 2.0), p=st.floats(1.05, 5.0),
        c=st.floats(0.0, 10.0), sigma=st.floats(-2.0, 2.0),
@@ -156,9 +163,7 @@ _SOLVE_GRID = make_grid(1, 20.0, 256)
        dtau_max=st.floats(0.05, 1.0), ladder=st.booleans())
 def test_solve_keeps_its_ledger_and_sign(alpha, beta, p, c, sigma, width, mass, center,
                                          t0, t1, dtau_max, ladder):
-    x = _SOLVE_GRID.axis_coords()
-    bump = np.exp(-(x - center) ** 2 / (2.0 * width ** 2))
-    u0 = make_field(_SOLVE_GRID, bump * (mass / (np.sum(bump) * _SOLVE_GRID.cell_volume)))
+    u0 = make_field(_SOLVE_GRID, _gaussian(width, mass, center))
     problem = ProblemSpec(alpha=alpha, beta=beta, p=p,
                           absorption=PowerAbsorption(c, sigma), initial=u0)
     # the default snapshot ladder, or 10 knots per decade from t0 (from
@@ -169,3 +174,23 @@ def test_solve_keeps_its_ledger_and_sign(alpha, beta, p, c, sigma, width, mass, 
     result = solve(problem, schedule)
     assert mass_identity_defect(result) <= 1e-12
     assert all(np.min(f.values) >= 0 for f in result.snapshots)
+
+
+@few
+@given(alpha=st.floats(0.1, 1.9), beta=st.floats(0.0, 2.0), p=st.floats(1.05, 5.0),
+       c=st.floats(0.0, 10.0), sigma=st.floats(-2.0, 2.0),
+       width=st.floats(0.75, 1.5), mass=st.floats(1e-3, 1e3), center=st.floats(-3.0, 3.0),
+       extra_width=st.floats(0.75, 1.5), extra_mass=st.floats(0.0, 1e3),
+       extra_center=st.floats(-3.0, 3.0),
+       t0=st.sampled_from([0.0, 0.5]), t1=st.floats(1.0, 3.0), dtau_max=st.floats(0.1, 1.0))
+def test_solve_preserves_the_order_of_its_data(alpha, beta, p, c, sigma, width, mass,
+                                               center, extra_width, extra_mass,
+                                               extra_center, t0, t1, dtau_max):
+    smaller = _gaussian(width, mass, center)
+    larger = make_field(_SOLVE_GRID, smaller + _gaussian(extra_width, extra_mass,
+                                                         extra_center))
+    problem = ProblemSpec(alpha=alpha, beta=beta, p=p, absorption=PowerAbsorption(c, sigma),
+                          initial=make_field(_SOLVE_GRID, smaller))
+    schedule = make_step_schedule(t0, t1, beta, dtau_max)
+    gap = comparison_check(problem, larger, schedule)
+    assert gap >= -1e-10 * float(np.max(larger.values))
