@@ -15,8 +15,7 @@ from .config import (ExperimentConfig, build_absorption, build_grid,
 from .errors import ConfigurationError, NumericalFailureError
 from .fractional import (TestFunctionSpec, bracket_frac_laplacian,
                          bracket_laplacian, bracket_profile, capacity_integral,
-                         frac_constant, make_test_function_spec, psi_ramp,
-                         psi_ramp_derivative, time_factor_integral)
+                         frac_constant, make_test_function_spec)
 from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
                    delta_field, frac_laplacian_spectral, integral, make_field,
                    make_grid, make_symbol, read_field, write_field)
@@ -26,13 +25,12 @@ from .kernels import (gaussian_kernel, half_width_for_tail, kernel_lq_norm,
                       taylor_contraction_error)
 from .observers import (MassClassification, absorbed_integral_tail_ratio,
                         classify_mass_limit, condition_h_check,
-                        critical_exponent, decay_rate_exponent, h_bound_H,
+                        critical_exponent, decay_rate_exponent,
                         profile_error, read_mass_csv, write_mass_csv)
 from .solver import (MassTrace, PowerAbsorption, ProblemSpec, SolveResult,
-                     StepSchedule, TableAbsorption, absorption_step,
-                     comparison_check, default_snapshot_times,
-                     duhamel_residual, geometric_times, linear_step,
-                     make_absorption, make_step_schedule,
+                     StepSchedule, TableAbsorption, comparison_check,
+                     default_snapshot_times, duhamel_residual,
+                     geometric_times, make_absorption, make_step_schedule,
                      mass_identity_defect, solve, tau_to_time, time_to_tau)
 
 __all__ = [
@@ -46,19 +44,19 @@ __all__ = [
     "taylor_contraction_error", "stable_tail_constant", "stable_tail_mass",
     "half_width_for_tail", "stable_kernel_quadrature", "mixed_kernel_quadrature",
     "frac_constant", "bracket_profile", "bracket_laplacian",
-    "bracket_frac_laplacian", "psi_ramp", "psi_ramp_derivative",
+    "bracket_frac_laplacian",
     "frac_laplacian_pointwise", "scaling_check", "TestFunctionSpec",
-    "make_test_function_spec", "capacity_integral", "time_factor_integral",
+    "make_test_function_spec", "capacity_integral",
     "PowerAbsorption", "TableAbsorption",
     "make_absorption", "ProblemSpec", "time_to_tau", "tau_to_time",
     "geometric_times", "default_snapshot_times", "StepSchedule",
-    "make_step_schedule", "absorption_step", "linear_step",
+    "make_step_schedule",
     "SolveResult", "solve", "mass_identity_defect", "comparison_check",
     "duhamel_residual",
     "MassTrace", "write_mass_csv", "read_mass_csv",
     "critical_exponent", "decay_rate_exponent", "absorbed_integral_tail_ratio",
     "condition_h_check", "MassClassification", "classify_mass_limit",
-    "profile_error", "h_bound_H",
+    "profile_error",
     "ExperimentConfig", "parse_config_text", "config_from_mapping",
     "load_config", "build_grid", "build_absorption", "build_problem",
     "build_initial", "snapshot_times", "kernel_times", "capacity_radii",

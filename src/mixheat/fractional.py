@@ -73,33 +73,6 @@ def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
     return _float_or_array(out)
 
 
-def psi_ramp(r, kind: str = "cos2"):
-    """Time cutoff: 1 on [0, 1], ramps C^1-smoothly to 0 on [1, 2]."""
-    r = np.asarray(r, dtype=float)
-    u = np.clip(r - 1.0, 0.0, 1.0)
-    if kind == "cos2":
-        out = np.cos(np.pi * u / 2.0) ** 2
-    elif kind == "cubic":
-        out = 1.0 - u * u * (3.0 - 2.0 * u)
-    else:
-        raise ConfigurationError(f"unknown ramp kind {kind!r}")
-    out = np.where(r <= 1.0, 1.0, np.where(r >= 2.0, 0.0, out))
-    return _float_or_array(out)
-
-
-def psi_ramp_derivative(r, kind: str = "cos2"):
-    r = np.asarray(r, dtype=float)
-    u = np.clip(r - 1.0, 0.0, 1.0)
-    if kind == "cos2":
-        out = -(np.pi / 2.0) * np.sin(np.pi * u)
-    elif kind == "cubic":
-        out = -6.0 * u * (1.0 - u)
-    else:
-        raise ConfigurationError(f"unknown ramp kind {kind!r}")
-    out = np.where((r <= 1.0) | (r >= 2.0), 0.0, out)
-    return _float_or_array(out)
-
-
 # ---------------------------------------------------------------------------
 # Capacity integral.
 
@@ -182,24 +155,3 @@ def _check_capacity_tail(radius, integrand, dim, total):
         raise ConfigurationError(
             f"capacity tail estimate {tail:.3e} exceeds 1e-6 of the integral "
             f"{total:.3e}; widen the box relative to B*R")
-
-
-def time_factor_integral(p: float, beta: float, kind: str = "cos2") -> float:
-    """int_0^2 eta^(beta/((beta+1)(p-1))) psi(eta) |psi'(eta)|^(p/(p-1)) d eta.
-
-    Finite for every p > 1, beta >= 0: the integrand vanishes off [1, 2]
-    and the ramp is C^1 there.
-    """
-    require(p=p, beta=beta)
-    expo = beta / ((beta + 1.0) * (p - 1.0))
-    power = p / (p - 1.0)
-
-    def f(eta):
-        return (eta ** expo * psi_ramp(eta, kind=kind)
-                * np.abs(psi_ramp_derivative(eta, kind=kind)) ** power)
-
-    from scipy.integrate import quad
-    val, err = quad(f, 1.0, 2.0, epsabs=1e-12, limit=200)
-    if err > 1e-8:
-        raise NumericalFailureError(f"time factor quadrature error {err:.2e}")
-    return val

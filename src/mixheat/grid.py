@@ -58,7 +58,7 @@ class GridSpec:
     def axis_coords(self) -> np.ndarray:
         """Grid coordinates along one axis; x = 0 is at index points//2."""
         n = self.points
-        return (np.arange(n) - n // 2) * self.spacing
+        return np.arange(-(n // 2), n - n // 2, dtype=float) * self.spacing
 
     def axis_freqs(self) -> np.ndarray:
         """Angular frequencies xi_k = pi k / L in FFT order."""

@@ -200,13 +200,18 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
     coords = grid.coords()
     radius = np.sqrt(sum(c ** 2 for c in coords))
     x_moment = float(np.sum(radius * np.abs(g.values)) * grid.cell_volume)
-    errors = []
-    for t in times:
-        smoothed = apply_symbol(g, sym, scale=t, mode="semigroup")
-        kern = _delta_response(sym, spectrum, t)
-        diff = smoothed.values - mass * kern.values
-        errors.append(float(np.sum(np.abs(diff)) * grid.cell_volume))
-    return np.array(errors), x_moment
+    del coords, radius
+
+    def error(t):
+        # |E(t) g - mass kernel| in the kernel's array; both arrays are
+        # freed on return, before the next time's transforms need scratch
+        smoothed = apply_symbol(g, sym, scale=t, mode="semigroup").values
+        diff = _delta_response(sym, spectrum, t).values
+        np.multiply(mass, diff, out=diff)
+        np.subtract(smoothed, diff, out=diff)
+        return float(np.sum(np.abs(diff, out=diff)) * grid.cell_volume)
+
+    return np.array([error(t) for t in times]), x_moment
 
 
 def stable_tail_constant(alpha: float, dim: int) -> float:

@@ -242,7 +242,7 @@ def classify_mass_limit(trace: MassTrace, window: float | None = None) -> MassCl
 
 
 # ---------------------------------------------------------------------------
-# Profile convergence and the closed-form absorption bound.
+# Profile convergence.
 
 def profile_error(u: Field, m_inf: float, t: float, alpha: float, beta: float,
                   q: float) -> float:
@@ -263,22 +263,3 @@ def profile_error(u: Field, m_inf: float, t: float, alpha: float, beta: float,
     diff = make_field(grid, u.values - m_inf * kernel.values)
     weight = t ** ((grid.dim / alpha) * (1.0 - 1.0 / q) * (beta + 1.0))
     return float(weight * kernel_lq_norm(diff, q))
-
-
-def h_bound_H(t: float, p: float, alpha: float, beta: float, u0_norms,
-              dim: int = 1, constant: float = 1.0) -> float:
-    """Closed-form ceiling for ||u(t)||_p^p along the linear flow:
-
-        min( C t^(-dim(beta+1)(p-1)/2) ||u0||_1^p,
-             C t^(-dim(beta+1)(p-1)/alpha) ||u0||_1^p,
-             ||u0||_p^p )
-
-    with C = constant (1 by default; the sharp value is not pinned down,
-    only the rates). u0_norms is the pair (||u0||_1, ||u0||_p).
-    """
-    require("finite and > 0", t=t, p=p, alpha=alpha, beta=beta, dim=dim)
-    norm1, normp = (float(v) for v in u0_norms)
-    rate = dim * (beta + 1.0) * (p - 1.0)
-    local = constant * t ** (-rate / 2.0) * norm1 ** p
-    nonlocal_branch = constant * t ** (-rate / alpha) * norm1 ** p
-    return min(local, nonlocal_branch, normp ** p)

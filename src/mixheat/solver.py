@@ -30,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, SpectralSymbol, _float_or_array,
-                   _spectral_apply, apply_symbol, make_field, make_symbol)
+from .grid import (Field, GridSpec, _float_or_array, _spectral_apply,
+                   apply_symbol, make_field, make_symbol)
 
 _log = logging.getLogger(__name__)
 
-_RIPPLE_TOL = 1e-10  # negative input below -tol*max is a contract violation
 # Most bytes one solve may hold in snapshots, work arrays and trace rows,
 # checked before it allocates.
 _MAX_BYTES = 4 * 2 ** 30
@@ -347,49 +346,6 @@ def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
     values *= work
 
 
-def absorption_step(f: Field, t0: float, t1: float, p: float, schedule) -> Field:
-    """Pointwise exact absorption over [t0, t1] with coefficient schedule.
-
-    Input must be nonnegative up to spectral ripple: entries below
-    -1e-10 * max|f| are a contract violation, smaller ones are clipped
-    to zero before the flow. Output is within [0, input] pointwise.
-    """
-    require(">= 0 and finite", t0=t0, t1=t1, p=p)
-    if not t1 >= t0:
-        raise ConfigurationError(f"need t1 >= t0, got {t0}, {t1}")
-    values = f.values.copy()
-    floor = np.min(values)
-    if floor < -_RIPPLE_TOL * np.max(np.abs(values)):
-        raise ConfigurationError(
-            f"negative input beyond ripple tolerance (min {floor:g})")
-    _clip_negative(values, f.grid.cell_volume)
-    H = schedule.integral(t0, t1)
-    if H < 0:
-        raise ConfigurationError(f"absorbed integral must be >= 0, got {H}")
-    _absorb(values, H, p, np.empty_like(values))
-    return make_field(f.grid, values)
-
-
-def linear_step(f: Field, dtau: float, operator) -> Field:
-    """One exact semigroup step of length dtau in the tau clock.
-
-    operator is either a prebuilt mixed-symbol SpectralSymbol or a bare
-    alpha from which one is made. Negative ripple in the output (spectral
-    truncation of the heavy tail) is clipped to zero; the clipped mass is
-    logged and is bounded by ~1e-10 of the peak per step.
-    """
-    require(">= 0 and finite", dtau=dtau)
-    if isinstance(operator, SpectralSymbol):
-        symbol = operator
-    else:
-        symbol = make_symbol(f.grid, float(operator))
-    values = apply_symbol(f, symbol, scale=dtau, mode="semigroup").values
-    clipped = _clip_negative(values, f.grid.cell_volume)
-    if clipped:
-        _log.debug("linear_step clipped %.3e negative-ripple mass", clipped)
-    return make_field(f.grid, values)
-
-
 # ---------------------------------------------------------------------------
 # Driver.
 
@@ -524,7 +480,8 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p, work)
             absorbed += (mass - np.sum(u)) * dV
 
-            # the same transform and clip as linear_step, without a Field
+            # exp(-dtau m) and the ripple clip on u in place: the bits of
+            # apply_symbol(mode="semigroup") then _clip_negative
             _spectral_apply(grid, u, multiplier, out=u, spectrum=spectrum)
             clipped_total += _clip_negative(u, dV)
 

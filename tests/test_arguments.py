@@ -12,7 +12,6 @@ from mixheat import (
     PowerAbsorption,
     ProblemSpec,
     absorbed_integral_tail_ratio,
-    absorption_step,
     apply_symbol,
     bracket_frac_laplacian,
     bracket_profile,
@@ -23,9 +22,7 @@ from mixheat import (
     frac_laplacian_pointwise,
     gaussian_kernel,
     geometric_times,
-    h_bound_H,
     half_width_for_tail,
-    linear_step,
     make_field,
     make_grid,
     make_step_schedule,
@@ -42,7 +39,6 @@ from mixheat import (
     stable_tail_mass,
     taylor_contraction_error,
     tau_to_time,
-    time_factor_integral,
     time_to_tau,
 )
 
@@ -82,10 +78,6 @@ CASES = [
      lambda v: make_step_schedule(1.0, 10.0, 0.0, v)),
     ("PowerAbsorption", "coefficient", -1.0, lambda v: PowerAbsorption(v, 0.5)),
     ("PowerAbsorption", "exponent", None, lambda v: PowerAbsorption(1.0, v)),
-    ("absorption_step", "t0", -1.0, lambda v: absorption_step(FIELD, v, 1.0, 2.0, H0)),
-    ("absorption_step", "t1", -1.0, lambda v: absorption_step(FIELD, 0.0, v, 2.0, H0)),
-    ("absorption_step", "p", 1.0, lambda v: absorption_step(FIELD, 0.0, 1.0, v, H0)),
-    ("linear_step", "dtau", -1.0, lambda v: linear_step(FIELD, v, 1.0)),
     ("make_grid", "half_width", 0.0, lambda v: make_grid(1, v, 64)),
     ("make_symbol", "alpha", 2.0, lambda v: make_symbol(GRID, v)),
     ("apply_symbol/semigroup", "scale", -1.0,
@@ -122,8 +114,6 @@ CASES = [
      lambda v: make_test_function_spec(1.5, 2.0, 8.0, v, 1.0, 1)),
     ("make_test_function_spec", "alpha", 2.0,
      lambda v: make_test_function_spec(1.5, 2.0, 8.0, 2.0, v, 1)),
-    ("time_factor_integral", "p", 1.0, lambda v: time_factor_integral(v, 0.0)),
-    ("time_factor_integral", "beta", -1.0, lambda v: time_factor_integral(2.0, v)),
     ("critical_exponent", "alpha", 2.0, lambda v: critical_exponent(v, 0.0, 1)),
     ("critical_exponent", "beta", -1.0, lambda v: critical_exponent(1.0, v, 1)),
     ("critical_exponent", "dim", 0, lambda v: critical_exponent(1.0, 0.0, v)),
@@ -134,11 +124,6 @@ CASES = [
     ("absorbed_integral_tail_ratio", "t_hi", 0.0,
      lambda v: absorbed_integral_tail_ratio(H0, 3.0, 1.0, 0.0, 1, t_hi=v)),
     ("profile_error", "t", 0.0, lambda v: profile_error(FIELD, 1.0, v, 1.0, 0.0, 2.0)),
-    ("h_bound_H", "t", 0.0, lambda v: h_bound_H(v, 2.0, 1.0, 0.0, (1.0, 1.0))),
-    ("h_bound_H", "p", 1.0, lambda v: h_bound_H(1.0, v, 1.0, 0.0, (1.0, 1.0))),
-    ("h_bound_H", "alpha", 5.0, lambda v: h_bound_H(1.0, 2.0, v, 0.0, (1.0, 1.0))),
-    ("h_bound_H", "beta", -1.0, lambda v: h_bound_H(1.0, 2.0, 1.0, v, (1.0, 1.0))),
-    ("h_bound_H", "dim", 0, lambda v: h_bound_H(1.0, 2.0, 1.0, 0.0, (1.0, 1.0), dim=v)),
     ("frac_laplacian_pointwise", "s", 1.0,
      lambda v: frac_laplacian_pointwise(profile, v, 0.5)),
     ("scaling_check", "R", 0.0, lambda v: scaling_check(profile, 0.5, v, 0.5)),

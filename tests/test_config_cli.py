@@ -173,7 +173,7 @@ def test_gaussian_initial_is_the_meshgrid_formula_bit_for_bit(cfg_path, dim, n):
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2 ** 20), (2, 512)])
-def test_gaussian_initial_peaks_below_two_and_a_half_grids(cfg_path, dim, n):
+def test_gaussian_initial_peaks_below_one_and_a_half_grids(cfg_path, dim, n):
     cfg = load_config(cfg_path, overrides=[f"dim={dim}", f"points={n}",
                                            "initial_center=3.7"])
     tracemalloc.start()
@@ -183,7 +183,7 @@ def test_gaussian_initial_peaks_below_two_and_a_half_grids(cfg_path, dim, n):
     finally:
         tracemalloc.stop()
     assert problem.initial.values.nbytes == 8 * n ** dim
-    assert peak <= 2.5 * 8 * n ** dim
+    assert peak <= 1.5 * 8 * n ** dim
 
 
 def test_absorption_table_io(cfg_path, tmp_path):

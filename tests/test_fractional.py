@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from mixheat import (
     ConfigurationError,
@@ -17,10 +16,7 @@ from mixheat import (
     frac_laplacian_pointwise,
     make_grid,
     make_test_function_spec,
-    psi_ramp,
-    psi_ramp_derivative,
     scaling_check,
-    time_factor_integral,
 )
 
 
@@ -191,34 +187,6 @@ def test_bracket_frac_laplacian_validation():
         bracket_frac_laplacian(np.array([1.0, np.nan]), 1.5, 0.5, 1)
 
 
-@pytest.mark.parametrize("kind", ["cos2", "cubic"])
-def test_psi_ramp_shape(kind):
-    assert psi_ramp(0.3, kind=kind) == 1.0
-    assert psi_ramp(1.0, kind=kind) == 1.0
-    assert psi_ramp(2.0, kind=kind) == 0.0
-    assert psi_ramp(3.1, kind=kind) == 0.0
-    mid = psi_ramp(1.5, kind=kind)
-    assert mid == pytest.approx(0.5, abs=1e-12)
-    rs = np.linspace(1.0, 2.0, 41)
-    vals = psi_ramp(rs, kind=kind)
-    assert np.all(np.diff(vals) <= 0.0)
-
-
-@pytest.mark.parametrize("kind", ["cos2", "cubic"])
-def test_psi_ramp_derivative_matches_fd(kind):
-    h = 1e-6
-    for r in (1.2, 1.5, 1.8):
-        fd = (psi_ramp(r + h, kind=kind) - psi_ramp(r - h, kind=kind)) / (2.0 * h)
-        assert psi_ramp_derivative(r, kind=kind) == pytest.approx(fd, rel=1e-6)
-    assert psi_ramp_derivative(0.5, kind=kind) == 0.0
-    assert psi_ramp_derivative(2.5, kind=kind) == 0.0
-
-
-def test_psi_ramp_unknown_kind():
-    with pytest.raises(ConfigurationError):
-        psi_ramp(1.5, kind="linear")
-
-
 def test_test_function_spec_window():
     # admissible exponent window is N < q0 < N + alpha p
     spec = make_test_function_spec(1.5, 2.0, 8.0, 2.0, 1.0, 1)
@@ -271,38 +239,3 @@ def test_capacity_integral_2d():
     assert a == b
     # 1.4124785976 on (16 * 400, 2048^2)
     assert a == pytest.approx(1.412478094553838, abs=1e-6)
-
-
-def test_time_factor_cubic_exact_value():
-    """p = 2, beta = 0, cubic ramp: the integral is a Beta-function sum,
-    36 (B(3,5) + 2 B(4,5)) = 3/5."""
-    assert time_factor_integral(2.0, 0.0, kind="cubic") == pytest.approx(0.6, rel=1e-10)
-
-
-def test_time_factor_cos2_regression():
-    assert time_factor_integral(2.0, 0.0, kind="cos2") == pytest.approx(
-        0.6168502750680848, rel=1e-12)
-
-
-def test_time_factor_matches_direct_quadrature():
-    p, beta = 3.0, 1.0
-    expo = beta / ((beta + 1.0) * (p - 1.0))
-    power = p / (p - 1.0)
-
-    def f(eta):
-        return (eta ** expo * psi_ramp(eta, kind="cubic")
-                * abs(psi_ramp_derivative(eta, kind="cubic")) ** power)
-
-    oracle = quad(f, 1.0, 2.0, epsabs=1e-13)[0]
-    assert time_factor_integral(p, beta, kind="cubic") == pytest.approx(
-        oracle, rel=1e-9)
-
-
-def test_time_factor_validation():
-    with pytest.raises(ConfigurationError):
-        time_factor_integral(1.0, 0.0)
-    with pytest.raises(ConfigurationError, match="^p must"):
-        time_factor_integral(np.inf, 0.0)
-    for beta in (-0.5, np.nan):
-        with pytest.raises(ConfigurationError, match="^beta must"):
-            time_factor_integral(2.0, beta)

@@ -1,6 +1,7 @@
 """Import graph and source layout: the quadrature oracles stay off the
-CLI's import path, the shared argument ranges live in errors.py, and the
-names the benchmark in perfbench/ uses stay where it finds them."""
+CLI's import path, only the oracles and observers import quadrature, the
+shared argument ranges live in errors.py, and the names the benchmark in
+perfbench/ uses stay where it finds them."""
 
 import ast
 import inspect
@@ -74,23 +75,48 @@ def test_unknown_name_raises_attribute_error():
 _SHARED_RANGES = {"alpha", "beta", "p", "s"}
 
 
-def test_shared_ranges_are_written_only_in_errors():
+def _package_nodes(skip):
+    """(file name, node) for every syntax node of the package's modules,
+    except those named in skip."""
     package = os.path.dirname(os.path.abspath(mixheat.__file__))
-    found = []
     for name in sorted(os.listdir(package)):
-        if not name.endswith(".py") or name == "errors.py":
+        if name.endswith(".py") and name not in skip:
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_shared_ranges_are_written_only_in_errors():
+    found = []
+    for name, node in _package_nodes({"errors.py"}):
+        if not isinstance(node, ast.Compare):
             continue
-        with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            names = {getattr(o, "id", getattr(o, "attr", None)) for o in operands}
-            if names & _SHARED_RANGES and any(isinstance(o, ast.Constant)
-                                              for o in operands):
-                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+        operands = [node.left, *node.comparators]
+        names = {getattr(o, "id", getattr(o, "attr", None)) for o in operands}
+        if names & _SHARED_RANGES and any(isinstance(o, ast.Constant)
+                                          for o in operands):
+            found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, "shared ranges outside errors.py:\n" + "\n".join(found)
+
+
+# Modules that may import quadrature: the oracles, and observers for the
+# tail ratio of a sampled absorption table.
+_QUADRATURE_IMPORTERS = {"oracles.py", "observers.py"}
+
+
+def test_only_oracles_and_observers_import_scipy_integrate():
+    found = []
+    for name, node in _package_nodes(_QUADRATURE_IMPORTERS):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any((m + ".").startswith("scipy.integrate.") for m in modules):
+            found.append(f"{name}:{node.lineno}")
+    assert not found, "scipy.integrate imported in:\n" + "\n".join(found)
 
 
 def test_names_the_benchmark_reaches_into(tmp_path):

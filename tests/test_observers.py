@@ -18,7 +18,6 @@ from mixheat import (
     condition_h_check,
     critical_exponent,
     decay_rate_exponent,
-    h_bound_H,
     integral,
     make_field,
     make_grid,
@@ -273,24 +272,3 @@ def test_profile_error_rejects_bad_q():
         profile_error(u, 1.0, 1.0, 1.0, 0.0, 0.5)
     with pytest.raises(ConfigurationError):
         profile_error(u, 1.0, 1.0, 1.0, 0.0, np.inf)
-
-
-# -- a priori bound -----------------------------------------------------------
-
-def test_h_bound_branches():
-    # alpha branch: t = 100, alpha = 1: min(0.1, 0.01, 0.25) = 0.01
-    assert h_bound_H(100.0, 2.0, 1.0, 0.0, (1.0, 0.5)) == pytest.approx(0.01)
-    # small-data branch at tiny t
-    assert h_bound_H(1e-8, 2.0, 1.0, 0.0, (1.0, 0.5)) == pytest.approx(0.25)
-    # gaussian branch for t < 1 with large p-norm
-    val = h_bound_H(0.01, 2.0, 1.0, 0.0, (1.0, 100.0))
-    assert val == pytest.approx(0.01 ** -0.5, rel=1e-12)
-
-
-def test_h_bound_constant_scales_kernel_branches_only():
-    base = h_bound_H(100.0, 2.0, 1.0, 0.0, (1.0, 0.5))
-    doubled = h_bound_H(100.0, 2.0, 1.0, 0.0, (1.0, 0.5), constant=2.0)
-    assert doubled == pytest.approx(2.0 * base)
-    # the Lp branch is constant-free
-    small_t = h_bound_H(1e-8, 2.0, 1.0, 0.0, (1.0, 0.5), constant=50.0)
-    assert small_t == pytest.approx(0.25)

@@ -13,7 +13,7 @@ from mixheat import (
     ProblemSpec,
     SolveResult,
     TableAbsorption,
-    absorption_step,
+    apply_symbol,
     classify_mass_limit,
     comparison_check,
     convolve,
@@ -21,7 +21,6 @@ from mixheat import (
     delta_field,
     duhamel_residual,
     integral,
-    linear_step,
     make_absorption,
     make_field,
     make_grid,
@@ -301,133 +300,70 @@ def test_schedule_snapshots_are_knots_ending_at_t1():
         make_step_schedule(0.5, 8.0, 0.0, 0.25, snapshot_times=[1.0, np.nan])
 
 
-# -- absorption step ----------------------------------------------------------
+# -- absorption substep -------------------------------------------------------
 
-def test_absorption_step_closed_form(small_grid):
-    ones = make_field(small_grid, np.ones(small_grid.shape))
+def absorbed(values, h, t0, t1, p):
+    """A copy of values after the exact absorption flow over [t0, t1]."""
+    out = values.copy()
+    solver._absorb(out, h.integral(t0, t1), p, np.empty_like(out))
+    return out
+
+
+def test_absorb_closed_form(small_grid):
+    ones = np.ones(small_grid.shape)
     # p = 2, H = 1: u -> u / (1 + H u) = 1/2
-    out = absorption_step(ones, 0.0, 1.0, 2.0, PowerAbsorption(1.0))
-    np.testing.assert_allclose(out.values, 0.5, rtol=1e-14)
+    out = absorbed(ones, PowerAbsorption(1.0), 0.0, 1.0, 2.0)
+    np.testing.assert_allclose(out, 0.5, rtol=1e-14)
     # p = 3, H = 2: u -> u (1 + 2 H u^2)^(-1/2) = 5^(-1/2)
-    out = absorption_step(ones, 0.0, 2.0, 3.0, PowerAbsorption(1.0))
-    np.testing.assert_allclose(out.values, 5.0 ** -0.5, rtol=1e-14)
+    out = absorbed(ones, PowerAbsorption(1.0), 0.0, 2.0, 3.0)
+    np.testing.assert_allclose(out, 5.0 ** -0.5, rtol=1e-14)
 
 
-def test_absorption_step_matches_ode_solver(small_grid):
+def test_absorb_matches_ode_solver(small_grid):
     u0 = unit_gaussian(small_grid, width=2.0)
     h = PowerAbsorption(1.0, 0.8)
     p = 2.5
-    stepped = absorption_step(u0, 1.0, 2.0, p, h)
+    stepped = absorbed(u0.values, h, 1.0, 2.0, p)
 
     probe = u0.values[::64].copy()
     sol = solve_ivp(lambda t, u: -h.rate(t) * u ** p, (1.0, 2.0), probe,
                     rtol=1e-11, atol=1e-14)
-    np.testing.assert_allclose(stepped.values[::64], sol.y[:, -1], rtol=1e-8)
+    np.testing.assert_allclose(stepped[::64], sol.y[:, -1], rtol=1e-8)
 
 
-def test_absorption_step_edge_cases(small_grid):
+def test_absorb_edge_cases(small_grid):
     u0 = unit_gaussian(small_grid)
-    same = absorption_step(u0, 1.0, 5.0, 2.0, PowerAbsorption(0.0))
-    np.testing.assert_array_equal(same.values, u0.values)
-    zero = make_field(small_grid, np.zeros(small_grid.shape))
-    out = absorption_step(zero, 0.0, 1.0, 2.0, PowerAbsorption(1.0))
-    np.testing.assert_array_equal(out.values, 0.0)
+    same = absorbed(u0.values, PowerAbsorption(0.0), 1.0, 5.0, 2.0)
+    np.testing.assert_array_equal(same, u0.values)
+    out = absorbed(np.zeros(small_grid.shape), PowerAbsorption(1.0), 0.0, 1.0, 2.0)
+    np.testing.assert_array_equal(out, 0.0)
     # mass cannot grow
-    stepped = absorption_step(u0, 0.0, 1.0, 2.0, PowerAbsorption(1.0))
-    assert integral(stepped) < integral(u0)
+    stepped = absorbed(u0.values, PowerAbsorption(1.0), 0.0, 1.0, 2.0)
+    assert integral(make_field(small_grid, stepped)) < integral(u0)
 
 
-def test_absorption_step_rejects_negative_state(small_grid):
-    bad = make_field(small_grid, np.full(small_grid.shape, -1.0))
-    with pytest.raises(ConfigurationError):
-        absorption_step(bad, 0.0, 1.0, 2.0, PowerAbsorption(1.0))
-
-
-def test_absorption_step_rejects_non_finite_p(small_grid):
-    # p = inf would absorb nothing: inf * 0 is NaN and NaN ** -0.0 is 1
+def test_solve_leaves_its_input_unchanged(small_grid):
+    """solve works in place on its own copy: the initial field stays as it
+    was, and every snapshot is a copy of the state, not a view."""
     u0 = unit_gaussian(small_grid)
-    for p in (np.inf, np.nan, 1.0):
-        with pytest.raises(ConfigurationError, match="^p must"):
-            absorption_step(u0, 0.0, 1.0, p, PowerAbsorption(1.0))
-
-
-def test_steps_and_solve_leave_their_input_unchanged(small_grid):
-    """The stepper works in place on its own copy: input fields stay as
-    they were, and every snapshot is a copy of the state, not a view."""
-    u0 = unit_gaussian(small_grid)
-    rippled = make_field(small_grid, u0.values - 1e-13 * u0.values.max())
-    h = PowerAbsorption(1.0)
-    for f in (u0, rippled):
-        keep = f.values.copy()
-        absorption_step(f, 0.0, 1.0, 3.0, h)
-        linear_step(f, 0.5, 1.0)
-        np.testing.assert_array_equal(f.values, keep)
     keep = u0.values.copy()
-    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=h, initial=u0)
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                       initial=u0)
     res = solve(prob, make_step_schedule(1.0, 4.0, 0.0, 0.5))
     np.testing.assert_array_equal(u0.values, keep)
     np.testing.assert_array_equal(res.snapshots[0].values, keep)
     assert not np.array_equal(res.snapshots[1].values, res.final.values)
 
 
-# -- linear step --------------------------------------------------------------
-
-def test_linear_step_identity_at_zero(small_grid):
-    u0 = unit_gaussian(small_grid)
-    out = linear_step(u0, 0.0, 1.0)
-    np.testing.assert_allclose(out.values, u0.values, rtol=0, atol=1e-15)
-
-
-def test_linear_step_delta_reproduces_kernel(small_grid):
-    out = linear_step(delta_field(small_grid), 0.8, 1.2)
-    kern = mixed_kernel(small_grid, 1.2, 0.8)
-    np.testing.assert_allclose(out.values, kern.values, rtol=0, atol=1e-10)
-
-
-def test_linear_step_semigroup_composition(small_grid):
-    u0 = unit_gaussian(small_grid)
-    once = linear_step(u0, 0.6, 1.0)
-    twice = linear_step(linear_step(u0, 0.3, 1.0), 0.3, 1.0)
-    np.testing.assert_allclose(twice.values, once.values, rtol=0, atol=1e-12)
-
-
-def test_linear_step_accepts_symbol_or_alpha(small_grid):
-    u0 = unit_gaussian(small_grid)
-    sym = make_symbol(small_grid, 1.3)
-    a = linear_step(u0, 0.5, 1.3)
-    b = linear_step(u0, 0.5, sym)
-    np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_linear_step_rejects_negative_span(small_grid):
-    with pytest.raises(ConfigurationError):
-        linear_step(unit_gaussian(small_grid), -0.1, 1.0)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_solve_step_matches_linear_step_bitwise(dim):
-    """With h = 0 one solve substep is exactly linear_step: same spectral
-    helper, same multiplier, same clip."""
-    grid = make_grid(dim, 20.0, 64)
-    u0 = unit_gaussian(grid)
-    prob = ProblemSpec(alpha=1.3, beta=0.0, p=2.0, absorption=PowerAbsorption(0.0),
-                       initial=u0)
-    sched = make_step_schedule(1.0, 1.7, 0.0, 1.0, snapshot_times=[1.7])
-    res = solve(prob, sched)
-    assert res.total_steps == 1
-    dtau = sched.knot_taus[1] - sched.knot_taus[0]
-    step = linear_step(u0, dtau, make_symbol(grid, 1.3))
-    np.testing.assert_array_equal(res.final.values, step.values)
-
-
 @pytest.mark.parametrize("dim,points", [(1, 256), (2, 64)])
 @pytest.mark.parametrize("p", [1.2, 3.0])
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 def test_solve_step_is_absorb_linear_absorb_bitwise(dim, points, p, beta):
-    """One solve substep is exactly the Strang composition of the public
-    substeps: the in-place loop and the Field-returning steps agree bit
-    for bit. A delta on a coarse grid makes the semigroup ripple, so the
-    clip runs too."""
+    """One solve substep is exactly the Strang composition of half
+    absorption, apply_symbol's semigroup plus the ripple clip, and half
+    absorption: the in-place loop and the Field-returning transform agree
+    bit for bit. A delta on a coarse grid makes the semigroup ripple, so
+    the clip runs too."""
     grid = make_grid(dim, 160.0, points)
     u0 = delta_field(grid)
     h = PowerAbsorption(1.0, -0.3)
@@ -438,11 +374,13 @@ def test_solve_step_is_absorb_linear_absorb_bitwise(dim, points, p, beta):
     t_a, t_b = sched.knot_times
     taus = sched.knot_taus
     t_m = tau_to_time((taus[:-1] + taus[1:]) / 2.0, beta)[0]
-    half = absorption_step(u0, t_a, t_m, p, h)
-    full = linear_step(half, taus[1] - taus[0], make_symbol(grid, 1.3))
-    step = absorption_step(full, t_m, t_b, p, h)
+    half = make_field(grid, absorbed(u0.values, h, t_a, t_m, p))
+    full = apply_symbol(half, make_symbol(grid, 1.3), scale=taus[1] - taus[0],
+                        mode="semigroup").values
+    solver._clip_negative(full, grid.cell_volume)
+    step = absorbed(full, h, t_m, t_b, p)
     assert res.trace.absorbed[-1] > 0 and res.clipped_mass > 0
-    np.testing.assert_array_equal(res.final.values, step.values)
+    np.testing.assert_array_equal(res.final.values, step)
 
 
 # -- full solve ---------------------------------------------------------------
