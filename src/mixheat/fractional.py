@@ -107,38 +107,42 @@ def capacity_integral(spec: TestFunctionSpec, p: float, alpha: float,
 
     Both operator parts are closed forms at the scaled radii
     (`bracket_laplacian`, `bracket_frac_laplacian`), in one and two
-    dimensions alike. The grid must be wide enough that the extrapolated
-    integrand tail is below 1e-6 of the total.
+    dimensions alike. The integrand is radial, so it is evaluated on one
+    orthant only, k * spacing for k = 0..n/2 on each axis, and reflected
+    onto the lattice (-n/2..n/2-1) * spacing by the index map
+    |-n/2..n/2-1|. Negating a coordinate is exact, so every lattice value
+    is the one a full-lattice evaluation gives, and the sum runs over the
+    full lattice in lattice order: the result is the same to the bit. The
+    grid must be wide enough that the extrapolated integrand tail is below
+    1e-6 of the total.
     """
     dim = grid.dim
     _validate_capacity_window(spec.q0, p, alpha, dim)
     scale = spec.B * spec.R
     q0 = spec.q0
-    coords = grid.coords()
-    radius = np.sqrt(sum(c ** 2 for c in coords)) / scale
+    half = grid.points // 2
+    orthant = np.arange(half + 1, dtype=float) * grid.spacing
+    axes = np.meshgrid(*(orthant,) * dim, indexing="ij")
+    radius = np.sqrt(sum(c ** 2 for c in axes)) / scale
 
     frac_part = bracket_frac_laplacian(radius, q0, alpha / 2.0, dim)
     neg_lap_part = -bracket_laplacian(radius, q0, dim)
     phi = bracket_profile(radius, 1.0, q0)
     symbol_term = scale ** (-2.0) * neg_lap_part + scale ** (-alpha) * frac_part
     integrand = phi ** (-1.0 / (p - 1.0)) * np.abs(symbol_term) ** (p / (p - 1.0))
-    total = float(np.sum(integrand) * grid.cell_volume)
+    fold = np.abs(np.arange(-half, half))
+    total = float(np.sum(integrand[np.ix_(*(fold,) * dim)]) * grid.cell_volume)
 
-    _check_capacity_tail(radius, integrand, dim, total)
+    # the positive half axis x = 0..(n/2 - 1) * spacing, other axes at 0
+    axis = (slice(0, half),) + (0,) * (dim - 1)
+    _check_capacity_tail(radius[axis], integrand[axis], dim, total)
     return total
 
 
-def _check_capacity_tail(radius, integrand, dim, total):
+def _check_capacity_tail(r_axis, f_axis, dim, total):
     """Extrapolate the radial integrand decay past the box edge and demand
-    the tail stay below 1e-6 of the computed integral."""
-    if dim == 1:
-        half = radius.size // 2
-        r_axis = radius[half:]
-        f_axis = integrand[half:]
-    else:
-        half = radius.shape[0] // 2
-        r_axis = radius[half:, half]
-        f_axis = integrand[half:, half]
+    the tail stay below 1e-6 of the computed integral; `r_axis`, `f_axis`
+    sample the positive half of one lattice axis."""
     r_edge = float(r_axis[-1])
     window = (r_axis > r_edge / 10.0) & (f_axis > 0)
     if window.sum() < 4:

@@ -172,6 +172,37 @@ def test_gaussian_initial_is_the_meshgrid_formula_bit_for_bit(cfg_path, dim, n):
     assert np.array_equal(build_initial(cfg, grid).values, expected)
 
 
+# the box-cut datum that costs the ledger 3.4e-8 (its value at x = +20 is 6e-4
+# of its peak, 7e-4 on the last lattice point), and the sweep-1d/C11 and
+# solve-2d data, which decay to 0 at the box edge
+_CUT_OFF = {"alpha": 1.6, "half_width": 20.0, "points": 256,
+            "initial_width": 3.94, "initial_center": 4.83}
+_SWEEP_1D = {"alpha": 1.0, "half_width": 400.0, "points": 8192, "initial_width": 1.5}
+_SOLVE_2D = {"alpha": 1.0, "dim": 2, "half_width": 64.0, "points": 256,
+             "initial_width": 1.5}
+
+
+def test_gaussian_initial_cut_off_by_the_box_warns(caplog):
+    cfg = config_from_mapping(_CUT_OFF)
+    with caplog.at_level("WARNING", logger="mixheat.config"):
+        u0 = build_initial(cfg, build_grid(cfg))
+    [record] = caplog.records
+    assert record.levelname == "WARNING"
+    message = record.getMessage()
+    assert "7.0e-04 of its peak" in message
+    for key in ("initial_width = 3.94", "initial_center = 4.83", "half_width = 20.0"):
+        assert key in message
+    assert integral(u0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mapping", [_SWEEP_1D, _SOLVE_2D], ids=["sweep-1d", "solve-2d"])
+def test_gaussian_initial_inside_the_box_does_not_warn(caplog, mapping):
+    cfg = config_from_mapping(mapping)
+    with caplog.at_level("DEBUG", logger="mixheat.config"):
+        build_initial(cfg, build_grid(cfg))
+    assert caplog.records == []
+
+
 @pytest.mark.parametrize("dim,n", [(1, 2 ** 20), (2, 512)])
 def test_gaussian_initial_peaks_below_one_and_a_half_grids(cfg_path, dim, n):
     cfg = load_config(cfg_path, overrides=[f"dim={dim}", f"points={n}",

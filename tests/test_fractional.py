@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mixheat import fractional
 from mixheat import (
     ConfigurationError,
     NumericalFailureError,
@@ -239,3 +240,39 @@ def test_capacity_integral_2d():
     assert a == b
     # 1.4124785976 on (16 * 400, 2048^2)
     assert a == pytest.approx(1.412478094553838, abs=1e-6)
+
+
+def _full_lattice_capacity(spec, p, alpha, grid):
+    """The capacity sum with every closed form evaluated on the whole lattice."""
+    scale = spec.B * spec.R
+    radius = np.sqrt(sum(c ** 2 for c in grid.coords())) / scale
+    frac_part = bracket_frac_laplacian(radius, spec.q0, alpha / 2.0, grid.dim)
+    neg_lap_part = -bracket_laplacian(radius, spec.q0, grid.dim)
+    phi = bracket_profile(radius, 1.0, spec.q0)
+    symbol_term = scale ** (-2.0) * neg_lap_part + scale ** (-alpha) * frac_part
+    integrand = phi ** (-1.0 / (p - 1.0)) * np.abs(symbol_term) ** (p / (p - 1.0))
+    return float(np.sum(integrand) * grid.cell_volume)
+
+
+@pytest.mark.parametrize("dim,q0,R,p,alpha,box,points", [
+    (1, 1.5, 8.0, 2.0, 1.0, 2e4, 2 ** 17),
+    (1, 1.5, 11.0, 2.0, 1.0, 2e4, 2 ** 17),
+    (1, 1.5, 3.7, 2.0, 1.0, 2e4, 2 ** 17),
+    (2, 2.1, 8.0, 3.0, 1.9, 200.0, 1024),
+], ids=["1d-R8", "1d-R11", "1d-R3.7", "2d-R8"])
+def test_capacity_integral_folds_one_orthant_bitwise(monkeypatch, dim, q0, R, p,
+                                                     alpha, box, points):
+    # the closed forms see the (n/2 + 1)^N orthant radii only, and the folded
+    # sum equals the full-lattice sum to the bit
+    grid = make_grid(dim, 2.0 * R * box, points)
+    spec = make_test_function_spec(q0, 2.0, R, p, alpha, dim)
+    expected = _full_lattice_capacity(spec, p, alpha, grid)
+    sizes = []
+
+    def spy(r, *args):
+        sizes.append(np.size(r))
+        return bracket_frac_laplacian(r, *args)
+
+    monkeypatch.setattr(fractional, "bracket_frac_laplacian", spy)
+    assert capacity_integral(spec, p, alpha, grid) == expected
+    assert sizes == [(points // 2 + 1) ** dim]
