@@ -6,7 +6,10 @@ frequencies are xi_k = pi k / L and symbols act diagonally under the FFT.
 Conventions: x_j = -L + j dx with dx = 2L/n, so x = 0 sits exactly on the
 lattice. Fields are real, so every transform is a real FFT: symbols live
 on its half lattice, and one helper, _spectral_apply, is the only place
-that transforms.
+that transforms. It calls numpy's one-axis transforms in the order that
+numpy's n-D real transforms do, so its bits are theirs, but runs the 2D
+inverse in the caller's spectrum buffer instead of a fresh complex half
+spectrum.
 """
 
 import struct
@@ -150,23 +153,35 @@ def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed") -> SpectralSy
 
 def _spectral_apply(grid: GridSpec, values: np.ndarray, multiplier=None,
                     kernel=None, out=None, spectrum=None) -> np.ndarray:
-    """irfftn(rfftn(values) * rfftn(kernel) * multiplier) on the grid.
+    """F^-1[F(values) F(kernel) multiplier] on the grid, F the real FFT
+    over every axis.
 
     The one transform path. multiplier (real, half lattice), kernel (a
     second grid array: periodic convolution) and the buffers out (for the
     result; may be values) and spectrum (complex) may each be omitted.
     values=None means that spectrum already holds the input's half
-    spectrum, so the forward transform is skipped; spectrum is then
-    multiplied in place, and without a kernel it may be real.
+    spectrum, so the forward transform is skipped and spectrum is
+    multiplied in place. spectrum is scratch: in 2D the inverse
+    transform runs in it and leaves it overwritten.
     """
-    axes = tuple(range(grid.dim))
+    lead = range(grid.dim - 1)  # the leading axis, in 2D
     if values is not None:
-        spectrum = np.fft.rfftn(values, axes=axes, out=spectrum)
+        spectrum = np.fft.rfft(values, axis=-1, out=spectrum)
+        for axis in lead:
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
     if kernel is not None:
-        spectrum *= np.fft.rfftn(kernel, axes=axes)
+        kernel_spectrum = np.fft.rfft(kernel, axis=-1)
+        for axis in lead:
+            np.fft.fft(kernel_spectrum, axis=axis, out=kernel_spectrum)
+        spectrum *= kernel_spectrum
     if multiplier is not None:
         spectrum *= multiplier
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, out=out)
+    # numpy's n-D real transforms make these calls in this order, but the
+    # n-D inverse gives its leading-axis ifft no out= and so allocates a
+    # complex half spectrum per call
+    for axis in lead:
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=grid.points, axis=-1, out=out)
 
 
 def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,

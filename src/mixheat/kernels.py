@@ -86,11 +86,13 @@ def _delta_response(sym: SpectralSymbol, spectrum: np.ndarray, t: float,
     inverse transform then overwrites. The delta sits at index n//2 on
     every axis, so its half spectrum is (1/dV) exp(-i pi sum k) =
     (-1)^(sum k) / dV, with k the FFT index on each axis, and a zero
-    imaginary part: spectrum's imaginary part must be zero, and its real
-    part is overwritten with the multiplier times 1/dV, negated where
-    sum k is odd. Sign flips are exact and multiplication commutes, so the
-    product is the delta's forward transform times the multiplier, bit for
-    bit.
+    imaginary part. spectrum's real part is overwritten with the
+    multiplier times 1/dV, negated where sum k is odd. Sign flips are
+    exact and multiplication commutes, so the product is the delta's
+    forward transform times the multiplier, bit for bit. In 1D the
+    transform leaves spectrum as it was, so its imaginary part must be
+    zero on entry; in 2D the transform runs in spectrum, so the
+    imaginary part is zeroed here.
     """
     grid = sym.grid
     if out is None:
@@ -103,6 +105,7 @@ def _delta_response(sym: SpectralSymbol, spectrum: np.ndarray, t: float,
     product[..., 1::2] *= -1.0
     if grid.dim == 2:
         product[1::2] *= -1.0
+        spectrum.imag[...] = 0.0
     return Field(grid=grid, values=_spectral_apply(grid, None, spectrum=spectrum, out=out))
 
 

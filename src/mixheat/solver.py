@@ -41,8 +41,9 @@ _MAX_BYTES = 4 * 2 ** 30
 _TRACE_ROW_BYTES = 6 * 8
 # Grid-sized arrays solve holds besides its snapshots: state, work buffer,
 # spectrum, symbol and multiplier (half lattice each) and the FFT's own
-# scratch. On 2^22 points the peak RSS of a solve, less its one snapshot,
-# measured 5.02 grids in 1D and 4.05 in 2D; 6 leaves a margin.
+# scratch. On 2^22 points the ru_maxrss of a solve over the interpreter's,
+# less its one snapshot, measured 5.24 grids in 1D and 4.24 in 2D (2048^2);
+# 6 leaves a margin.
 _WORK_GRIDS = 6
 # Most Strang steps one schedule may hold: the trace rows of one more step
 # would not fit _MAX_BYTES. A larger count is a config error, caught before

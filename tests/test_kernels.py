@@ -91,12 +91,13 @@ def test_mixed_kernel_is_product_of_factors(alpha):
 @pytest.mark.parametrize("builder,kind", [(mixed_kernel, "mixed"),
                                           (stable_kernel, "fractional")])
 @pytest.mark.parametrize("dim,n", [(1, 16), (1, 1024), (1, 2 ** 16), (2, 16), (2, 256)])
-def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n):
+def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n,
+                                                     monkeypatch):
     """Skipping the delta's forward transform changes no bit: the in-place
-    product with a multiplier of 1 (t = 0) is its rfftn exactly, every
-    kernel is the apply_symbol result, and a run of mixed kernels over
-    unordered times returns the last of them and the kernel_lq_norm of
-    each, bit for bit."""
+    product with a multiplier of 1 (t = 0), as the transform receives it,
+    is the delta's rfftn exactly, every kernel is the apply_symbol result,
+    and a run of mixed kernels over unordered times returns the last of
+    them and the kernel_lq_norm of each, bit for bit."""
     g = make_grid(dim, 0.37 * n, n)
     delta = delta_field(g)
     spectrum = np.fft.rfftn(delta.values, axes=tuple(range(dim)))
@@ -105,8 +106,16 @@ def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n):
     for alpha in ALPHAS:
         sym = make_symbol(g, alpha, kind)
         buffer = np.zeros(sym.values.shape, dtype=complex)
-        _delta_response(sym, buffer, 0.0)
-        assert np.array_equal(buffer, spectrum)
+        received = []
+
+        def spy(grid, values, apply=kernels._spectral_apply, **kwargs):
+            received.append(kwargs["spectrum"].copy())
+            return apply(grid, values, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_spectral_apply", spy)
+            _delta_response(sym, buffer, 0.0)
+        assert len(received) == 1 and np.array_equal(received[0], spectrum)
         built = [builder(g, alpha, t) for t in times]
         for t, k in zip(times, built):
             reference = apply_symbol(delta, sym, scale=t, mode="semigroup")
