@@ -7,9 +7,10 @@ Conventions: x_j = -L + j dx with dx = 2L/n, so x = 0 sits exactly on the
 lattice. Fields are real, so every transform is a real FFT: symbols live
 on its half lattice, and one helper, _spectral_apply, is the only place
 that transforms. It calls numpy's one-axis transforms in the order that
-numpy's n-D real transforms do, so its bits are theirs, but runs the 2D
-inverse in the caller's spectrum buffer instead of a fresh complex half
-spectrum.
+numpy's n-D real transforms do, but runs the 2D inverse in the caller's
+spectrum buffer and leaves it unnormalised; each caller folds the exact
+factor 1/N (N = points^dim) into a factor of its own, so the bits are the
+n-D round trip's.
 """
 
 import struct
@@ -162,7 +163,9 @@ def _spectral_apply(grid: GridSpec, values: np.ndarray, multiplier=None,
     values=None means that spectrum already holds the input's half
     spectrum, so the forward transform is skipped and spectrum is
     multiplied in place. spectrum is scratch: in 2D the inverse
-    transform runs in it and leaves it overwritten.
+    transform runs in it and leaves it overwritten. The inverse skips its
+    1/N scaling pass, so the result is N = points^dim times the round
+    trip: the caller scales a factor of its own by the power of two 1/N.
     """
     lead = range(grid.dim - 1)  # the leading axis, in 2D
     if values is not None:
@@ -180,8 +183,8 @@ def _spectral_apply(grid: GridSpec, values: np.ndarray, multiplier=None,
     # n-D inverse gives its leading-axis ifft no out= and so allocates a
     # complex half spectrum per call
     for axis in lead:
-        np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    return np.fft.irfft(spectrum, n=grid.points, axis=-1, out=out)
+        np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
+    return np.fft.irfft(spectrum, n=grid.points, axis=-1, norm="forward", out=out)
 
 
 def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,
@@ -204,6 +207,7 @@ def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,
         mult = np.exp(-scale * symbol.values)
     else:
         raise ConfigurationError(f"unknown apply_symbol mode {mode!r}")
+    mult *= 1.0 / f.values.size  # the inverse transform's 1/N
     return Field(grid=f.grid, values=_spectral_apply(f.grid, f.values, mult))
 
 
@@ -224,8 +228,9 @@ def convolve(f: Field, g: Field) -> Field:
         raise ConfigurationError("convolve needs both fields on one grid")
     grid = f.grid
     raw = _spectral_apply(grid, f.values, kernel=g.values)
+    raw *= grid.cell_volume / raw.size  # dV and the inverse's 1/N
     shift = (-(grid.points // 2),) * grid.dim
-    out = np.roll(raw, shift, axis=tuple(range(grid.dim))) * grid.cell_volume
+    out = np.roll(raw, shift, axis=tuple(range(grid.dim)))
     return Field(grid=grid, values=out)
 
 

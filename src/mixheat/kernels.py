@@ -7,8 +7,9 @@ space by applying the matching semigroup multiplier to the spectrum of a
 discrete delta. That spectrum is known in closed form, +-1/dV, and the
 product is formed in place bit for bit as the delta's forward transform
 times the multiplier would give it, so a kernel costs one inverse
-transform. The multiplier is exactly 1 at the zero mode, which pins the
-discrete mass to one, and by Poisson summation the grid kernel is the
+transform; the product's factor (1/dV)/N also carries the unnormalised
+inverse's exact 1/N (N the point count). The multiplier is exactly 1 at
+the zero mode, which pins the discrete mass to one, and by Poisson summation the grid kernel is the
 periodization of the exact one.
 
 A run of kernels on one grid (mixed_kernel_norms) builds one symbol and
@@ -87,12 +88,13 @@ def _delta_response(sym: SpectralSymbol, spectrum: np.ndarray, t: float,
     every axis, so its half spectrum is (1/dV) exp(-i pi sum k) =
     (-1)^(sum k) / dV, with k the FFT index on each axis, and a zero
     imaginary part. spectrum's real part is overwritten with the
-    multiplier times 1/dV, negated where sum k is odd. Sign flips are
-    exact and multiplication commutes, so the product is the delta's
-    forward transform times the multiplier, bit for bit. In 1D the
-    transform leaves spectrum as it was, so its imaginary part must be
-    zero on entry; in 2D the transform runs in spectrum, so the
-    imaginary part is zeroed here.
+    multiplier times (1/dV)/N, negated where sum k is odd (1/N is the
+    inverse's). Sign flips and powers of two are exact and multiplication
+    commutes, so the product is the delta's forward transform times
+    apply_symbol's multiplier, bit for bit. In 1D the transform leaves
+    spectrum as it was, so its imaginary part must be zero on entry; in
+    2D the transform runs in spectrum, so the imaginary part is zeroed
+    here.
     """
     grid = sym.grid
     if out is None:
@@ -101,7 +103,7 @@ def _delta_response(sym: SpectralSymbol, spectrum: np.ndarray, t: float,
     np.multiply(sym.values, -t, out=m)
     np.exp(m, out=m)
     product = spectrum.real
-    np.multiply(m, 1.0 / grid.cell_volume, out=product)
+    np.multiply(m, 1.0 / grid.cell_volume / out.size, out=product)
     product[..., 1::2] *= -1.0
     if grid.dim == 2:
         product[1::2] *= -1.0

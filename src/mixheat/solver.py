@@ -39,12 +39,12 @@ _log = logging.getLogger(__name__)
 # checked before it allocates.
 _MAX_BYTES = 4 * 2 ** 30
 _TRACE_ROW_BYTES = 6 * 8
-# Grid-sized arrays solve holds besides its snapshots: state, work buffer,
-# spectrum, symbol and multiplier (half lattice each) and the FFT's own
-# scratch. On 2^22 points the ru_maxrss of a solve over the interpreter's,
-# less its one snapshot, measured 5.24 grids in 1D and 4.24 in 2D (2048^2);
-# 6 leaves a margin.
-_WORK_GRIDS = 6
+# Grid-sized arrays solve holds besides its snapshots: state, spectrum (the
+# work buffer is a view on it), symbol and multiplier (half lattice each)
+# and the FFT's own scratch. The ru_maxrss of a solve over the interpreter's
+# just before it, less its one snapshot, measured 3.90 grids in 1D (2^22
+# points) and 3.05 in 2D (2048^2); 5 leaves a margin.
+_WORK_GRIDS = 5
 # Most Strang steps one schedule may hold: the trace rows of one more step
 # would not fit _MAX_BYTES. A larger count is a config error, caught before
 # any work.
@@ -327,9 +327,9 @@ def _clip_negative(values: np.ndarray, cell_volume: float) -> float:
 
     Clipped mass is positive: it is the mass the clip ADDS, since the
     removed entries are negative ripple."""
-    neg = values < 0.0
-    if not np.any(neg):
+    if not values.min() < 0.0:
         return 0.0
+    neg = values < 0.0
     clipped = -float(np.sum(values[neg])) * cell_volume
     values[neg] = 0.0
     return clipped
@@ -340,10 +340,14 @@ def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
     place (work: scratch). The factored form avoids 0^(1-p) at zeros."""
     if H == 0.0:
         return
-    np.power(values, p - 1.0, out=work)
-    work *= (p - 1.0) * H
+    q = p - 1.0
+    if q == 2.0:  # np.power's bits, faster
+        np.square(values, out=work)
+    else:
+        np.power(values, q, out=work)
+    work *= q * H
     work += 1.0
-    work **= -1.0 / (p - 1.0)
+    work **= -1.0 / q
     values *= work
 
 
@@ -408,7 +412,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     Mass, cumulative absorbed mass and field norms are recorded after
     every substep. The state is updated in place; snapshots, copies of it,
     are taken at the schedule's snapshot times only. A run whose snapshots,
-    _WORK_GRIDS grid-sized work arrays and trace rows would need more than
+    _WORK_GRIDS grids of work space and trace rows would need more than
     _MAX_BYTES is a ConfigurationError before anything is allocated. A
     non-finite state aborts with the partial result attached to the raised
     error as .partial.
@@ -436,15 +440,17 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     u = problem.initial.values.copy()
     clipped_total = 0.0
     # the step's only grid-sized buffers: fresh ones would page-fault
-    work = np.empty_like(u)
     spectrum = np.empty(symbol.values.shape, dtype=complex)
     multiplier = np.empty_like(symbol.values)
-    mass = np.sum(u)
+    # scratch on the spectrum buffer's first u.size floats, safe because
+    # nothing in work outlives the next transform, which rewrites them
+    work = spectrum.view(float).reshape(-1)[:u.size].reshape(u.shape)
+    mass = np.add.reduce(u, axis=None)
     t0 = float(schedule.knot_times[0])
     # one trace row per step, in MassTrace's column order
     rows = np.empty((6, schedule.total_steps + 1))
-    rows[:, 0] = (t0, schedule.knot_taus[0], mass * dV, 0.0, np.max(u),
-                  np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV))
+    rows[:, 0] = (t0, schedule.knot_taus[0], mass * dV, 0.0, u.max(),
+                  np.sqrt(np.add.reduce(np.square(u, out=work), axis=None) * dV))
     filled = 1
     absorbed = 0.0
 
@@ -477,30 +483,32 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         mid_times = tau_to_time((sub_taus[:-1] + sub_taus[1:]) / 2.0, beta)
         dtau = (tau_b - tau_a) / n_sub
         np.exp(np.multiply(symbol.values, -dtau, out=multiplier), out=multiplier)
+        multiplier *= 1.0 / u.size  # the inverse transform's 1/N
         for j in range(n_sub):
             _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p, work)
-            absorbed += (mass - np.sum(u)) * dV
+            absorbed += (mass - np.add.reduce(u, axis=None)) * dV
 
             # exp(-dtau m) and the ripple clip on u in place: the bits of
             # apply_symbol(mode="semigroup") then _clip_negative
             _spectral_apply(grid, u, multiplier, out=u, spectrum=spectrum)
             clipped_total += _clip_negative(u, dV)
 
-            mass_pre = np.sum(u)
+            mass_pre = np.add.reduce(u, axis=None)
             _absorb(u, absorption.integral(mid_times[j], sub_times[j + 1]), p, work)
-            mass = np.sum(u)
+            mass = np.add.reduce(u, axis=None)
             absorbed += (mass_pre - mass) * dV
 
             # u >= 0 here, so max is the sup norm (and NaN propagates)
-            linf = float(np.max(u))
+            linf = float(u.max())
             if not np.isfinite(linf):
                 err = NumericalFailureError(
                     f"non-finite state at t = {sub_times[j + 1]:g} "
                     f"({filled - 1} steps completed)")
                 err.partial = partial_result()
                 raise err
+            l2 = np.sqrt(np.add.reduce(np.square(u, out=work), axis=None) * dV)
             rows[:, filled] = (sub_times[j + 1], sub_taus[j + 1], mass * dV, absorbed,
-                               linf, np.sqrt(np.sum(np.multiply(u, u, out=work)) * dV))
+                               linf, l2)
             filled += 1
         if is_snapshot[k + 1]:
             record_snapshot(float(schedule.knot_times[k + 1]), u)

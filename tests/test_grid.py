@@ -250,7 +250,7 @@ def test_spectral_apply_in_place_matches_out_of_place(dim):
     """out=values with a reused spectrum buffer (the solver's in-place
     call) gives the out-of-place result bit for bit, on both paths."""
     g = make_grid(dim, 32.0, 64 if dim == 1 else 32)
-    mult = np.exp(-0.7 * make_symbol(g, 1.3).values)
+    mult = np.exp(-0.7 * make_symbol(g, 1.3).values) / g.points ** dim
     kernel = gaussian_field(g, width=2.0, center=1.0).values
     buf = np.empty(mult.shape, dtype=complex)
     for seed, paths in ((20 + dim, {"multiplier": mult}), (30 + dim, {"kernel": kernel})):
@@ -278,23 +278,35 @@ def _spectral_oracle(grid, values, multiplier=None, kernel=None):
 @pytest.mark.parametrize("dim,n", [(1, 16), (1, 8192), (2, 16), (2, 256)])
 def test_spectral_apply_is_the_nd_round_trip_bit_for_bit(dim, n):
     """The axis-by-axis transforms make numpy's rfftn/irfftn calls in
-    their order, so every path gives the n-D round trip's bits: with a
-    multiplier, a kernel, both or neither; with and without the out= and
-    spectrum= buffers; and from a given spectrum (values=None)."""
+    their order, and the inverse skips the 1/N scaling that the caller
+    folds into a factor of its own, so every path gives the n-D round
+    trip's bits: with a multiplier that carries the 1/N, or with none and
+    the result scaled by 1/N; with a kernel or without; with and without
+    the out= and spectrum= buffers; and from a given spectrum
+    (values=None). At dtau = 20 on 8192 points the multiplier falls
+    through the subnormals to 0."""
     g = make_grid(dim, 24.0, n)
-    mult = np.exp(-0.7 * make_symbol(g, 1.3).values)
+    inverse_n = 1.0 / g.points ** dim
+    symbol = make_symbol(g, 1.3).values
     kernel = gaussian_field(g, width=2.0, center=1.0).values
     v = _field_with_nyquist(g, 40 + dim).values
-    for paths in ({}, {"multiplier": mult}, {"kernel": kernel},
-                  {"multiplier": mult, "kernel": kernel}):
+    cases = [{}, {"kernel": kernel}]
+    for dtau in (0.7, 20.0):
+        mult = np.exp(-dtau * symbol)
+        cases += [{"multiplier": mult}, {"multiplier": mult, "kernel": kernel}]
+    for paths in cases:
         expected = _spectral_oracle(g, v, **paths)
-        assert np.array_equal(_spectral_apply(g, v, **paths), expected)
-        buf = np.empty(mult.shape, dtype=complex)
+        scale = inverse_n
+        if "multiplier" in paths:
+            paths = dict(paths, multiplier=paths["multiplier"] * inverse_n)
+            scale = 1.0
+        assert np.array_equal(_spectral_apply(g, v, **paths) * scale, expected)
+        buf = np.empty(symbol.shape, dtype=complex)
         out = np.empty(g.shape)
         assert _spectral_apply(g, v, out=out, spectrum=buf, **paths) is out
-        assert np.array_equal(out, expected)
+        assert np.array_equal(out * scale, expected)
         given = np.fft.rfftn(v, axes=tuple(range(dim)))
-        assert np.array_equal(_spectral_apply(g, None, spectrum=given, **paths),
+        assert np.array_equal(_spectral_apply(g, None, spectrum=given, **paths) * scale,
                               expected)
 
 
@@ -304,7 +316,7 @@ def test_spectral_apply_2d_allocates_no_half_spectrum():
     its traced peak stays below half of one complex half spectrum (numpy
     casts the real multiplier to complex through a smaller buffer)."""
     g = make_grid(2, 64.0, 256)
-    mult = np.exp(-0.7 * make_symbol(g, 1.3).values)
+    mult = np.exp(-0.7 * make_symbol(g, 1.3).values) / g.points ** 2
     v = _field_with_nyquist(g, 50).values.copy()
     buf = np.empty(mult.shape, dtype=complex)
     _spectral_apply(g, v, mult, out=v, spectrum=buf)

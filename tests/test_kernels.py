@@ -95,7 +95,8 @@ def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n,
                                                      monkeypatch):
     """Skipping the delta's forward transform changes no bit: the in-place
     product with a multiplier of 1 (t = 0), as the transform receives it,
-    is the delta's rfftn exactly, every kernel is the apply_symbol result,
+    is the delta's rfftn times the inverse transform's 1/N exactly, every
+    kernel is the apply_symbol result,
     and a run of mixed kernels over unordered times returns the last of
     them and the kernel_lq_norm of each, bit for bit."""
     g = make_grid(dim, 0.37 * n, n)
@@ -115,7 +116,8 @@ def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n,
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "_spectral_apply", spy)
             _delta_response(sym, buffer, 0.0)
-        assert len(received) == 1 and np.array_equal(received[0], spectrum)
+        assert len(received) == 1
+        assert np.array_equal(received[0], spectrum * (1.0 / n ** dim))
         built = [builder(g, alpha, t) for t in times]
         for t, k in zip(times, built):
             reference = apply_symbol(delta, sym, scale=t, mode="semigroup")

@@ -1,6 +1,7 @@
 """Time stepping: absorption laws, split steps, full solves, diagnostics."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,26 @@ def test_absorb_edge_cases(small_grid):
     assert integral(make_field(small_grid, stepped)) < integral(u0)
 
 
+def test_absorb_at_p_3_is_the_power_form_bitwise():
+    """At p = 3 the absorption squares with np.square; it gives the bits
+    of the np.power form, signed zeros, subnormals and squares near the
+    largest float included."""
+    rng = np.random.default_rng(16)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154, -1e154,
+               1.3e154]
+    values = np.concatenate([special, 10.0 ** rng.uniform(-300, 150, 4096),
+                             rng.random(4096)])
+    for H in (1e-12, 0.1, 0.37):
+        work = np.power(values, 2.0)
+        work *= 2.0 * H
+        work += 1.0
+        work **= -0.5
+        expected = values * work
+        out = values.copy()
+        solver._absorb(out, H, 3.0, np.empty_like(out))
+        assert out.tobytes() == expected.tobytes()
+
+
 def test_solve_leaves_its_input_unchanged(small_grid):
     """solve works in place on its own copy: the initial field stays as it
     was, and every snapshot is a copy of the state, not a view."""
@@ -384,6 +405,25 @@ def test_solve_step_is_absorb_linear_absorb_bitwise(dim, points, p, beta):
 
 
 # -- full solve ---------------------------------------------------------------
+
+@pytest.mark.parametrize("dim,points", [(1, 8192), (2, 256)])
+def test_solve_peaks_below_four_and_a_half_grids(dim, points):
+    """The absorption and norm scratch is a view on the spectrum buffer, so
+    a run holds the state, the spectrum, the symbol, the multiplier and
+    its one snapshot: its traced peak, symbol build included, stays below
+    4.5 grids (about 4.2; a separate work array made it about 5.2)."""
+    grid = make_grid(dim, 64.0, points)
+    u0 = unit_gaussian(grid)
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                       initial=u0)
+    sched = make_step_schedule(1.0, 2.0, 0.0, 0.25, snapshot_times=[2.0])
+    tracemalloc.start()
+    try:
+        solve(prob, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * u0.values.nbytes
 
 def test_solve_linear_limit_matches_kernel(small_grid):
     """With vanishing absorption the split scheme must reproduce the exact
@@ -450,7 +490,7 @@ def test_solve_checks_its_memory_budget_before_allocating(monkeypatch):
     monkeypatch.setattr(solver, "make_symbol", no_allocation)
     with pytest.raises(ConfigurationError,
                        match=r"^241 snapshots of a 4194304-point grid and a trace of 240 "
-                             r"steps need about 7\.72 GiB, more than the memory "
+                             r"steps need about 7\.69 GiB, more than the memory "
                              r"budget of 4 GiB$"):
         solve(prob, sched)
     # the trace rows count too: 48 B per row, two rows for one step
