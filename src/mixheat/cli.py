@@ -164,17 +164,15 @@ def cmd_sweep(args) -> int:
 def cmd_capacity(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
     radii = capacity_radii(cfg)
-    require("finite and > 0", capacity_b=cfg.capacity_b,
-            capacity_half_width=cfg.capacity_half_width)
-    values = []
-    for R in radii:
-        grid = make_grid(dim=cfg.dim,
-                         half_width=cfg.capacity_b * R * cfg.capacity_half_width,
-                         points=cfg.capacity_points)
-        spec = make_test_function_spec(q0=cfg.capacity_q0, B=cfg.capacity_b, R=R,
-                                       p=cfg.p, alpha=cfg.alpha, dim=cfg.dim)
-        values.append(capacity_integral(spec, cfg.p, cfg.alpha, grid))
-        print(f"R={_fmt(R)} value={_fmt(values[-1])}")
+    require("finite and >= 1", capacity_b=cfg.capacity_b)
+    require("finite and > 0", capacity_half_width=cfg.capacity_half_width)
+    require("a power of two >= 16", capacity_points=cfg.capacity_points)
+    grid = make_grid(cfg.dim, cfg.capacity_half_width, cfg.capacity_points)
+    spec = make_test_function_spec(q0=cfg.capacity_q0, B=cfg.capacity_b, radii=radii,
+                                   p=cfg.p, alpha=cfg.alpha, dim=cfg.dim)
+    values = capacity_integral(spec, cfg.p, cfg.alpha, grid)
+    for R, v in zip(radii, values):
+        print(f"R={_fmt(R)} value={_fmt(v)}")
     slope = math.nan
     if len(radii) >= 2:
         slope = _loglog_slope(radii, values)

@@ -241,7 +241,9 @@ def kernel_times(cfg: ExperimentConfig) -> list:
 
 def capacity_radii(cfg: ExperimentConfig) -> list:
     vals = parse_float_list(cfg.capacity_radii, "capacity_radii")
-    if not vals or not all(math.isfinite(v) and v >= 1 for v in vals):
+    if (not vals or len(set(vals)) < len(vals)
+            or not all(math.isfinite(v) and v >= 1 for v in vals)):
         raise ConfigurationError(
-            f"capacity_radii must be a comma list of finite values >= 1, got {vals}")
+            f"capacity_radii must be a comma list of distinct finite values >= 1, "
+            f"got {vals}")
     return vals

@@ -25,6 +25,7 @@ _RANGES = {
     "finite and >= 1": lambda v: (1 <= v) & (v < np.inf),
     "in (0, 2)": lambda v: (0 < v) & (v < 2),
     "in (0, 1)": lambda v: (0 < v) & (v < 1),
+    "a power of two >= 16": lambda v: (v >= 16) & (v & (v - 1) == 0),
 }
 # The paper's alpha, beta and p, and the library's s and dim, carry one
 # range wherever they are passed.

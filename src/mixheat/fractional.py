@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import gammaln, hyp2f1
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import GridSpec, _float_or_array
+from .grid import GridSpec, _float_or_array, make_grid
+from .solver import _check_grid_budget
 
 
 def frac_constant(dim: int, s: float) -> float:
@@ -76,20 +77,27 @@ def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
 # ---------------------------------------------------------------------------
 # Capacity integral.
 
+# Lattice-sized float64 arrays a capacity run holds at its peak: its ru_maxrss,
+# less the interpreter's, read 5.7-5.9 in 1D (2^17-2^21 points), 2.5-2.8 in 2D.
+_CAPACITY_GRIDS = 7
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Rescaled bracket test function <x/(B R)>^(-q0)."""
+    """Rescaled bracket test functions <x/(B R)>^(-q0), one per R in radii."""
 
     q0: float
     B: float
-    R: float
+    radii: tuple
 
 
-def make_test_function_spec(q0: float, B: float, R: float, p: float,
+def make_test_function_spec(q0: float, B: float, radii, p: float,
                             alpha: float, dim: int) -> TestFunctionSpec:
     _validate_capacity_window(q0, p, alpha, dim)
-    require("finite and >= 1", B=B, R=R)
-    return TestFunctionSpec(q0=float(q0), B=float(B), R=float(R))
+    radii = tuple(float(R) for R in radii)
+    require("finite and >= 1", B=B, radii=np.array(radii))
+    return TestFunctionSpec(q0=float(q0), B=float(B), radii=radii)
 
 
 def _validate_capacity_window(q0, p, alpha, dim):
@@ -101,61 +109,76 @@ def _validate_capacity_window(q0, p, alpha, dim):
 
 
 def capacity_integral(spec: TestFunctionSpec, p: float, alpha: float,
-                      grid: GridSpec) -> float:
+                      grid: GridSpec) -> list:
     """int Phi_R^(-1/(p-1)) |(-Lap + (-Lap)^(alpha/2)) Phi_R|^(p/(p-1)) dx
-    on the grid, with Phi_R = <x/(B R)>^(-q0).
+    with Phi_R = <x/(B R)>^(-q0), for each R in spec.radii, as a list.
 
-    Both operator parts are closed forms at the scaled radii
-    (`bracket_laplacian`, `bracket_frac_laplacian`), in one and two
-    dimensions alike. The integrand is radial, so it is evaluated on one
-    orthant only, k * spacing for k = 0..n/2 on each axis, and reflected
-    onto the lattice (-n/2..n/2-1) * spacing by the index map
-    |-n/2..n/2-1|. Negating a coordinate is exact, so every lattice value
-    is the one a full-lattice evaluation gives, and the sum runs over the
-    full lattice in lattice order: the result is the same to the bit. The
-    grid must be wide enough that the extrapolated integrand tail is below
-    1e-6 of the total.
+    `grid` is the scaled grid, y = x/(B R) on [-L, L)^N, where the closed
+    forms (`bracket_laplacian`, `bracket_frac_laplacian`) and the weight
+    Phi^(-1/(p-1)) do not depend on R: they are evaluated once, on the
+    orthant k * spacing, k = 0..n/2 per axis. Per R the operator parts are
+    weighed by (B R)^-2 and (B R)^-alpha, reflected onto the lattice by
+    |-n/2..n/2-1|, summed in lattice order and scaled by the cell volume of
+    make_grid(N, B R L, n): for B R a power of two, the full-lattice sum in
+    x to the bit. Each R's extrapolated tail must be below 1e-6 of its total.
     """
-    dim = grid.dim
-    _validate_capacity_window(spec.q0, p, alpha, dim)
-    scale = spec.B * spec.R
-    q0 = spec.q0
-    half = grid.points // 2
-    orthant = np.arange(half + 1, dtype=float) * grid.spacing
-    axes = np.meshgrid(*(orthant,) * dim, indexing="ij")
-    radius = np.sqrt(sum(c ** 2 for c in axes)) / scale
-
+    dim, q0, half = grid.dim, spec.q0, grid.points // 2
+    _validate_capacity_window(q0, p, alpha, dim)
+    _check_grid_budget(_CAPACITY_GRIDS, grid, "capacity_points", "capacity")
+    reach = min(_LOG_MAX / (q0 / 2.0 * max(1.0, 1.0 / (p - 1.0))),
+                _LOG_MAX - math.log(q0 + 2.0)) - 1.0  # largest safe log(1 + r^2), less 1
+    widest = math.sqrt(math.expm1(reach) / dim)
+    if not grid.half_width <= widest:
+        raise ConfigurationError(
+            f"capacity_half_width must be at most {widest:.6g} for q0={q0}, p={p}, "
+            f"dim={dim}, beyond which a factor of the integrand leaves the float "
+            f"range at the box corner, got {grid.half_width}")
+    radius = np.sqrt(sum(c ** 2 for c in np.meshgrid(
+        *(np.arange(half + 1, dtype=float) * grid.spacing,) * dim, indexing="ij")))
     frac_part = bracket_frac_laplacian(radius, q0, alpha / 2.0, dim)
     neg_lap_part = -bracket_laplacian(radius, q0, dim)
-    phi = bracket_profile(radius, 1.0, q0)
-    symbol_term = scale ** (-2.0) * neg_lap_part + scale ** (-alpha) * frac_part
-    integrand = phi ** (-1.0 / (p - 1.0)) * np.abs(symbol_term) ** (p / (p - 1.0))
-    fold = np.abs(np.arange(-half, half))
-    total = float(np.sum(integrand[np.ix_(*(fold,) * dim)]) * grid.cell_volume)
-
-    # the positive half axis x = 0..(n/2 - 1) * spacing, other axes at 0
+    weight = bracket_profile(radius, 1.0, q0) ** (-1.0 / (p - 1.0))
+    fold = np.ix_(*(np.abs(np.arange(-half, half)),) * dim)
+    # the tail guard's window r > r_edge / 10 on the positive half axis
     axis = (slice(0, half),) + (0,) * (dim - 1)
-    _check_capacity_tail(radius[axis], integrand[axis], dim, total)
-    return total
+    r_edge = float(radius[axis][-1])
+    window = radius[axis] > r_edge / 10.0
+    log_r = np.log(radius[axis][window])
+    del radius
+
+    totals = []
+    for R in spec.radii:
+        scale = spec.B * R
+        integrand = weight * np.abs(scale ** (-2.0) * neg_lap_part
+                                    + scale ** (-alpha) * frac_part) ** (p / (p - 1.0))
+        cell_volume = make_grid(dim, scale * grid.half_width, grid.points).cell_volume
+        totals.append(float(np.sum(integrand[fold]) * cell_volume))
+        _check_capacity_tail(log_r, integrand[axis][window], r_edge, dim, totals[-1])
+        del integrand  # before the next R builds its own
+    return totals
 
 
-def _check_capacity_tail(r_axis, f_axis, dim, total):
-    """Extrapolate the radial integrand decay past the box edge and demand
-    the tail stay below 1e-6 of the computed integral; `r_axis`, `f_axis`
-    sample the positive half of one lattice axis."""
-    r_edge = float(r_axis[-1])
-    window = (r_axis > r_edge / 10.0) & (f_axis > 0)
-    if window.sum() < 4:
-        raise ConfigurationError("capacity grid too coarse for a tail estimate")
-    slope = np.polyfit(np.log(r_axis[window]), np.log(f_axis[window]), 1)[0]
+def _check_capacity_tail(log_r, f_window, r_edge, dim, total):
+    """Extrapolate the integrand `f_window`, sampled where `log_r` holds log r,
+    past the box edge r_edge; its tail must stay below 1e-6 of `total`."""
+    slope = _tail_slope(log_r, f_window)
     if slope + dim >= -0.1:
         raise ConfigurationError(
             f"capacity integrand decays too slowly (slope {slope:.2f}) "
             "for a convergent tail; widen the box")
-    f_edge = float(f_axis[-1])
     surface = 2.0 if dim == 1 else 2.0 * np.pi * r_edge
-    tail = surface * f_edge * r_edge / (-(slope + dim))
+    tail = surface * float(f_window[-1]) * r_edge / (-(slope + dim))
     if tail > 1e-6 * total:
         raise ConfigurationError(
             f"capacity tail estimate {tail:.3e} exceeds 1e-6 of the integral "
             f"{total:.3e}; widen the box relative to B*R")
+
+
+def _tail_slope(log_r, f):
+    """Least-squares slope of log f on log r where f > 0, by centred sums."""
+    x, y = log_r[f > 0], np.log(f[f > 0])
+    if x.size < 4:
+        raise ConfigurationError("capacity grid too coarse for a tail estimate")
+    x -= np.add.reduce(x) / x.size
+    y -= np.add.reduce(y) / y.size
+    return float(np.add.reduce(x * y) / np.add.reduce(x * x))

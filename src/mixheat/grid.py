@@ -23,10 +23,6 @@ from .errors import ConfigurationError, NumericalFailureError, require
 _FIELD_MAGIC = b"FHK1"
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _float_or_array(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
@@ -43,9 +39,7 @@ class GridSpec:
         if self.dim not in (1, 2):
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
         require("finite and > 0", half_width=self.half_width)
-        if not (_is_power_of_two(self.points) and self.points >= 16):
-            raise ConfigurationError(
-                f"points must be a power of two >= 16, got {self.points}")
+        require("a power of two >= 16", points=self.points)
 
     @property
     def spacing(self) -> float:

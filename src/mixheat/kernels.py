@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalFailureError, require
 from .grid import (Field, GridSpec, SpectralSymbol, _spectral_apply,
                    apply_symbol, integral, make_symbol)
+from .solver import _check_grid_budget
 
 log = logging.getLogger(__name__)
 
@@ -65,15 +66,7 @@ def _check_kernel(k: Field, label: str) -> float:
 def _kernel_run(grid: GridSpec, alpha: float, kind: str):
     """The symbol and a zeroed complex half-spectrum buffer for kernels on
     one grid, once the run is known to fit the solver's memory budget."""
-    from .solver import _MAX_BYTES  # read per call: the budget may be lowered
-
-    points = grid.points ** grid.dim
-    need = _KERNEL_GRIDS * 8 * points
-    if need > _MAX_BYTES:
-        raise ConfigurationError(
-            f"points = {grid.points} gives a {points}-point kernel grid that "
-            f"needs about {need / 2 ** 30:.3g} GiB, more than the memory "
-            f"budget of {_MAX_BYTES / 2 ** 30:g} GiB")
+    _check_grid_budget(_KERNEL_GRIDS, grid, "points", "kernel")
     sym = make_symbol(grid, alpha, kind)
     return sym, np.zeros(sym.values.shape, dtype=complex)
 

@@ -51,6 +51,17 @@ _WORK_GRIDS = 5
 _MAX_STEPS = _MAX_BYTES // _TRACE_ROW_BYTES - 1
 
 
+def _check_grid_budget(grids: int, grid: GridSpec, key: str, what: str):
+    """Raise, naming `key`, if `grids` float64 grids exceed _MAX_BYTES."""
+    points = grid.points ** grid.dim
+    need = grids * 8 * points
+    if need > _MAX_BYTES:
+        raise ConfigurationError(
+            f"{key} = {grid.points} gives a {points}-point {what} grid that "
+            f"needs about {need / 2 ** 30:.3g} GiB, more than the memory "
+            f"budget of {_MAX_BYTES / 2 ** 30:g} GiB")
+
+
 # ---------------------------------------------------------------------------
 # Absorption coefficients h(t): the closed-form power law and sampled
 # tables. The stepper needs rate(t), integral(a, b) and tail_exponent (the

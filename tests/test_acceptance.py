@@ -249,11 +249,8 @@ def test_06_far_field_decay():
 
 def test_07_capacity_scaling_slope():
     radii = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
-    vals = []
-    for R in radii:
-        spec = make_test_function_spec(1.5, 2.0, R, 2.0, 1.0, 1)
-        grid = make_grid(1, 2.0 * R * 2e4, 2 ** 17)
-        vals.append(capacity_integral(spec, 2.0, 1.0, grid))
+    spec = make_test_function_spec(1.5, 2.0, radii, 2.0, 1.0, 1)
+    vals = capacity_integral(spec, 2.0, 1.0, make_grid(1, 2e4, 2 ** 17))
     slope = fitted_slope(radii, vals)
     criterion("C07 capacity scaling slope", -1.1 <= slope <= -0.9,
               f"slope = {slope:.4f}, band [-1.1, -0.9] "

@@ -107,13 +107,13 @@ CASES = [
     ("bracket_frac_laplacian", "dim", 0.5,
      lambda v: bracket_frac_laplacian(1.0, 2.0, 0.5, v)),
     ("make_test_function_spec", "B", 0.5,
-     lambda v: make_test_function_spec(1.5, v, 8.0, 2.0, 1.0, 1)),
-    ("make_test_function_spec", "R", 0.5,
-     lambda v: make_test_function_spec(1.5, 2.0, v, 2.0, 1.0, 1)),
+     lambda v: make_test_function_spec(1.5, v, [8.0], 2.0, 1.0, 1)),
+    ("make_test_function_spec", "radii", 0.5,
+     lambda v: make_test_function_spec(1.5, 2.0, [8.0, v], 2.0, 1.0, 1)),
     ("make_test_function_spec", "p", 1.0,
-     lambda v: make_test_function_spec(1.5, 2.0, 8.0, v, 1.0, 1)),
+     lambda v: make_test_function_spec(1.5, 2.0, [8.0], v, 1.0, 1)),
     ("make_test_function_spec", "alpha", 2.0,
-     lambda v: make_test_function_spec(1.5, 2.0, 8.0, 2.0, v, 1)),
+     lambda v: make_test_function_spec(1.5, 2.0, [8.0], 2.0, v, 1)),
     ("critical_exponent", "alpha", 2.0, lambda v: critical_exponent(v, 0.0, 1)),
     ("critical_exponent", "beta", -1.0, lambda v: critical_exponent(1.0, v, 1)),
     ("critical_exponent", "dim", 0, lambda v: critical_exponent(1.0, 0.0, v)),

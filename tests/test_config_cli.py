@@ -20,7 +20,7 @@ from mixheat import (
     write_field,
     write_mass_csv,
 )
-from mixheat import cli, kernels, solver
+from mixheat import cli, fractional, kernels, solver
 from mixheat.cli import main
 from mixheat.config import (
     build_absorption,
@@ -278,6 +278,23 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
 @pytest.mark.parametrize("command,override,message", [
     ("solve", "beta=inf", "beta must be >= 0 and finite, got inf"),
     ("kernel", "alpha=2.5", "alpha must be in (0, 2), got 2.5"),
+    # capacity keys are named, not the grid or spec argument they feed
+    ("capacity", "capacity_points=1000",
+     "capacity_points must be a power of two >= 16, got 1000"),
+    ("capacity", "capacity_b=0.5", "capacity_b must be finite and >= 1, got 0.5"),
+    ("capacity", "capacity_radii=8,8",
+     "capacity_radii must be a comma list of distinct finite values >= 1, "
+     "got [8.0, 8.0]"),
+    # the squared box corner overflows; at p = 1.01 the weight
+    # Phi^(-1/(p-1)) does, inside the default box
+    ("capacity", "capacity_half_width=1e300",
+     "capacity_half_width must be at most 4.34687e+153 for q0=1.5, p=2.0, dim=1, "
+     "beyond which a factor of the integrand leaves the float range at the box "
+     "corner, got 1e+300"),
+    ("capacity", "p=1.01",
+     "capacity_half_width must be at most 68.8396 for q0=1.5, p=1.01, dim=1, "
+     "beyond which a factor of the integrand leaves the float range at the box "
+     "corner, got 20000.0"),
     ("solve", "snapshot_count=1",
      "snapshot_count must be an integer in [2, 89478485], got 1"),
     # one past the step budget, and far past it: rejected before a ladder
@@ -583,6 +600,38 @@ def test_cli_capacity(cfg_path, tmp_path, capsys):
     assert len(lines) == 3
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert vals[1] < vals[0]  # integral falls with R
+
+
+def test_cli_capacity_evaluates_the_closed_forms_once(cfg_path, tmp_path, capsys,
+                                                      monkeypatch):
+    # one call for all radii, on the (n/2 + 1)^N orthant of the scaled grid
+    sizes = []
+    closed_form = fractional.bracket_frac_laplacian
+
+    def spy(r, *args):
+        sizes.append(np.size(r))
+        return closed_form(r, *args)
+
+    monkeypatch.setattr(fractional, "bracket_frac_laplacian", spy)
+    rc = main(["capacity", "--config", cfg_path,
+               "--set", "capacity_radii=4,8,16",
+               "--set", "capacity_points=32768",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().out.count("R=") == 3
+    assert sizes == [16385]
+
+
+def test_cli_capacity_checks_the_memory_budget(cfg_path, tmp_path, capsys, monkeypatch):
+    # a lowered budget stands in for a huge capacity_points: nothing runs
+    monkeypatch.setattr(solver, "_MAX_BYTES", fractional._CAPACITY_GRIDS * 8 * 1024 - 1)
+    rc = main(["capacity", "--config", cfg_path, "--set", "capacity_points=1024",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "configuration error: capacity_points = 1024 gives a 1024-point capacity grid")
+    assert "R=" not in captured.out
 
 
 def test_cli_selftest_passes(capsys):

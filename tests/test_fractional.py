@@ -1,6 +1,8 @@
 """Pointwise fractional Laplacian quadrature and capacity integrals."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,83 +192,89 @@ def test_bracket_frac_laplacian_validation():
 
 def test_test_function_spec_window():
     # admissible exponent window is N < q0 < N + alpha p
-    spec = make_test_function_spec(1.5, 2.0, 8.0, 2.0, 1.0, 1)
-    assert spec.q0 == 1.5 and spec.B == 2.0 and spec.R == 8.0
+    spec = make_test_function_spec(1.5, 2.0, [8.0, 16], 2.0, 1.0, 1)
+    assert spec.q0 == 1.5 and spec.B == 2.0 and spec.radii == (8.0, 16.0)
     with pytest.raises(ConfigurationError):
-        make_test_function_spec(1.0, 2.0, 8.0, 2.0, 1.0, 1)
+        make_test_function_spec(1.0, 2.0, [8.0], 2.0, 1.0, 1)
     with pytest.raises(ConfigurationError):
-        make_test_function_spec(3.0, 2.0, 8.0, 2.0, 1.0, 1)
+        make_test_function_spec(3.0, 2.0, [8.0], 2.0, 1.0, 1)
     with pytest.raises(ConfigurationError):
-        make_test_function_spec(0.9, 2.0, 8.0, 2.0, 1.0, 1)
+        make_test_function_spec(0.9, 2.0, [8.0], 2.0, 1.0, 1)
     with pytest.raises(ConfigurationError, match="^p must"):
-        make_test_function_spec(1.5, 2.0, 8.0, np.inf, 1.0, 1)
+        make_test_function_spec(1.5, 2.0, [8.0], np.inf, 1.0, 1)
 
 
 def test_capacity_integral_depends_only_on_product_br():
-    # the grid lives in original coordinates; the integral is computed in
-    # x / (B R), so the box must scale with the product B R
-    grid = make_grid(1, 16.0 * 2e4, 2 ** 17)
-    a = capacity_integral(make_test_function_spec(1.5, 2.0, 8.0, 2.0, 1.0, 1),
-                          2.0, 1.0, grid)
-    b = capacity_integral(make_test_function_spec(1.5, 4.0, 4.0, 2.0, 1.0, 1),
-                          2.0, 1.0, grid)
+    # the grid lives in scaled coordinates x / (B R), so a radius enters
+    # only through the product B R
+    grid = make_grid(1, 2e4, 2 ** 17)
+    [a] = capacity_integral(make_test_function_spec(1.5, 2.0, [8.0], 2.0, 1.0, 1),
+                            2.0, 1.0, grid)
+    [b] = capacity_integral(make_test_function_spec(1.5, 4.0, [4.0], 2.0, 1.0, 1),
+                            2.0, 1.0, grid)
     assert a == b  # scaled coordinates see only B R
     assert a > 0.0
 
 
 def test_capacity_integral_box_invariance():
     # doubling the scaled box at fixed spacing moves the value below 1e-6
-    spec = make_test_function_spec(1.5, 2.0, 8.0, 2.0, 1.0, 1)
-    small = capacity_integral(spec, 2.0, 1.0, make_grid(1, 16.0 * 2e4, 2 ** 17))
-    large = capacity_integral(spec, 2.0, 1.0, make_grid(1, 16.0 * 4e4, 2 ** 18))
+    spec = make_test_function_spec(1.5, 2.0, [8.0], 2.0, 1.0, 1)
+    [small] = capacity_integral(spec, 2.0, 1.0, make_grid(1, 2e4, 2 ** 17))
+    [large] = capacity_integral(spec, 2.0, 1.0, make_grid(1, 4e4, 2 ** 18))
     assert small == pytest.approx(large, rel=1e-6)
 
 
 def test_capacity_integral_tail_guard():
     # a box only a few scaled units wide cannot certify its tail
-    spec = make_test_function_spec(1.5, 2.0, 8.0, 2.0, 1.0, 1)
+    spec = make_test_function_spec(1.5, 2.0, [8.0], 2.0, 1.0, 1)
     with pytest.raises(ConfigurationError):
-        capacity_integral(spec, 2.0, 1.0, make_grid(1, 16.0 * 50.0, 1024))
+        capacity_integral(spec, 2.0, 1.0, make_grid(1, 50.0, 1024))
 
 
 def test_capacity_integral_2d():
     # alpha = 1.9, p = 3, q0 = 2.1 on a 1024^2 grid spanning 200 B R
-    grid = make_grid(2, 16.0 * 200.0, 1024)
-    a = capacity_integral(make_test_function_spec(2.1, 2.0, 8.0, 3.0, 1.9, 2),
-                          3.0, 1.9, grid)
-    b = capacity_integral(make_test_function_spec(2.1, 4.0, 4.0, 3.0, 1.9, 2),
-                          3.0, 1.9, grid)
+    grid = make_grid(2, 200.0, 1024)
+    [a] = capacity_integral(make_test_function_spec(2.1, 2.0, [8.0], 3.0, 1.9, 2),
+                            3.0, 1.9, grid)
+    [b] = capacity_integral(make_test_function_spec(2.1, 4.0, [4.0], 3.0, 1.9, 2),
+                            3.0, 1.9, grid)
     assert math.isfinite(a) and a > 0.0
     assert a == b
     # 1.4124785976 on (16 * 400, 2048^2)
     assert a == pytest.approx(1.412478094553838, abs=1e-6)
 
 
-def _full_lattice_capacity(spec, p, alpha, grid):
-    """The capacity sum with every closed form evaluated on the whole lattice."""
-    scale = spec.B * spec.R
+def _per_radius_capacity(q0, B, R, p, alpha, grid):
+    """The capacity sum for one radius, every closed form evaluated on the
+    whole lattice of the physical grid (coordinates x, not x / (B R))."""
+    scale = B * R
     radius = np.sqrt(sum(c ** 2 for c in grid.coords())) / scale
-    frac_part = bracket_frac_laplacian(radius, spec.q0, alpha / 2.0, grid.dim)
-    neg_lap_part = -bracket_laplacian(radius, spec.q0, grid.dim)
-    phi = bracket_profile(radius, 1.0, spec.q0)
+    frac_part = bracket_frac_laplacian(radius, q0, alpha / 2.0, grid.dim)
+    neg_lap_part = -bracket_laplacian(radius, q0, grid.dim)
+    phi = bracket_profile(radius, 1.0, q0)
     symbol_term = scale ** (-2.0) * neg_lap_part + scale ** (-alpha) * frac_part
     integrand = phi ** (-1.0 / (p - 1.0)) * np.abs(symbol_term) ** (p / (p - 1.0))
     return float(np.sum(integrand) * grid.cell_volume)
 
 
-@pytest.mark.parametrize("dim,q0,R,p,alpha,box,points", [
-    (1, 1.5, 8.0, 2.0, 1.0, 2e4, 2 ** 17),
-    (1, 1.5, 11.0, 2.0, 1.0, 2e4, 2 ** 17),
-    (1, 1.5, 3.7, 2.0, 1.0, 2e4, 2 ** 17),
-    (2, 2.1, 8.0, 3.0, 1.9, 200.0, 1024),
-], ids=["1d-R8", "1d-R11", "1d-R3.7", "2d-R8"])
-def test_capacity_integral_folds_one_orthant_bitwise(monkeypatch, dim, q0, R, p,
-                                                     alpha, box, points):
-    # the closed forms see the (n/2 + 1)^N orthant radii only, and the folded
-    # sum equals the full-lattice sum to the bit
-    grid = make_grid(dim, 2.0 * R * box, points)
-    spec = make_test_function_spec(q0, 2.0, R, p, alpha, dim)
-    expected = _full_lattice_capacity(spec, p, alpha, grid)
+@pytest.mark.parametrize("dim,q0,radii,p,alpha,box,points,rel", [
+    (1, 1.5, [8.0], 2.0, 1.0, 2e4, 2 ** 17, 0.0),
+    (1, 1.5, [11.0], 2.0, 1.0, 2e4, 2 ** 17, 0.0),
+    (1, 1.5, [3.7], 2.0, 1.0, 2e4, 2 ** 17, 0.0),
+    (2, 2.1, [8.0], 3.0, 1.9, 200.0, 1024, 0.0),
+    (1, 1.5, [8.0, 16.0, 32.0, 64.0, 128.0], 2.0, 1.0, 2e4, 2 ** 17, 0.0),
+    # 2 * 3.7 is no power of two, so the scaled radii are not the physical
+    # ones over B R to the bit: 1.5e-16 relative here
+    (2, 2.1, [3.7], 3.0, 1.9, 200.0, 1024, 1e-14),
+], ids=["1d-R8", "1d-R11", "1d-R3.7", "2d-R8", "1d-C07", "2d-R3.7"])
+def test_capacity_integral_folds_one_orthant_bitwise(monkeypatch, dim, q0, radii, p,
+                                                     alpha, box, points, rel):
+    # the closed forms see the (n/2 + 1)^N orthant radii once for all radii,
+    # and each folded sum equals the per-radius full-lattice sum in physical
+    # coordinates (to the bit unless rel says otherwise)
+    expected = [_per_radius_capacity(q0, 2.0, R, p, alpha,
+                                     make_grid(dim, 2.0 * R * box, points))
+                for R in radii]
     sizes = []
 
     def spy(r, *args):
@@ -274,5 +282,76 @@ def test_capacity_integral_folds_one_orthant_bitwise(monkeypatch, dim, q0, R, p,
         return bracket_frac_laplacian(r, *args)
 
     monkeypatch.setattr(fractional, "bracket_frac_laplacian", spy)
-    assert capacity_integral(spec, p, alpha, grid) == expected
+    spec = make_test_function_spec(q0, 2.0, radii, p, alpha, dim)
+    got = capacity_integral(spec, p, alpha, make_grid(dim, box, points))
+    if rel == 0.0:
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=rel, abs=0.0)
     assert sizes == [(points // 2 + 1) ** dim]
+
+
+@pytest.mark.parametrize("offset", [2.0, 0.5], ids=["all-positive", "negatives-skipped"])
+def test_capacity_tail_slope_is_polyfit_to_roundoff(offset):
+    # the tail guard's centred-moment slope is the least-squares one that
+    # np.polyfit gives, over the points with f > 0
+    r = np.linspace(10.0, 100.0, 4096)
+    f = r ** -2.5 * (offset + np.sin(r / 7.0))
+    keep = f > 0
+    assert keep.all() == (offset > 1.0)
+    want = np.polyfit(np.log(r[keep]), np.log(f[keep]), 1)[0]
+    assert fractional._tail_slope(np.log(r), f) == pytest.approx(want, rel=1e-12)
+
+
+def test_capacity_integral_checks_the_memory_budget_first(monkeypatch):
+    """A capacity run holds about fractional._CAPACITY_GRIDS lattices at its
+    peak; past the solver's budget it fails before its first array."""
+    from mixheat import solver
+    spec = make_test_function_spec(1.5, 2.0, [8.0], 2.0, 1.0, 1)
+    grid = make_grid(1, 2e4, 2 ** 14)
+    need = fractional._CAPACITY_GRIDS * 8 * 2 ** 14
+    monkeypatch.setattr(solver, "_MAX_BYTES", need)
+    assert capacity_integral(spec, 2.0, 1.0, grid)[0] > 0.0
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the memory check")
+
+    monkeypatch.setattr(solver, "_MAX_BYTES", need - 1)
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(ConfigurationError,
+                       match=r"^capacity_points = 16384 gives a 16384-point capacity "
+                             r"grid that needs about 0\.000854 GiB, more than the "
+                             r"memory budget of 0\.000854491 GiB$"):
+        capacity_integral(spec, 2.0, 1.0, grid)
+
+
+@pytest.mark.parametrize("dim,q0,p,alpha,box,points", [
+    (1, 1.5, 2.0, 1.0, 2e4, 2 ** 17), (2, 2.1, 3.0, 1.9, 200.0, 512)])
+def test_capacity_integral_peaks_below_six_lattices(dim, q0, p, alpha, box, points):
+    """The run holds no more than the _CAPACITY_GRIDS its memory check
+    charges: 5.3 lattices in 1D and 2.0 in 2D, measured."""
+    spec = make_test_function_spec(q0, 2.0, [8.0, 16.0], p, alpha, dim)
+    tracemalloc.start()
+    try:
+        capacity_integral(spec, p, alpha, make_grid(dim, box, points))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0 * 8 * points ** dim
+
+
+@pytest.mark.parametrize("q0,p,dim,widest", [
+    (1.5, 2.0, 1, 4.34687e153), (1.5, 1.01, 1, 68.8396), (2.1, 3.0, 2, 2.63207e146)])
+def test_capacity_integral_bounds_the_box_by_the_float_range(q0, p, dim, widest):
+    """Out to the widest box the factors Phi, Phi^(-1/(p-1)) and (q0 + 2) r^2
+    stay finite at the corner; a wider box is rejected."""
+    alpha = 1.0 if dim == 1 else 1.9
+    spec = make_test_function_spec(q0, 2.0, [8.0], p, alpha, dim)
+    message = f"capacity_half_width must be at most {widest:.6g} "
+    with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+        capacity_integral(spec, p, alpha, make_grid(dim, widest * 1.000001, 16))
+    corner = np.array([math.sqrt(dim) * widest * (1.0 - 1e-6)])
+    with np.errstate(over="raise", invalid="raise"):
+        phi = bracket_profile(corner, 1.0, q0)
+        assert phi[0] > 0.0 and np.isfinite(phi[0] ** (-1.0 / (p - 1.0)))
+        assert np.isfinite(bracket_laplacian(corner, q0, dim)[0])
