@@ -13,16 +13,14 @@ from .config import (ExperimentConfig, build_absorption, build_grid,
                      config_from_mapping, kernel_times, load_config,
                      parse_config_text, snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError
-from .fractional import (TestFunctionSpec, bracket_frac_laplacian,
-                         bracket_laplacian, bracket_profile, capacity_integral,
-                         frac_constant, make_test_function_spec)
+from .fractional import (bracket_frac_laplacian, bracket_laplacian,
+                         bracket_profile, capacity_integral, frac_constant)
 from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
                    delta_field, frac_laplacian_spectral, integral, make_field,
                    make_grid, make_symbol, read_field, write_field)
 from .kernels import (gaussian_kernel, half_width_for_tail, kernel_lq_norm,
                       mixed_kernel, mixed_kernel_norms, stable_kernel,
-                      stable_tail_constant, stable_tail_mass,
-                      taylor_contraction_error)
+                      stable_tail_constant, taylor_contraction_error)
 from .observers import (MassClassification, absorbed_integral_tail_ratio,
                         classify_mass_limit, condition_h_check,
                         critical_exponent, decay_rate_exponent,
@@ -41,12 +39,11 @@ __all__ = [
     "read_field",
     "gaussian_kernel", "stable_kernel", "mixed_kernel", "mixed_kernel_norms",
     "kernel_lq_norm",
-    "taylor_contraction_error", "stable_tail_constant", "stable_tail_mass",
-    "half_width_for_tail", "stable_kernel_quadrature", "mixed_kernel_quadrature",
+    "taylor_contraction_error", "stable_tail_constant", "half_width_for_tail",
+    "stable_kernel_quadrature", "mixed_kernel_quadrature",
     "frac_constant", "bracket_profile", "bracket_laplacian",
     "bracket_frac_laplacian",
-    "frac_laplacian_pointwise", "scaling_check", "TestFunctionSpec",
-    "make_test_function_spec", "capacity_integral",
+    "frac_laplacian_pointwise", "scaling_check", "capacity_integral",
     "PowerAbsorption", "TableAbsorption",
     "make_absorption", "ProblemSpec", "time_to_tau", "tau_to_time",
     "geometric_times", "default_snapshot_times", "StepSchedule",

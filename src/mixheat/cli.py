@@ -24,8 +24,7 @@ import numpy as np
 from .config import (build_grid, build_problem, capacity_radii, kernel_times,
                      load_config, parse_float_list, snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError, require
-from .fractional import (bracket_laplacian, bracket_profile, capacity_integral,
-                         make_test_function_spec)
+from .fractional import bracket_laplacian, bracket_profile, capacity_integral
 from .grid import integral, make_field, make_grid, read_field, write_field
 from .kernels import mixed_kernel, mixed_kernel_norms, stable_kernel
 from .observers import (_loglog_slope, classify_mass_limit, condition_h_check,
@@ -125,6 +124,14 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
     p_values = parse_float_list(args.p_values, "--p-values")
+    traces = {}
+    for p in p_values:
+        name = f"mass_p{p:g}.csv"
+        if name in traces:
+            raise ConfigurationError(
+                f"--p-values {_fmt(traces[name])} and {_fmt(p)} would both write "
+                f"{name}; give values that differ in 6 significant digits")
+        traces[name] = p
     out = _out_dir(args)
     p_crit = critical_exponent(cfg.alpha, cfg.beta, cfg.dim)
     print(f"critical_exponent={_fmt(p_crit)}")
@@ -168,9 +175,8 @@ def cmd_capacity(args) -> int:
     require("finite and > 0", capacity_half_width=cfg.capacity_half_width)
     require("a power of two >= 16", capacity_points=cfg.capacity_points)
     grid = make_grid(cfg.dim, cfg.capacity_half_width, cfg.capacity_points)
-    spec = make_test_function_spec(q0=cfg.capacity_q0, B=cfg.capacity_b, radii=radii,
-                                   p=cfg.p, alpha=cfg.alpha, dim=cfg.dim)
-    values = capacity_integral(spec, cfg.p, cfg.alpha, grid)
+    values = capacity_integral(cfg.capacity_q0, cfg.p, cfg.alpha, grid,
+                               [cfg.capacity_b * R for R in radii])
     for R, v in zip(radii, values):
         print(f"R={_fmt(R)} value={_fmt(v)}")
     slope = math.nan

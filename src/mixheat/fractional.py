@@ -9,13 +9,12 @@ reference for any profile, `frac_laplacian_pointwise`, lives in
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import GridSpec, _float_or_array, make_grid
+from .grid import GridSpec, _float_or_array
 from .solver import _check_grid_budget
 
 
@@ -83,47 +82,29 @@ _CAPACITY_GRIDS = 7
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """Rescaled bracket test functions <x/(B R)>^(-q0), one per R in radii."""
+def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
+                      scales) -> list:
+    """int Phi^(-1/(p-1)) |(-Lap + (-Lap)^(alpha/2)) Phi|^(p/(p-1)) dx with
+    Phi = <x/(B R)>^(-q0), for each product B R in scales, as a list.
 
-    q0: float
-    B: float
-    radii: tuple
-
-
-def make_test_function_spec(q0: float, B: float, radii, p: float,
-                            alpha: float, dim: int) -> TestFunctionSpec:
-    _validate_capacity_window(q0, p, alpha, dim)
-    radii = tuple(float(R) for R in radii)
-    require("finite and >= 1", B=B, radii=np.array(radii))
-    return TestFunctionSpec(q0=float(q0), B=float(B), radii=radii)
-
-
-def _validate_capacity_window(q0, p, alpha, dim):
+    `grid` is the scaled grid, y = x/(B R) on [-L, L)^N, where the closed
+    forms (`bracket_laplacian`, `bracket_frac_laplacian`) and the weight
+    Phi^(-1/(p-1)) do not depend on B R: they are evaluated once, on the
+    orthant k * spacing, k = 0..n/2 per axis. Per B R the operator parts are
+    weighed by (B R)^-2 and (B R)^-alpha, reflected onto the lattice by
+    |-n/2..n/2-1|, summed in lattice order and scaled by the cell volume of
+    the physical grid, (2 B R L / n)^N: for B R a power of two, the
+    full-lattice sum in x to the bit. Each extrapolated tail must be below
+    1e-6 of its total.
+    """
+    dim, half = grid.dim, grid.points // 2
     require(p=p, alpha=alpha, dim=dim)
     if not dim < q0 < dim + alpha * p:
         raise ConfigurationError(
             f"q0={q0} outside the admissible window ({dim}, {dim + alpha * p}) "
             f"for dim={dim}, alpha={alpha}, p={p}")
-
-
-def capacity_integral(spec: TestFunctionSpec, p: float, alpha: float,
-                      grid: GridSpec) -> list:
-    """int Phi_R^(-1/(p-1)) |(-Lap + (-Lap)^(alpha/2)) Phi_R|^(p/(p-1)) dx
-    with Phi_R = <x/(B R)>^(-q0), for each R in spec.radii, as a list.
-
-    `grid` is the scaled grid, y = x/(B R) on [-L, L)^N, where the closed
-    forms (`bracket_laplacian`, `bracket_frac_laplacian`) and the weight
-    Phi^(-1/(p-1)) do not depend on R: they are evaluated once, on the
-    orthant k * spacing, k = 0..n/2 per axis. Per R the operator parts are
-    weighed by (B R)^-2 and (B R)^-alpha, reflected onto the lattice by
-    |-n/2..n/2-1|, summed in lattice order and scaled by the cell volume of
-    make_grid(N, B R L, n): for B R a power of two, the full-lattice sum in
-    x to the bit. Each R's extrapolated tail must be below 1e-6 of its total.
-    """
-    dim, q0, half = grid.dim, spec.q0, grid.points // 2
-    _validate_capacity_window(q0, p, alpha, dim)
+    scales = np.array(scales, dtype=float)
+    require("finite and >= 1", scales=scales)
     _check_grid_budget(_CAPACITY_GRIDS, grid, "capacity_points", "capacity")
     reach = min(_LOG_MAX / (q0 / 2.0 * max(1.0, 1.0 / (p - 1.0))),
                 _LOG_MAX - math.log(q0 + 2.0)) - 1.0  # largest safe log(1 + r^2), less 1
@@ -147,14 +128,22 @@ def capacity_integral(spec: TestFunctionSpec, p: float, alpha: float,
     del radius
 
     totals = []
-    for R in spec.radii:
-        scale = spec.B * R
+    for scale in scales.tolist():
         integrand = weight * np.abs(scale ** (-2.0) * neg_lap_part
                                     + scale ** (-alpha) * frac_part) ** (p / (p - 1.0))
-        cell_volume = make_grid(dim, scale * grid.half_width, grid.points).cell_volume
-        totals.append(float(np.sum(integrand[fold]) * cell_volume))
-        _check_capacity_tail(log_r, integrand[axis][window], r_edge, dim, totals[-1])
-        del integrand  # before the next R builds its own
+        try:  # GridSpec's cell volume for the physical box B R L
+            cell_volume = (2.0 * (scale * grid.half_width) / grid.points) ** dim
+        except OverflowError:
+            cell_volume = math.inf
+        totals.append(float(np.sum(integrand[fold])) * cell_volume)
+        f_window = integrand[axis][window]
+        # the tail fit needs 4 points of the window that did not underflow to 0
+        if np.count_nonzero(f_window) < min(4, f_window.size) or cell_volume == math.inf:
+            raise ConfigurationError(
+                f"capacity_radii gives B*R = {scale:g}, so large that the capacity "
+                "integrand underflows to 0 in its tail or its cell volume overflows")
+        _check_capacity_tail(log_r, f_window, r_edge, dim, totals[-1])
+        del integrand, f_window  # before the next B R builds its own
     return totals
 
 

@@ -5,10 +5,10 @@ N in {1, 2} and a power-of-two point count per axis, so that discrete
 frequencies are xi_k = pi k / L and symbols act diagonally under the FFT.
 Conventions: x_j = -L + j dx with dx = 2L/n, so x = 0 sits exactly on the
 lattice. Fields are real, so every transform is a real FFT: symbols live
-on its half lattice, and one helper, _spectral_apply, is the only place
-that transforms. It calls numpy's one-axis transforms in the order that
-numpy's n-D real transforms do, but runs the 2D inverse in the caller's
-spectrum buffer and leaves it unnormalised; each caller folds the exact
+on its half lattice, and one pair, _rfft and _irfft, is the only place
+that transforms. They call numpy's one-axis transforms in the order that
+numpy's n-D real transforms do, but run the 2D inverse in the caller's
+spectrum buffer and leave it unnormalised; each caller folds the exact
 factor 1/N (N = points^dim) into a factor of its own, so the bits are the
 n-D round trip's.
 """
@@ -146,37 +146,23 @@ def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed") -> SpectralSy
     return SpectralSymbol(grid=grid, alpha=float(alpha), kind=kind, values=values)
 
 
-def _spectral_apply(grid: GridSpec, values: np.ndarray, multiplier=None,
-                    kernel=None, out=None, spectrum=None) -> np.ndarray:
-    """F^-1[F(values) F(kernel) multiplier] on the grid, F the real FFT
-    over every axis.
+def _rfft(grid: GridSpec, values: np.ndarray, out=None) -> np.ndarray:
+    """The half spectrum of a real grid array: numpy's rfftn, bit for bit,
+    into out (complex, half lattice) if given."""
+    spectrum = np.fft.rfft(values, axis=-1, out=out)
+    for axis in range(grid.dim - 1):  # the leading axis, in 2D
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    return spectrum
 
-    The one transform path. multiplier (real, half lattice), kernel (a
-    second grid array: periodic convolution) and the buffers out (for the
-    result; may be values) and spectrum (complex) may each be omitted.
-    values=None means that spectrum already holds the input's half
-    spectrum, so the forward transform is skipped and spectrum is
-    multiplied in place. spectrum is scratch: in 2D the inverse
-    transform runs in it and leaves it overwritten. The inverse skips its
-    1/N scaling pass, so the result is N = points^dim times the round
-    trip: the caller scales a factor of its own by the power of two 1/N.
-    """
-    lead = range(grid.dim - 1)  # the leading axis, in 2D
-    if values is not None:
-        spectrum = np.fft.rfft(values, axis=-1, out=spectrum)
-        for axis in lead:
-            np.fft.fft(spectrum, axis=axis, out=spectrum)
-    if kernel is not None:
-        kernel_spectrum = np.fft.rfft(kernel, axis=-1)
-        for axis in lead:
-            np.fft.fft(kernel_spectrum, axis=axis, out=kernel_spectrum)
-        spectrum *= kernel_spectrum
-    if multiplier is not None:
-        spectrum *= multiplier
-    # numpy's n-D real transforms make these calls in this order, but the
-    # n-D inverse gives its leading-axis ifft no out= and so allocates a
-    # complex half spectrum per call
-    for axis in lead:
+
+def _irfft(grid: GridSpec, spectrum: np.ndarray, out=None) -> np.ndarray:
+    """N times numpy's irfftn of a half spectrum (N = points^dim), into out
+    if given: the inverse skips its 1/N scaling pass, so the caller scales
+    a factor of its own by the power of two 1/N and gets the n-D round
+    trip's bits. In 2D the inverse runs in spectrum and overwrites it."""
+    # numpy's n-D inverse makes these calls in this order, but gives its
+    # leading-axis ifft no out= and so allocates a complex half spectrum
+    for axis in range(grid.dim - 1):
         np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
     return np.fft.irfft(spectrum, n=grid.points, axis=-1, norm="forward", out=out)
 
@@ -202,7 +188,9 @@ def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,
     else:
         raise ConfigurationError(f"unknown apply_symbol mode {mode!r}")
     mult *= 1.0 / f.values.size  # the inverse transform's 1/N
-    return Field(grid=f.grid, values=_spectral_apply(f.grid, f.values, mult))
+    spectrum = _rfft(f.grid, f.values)
+    spectrum *= mult
+    return Field(grid=f.grid, values=_irfft(f.grid, spectrum))
 
 
 def frac_laplacian_spectral(f: Field, alpha: float) -> Field:
@@ -221,7 +209,9 @@ def convolve(f: Field, g: Field) -> Field:
     if f.grid != g.grid:
         raise ConfigurationError("convolve needs both fields on one grid")
     grid = f.grid
-    raw = _spectral_apply(grid, f.values, kernel=g.values)
+    spectrum = _rfft(grid, f.values)
+    spectrum *= _rfft(grid, g.values)
+    raw = _irfft(grid, spectrum)
     raw *= grid.cell_volume / raw.size  # dV and the inverse's 1/N
     shift = (-(grid.points // 2),) * grid.dim
     out = np.roll(raw, shift, axis=tuple(range(grid.dim)))

@@ -7,9 +7,10 @@ space by applying the matching semigroup multiplier to the spectrum of a
 discrete delta. That spectrum is known in closed form, +-1/dV, and the
 product is formed in place bit for bit as the delta's forward transform
 times the multiplier would give it, so a kernel costs one inverse
-transform; the product's factor (1/dV)/N also carries the unnormalised
-inverse's exact 1/N (N the point count). The multiplier is exactly 1 at
-the zero mode, which pins the discrete mass to one, and by Poisson summation the grid kernel is the
+transform (grid._irfft, with no forward one); the product's factor
+(1/dV)/N also carries the unnormalised inverse's exact 1/N (N the point
+count). The multiplier is exactly 1 at the zero mode, which pins the
+discrete mass to one, and by Poisson summation the grid kernel is the
 periodization of the exact one.
 
 A run of kernels on one grid (mixed_kernel_norms) builds one symbol and
@@ -30,8 +31,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, SpectralSymbol, _spectral_apply,
-                   apply_symbol, integral, make_symbol)
+from .grid import (Field, GridSpec, SpectralSymbol, _irfft, apply_symbol,
+                   integral, make_symbol)
 from .solver import _check_grid_budget
 
 log = logging.getLogger(__name__)
@@ -101,7 +102,7 @@ def _delta_response(sym: SpectralSymbol, spectrum: np.ndarray, t: float,
     if grid.dim == 2:
         product[1::2] *= -1.0
         spectrum.imag[...] = 0.0
-    return Field(grid=grid, values=_spectral_apply(grid, None, spectrum=spectrum, out=out))
+    return Field(grid=grid, values=_irfft(grid, spectrum, out=out))
 
 
 def _lq_from_power_sum(w: np.ndarray, grid: GridSpec, q: float) -> float:
@@ -218,14 +219,6 @@ def stable_tail_constant(alpha: float, dim: int) -> float:
     return (alpha * 2.0 ** (alpha - 1.0) * np.pi ** (-(dim / 2.0 + 1.0))
             * math.sin(math.pi * alpha / 2.0)
             * math.gamma((dim + alpha) / 2.0) * math.gamma(alpha / 2.0))
-
-
-def stable_tail_mass(alpha: float, t: float, half_width: float, dim: int) -> float:
-    """Asymptotic stable-kernel mass outside the box [-L, L)^N."""
-    require("finite and > 0", t=t, half_width=half_width)
-    a = stable_tail_constant(alpha, dim)
-    surface = 2.0 if dim == 1 else 2.0 * np.pi
-    return surface * a * t * half_width ** (-alpha) / alpha
 
 
 def half_width_for_tail(alpha: float, t: float, dim: int,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, _float_or_array, _spectral_apply,
+from .grid import (Field, GridSpec, _float_or_array, _irfft, _rfft,
                    apply_symbol, make_field, make_symbol)
 
 _log = logging.getLogger(__name__)
@@ -424,13 +424,16 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     every substep. The state is updated in place; snapshots, copies of it,
     are taken at the schedule's snapshot times only. A run whose snapshots,
     _WORK_GRIDS grids of work space and trace rows would need more than
-    _MAX_BYTES is a ConfigurationError before anything is allocated. A
-    non-finite state aborts with the partial result attached to the raised
-    error as .partial.
+    _MAX_BYTES, or whose absorption table misses t0 or t1, is a
+    ConfigurationError before anything is allocated. A non-finite state
+    aborts with the partial result attached to the raised error as .partial.
     """
     if schedule.beta != problem.beta:
         raise ConfigurationError(
             f"schedule beta {schedule.beta} does not match problem beta {problem.beta}")
+    absorption = problem.absorption
+    if isinstance(absorption, TableAbsorption):
+        absorption.rate(schedule.knot_times[[0, -1]])  # the table covers [t0, t1]
     grid = problem.grid
     n_snaps = schedule.snapshot_times.size
     u0 = problem.initial.values
@@ -443,7 +446,6 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             f"{need / 2 ** 30:.3g} GiB, more than the memory budget of "
             f"{_MAX_BYTES / 2 ** 30:g} GiB")
     symbol = make_symbol(grid, problem.alpha)
-    absorption = problem.absorption
     p = problem.p
     beta = problem.beta
     dV = grid.cell_volume
@@ -501,7 +503,9 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
 
             # exp(-dtau m) and the ripple clip on u in place: the bits of
             # apply_symbol(mode="semigroup") then _clip_negative
-            _spectral_apply(grid, u, multiplier, out=u, spectrum=spectrum)
+            _rfft(grid, u, out=spectrum)
+            spectrum *= multiplier
+            _irfft(grid, spectrum, out=u)
             clipped_total += _clip_negative(u, dV)
 
             mass_pre = np.add.reduce(u, axis=None)

@@ -39,7 +39,6 @@ from mixheat import (
     make_field,
     make_grid,
     make_step_schedule,
-    make_test_function_spec,
     mass_identity_defect,
     mixed_kernel,
     mixed_kernel_norms,
@@ -249,8 +248,7 @@ def test_06_far_field_decay():
 
 def test_07_capacity_scaling_slope():
     radii = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
-    spec = make_test_function_spec(1.5, 2.0, radii, 2.0, 1.0, 1)
-    vals = capacity_integral(spec, 2.0, 1.0, make_grid(1, 2e4, 2 ** 17))
+    vals = capacity_integral(1.5, 2.0, 1.0, make_grid(1, 2e4, 2 ** 17), 2.0 * radii)
     slope = fitted_slope(radii, vals)
     criterion("C07 capacity scaling slope", -1.1 <= slope <= -0.9,
               f"slope = {slope:.4f}, band [-1.1, -0.9] "

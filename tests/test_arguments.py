@@ -15,6 +15,7 @@ from mixheat import (
     apply_symbol,
     bracket_frac_laplacian,
     bracket_profile,
+    capacity_integral,
     critical_exponent,
     decay_rate_exponent,
     default_snapshot_times,
@@ -27,7 +28,6 @@ from mixheat import (
     make_grid,
     make_step_schedule,
     make_symbol,
-    make_test_function_spec,
     mixed_kernel,
     mixed_kernel_norms,
     mixed_kernel_quadrature,
@@ -36,7 +36,6 @@ from mixheat import (
     stable_kernel,
     stable_kernel_quadrature,
     stable_tail_constant,
-    stable_tail_mass,
     taylor_contraction_error,
     tau_to_time,
     time_to_tau,
@@ -95,8 +94,6 @@ CASES = [
      lambda v: taylor_contraction_error(FIELD, [1.0, v], 1.0)),
     ("stable_tail_constant", "alpha", 2.0, lambda v: stable_tail_constant(v, 1)),
     ("stable_tail_constant", "dim", 0, lambda v: stable_tail_constant(1.0, v)),
-    ("stable_tail_mass", "t", -1.0, lambda v: stable_tail_mass(1.0, v, 10.0, 1)),
-    ("stable_tail_mass", "half_width", 0.0, lambda v: stable_tail_mass(1.0, 1.0, v, 1)),
     ("half_width_for_tail", "t", 0.0, lambda v: half_width_for_tail(1.0, v, 1)),
     ("half_width_for_tail", "tail_mass", 0.0,
      lambda v: half_width_for_tail(1.0, 1.0, 1, tail_mass=v)),
@@ -106,14 +103,11 @@ CASES = [
     ("bracket_frac_laplacian", "s", 0.0, lambda v: bracket_frac_laplacian(1.0, 2.0, v, 1)),
     ("bracket_frac_laplacian", "dim", 0.5,
      lambda v: bracket_frac_laplacian(1.0, 2.0, 0.5, v)),
-    ("make_test_function_spec", "B", 0.5,
-     lambda v: make_test_function_spec(1.5, v, [8.0], 2.0, 1.0, 1)),
-    ("make_test_function_spec", "radii", 0.5,
-     lambda v: make_test_function_spec(1.5, 2.0, [8.0, v], 2.0, 1.0, 1)),
-    ("make_test_function_spec", "p", 1.0,
-     lambda v: make_test_function_spec(1.5, 2.0, [8.0], v, 1.0, 1)),
-    ("make_test_function_spec", "alpha", 2.0,
-     lambda v: make_test_function_spec(1.5, 2.0, [8.0], 2.0, v, 1)),
+    ("capacity_integral", "scales", 0.5,
+     lambda v: capacity_integral(1.5, 2.0, 1.0, GRID, [16.0, v])),
+    ("capacity_integral", "p", 1.0, lambda v: capacity_integral(1.5, v, 1.0, GRID, [16.0])),
+    ("capacity_integral", "alpha", 2.0,
+     lambda v: capacity_integral(1.5, 2.0, v, GRID, [16.0])),
     ("critical_exponent", "alpha", 2.0, lambda v: critical_exponent(v, 0.0, 1)),
     ("critical_exponent", "beta", -1.0, lambda v: critical_exponent(1.0, v, 1)),
     ("critical_exponent", "dim", 0, lambda v: critical_exponent(1.0, 0.0, v)),

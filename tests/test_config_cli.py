@@ -295,6 +295,12 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
      "capacity_half_width must be at most 68.8396 for q0=1.5, p=1.01, dim=1, "
      "beyond which a factor of the integrand leaves the float range at the box "
      "corner, got 20000.0"),
+    # B R = 2e160 and 2e300 underflow the integrand's tail window to 0;
+    # 2e305 also overflows the physical box B R capacity_half_width
+    *[("capacity", f"capacity_radii=8,{R}",
+       f"capacity_radii gives B*R = 2e+{R[2:]}, so large that the capacity integrand "
+       "underflows to 0 in its tail or its cell volume overflows")
+      for R in ("1e160", "1e300", "1e305")],
     ("solve", "snapshot_count=1",
      "snapshot_count must be an integer in [2, 89478485], got 1"),
     # one past the step budget, and far past it: rejected before a ladder
@@ -559,7 +565,7 @@ def test_cli_sweep_tests_a_table_over_its_range(cfg_path, tmp_path, capsys,
     assert reported in captured.out + captured.err
 
 
-def test_cli_sweep_rejects_bad_p_values(cfg_path, tmp_path, capsys):
+def test_cli_sweep_rejects_bad_p_values(cfg_path, tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep_out"
     # a non-finite exponent is an error row, not a run that absorbs nothing
     rc = main(["sweep", "--config", cfg_path, "--p-values", "3,inf",
@@ -575,6 +581,20 @@ def test_cli_sweep_rejects_bad_p_values(cfg_path, tmp_path, capsys):
                "--out-dir", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "configuration error: cannot parse --p-values: '1,x'\n"
+
+    # p values that share a trace name are rejected before any solve or output
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the p values were checked")
+
+    monkeypatch.setattr(cli, "_solve_config", no_solve)
+    for p_values, second in (("3,3.0000001", "3.0000000999999998"), ("1.2,3,3", "3")):
+        rc = main(["sweep", "--config", cfg_path, "--p-values", p_values,
+                   "--out-dir", str(tmp_path / "fresh")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", (
+            f"configuration error: --p-values 3 and {second} would both write "
+            "mass_p3.csv; give values that differ in 6 significant digits\n"))
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_cli_sweep_rejects_nan_beta_before_printing(cfg_path, tmp_path, capsys):

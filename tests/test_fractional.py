@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mixheat import fractional
+from mixheat.cli import main
 from mixheat import (
     ConfigurationError,
     NumericalFailureError,
@@ -18,7 +19,6 @@ from mixheat import (
     frac_constant,
     frac_laplacian_pointwise,
     make_grid,
-    make_test_function_spec,
     scaling_check,
 )
 
@@ -191,55 +191,50 @@ def test_bracket_frac_laplacian_validation():
 
 
 def test_test_function_spec_window():
-    # admissible exponent window is N < q0 < N + alpha p
-    spec = make_test_function_spec(1.5, 2.0, [8.0, 16], 2.0, 1.0, 1)
-    assert spec.q0 == 1.5 and spec.B == 2.0 and spec.radii == (8.0, 16.0)
-    with pytest.raises(ConfigurationError):
-        make_test_function_spec(1.0, 2.0, [8.0], 2.0, 1.0, 1)
-    with pytest.raises(ConfigurationError):
-        make_test_function_spec(3.0, 2.0, [8.0], 2.0, 1.0, 1)
-    with pytest.raises(ConfigurationError):
-        make_test_function_spec(0.9, 2.0, [8.0], 2.0, 1.0, 1)
+    # capacity_integral checks the test functions' admissible exponent
+    # window, N < q0 < N + alpha p
+    grid = make_grid(1, 2e4, 2 ** 14)
+    for q0 in (1.0, 3.0, 0.9):
+        with pytest.raises(ConfigurationError, match=f"^q0={q0} outside the admissible"):
+            capacity_integral(q0, 2.0, 1.0, grid, [16.0])
     with pytest.raises(ConfigurationError, match="^p must"):
-        make_test_function_spec(1.5, 2.0, [8.0], np.inf, 1.0, 1)
+        capacity_integral(1.5, np.inf, 1.0, grid, [16.0])
 
 
-def test_capacity_integral_depends_only_on_product_br():
+def test_capacity_integral_depends_only_on_product_br(tmp_path, capsys):
     # the grid lives in scaled coordinates x / (B R), so a radius enters
-    # only through the product B R
-    grid = make_grid(1, 2e4, 2 ** 17)
-    [a] = capacity_integral(make_test_function_spec(1.5, 2.0, [8.0], 2.0, 1.0, 1),
-                            2.0, 1.0, grid)
-    [b] = capacity_integral(make_test_function_spec(1.5, 4.0, [4.0], 2.0, 1.0, 1),
-                            2.0, 1.0, grid)
-    assert a == b  # scaled coordinates see only B R
-    assert a > 0.0
+    # only through the product B R that the CLI passes
+    config = tmp_path / "run.cfg"
+    config.write_text("alpha = 1.0\ndim = 1\nhalf_width = 1.0\npoints = 16\n")
+    values = []
+    for b, radius in (("4", "4"), ("2", "8")):
+        assert main(["capacity", "--config", str(config), "--set", f"capacity_b={b}",
+                     "--set", f"capacity_radii={radius}", "--set", "capacity_points=32768",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith(f"R={radius} value=")
+        values.append(line.split(" ")[1])
+    assert values[0] == values[1]
 
 
 def test_capacity_integral_box_invariance():
     # doubling the scaled box at fixed spacing moves the value below 1e-6
-    spec = make_test_function_spec(1.5, 2.0, [8.0], 2.0, 1.0, 1)
-    [small] = capacity_integral(spec, 2.0, 1.0, make_grid(1, 2e4, 2 ** 17))
-    [large] = capacity_integral(spec, 2.0, 1.0, make_grid(1, 4e4, 2 ** 18))
+    [small] = capacity_integral(1.5, 2.0, 1.0, make_grid(1, 2e4, 2 ** 17), [16.0])
+    [large] = capacity_integral(1.5, 2.0, 1.0, make_grid(1, 4e4, 2 ** 18), [16.0])
     assert small == pytest.approx(large, rel=1e-6)
 
 
 def test_capacity_integral_tail_guard():
     # a box only a few scaled units wide cannot certify its tail
-    spec = make_test_function_spec(1.5, 2.0, [8.0], 2.0, 1.0, 1)
-    with pytest.raises(ConfigurationError):
-        capacity_integral(spec, 2.0, 1.0, make_grid(1, 50.0, 1024))
+    with pytest.raises(ConfigurationError, match="^capacity tail estimate"):
+        capacity_integral(1.5, 2.0, 1.0, make_grid(1, 50.0, 1024), [16.0])
 
 
 def test_capacity_integral_2d():
     # alpha = 1.9, p = 3, q0 = 2.1 on a 1024^2 grid spanning 200 B R
     grid = make_grid(2, 200.0, 1024)
-    [a] = capacity_integral(make_test_function_spec(2.1, 2.0, [8.0], 3.0, 1.9, 2),
-                            3.0, 1.9, grid)
-    [b] = capacity_integral(make_test_function_spec(2.1, 4.0, [4.0], 3.0, 1.9, 2),
-                            3.0, 1.9, grid)
+    [a] = capacity_integral(2.1, 3.0, 1.9, grid, [16.0])
     assert math.isfinite(a) and a > 0.0
-    assert a == b
     # 1.4124785976 on (16 * 400, 2048^2)
     assert a == pytest.approx(1.412478094553838, abs=1e-6)
 
@@ -282,8 +277,8 @@ def test_capacity_integral_folds_one_orthant_bitwise(monkeypatch, dim, q0, radii
         return bracket_frac_laplacian(r, *args)
 
     monkeypatch.setattr(fractional, "bracket_frac_laplacian", spy)
-    spec = make_test_function_spec(q0, 2.0, radii, p, alpha, dim)
-    got = capacity_integral(spec, p, alpha, make_grid(dim, box, points))
+    got = capacity_integral(q0, p, alpha, make_grid(dim, box, points),
+                            [2.0 * R for R in radii])
     if rel == 0.0:
         assert got == expected
     else:
@@ -307,11 +302,10 @@ def test_capacity_integral_checks_the_memory_budget_first(monkeypatch):
     """A capacity run holds about fractional._CAPACITY_GRIDS lattices at its
     peak; past the solver's budget it fails before its first array."""
     from mixheat import solver
-    spec = make_test_function_spec(1.5, 2.0, [8.0], 2.0, 1.0, 1)
     grid = make_grid(1, 2e4, 2 ** 14)
     need = fractional._CAPACITY_GRIDS * 8 * 2 ** 14
     monkeypatch.setattr(solver, "_MAX_BYTES", need)
-    assert capacity_integral(spec, 2.0, 1.0, grid)[0] > 0.0
+    assert capacity_integral(1.5, 2.0, 1.0, grid, [16.0])[0] > 0.0
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before the memory check")
@@ -322,7 +316,7 @@ def test_capacity_integral_checks_the_memory_budget_first(monkeypatch):
                        match=r"^capacity_points = 16384 gives a 16384-point capacity "
                              r"grid that needs about 0\.000854 GiB, more than the "
                              r"memory budget of 0\.000854491 GiB$"):
-        capacity_integral(spec, 2.0, 1.0, grid)
+        capacity_integral(1.5, 2.0, 1.0, grid, [16.0])
 
 
 @pytest.mark.parametrize("dim,q0,p,alpha,box,points", [
@@ -330,10 +324,9 @@ def test_capacity_integral_checks_the_memory_budget_first(monkeypatch):
 def test_capacity_integral_peaks_below_six_lattices(dim, q0, p, alpha, box, points):
     """The run holds no more than the _CAPACITY_GRIDS its memory check
     charges: 5.3 lattices in 1D and 2.0 in 2D, measured."""
-    spec = make_test_function_spec(q0, 2.0, [8.0, 16.0], p, alpha, dim)
     tracemalloc.start()
     try:
-        capacity_integral(spec, p, alpha, make_grid(dim, box, points))
+        capacity_integral(q0, p, alpha, make_grid(dim, box, points), [16.0, 32.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,10 +339,9 @@ def test_capacity_integral_bounds_the_box_by_the_float_range(q0, p, dim, widest)
     """Out to the widest box the factors Phi, Phi^(-1/(p-1)) and (q0 + 2) r^2
     stay finite at the corner; a wider box is rejected."""
     alpha = 1.0 if dim == 1 else 1.9
-    spec = make_test_function_spec(q0, 2.0, [8.0], p, alpha, dim)
     message = f"capacity_half_width must be at most {widest:.6g} "
     with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
-        capacity_integral(spec, p, alpha, make_grid(dim, widest * 1.000001, 16))
+        capacity_integral(q0, p, alpha, make_grid(dim, widest * 1.000001, 16), [16.0])
     corner = np.array([math.sqrt(dim) * widest * (1.0 - 1e-6)])
     with np.errstate(over="raise", invalid="raise"):
         phi = bracket_profile(corner, 1.0, q0)

@@ -20,7 +20,7 @@ from mixheat import (
     read_field,
     write_field,
 )
-from mixheat.grid import _spectral_apply
+from mixheat.grid import _irfft, _rfft
 
 
 def gaussian_field(grid, width=1.0, center=0.0):
@@ -245,18 +245,30 @@ def test_half_spectrum_convolve_matches_complex_oracle(dim):
     assert np.abs(out.values - oracle).max() <= tol
 
 
+def _round_trip(grid, values, multiplier=None, kernel=None, out=None, spectrum=None):
+    """_rfft, the products, then _irfft, as the grid's callers chain them:
+    the solver with out= and spectrum=, convolve with a kernel."""
+    spectrum = _rfft(grid, values, out=spectrum)
+    if kernel is not None:
+        spectrum *= _rfft(grid, kernel)
+    if multiplier is not None:
+        spectrum *= multiplier
+    return _irfft(grid, spectrum, out=out)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_spectral_apply_in_place_matches_out_of_place(dim):
     """out=values with a reused spectrum buffer (the solver's in-place
-    call) gives the out-of-place result bit for bit, on both paths."""
+    _rfft/_irfft chain) gives the out-of-place result bit for bit, with a
+    multiplier and with a kernel."""
     g = make_grid(dim, 32.0, 64 if dim == 1 else 32)
     mult = np.exp(-0.7 * make_symbol(g, 1.3).values) / g.points ** dim
     kernel = gaussian_field(g, width=2.0, center=1.0).values
     buf = np.empty(mult.shape, dtype=complex)
     for seed, paths in ((20 + dim, {"multiplier": mult}), (30 + dim, {"kernel": kernel})):
         v = _field_with_nyquist(g, seed).values.copy()
-        expected = _spectral_apply(g, v, **paths)
-        out = _spectral_apply(g, v, out=v, spectrum=buf, **paths)
+        expected = _round_trip(g, v, **paths)
+        out = _round_trip(g, v, out=v, spectrum=buf, **paths)
         assert out is v
         np.testing.assert_array_equal(v, expected)
 
@@ -277,19 +289,21 @@ def _spectral_oracle(grid, values, multiplier=None, kernel=None):
 
 @pytest.mark.parametrize("dim,n", [(1, 16), (1, 8192), (2, 16), (2, 256)])
 def test_spectral_apply_is_the_nd_round_trip_bit_for_bit(dim, n):
-    """The axis-by-axis transforms make numpy's rfftn/irfftn calls in
-    their order, and the inverse skips the 1/N scaling that the caller
-    folds into a factor of its own, so every path gives the n-D round
-    trip's bits: with a multiplier that carries the 1/N, or with none and
-    the result scaled by 1/N; with a kernel or without; with and without
-    the out= and spectrum= buffers; and from a given spectrum
-    (values=None). At dtau = 20 on 8192 points the multiplier falls
-    through the subnormals to 0."""
+    """_rfft is rfftn bit for bit, and _irfft makes numpy's irfftn calls
+    in their order but skips the 1/N scaling that the caller folds into a
+    factor of its own, so every chain gives the n-D round trip's bits: with
+    a multiplier that carries the 1/N, or with none and the result scaled
+    by 1/N; with a kernel or without; with and without the out= and
+    spectrum= buffers; and from a given spectrum (_irfft alone). At
+    dtau = 20 on 8192 points the multiplier falls through the subnormals
+    to 0."""
     g = make_grid(dim, 24.0, n)
+    axes = tuple(range(dim))
     inverse_n = 1.0 / g.points ** dim
     symbol = make_symbol(g, 1.3).values
     kernel = gaussian_field(g, width=2.0, center=1.0).values
     v = _field_with_nyquist(g, 40 + dim).values
+    assert np.array_equal(_rfft(g, v), np.fft.rfftn(v, axes=axes))
     cases = [{}, {"kernel": kernel}]
     for dtau in (0.7, 20.0):
         mult = np.exp(-dtau * symbol)
@@ -300,18 +314,21 @@ def test_spectral_apply_is_the_nd_round_trip_bit_for_bit(dim, n):
         if "multiplier" in paths:
             paths = dict(paths, multiplier=paths["multiplier"] * inverse_n)
             scale = 1.0
-        assert np.array_equal(_spectral_apply(g, v, **paths) * scale, expected)
+        assert np.array_equal(_round_trip(g, v, **paths) * scale, expected)
         buf = np.empty(symbol.shape, dtype=complex)
         out = np.empty(g.shape)
-        assert _spectral_apply(g, v, out=out, spectrum=buf, **paths) is out
+        assert _round_trip(g, v, out=out, spectrum=buf, **paths) is out
         assert np.array_equal(out * scale, expected)
-        given = np.fft.rfftn(v, axes=tuple(range(dim)))
-        assert np.array_equal(_spectral_apply(g, None, spectrum=given, **paths) * scale,
-                              expected)
+        given = np.fft.rfftn(v, axes=axes)
+        if "kernel" in paths:
+            given = np.multiply(given, np.fft.rfftn(kernel, axes=axes))
+        if "multiplier" in paths:
+            given *= paths["multiplier"]
+        assert np.array_equal(_irfft(g, given) * scale, expected)
 
 
 def test_spectral_apply_2d_allocates_no_half_spectrum():
-    """The solver's in-place 2D call (out=values, a reused spectrum buffer,
+    """The solver's in-place 2D chain (out=values, a reused spectrum buffer,
     a real multiplier) runs its inverse transform in the buffer: at 256^2
     its traced peak stays below half of one complex half spectrum (numpy
     casts the real multiplier to complex through a smaller buffer)."""
@@ -319,10 +336,10 @@ def test_spectral_apply_2d_allocates_no_half_spectrum():
     mult = np.exp(-0.7 * make_symbol(g, 1.3).values) / g.points ** 2
     v = _field_with_nyquist(g, 50).values.copy()
     buf = np.empty(mult.shape, dtype=complex)
-    _spectral_apply(g, v, mult, out=v, spectrum=buf)
+    _round_trip(g, v, mult, out=v, spectrum=buf)
     tracemalloc.start()
     try:
-        _spectral_apply(g, v, mult, out=v, spectrum=buf)
+        _round_trip(g, v, mult, out=v, spectrum=buf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -119,6 +119,26 @@ def test_only_oracles_and_observers_import_scipy_integrate():
     assert not found, "scipy.integrate imported in:\n" + "\n".join(found)
 
 
+def test_only_the_transform_pair_calls_numpy_fft():
+    """grid._rfft and grid._irfft are the one spectral path: no other
+    function calls a numpy.fft transform (the frequency tables fftfreq and
+    rfftfreq are not transforms), and no module imports one by name."""
+    callers, imports = set(), []
+    for name, node in _package_nodes(set()):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+            imports.append(f"{name}:{node.lineno}")
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for call in ast.walk(node):
+            func = getattr(call, "func", None)
+            if (isinstance(call, ast.Call) and isinstance(func, ast.Attribute)
+                    and getattr(func.value, "attr", None) == "fft"
+                    and not func.attr.endswith("freq")):
+                callers.add(f"{name[:-3]}.{node.name}")
+    assert not imports, "numpy.fft imported by name in:\n" + "\n".join(imports)
+    assert callers == {"grid._rfft", "grid._irfft"}
+
+
 def test_names_the_benchmark_reaches_into(tmp_path):
     """perfbench/ drives mixheat through these names and signatures, and
     reads its trace columns and step count; moving one breaks it."""

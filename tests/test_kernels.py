@@ -25,7 +25,6 @@ from mixheat import (
     stable_kernel,
     stable_kernel_quadrature,
     stable_tail_constant,
-    stable_tail_mass,
     taylor_contraction_error,
 )
 from mixheat import kernels, solver
@@ -109,12 +108,12 @@ def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n,
         buffer = np.zeros(sym.values.shape, dtype=complex)
         received = []
 
-        def spy(grid, values, apply=kernels._spectral_apply, **kwargs):
-            received.append(kwargs["spectrum"].copy())
-            return apply(grid, values, **kwargs)
+        def spy(grid, spectrum, apply=kernels._irfft, **kwargs):
+            received.append(spectrum.copy())
+            return apply(grid, spectrum, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(kernels, "_spectral_apply", spy)
+            patch.setattr(kernels, "_irfft", spy)
             _delta_response(sym, buffer, 0.0)
         assert len(received) == 1
         assert np.array_equal(received[0], spectrum * (1.0 / n ** dim))
@@ -238,17 +237,24 @@ def test_stable_tail_constant_cauchy_value():
 
 
 def test_stable_tail_mass_matches_cauchy_integral():
-    # exact tail of the Cauchy law: 1 - (2/pi) arctan(L/t)
+    # the far-field tail mass that half_width_for_tail inverts, 2t/(pi L) at
+    # alpha = 1, against the Cauchy law's exact tail 1 - (2/pi) arctan(L/t)
     t, L = 2.0, 50.0
     exact = 1.0 - 2.0 / np.pi * np.arctan(L / t)
-    approx = stable_tail_mass(1.0, t, L, 1)
-    assert approx == pytest.approx(exact, rel=0.05)
+    assert half_width_for_tail(1.0, t, 1, tail_mass=exact) == pytest.approx(L, rel=0.05)
+    assert half_width_for_tail(1.0, t, 1, tail_mass=2.0 * t / (np.pi * L)) == pytest.approx(
+        L, rel=1e-12)
 
 
 def test_half_width_for_tail_inverts_tail_mass():
+    # alpha = 1: the Cauchy law's far-field tail beyond L is 2t/(pi L)
+    L = half_width_for_tail(1.0, 3.0, 1, tail_mass=1e-6)
+    assert 2.0 * 3.0 / (np.pi * L) == pytest.approx(1e-6, rel=1e-9)
+    # every alpha: the tail 2 A t L^(-alpha) / alpha, A the far-field constant
     for alpha in ALPHAS:
         L = half_width_for_tail(alpha, 3.0, 1, tail_mass=1e-6)
-        assert stable_tail_mass(alpha, 3.0, L, 1) == pytest.approx(1e-6, rel=1e-9)
+        tail = 2.0 * stable_tail_constant(alpha, 1) * 3.0 * L ** -alpha / alpha
+        assert tail == pytest.approx(1e-6, rel=1e-9)
     # tighter tolerance must demand a wider box
     assert (half_width_for_tail(1.0, 3.0, 1, tail_mass=1e-8)
             > half_width_for_tail(1.0, 3.0, 1, tail_mass=1e-6))

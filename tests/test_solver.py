@@ -182,6 +182,22 @@ def test_table_absorption_validation():
             TableAbsorption(times, values)
 
 
+def test_solve_checks_the_table_range_before_any_step(small_grid, monkeypatch):
+    # a table on [0, 50] cannot carry a run to t1 = 100: the 10,018-step
+    # schedule fails before its symbol is built, naming the time it misses
+    def no_symbol(*args, **kwargs):
+        raise AssertionError("built the symbol before checking the table")
+
+    monkeypatch.setattr(solver, "make_symbol", no_symbol)
+    table = TableAbsorption(np.array([0.0, 50.0]), np.array([1.0, 1.0]))
+    problem = ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=table,
+                          initial=unit_gaussian(small_grid))
+    schedule = make_step_schedule(0.0, 100.0, 0.0, 0.01)
+    with pytest.raises(ConfigurationError,
+                       match=r"^time 100 outside the absorption table range \[0, 50\]$"):
+        solve(problem, schedule)
+
+
 def test_make_absorption_dispatch():
     for kind, coefficient, exponent in (("none", 0.0, 0.0), ("constant", 1.0, 0.0),
                                         ("power", 1.0, -1.0)):
