@@ -138,11 +138,20 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
         totals.append(float(np.sum(integrand[fold])) * cell_volume)
         f_window = integrand[axis][window]
         # the tail fit needs 4 points of the window that did not underflow to 0
-        if np.count_nonzero(f_window) < min(4, f_window.size) or cell_volume == math.inf:
+        underflows = (np.count_nonzero(f_window) < min(4, f_window.size)
+                      or cell_volume == math.inf)
+        if not underflows:
+            try:
+                _check_capacity_tail(log_r, f_window, r_edge, dim, totals[-1])
+            except ConfigurationError:
+                # a fit rejected over subnormal values is bent by the underflow
+                if not np.any((f_window > 0) & (f_window < np.finfo(float).tiny)):
+                    raise
+                underflows = True
+        if underflows:
             raise ConfigurationError(
                 f"capacity_radii gives B*R = {scale:g}, so large that the capacity "
                 "integrand underflows to 0 in its tail or its cell volume overflows")
-        _check_capacity_tail(log_r, f_window, r_edge, dim, totals[-1])
         del integrand, f_window  # before the next B R builds its own
     return totals
 

@@ -8,10 +8,10 @@ semigroup e^(-dtau (-Lap + (-Lap)^(alpha/2))), applied spectrally and
 exact per step. The absorption factor is integrated in the original
 clock, where du/dt = -h(t) u^p has the closed-form solution
 
-    u1 = u (1 + (p-1) H u^(p-1))^(-1/(p-1)),   H = int h dt,
+    u1 = u / (1 + (p-1) H u^(p-1))^(1/(p-1)),   H = int h dt,
 
-so a Strang split (half absorption, full semigroup, half absorption)
-carries no quadrature error in either substep, only the splitting error.
+a square root at p = 3. A Strang split (half absorption, full semigroup,
+half absorption) carries no quadrature error, only the splitting error.
 
 Mass bookkeeping is by differences across the absorption substeps; the
 semigroup leaves the zero mode untouched, so
@@ -347,8 +347,8 @@ def _clip_negative(values: np.ndarray, cell_volume: float) -> float:
 
 
 def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
-    """Exact flow of du/dt = -h u^p over an interval with int h dt = H, in
-    place (work: scratch). The factored form avoids 0^(1-p) at zeros."""
+    """Exact flow of du/dt = -h u^p, int h dt = H, in place (work: scratch), as
+    u / w^(1/(p-1)): a sqrt at p = 3, not a pow; factored, w avoids 0^(1-p)."""
     if H == 0.0:
         return
     q = p - 1.0
@@ -358,8 +358,8 @@ def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
         np.power(values, q, out=work)
     work *= q * H
     work += 1.0
-    work **= -1.0 / q
-    values *= work
+    work **= 1.0 / q
+    values /= work
 
 
 # ---------------------------------------------------------------------------

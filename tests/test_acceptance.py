@@ -290,6 +290,11 @@ def test_10_comparison_ordering(reference_problem):
 
 
 def test_11_mass_dichotomy(dichotomy_runs):
+    """p = 3, above p_c = 2, keeps a mass plateau; p = 1.2 decays. The
+    p = 1.2 leg ends on a filled box: at L = 400 its final state is flat
+    (max/mean 1.00004), so its mass follows the spatially constant ODE
+    u' = -u^p, whose decay does not depend on p_c. That leg cannot fail for
+    a wrong p_c; the p = 3 plateau is what tests it (ROADMAP.md, item 1)."""
     m0 = dichotomy_runs[3.0].trace.initial_mass
     sup = classify_mass_limit(dichotomy_runs[3.0].trace)
     sub = classify_mass_limit(dichotomy_runs[1.2].trace)

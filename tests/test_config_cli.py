@@ -296,11 +296,12 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
      "beyond which a factor of the integrand leaves the float range at the box "
      "corner, got 20000.0"),
     # B R = 2e160 and 2e300 underflow the integrand's tail window to 0;
-    # 2e305 also overflows the physical box B R capacity_half_width
+    # 2e305 also overflows the physical box B R capacity_half_width; at
+    # 2e155 the window holds subnormal values, which bend the tail fit
     *[("capacity", f"capacity_radii=8,{R}",
        f"capacity_radii gives B*R = 2e+{R[2:]}, so large that the capacity integrand "
        "underflows to 0 in its tail or its cell volume overflows")
-      for R in ("1e160", "1e300", "1e305")],
+      for R in ("1e155", "1e160", "1e300", "1e305")],
     ("solve", "snapshot_count=1",
      "snapshot_count must be an integer in [2, 89478485], got 1"),
     # one past the step budget, and far past it: rejected before a ladder
