@@ -228,7 +228,7 @@ def cmd_selftest(args) -> int:
     rel = float(np.max(np.abs(cauchy.values[near] - exact) / exact))
     check("cauchy_closed_form", rel < 1e-6, f"max rel {rel:.2e}")
 
-    lhs, rhs = scaling_check(lambda y: bracket_profile(y, 1.0, 2.0), 0.5, 2.0, 0.7,
+    lhs, rhs = scaling_check(lambda y: bracket_profile(y, 2.0), 0.5, 2.0, 0.7,
                              second_derivative=lambda y: bracket_laplacian(y, 2.0, 1))
     sc_rel = abs(lhs - rhs) / abs(rhs)
     check("scaling_identity", sc_rel < 1e-5, f"rel {sc_rel:.2e}")

@@ -26,10 +26,9 @@ def frac_constant(dim: int, s: float) -> float:
             / (math.pi ** (dim / 2.0) * math.gamma(1.0 - s)))
 
 
-def bracket_profile(x, scale: float, q0: float):
-    """Japanese-bracket power (1 + |x/scale|^2)^(-q0/2), elementwise in x."""
-    require("finite and > 0", scale=scale)
-    x = np.asarray(x, dtype=float) / scale
+def bracket_profile(x, q0: float):
+    """Japanese-bracket power <x>^(-q0) = (1 + |x|^2)^(-q0/2), elementwise in x."""
+    x = np.asarray(x, dtype=float)
     out = (1.0 + x * x) ** (-q0 / 2.0)
     return _float_or_array(out)
 
@@ -94,8 +93,9 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
     weighed by (B R)^-2 and (B R)^-alpha, reflected onto the lattice by
     |-n/2..n/2-1|, summed in lattice order and scaled by the cell volume of
     the physical grid, (2 B R L / n)^N: for B R a power of two, the
-    full-lattice sum in x to the bit. Each extrapolated tail must be below
-    1e-6 of its total.
+    full-lattice sum in x to the bit. Each tail extrapolated past the box
+    edge must be below 1e-6 of its total; the tail is integrated in y and
+    the total in x, so this bounds the physical tail share by 1e-6 (B R)^N.
     """
     dim, half = grid.dim, grid.points // 2
     require(p=p, alpha=alpha, dim=dim)
@@ -118,7 +118,7 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
         *(np.arange(half + 1, dtype=float) * grid.spacing,) * dim, indexing="ij")))
     frac_part = bracket_frac_laplacian(radius, q0, alpha / 2.0, dim)
     neg_lap_part = -bracket_laplacian(radius, q0, dim)
-    weight = bracket_profile(radius, 1.0, q0) ** (-1.0 / (p - 1.0))
+    weight = bracket_profile(radius, q0) ** (-1.0 / (p - 1.0))
     fold = np.ix_(*(np.abs(np.arange(-half, half)),) * dim)
     # the tail guard's window r > r_edge / 10 on the positive half axis
     axis = (slice(0, half),) + (0,) * (dim - 1)
@@ -158,7 +158,7 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
 
 def _check_capacity_tail(log_r, f_window, r_edge, dim, total):
     """Extrapolate the integrand `f_window`, sampled where `log_r` holds log r,
-    past the box edge r_edge; its tail must stay below 1e-6 of `total`."""
+    past the box edge r_edge; its tail (in y) must stay below 1e-6 of `total`."""
     slope = _tail_slope(log_r, f_window)
     if slope + dim >= -0.1:
         raise ConfigurationError(

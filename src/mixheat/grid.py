@@ -120,30 +120,23 @@ def integral(f: Field) -> float:
 class SpectralSymbol:
     """Fourier symbol on a grid's real-FFT half lattice (see freq_magnitude).
 
-    kind "mixed" is |xi|^2 + |xi|^alpha (the generator of the mixed
-    local/nonlocal flow), "fractional" is |xi|^alpha alone, "laplacian"
-    is |xi|^2.
+    make_symbol's kind "mixed" is |xi|^2 + |xi|^alpha (the generator of the
+    mixed local/nonlocal flow), "fractional" is |xi|^alpha alone.
     """
 
     grid: GridSpec
-    alpha: float
-    kind: str
     values: np.ndarray = field(repr=False)
 
 
 def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed") -> SpectralSymbol:
-    if kind not in ("mixed", "fractional", "laplacian"):
+    if kind not in ("mixed", "fractional"):
         raise ConfigurationError(f"unknown symbol kind {kind!r}")
-    if kind != "laplacian":
-        require(alpha=alpha)
+    require(alpha=alpha)
     mag = grid.freq_magnitude()
-    if kind == "mixed":
-        values = mag ** 2 + mag ** alpha
-    elif kind == "fractional":
-        values = mag ** alpha
-    else:
-        values = mag ** 2
-    return SpectralSymbol(grid=grid, alpha=float(alpha), kind=kind, values=values)
+    values = mag ** alpha
+    if kind == "mixed":  # in place, over mag: a sum commutes, so same bits
+        values += np.square(mag, out=mag)
+    return SpectralSymbol(grid=grid, values=values)
 
 
 def _rfft(grid: GridSpec, values: np.ndarray, out=None) -> np.ndarray:

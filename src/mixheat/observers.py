@@ -84,12 +84,12 @@ def decay_rate_exponent(p: float, alpha: float, beta: float, dim: int) -> float:
     return dim * (p - 1.0) * (beta + 1.0) / alpha
 
 
-def absorbed_integral_tail_ratio(schedule, p: float, alpha: float, beta: float,
+def absorbed_integral_tail_ratio(absorption, p: float, alpha: float, beta: float,
                                  dim: int, t_lo: float = 1.0, t_mid: float = 1e3,
                                  t_hi: float = 1e6) -> float:
-    """Numeric surrogate for convergence of int t^(-r) h(t) dt:
-    the ratio of its [t_mid, t_hi] piece to its [t_lo, t_mid] piece.
-    Well under 1 for convergent integrands, near or above 1 otherwise."""
+    """Numeric surrogate for convergence of int t^(-r) h(t) dt, h the rate of
+    `absorption`: the ratio of its [t_mid, t_hi] piece to its [t_lo, t_mid]
+    piece. Well under 1 for convergent integrands, near or above 1 otherwise."""
     require("finite and > 0", t_lo=t_lo, t_mid=t_mid, t_hi=t_hi)
     if not t_lo < t_mid < t_hi:
         raise ConfigurationError(
@@ -97,7 +97,7 @@ def absorbed_integral_tail_ratio(schedule, p: float, alpha: float, beta: float,
     r = decay_rate_exponent(p, alpha, beta, dim)
 
     def integrand(t):
-        return float(schedule.rate(t)) * t ** (-r)
+        return float(absorption.rate(t)) * t ** (-r)
 
     from scipy.integrate import quad
     head, _ = quad(integrand, t_lo, t_mid, limit=200)
@@ -111,8 +111,8 @@ _TAIL_RATIO_THRESHOLD = 0.5
 
 
 def condition_h_check(p: float, alpha: float, beta: float, dim: int,
-                      schedule) -> str:
-    """Decide convergence of int_1^inf t^(-r) h(t) dt for the run's h.
+                      absorption) -> str:
+    """Decide convergence of int_1^inf t^(-r) h(t) dt, h the rate of `absorption`.
 
     Closed form for constant and power coefficients: with h ~ (1+t)^sigma
     the integrand is ~ t^(sigma - r), convergent iff sigma - r < -1.
@@ -121,11 +121,11 @@ def condition_h_check(p: float, alpha: float, beta: float, dim: int,
     range, and a warning is logged that the answer is a heuristic.
     """
     r = decay_rate_exponent(p, alpha, beta, dim)
-    sigma = getattr(schedule, "tail_exponent", None)
+    sigma = getattr(absorption, "tail_exponent", None)
     if sigma is not None:
         return "convergent" if sigma - r < -1.0 else "divergent"
     t_lo, t_hi = 1.0, 1e6
-    times = getattr(schedule, "times", None)
+    times = getattr(absorption, "times", None)
     if times is not None:
         t_lo, t_hi = max(t_lo, float(times[0])), float(times[-1])
         if not t_hi > t_lo:
@@ -133,12 +133,12 @@ def condition_h_check(p: float, alpha: float, beta: float, dim: int,
                 f"absorption table covers [{times[0]:g}, {t_hi:g}], which ends "
                 "at or before t = 1: the tail test needs h beyond t = 1")
     # h == 0 has a trivially convergent (zero) integral.
-    if schedule.integral(t_lo, t_hi) == 0.0:
+    if absorption.integral(t_lo, t_hi) == 0.0:
         return "convergent"
     _log.warning("tabulated coefficient has no closed-form tail; "
                  "using the numeric tail-ratio heuristic")
     t_mid = math.sqrt(t_lo * t_hi)
-    ratio = absorbed_integral_tail_ratio(schedule, p, alpha, beta, dim,
+    ratio = absorbed_integral_tail_ratio(absorption, p, alpha, beta, dim,
                                          t_lo=t_lo, t_mid=t_mid, t_hi=t_hi)
     return "convergent" if ratio < _TAIL_RATIO_THRESHOLD else "divergent"
 

@@ -35,6 +35,11 @@ from .fractional import frac_constant
 # O(yc^(4-2s)) and the float cancellation in the second difference is
 # avoided entirely.
 _INNER_CUTOFF = 1e-3
+# Absolute error budget of one pointwise evaluation: the QUADPACK estimates
+# of its radial pieces must sum below it. The 2D angular mean over
+# _ANGULAR_NODES midpoints is outside the budget; keep |x| moderate there.
+_ABS_TOL = 1e-8
+_ANGULAR_NODES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +83,10 @@ def _pieces_1d(r: float, inner: float):
 
 
 def frac_laplacian_pointwise(profile, s: float, x, dim: int = 1,
-                             abs_tol: float = 1e-8,
                              second_derivative=None,
-                             laplacian=None,
-                             angular_nodes: int = 64) -> float:
-    """Evaluate (-Lap)^s profile at a single point by adaptive quadrature.
+                             laplacian=None) -> float:
+    """Evaluate (-Lap)^s profile at a single point by adaptive quadrature;
+    an error estimate above _ABS_TOL raises NumericalFailureError.
 
     Parameters
     ----------
@@ -93,16 +97,9 @@ def frac_laplacian_pointwise(profile, s: float, x, dim: int = 1,
         Order in (0, 1).
     x : float or length-2 array
         Evaluation point.
-    abs_tol : float
-        Absolute error budget; a larger QUADPACK estimate raises
-        NumericalFailureError.
     second_derivative, laplacian : callable, optional
         Analytic profile''(x) (dim=1) or Lap profile (dim=2) for the inner
         Taylor piece; finite differences are used when absent.
-    angular_nodes : int
-        Trapezoid nodes for the angular average when dim=2. The angular
-        error is not part of the reported budget; keep |x| moderate or
-        raise the node count.
     """
     if dim == 1:
         x = float(x)
@@ -120,7 +117,7 @@ def frac_laplacian_pointwise(profile, s: float, x, dim: int = 1,
         r = float(np.linalg.norm(x))
         lap = laplacian(x) if laplacian else _fd_laplacian_2d(profile, x)
         vx = float(profile(x))
-        theta = np.pi * (np.arange(angular_nodes) + 0.5) / angular_nodes
+        theta = np.pi * (np.arange(_ANGULAR_NODES) + 0.5) / _ANGULAR_NODES
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
         def g(y):
@@ -139,7 +136,7 @@ def frac_laplacian_pointwise(profile, s: float, x, dim: int = 1,
     total = curvature * yc ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     err_budget = 0.0
     pts, far = _pieces_1d(r, yc)
-    eps_piece = abs_tol / (len(pts) + 2)
+    eps_piece = _ABS_TOL / (len(pts) + 2)
     lo = yc
     for b in pts:
         val, err = quad(g, lo, b, epsabs=eps_piece, epsrel=1e-10, limit=300)
@@ -151,15 +148,15 @@ def frac_laplacian_pointwise(profile, s: float, x, dim: int = 1,
                     epsabs=eps_piece, epsrel=1e-10, limit=300)
     total += val
     err_budget += err
-    if err_budget > abs_tol:
+    if err_budget > _ABS_TOL:
         raise NumericalFailureError(
             f"pointwise fractional Laplacian error estimate {err_budget:.2e} "
-            f"exceeds budget {abs_tol:.2e}")
+            f"exceeds budget {_ABS_TOL:.2e}")
     return prefactor * total
 
 
 def scaling_check(profile, s: float, R: float, x, dim: int = 1,
-                  abs_tol: float = 1e-8, second_derivative=None):
+                  second_derivative=None):
     """Both sides of the rescaling identity
     (-Lap)^s [profile(./R)](x) = R^(-2s) [(-Lap)^s profile](x/R),
     each evaluated independently by quadrature. Returns (lhs, rhs)."""
@@ -167,16 +164,15 @@ def scaling_check(profile, s: float, R: float, x, dim: int = 1,
     if dim == 1:
         scaled = lambda y: profile(y / R)
         scaled_d2 = (lambda y: second_derivative(y / R) / (R * R)) if second_derivative else None
-        lhs = frac_laplacian_pointwise(scaled, s, x, dim=1, abs_tol=abs_tol,
+        lhs = frac_laplacian_pointwise(scaled, s, x, dim=1,
                                        second_derivative=scaled_d2)
         rhs = R ** (-2.0 * s) * frac_laplacian_pointwise(
-            profile, s, x / R, dim=1, abs_tol=abs_tol,
-            second_derivative=second_derivative)
+            profile, s, x / R, dim=1, second_derivative=second_derivative)
     else:
         scaled = lambda pts: profile(np.asarray(pts) / R)
-        lhs = frac_laplacian_pointwise(scaled, s, x, dim=2, abs_tol=abs_tol)
+        lhs = frac_laplacian_pointwise(scaled, s, x, dim=2)
         rhs = R ** (-2.0 * s) * frac_laplacian_pointwise(
-            profile, s, np.asarray(x, dtype=float) / R, dim=2, abs_tol=abs_tol)
+            profile, s, np.asarray(x, dtype=float) / R, dim=2)
     return lhs, rhs
 
 

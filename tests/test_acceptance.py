@@ -221,7 +221,7 @@ def test_05_rescaling_identity():
             dev = np.max(np.abs(vb - R ** (-2.0 * s) * va)) / np.max(np.abs(va))
             worst_spec = max(worst_spec, float(dev))
 
-    prof = lambda y: bracket_profile(y, 1.0, 2.0)
+    prof = lambda y: bracket_profile(y, 2.0)
     d2 = lambda y: bracket_laplacian(y, 2.0, 1)
     worst_quad = 0.0
     for s in (0.25, 0.5, 0.75):
@@ -236,7 +236,7 @@ def test_05_rescaling_identity():
 
 
 def test_06_far_field_decay():
-    prof = lambda y: bracket_profile(y, 1.0, 2.0)
+    prof = lambda y: bracket_profile(y, 2.0)
     d2 = lambda y: bracket_laplacian(y, 2.0, 1)
     radii = np.geomspace(5.0, 100.0, 25)
     vals = [abs(frac_laplacian_pointwise(prof, 0.5, r, second_derivative=d2))

@@ -52,7 +52,7 @@ def problem(alpha=1.0, beta=0.0, p=2.0):
 
 
 def profile(y):
-    return bracket_profile(y, 1.0, 2.0)
+    return bracket_profile(y, 2.0)
 
 
 # (function, argument, a finite value out of its range or None when every
@@ -99,7 +99,6 @@ CASES = [
      lambda v: half_width_for_tail(1.0, 1.0, 1, tail_mass=v)),
     ("frac_constant", "s", 1.0, lambda v: frac_constant(1, v)),
     ("frac_constant", "dim", 0, lambda v: frac_constant(v, 0.5)),
-    ("bracket_profile", "scale", 0.0, lambda v: bracket_profile(1.0, v, 2.0)),
     ("bracket_frac_laplacian", "s", 0.0, lambda v: bracket_frac_laplacian(1.0, 2.0, v, 1)),
     ("bracket_frac_laplacian", "dim", 0.5,
      lambda v: bracket_frac_laplacian(1.0, 2.0, 0.5, v)),

@@ -24,7 +24,7 @@ from mixheat import (
 
 
 def bracket2(r):
-    return bracket_profile(r, 1.0, 2.0)
+    return bracket_profile(r, 2.0)
 
 
 def bracket2_d2(r):
@@ -99,21 +99,15 @@ def test_scaling_identity_2d():
     def radial2(pts):
         pts = np.asarray(pts, dtype=float)
         r = np.sqrt(np.sum(pts * pts, axis=-1))
-        return bracket_profile(r, 1.0, 2.0)
+        return bracket_profile(r, 2.0)
 
     lhs, rhs = scaling_check(radial2, 0.5, 2.0, (0.9, 0.4), dim=2)
     assert lhs == pytest.approx(rhs, rel=1e-4)
 
 
-def test_bracket_profile_shape_and_scale():
+def test_bracket_profile_shape():
     x = np.array([0.0, 1.0, 3.0])
-    np.testing.assert_allclose(bracket_profile(x, 1.0, 2.0),
-                               (1.0 + x * x) ** -1.0)
-    # dilating the scale is the same as shrinking the argument
-    np.testing.assert_allclose(bracket_profile(x, 2.0, 1.5),
-                               bracket_profile(x / 2.0, 1.0, 1.5))
-    with pytest.raises(ConfigurationError):
-        bracket_profile(x, 0.0, 2.0)
+    np.testing.assert_allclose(bracket_profile(x, 2.0), (1.0 + x * x) ** -1.0)
 
 
 def test_bracket_derivatives_match_finite_differences():
@@ -132,7 +126,7 @@ def test_bracket_derivatives_match_finite_differences():
 @pytest.mark.parametrize("s,q0", [(0.25, 1.2), (0.5, 1.5), (0.75, 2.5)])
 def test_bracket_frac_laplacian_matches_quadrature_1d(s, q0, r):
     oracle = frac_laplacian_pointwise(
-        lambda y: bracket_profile(y, 1.0, q0), s, r,
+        lambda y: bracket_profile(y, q0), s, r,
         second_derivative=lambda y: bracket_laplacian(y, q0, 1))
     assert bracket_frac_laplacian(r, q0, s, 1) == pytest.approx(
         oracle, rel=1e-7, abs=1e-8)
@@ -142,7 +136,7 @@ def test_bracket_frac_laplacian_matches_quadrature_1d(s, q0, r):
 @pytest.mark.parametrize("s,q0", [(0.25, 2.2), (0.5, 2.5), (0.75, 3.0)])
 def test_bracket_frac_laplacian_matches_quadrature_2d(s, q0, r):
     def radial(pts):
-        return bracket_profile(np.linalg.norm(np.asarray(pts), axis=-1), 1.0, q0)
+        return bracket_profile(np.linalg.norm(np.asarray(pts), axis=-1), q0)
 
     oracle = frac_laplacian_pointwise(
         radial, s, (r, 0.0), dim=2,
@@ -246,7 +240,7 @@ def _per_radius_capacity(q0, B, R, p, alpha, grid):
     radius = np.sqrt(sum(c ** 2 for c in grid.coords())) / scale
     frac_part = bracket_frac_laplacian(radius, q0, alpha / 2.0, grid.dim)
     neg_lap_part = -bracket_laplacian(radius, q0, grid.dim)
-    phi = bracket_profile(radius, 1.0, q0)
+    phi = bracket_profile(radius, q0)
     symbol_term = scale ** (-2.0) * neg_lap_part + scale ** (-alpha) * frac_part
     integrand = phi ** (-1.0 / (p - 1.0)) * np.abs(symbol_term) ** (p / (p - 1.0))
     return float(np.sum(integrand) * grid.cell_volume)
@@ -344,6 +338,6 @@ def test_capacity_integral_bounds_the_box_by_the_float_range(q0, p, dim, widest)
         capacity_integral(q0, p, alpha, make_grid(dim, widest * 1.000001, 16), [16.0])
     corner = np.array([math.sqrt(dim) * widest * (1.0 - 1e-6)])
     with np.errstate(over="raise", invalid="raise"):
-        phi = bracket_profile(corner, 1.0, q0)
+        phi = bracket_profile(corner, q0)
         assert phi[0] > 0.0 and np.isfinite(phi[0] ** (-1.0 / (p - 1.0)))
         assert np.isfinite(bracket_laplacian(corner, q0, dim)[0])

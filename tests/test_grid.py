@@ -113,9 +113,9 @@ def test_make_symbol_values_and_kinds():
     mag = g.freq_magnitude()
     np.testing.assert_allclose(make_symbol(g, 1.5).values, mag ** 2 + mag ** 1.5)
     np.testing.assert_allclose(make_symbol(g, 1.0, kind="fractional").values, mag)
-    np.testing.assert_allclose(make_symbol(g, 1.0, kind="laplacian").values, mag ** 2)
-    with pytest.raises(ConfigurationError):
-        make_symbol(g, 1.0, kind="heat")
+    for kind in ("heat", "laplacian"):
+        with pytest.raises(ConfigurationError):
+            make_symbol(g, 1.0, kind=kind)
     with pytest.raises(ConfigurationError):
         make_symbol(g, 2.5)
     with pytest.raises(ConfigurationError):
@@ -154,13 +154,16 @@ def test_apply_symbol_validation():
 
 
 def test_laplacian_symbol_matches_second_derivative():
-    """The |xi|^2 multiplier must act as -d^2/dx^2."""
+    """The mixed multiplier less the fractional one, |xi|^2, must act as
+    -d^2/dx^2."""
     g = make_grid(1, 25.0, 2048)
     x = g.axis_coords()
     f = make_field(g, np.exp(-x * x))
     exact = -(4.0 * x * x - 2.0) * np.exp(-x * x)
-    out = apply_symbol(f, make_symbol(g, 1.0, kind="laplacian"))
-    np.testing.assert_allclose(out.values, exact, rtol=0, atol=1e-9)
+    for alpha in (0.5, 1.0, 1.5):
+        out = (apply_symbol(f, make_symbol(g, alpha)).values
+               - frac_laplacian_spectral(f, alpha).values)
+        np.testing.assert_allclose(out, exact, rtol=0, atol=1e-9)
     # the production fractional route refuses the degenerate endpoint
     with pytest.raises(ConfigurationError):
         frac_laplacian_spectral(f, 2.0)

@@ -639,6 +639,21 @@ def test_duhamel_residual_exact_for_linear_flow(small_grid):
     assert duhamel_residual(res) < 1e-10
 
 
+@pytest.mark.parametrize("kept", [1, 2])
+def test_duhamel_residual_needs_three_snapshots(small_grid, kept):
+    """With fewer than 3 snapshots there is no time quadrature: a result
+    keeping only its last one or two raises, and never scores 0."""
+    u0 = unit_gaussian(small_grid)
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
+                       absorption=PowerAbsorption(1.0), initial=u0)
+    sched = make_step_schedule(0.5, 8.0, 0.0, 0.02)
+    res = solve(prob, dataclasses.replace(
+        sched, snapshot_times=sched.snapshot_times[-kept:]))
+    assert res.snapshot_times.size == kept
+    with pytest.raises(ConfigurationError, match="at least 3 snapshots"):
+        duhamel_residual(res)
+
+
 def test_duhamel_residual_shrinks_with_snapshot_density(small_grid):
     u0 = unit_gaussian(small_grid)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
