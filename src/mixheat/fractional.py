@@ -79,6 +79,9 @@ def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
 # less the interpreter's, read 5.7-5.9 in 1D (2^17-2^21 points), 2.5-2.8 in 2D.
 _CAPACITY_GRIDS = 7
 _LOG_MAX = math.log(np.finfo(float).max)
+_TINY = np.finfo(float).tiny
+# log 2^-1075: the most a power that rounds below _TINY is off by
+_LOG_HALF_SUBNORMAL = -1075 * math.log(2.0)
 
 
 def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
@@ -96,6 +99,10 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
     full-lattice sum in x to the bit. Each tail extrapolated past the box
     edge must be below 1e-6 of its total; the tail is integrated in y and
     the total in x, so this bounds the physical tail share by 1e-6 (B R)^N.
+    Where |operator part|^(p/(p-1)) falls below the smallest normal float it
+    is off by up to its own size or 2^-1075, whichever is less; weighed and
+    counted up to 2^N times on the lattice, that loss must stay below 1e-6
+    of the total as well.
     """
     dim, half = grid.dim, grid.points // 2
     require(p=p, alpha=alpha, dim=dim)
@@ -129,23 +136,29 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
 
     totals = []
     for scale in scales.tolist():
-        integrand = weight * np.abs(scale ** (-2.0) * neg_lap_part
-                                    + scale ** (-alpha) * frac_part) ** (p / (p - 1.0))
+        integrand = np.abs(scale ** (-2.0) * neg_lap_part + scale ** (-alpha) * frac_part)
+        log_lost = _log_underflow_loss(weight, integrand, p / (p - 1.0))
+        integrand **= p / (p - 1.0)
+        integrand *= weight
         try:  # GridSpec's cell volume for the physical box B R L
             cell_volume = (2.0 * (scale * grid.half_width) / grid.points) ** dim
         except OverflowError:
             cell_volume = math.inf
-        totals.append(float(np.sum(integrand[fold])) * cell_volume)
+        lattice_sum = float(np.sum(integrand[fold]))
+        totals.append(lattice_sum * cell_volume)
         f_window = integrand[axis][window]
+        # each orthant point is met up to 2^N times on the lattice
+        log_lost_share = (dim * math.log(2.0) + log_lost - math.log(lattice_sum)
+                          if lattice_sum > 0 else math.inf)
         # the tail fit needs 4 points of the window that did not underflow to 0
         underflows = (np.count_nonzero(f_window) < min(4, f_window.size)
-                      or cell_volume == math.inf)
+                      or cell_volume == math.inf or log_lost_share > math.log(1e-6))
         if not underflows:
             try:
                 _check_capacity_tail(log_r, f_window, r_edge, dim, totals[-1])
             except ConfigurationError:
                 # a fit rejected over subnormal values is bent by the underflow
-                if not np.any((f_window > 0) & (f_window < np.finfo(float).tiny)):
+                if not np.any((f_window > 0) & (f_window < _TINY)):
                     raise
                 underflows = True
         if underflows:
@@ -154,6 +167,19 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
                 "integrand underflows to 0 in its tail or its cell volume overflows")
         del integrand, f_window  # before the next B R builds its own
     return totals
+
+
+def _log_underflow_loss(weight, part, e):
+    """log of a bound on what sum(weight * part**e) loses where part**e falls
+    below the smallest normal float: min(part**e, 2^-1075) per point, taken
+    in log space since it underflows too; -inf where nothing is lost."""
+    low = part < (2.0 * _TINY) ** (1.0 / e)  # each power below _TINY, and a margin
+    with np.errstate(divide="ignore"):  # a zero part loses nothing: log 0 = -inf
+        loss = np.log(weight[low]) + np.minimum(e * np.log(part[low]), _LOG_HALF_SUBNORMAL)
+    top = float(loss.max(initial=-math.inf))
+    if top == -math.inf:
+        return top
+    return top + math.log(float(np.sum(np.exp(loss - top))))
 
 
 def _check_capacity_tail(log_r, f_window, r_edge, dim, total):

@@ -10,8 +10,13 @@ clock, where du/dt = -h(t) u^p has the closed-form solution
 
     u1 = u / (1 + (p-1) H u^(p-1))^(1/(p-1)),   H = int h dt,
 
-a square root at p = 3. A Strang split (half absorption, full semigroup,
-half absorption) carries no quadrature error, only the splitting error.
+a square root at p = 3. Where p == 1 + 1/k in floats for a whole k in
+[2, 64] (p = 1.2, 1.25, 1.5, ...), the outer power is taken as w^k, by
+squaring and dividing: the float exponent 1/(p-1) is not k
+(5.000000000000001 at p = 1.2), and a pow by it costs more and strays
+further from the 1 + 1/k flow. A Strang split (half absorption, full
+semigroup, half absorption) carries no quadrature error, only the
+splitting error.
 
 Mass bookkeeping is by differences across the absorption substeps; the
 semigroup leaves the zero mode untouched, so
@@ -348,7 +353,12 @@ def _clip_negative(values: np.ndarray, cell_volume: float) -> float:
 
 def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
     """Exact flow of du/dt = -h u^p, int h dt = H, in place (work: scratch), as
-    u / w^(1/(p-1)): a sqrt at p = 3, not a pow; factored, w avoids 0^(1-p)."""
+    u / w^(1/(p-1)): a sqrt at p = 3, not a pow; factored, w avoids 0^(1-p).
+
+    At p == 1 + 1/k for a whole k in [2, 64] the outer power is w^k: u is
+    divided by w^(2^i) for each set bit i of k, squaring w in place between
+    bits. Each divisor is a power of w >= 1, so the result stays monotone in
+    H and never exceeds u; k = 2 keeps the bits of `**= 2.0`."""
     if H == 0.0:
         return
     q = p - 1.0
@@ -358,8 +368,16 @@ def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
         np.power(values, q, out=work)
     work *= q * H
     work += 1.0
-    work **= 1.0 / q
-    values /= work
+    k = round(1.0 / q)
+    if not (2 <= k <= 64 and p == 1.0 + 1.0 / k):
+        work **= 1.0 / q
+        k = 1
+    while k:
+        if k & 1:
+            values /= work
+        k >>= 1
+        if k:
+            np.square(work, out=work)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,32 @@ def test_capacity_integral_tail_guard():
         capacity_integral(1.5, 2.0, 1.0, make_grid(1, 50.0, 1024), [16.0])
 
 
+def test_capacity_integral_rejects_b_r_whose_underflow_may_cost_1e_minus_6():
+    # the loss below the smallest normal float is bounded by 10^-12.3,
+    # 10^-8.3 and 10^-6.3 of the total at B R = 2e150, 2e152, 2e153, and
+    # those values keep the (B R)^-1 scaling to 1e-6; at 2e154 the bound
+    # reads 10^-5.05 (and the value was 4.3e-6 off), so it is rejected
+    grid = make_grid(1, 2e4, 2 ** 17)
+    scales = [2e100, 2e150, 2e152, 2e153]
+    values = capacity_integral(1.5, 2.0, 1.0, grid, scales)
+    scaled = [v * s for v, s in zip(values, scales)]
+    assert scaled == pytest.approx([scaled[0]] * len(scales), rel=1e-6)
+    with pytest.raises(ConfigurationError, match=r"^capacity_radii gives B\*R = 2e\+154,"):
+        capacity_integral(1.5, 2.0, 1.0, grid, [2e154])
+
+
+def test_capacity_integral_bounds_each_lost_power_by_its_own_size():
+    # at p = 1.01 the weights where the power underflows reach 1e275, so
+    # 2^-1075 per such point would bound the loss by 10^77 of the total;
+    # most of those powers are far below 2^-1075, and the values agree with
+    # a sum taken in log space, which nothing underflows, to 1e-15
+    grid = make_grid(1, 68.0, 2 ** 17)
+    values = capacity_integral(1.5, 1.01, 1.0, grid, [2.0, 4.0, 16.0])
+    assert values == pytest.approx(
+        [1.2395785640918268e-11, 1.5137046710648585e-53, 2.63358271599388e-125],
+        rel=1e-14)
+
+
 def test_capacity_integral_2d():
     # alpha = 1.9, p = 3, q0 = 2.1 on a 1024^2 grid spanning 200 B R
     grid = make_grid(2, 200.0, 1024)

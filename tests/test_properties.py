@@ -28,7 +28,9 @@ times = st.floats(0.0, 1e3)
 exponents = st.one_of(st.sampled_from([0.0, -1.0]), st.floats(-3.0, 3.0),
                       st.floats(-1e-6, 1e-6).map(lambda d: d - 1.0))
 states = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=16).map(np.array)
-p_values = st.floats(1.01, 6.0)
+# p = 1 + 1/k (k = 2..5) and p = 3 take their own absorption branches
+p_values = st.one_of(st.sampled_from([1.2, 1.25, 1 + 1 / 3, 1.5, 2.0, 3.0]),
+                     st.floats(1.01, 6.0))
 
 
 @few
