@@ -147,12 +147,9 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
         lattice_sum = float(np.sum(integrand[fold]))
         totals.append(lattice_sum * cell_volume)
         f_window = integrand[axis][window]
-        # each orthant point is met up to 2^N times on the lattice
-        log_lost_share = (dim * math.log(2.0) + log_lost - math.log(lattice_sum)
-                          if lattice_sum > 0 else math.inf)
         # the tail fit needs 4 points of the window that did not underflow to 0
         underflows = (np.count_nonzero(f_window) < min(4, f_window.size)
-                      or cell_volume == math.inf or log_lost_share > math.log(1e-6))
+                      or cell_volume == math.inf)
         if not underflows:
             try:
                 _check_capacity_tail(log_r, f_window, r_edge, dim, totals[-1])
@@ -165,6 +162,11 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
             raise ConfigurationError(
                 f"capacity_radii gives B*R = {scale:g}, so large that the capacity "
                 "integrand underflows to 0 in its tail or its cell volume overflows")
+        # each orthant point is met up to 2^N times on the lattice
+        if dim * math.log(2.0) + log_lost - math.log(lattice_sum) > math.log(1e-6):
+            raise ConfigurationError(
+                f"capacity_radii gives B*R = {scale:g}, so large that the capacity "
+                "integrand may lose more than 1e-6 of its sum to underflow")
         del integrand, f_window  # before the next B R builds its own
     return totals
 
@@ -173,7 +175,10 @@ def _log_underflow_loss(weight, part, e):
     """log of a bound on what sum(weight * part**e) loses where part**e falls
     below the smallest normal float: min(part**e, 2^-1075) per point, taken
     in log space since it underflows too; -inf where nothing is lost."""
-    low = part < (2.0 * _TINY) ** (1.0 / e)  # each power below _TINY, and a margin
+    floor = (2.0 * _TINY) ** (1.0 / e)  # each power below _TINY, and a margin
+    if not part.min() < floor:  # one pass and no array where nothing is lost
+        return -math.inf
+    low = part < floor
     with np.errstate(divide="ignore"):  # a zero part loses nothing: log 0 = -inf
         loss = np.log(weight[low]) + np.minimum(e * np.log(part[low]), _LOG_HALF_SUBNORMAL)
     top = float(loss.max(initial=-math.inf))

@@ -297,13 +297,16 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
      "corner, got 20000.0"),
     # B R = 2e160 and 2e300 underflow the integrand's tail window to 0;
     # 2e305 also overflows the physical box B R capacity_half_width; at
-    # 2e155 the window holds subnormal values, which bend the tail fit; at
-    # 2e154 the digits lost below the smallest normal float may reach
-    # 10^-5.05 of the total
+    # 2e155 the window holds subnormal values, which bend the tail fit
     *[("capacity", f"capacity_radii=8,{R}",
        f"capacity_radii gives B*R = 2e+{R[2:]}, so large that the capacity integrand "
        "underflows to 0 in its tail or its cell volume overflows")
-      for R in ("1e154", "1e155", "1e160", "1e300", "1e305")],
+      for R in ("1e155", "1e160", "1e300", "1e305")],
+    # at 2e154 the digits lost below the smallest normal float may reach
+    # 10^-5.05 of the sum
+    ("capacity", "capacity_radii=8,1e154",
+     "capacity_radii gives B*R = 2e+154, so large that the capacity integrand "
+     "may lose more than 1e-6 of its sum to underflow"),
     ("solve", "snapshot_count=1",
      "snapshot_count must be an integer in [2, 89478485], got 1"),
     # one past the step budget, and far past it: rejected before a ladder

@@ -234,7 +234,8 @@ def test_capacity_integral_rejects_b_r_whose_underflow_may_cost_1e_minus_6():
     values = capacity_integral(1.5, 2.0, 1.0, grid, scales)
     scaled = [v * s for v, s in zip(values, scales)]
     assert scaled == pytest.approx([scaled[0]] * len(scales), rel=1e-6)
-    with pytest.raises(ConfigurationError, match=r"^capacity_radii gives B\*R = 2e\+154,"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^capacity_radii gives B\*R = 2e\+154, .* may lose more than 1e-6 "):
         capacity_integral(1.5, 2.0, 1.0, grid, [2e154])
 
 

@@ -380,11 +380,12 @@ def test_absorb_at_p_3_is_the_power_form_bitwise():
         assert out.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0])
-def test_absorb_at_p_1_5_and_2_is_the_power_form_bitwise(p):
-    """At p = 1.5 (1 + 1/2, squared in place) and p = 2 the absorption gives
-    the bits of np.power, `*= (p-1) H`, `+= 1`, `**= 1/(p-1)` and a divide,
-    special values included (NaN where u < 0 has no real power)."""
+@pytest.mark.parametrize("p", [1.5, 2.0, 1.0 + 1.0 / 15])
+def test_absorb_at_p_1_5_and_2_and_past_the_whole_k_cap_is_the_power_form_bitwise(p):
+    """At p = 1.5 (1 + 1/2, squared in place), p = 2 and p = 1 + 1/15 (past
+    the cap k <= 14 of the whole-power path) the absorption gives the bits of
+    np.power, `*= (p-1) H`, `+= 1`, `**= 1/(p-1)` and a divide, special
+    values included (NaN where u < 0 has no real power)."""
     rng = np.random.default_rng(21)
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154, -1e154,
                1.3e154]
