@@ -21,10 +21,10 @@ from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
 from .kernels import (gaussian_kernel, half_width_for_tail, kernel_lq_norm,
                       mixed_kernel, mixed_kernel_norms, stable_kernel,
                       stable_tail_constant, taylor_contraction_error)
-from .observers import (MassClassification, absorbed_integral_tail_ratio,
-                        classify_mass_limit, condition_h_check,
-                        critical_exponent, decay_rate_exponent,
-                        profile_error, read_mass_csv, write_mass_csv)
+from .observers import (MassClassification, classify_mass_limit,
+                        condition_h_check, critical_exponent,
+                        decay_rate_exponent, profile_error, read_mass_csv,
+                        write_mass_csv)
 from .solver import (MassTrace, PowerAbsorption, ProblemSpec, SolveResult,
                      StepSchedule, TableAbsorption, comparison_check,
                      default_snapshot_times, duhamel_residual,
@@ -51,9 +51,8 @@ __all__ = [
     "SolveResult", "solve", "mass_identity_defect", "comparison_check",
     "duhamel_residual",
     "MassTrace", "write_mass_csv", "read_mass_csv",
-    "critical_exponent", "decay_rate_exponent", "absorbed_integral_tail_ratio",
-    "condition_h_check", "MassClassification", "classify_mass_limit",
-    "profile_error",
+    "critical_exponent", "decay_rate_exponent", "condition_h_check",
+    "MassClassification", "classify_mass_limit", "profile_error",
     "ExperimentConfig", "parse_config_text", "config_from_mapping",
     "load_config", "build_grid", "build_absorption", "build_problem",
     "build_initial", "snapshot_times", "kernel_times", "capacity_radii",

@@ -28,6 +28,7 @@ def frac_constant(dim: int, s: float) -> float:
 
 def bracket_profile(x, q0: float):
     """Japanese-bracket power <x>^(-q0) = (1 + |x|^2)^(-q0/2), elementwise in x."""
+    require("finite and > 0", q0=q0)
     x = np.asarray(x, dtype=float)
     out = (1.0 + x * x) ** (-q0 / 2.0)
     return _float_or_array(out)
@@ -35,6 +36,7 @@ def bracket_profile(x, q0: float):
 
 def bracket_laplacian(r, q0: float, dim: int):
     """Exact Laplacian of the radial profile <x>^(-q0) in R^dim at radius r."""
+    require("finite and > 0", dim=dim, q0=q0)
     r = np.asarray(r, dtype=float)
     u = 1.0 + r * r
     out = q0 * u ** (-q0 / 2.0 - 2.0) * ((q0 + 2.0 - dim) * r * r - dim)
@@ -53,9 +55,7 @@ def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
     3e4; where q0 - N is an even integer (the logarithmic case of the
     large-r connection formula) to ~3e-8.
     """
-    require(s=s, dim=dim)
-    if not q0 > 0:
-        raise ConfigurationError(f"q0 must be positive, got {q0}")
+    require("finite and > 0", s=s, dim=dim, q0=q0)
     r = np.asarray(r, dtype=float)
     a = q0 / 2.0 + s
     # b = N/2 + s, written so that a - b is exactly (q0 - N)/2: when that is

@@ -14,7 +14,6 @@ trace plus closed-form exponent arithmetic:
 """
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 
@@ -24,8 +23,6 @@ from .errors import ConfigurationError, require
 from .grid import Field, make_field
 from .kernels import kernel_lq_norm, mixed_kernel
 from .solver import MassTrace, time_to_tau
-
-_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -84,63 +81,20 @@ def decay_rate_exponent(p: float, alpha: float, beta: float, dim: int) -> float:
     return dim * (p - 1.0) * (beta + 1.0) / alpha
 
 
-def absorbed_integral_tail_ratio(absorption, p: float, alpha: float, beta: float,
-                                 dim: int, t_lo: float = 1.0, t_mid: float = 1e3,
-                                 t_hi: float = 1e6) -> float:
-    """Numeric surrogate for convergence of int t^(-r) h(t) dt, h the rate of
-    `absorption`: the ratio of its [t_mid, t_hi] piece to its [t_lo, t_mid]
-    piece. Well under 1 for convergent integrands, near or above 1 otherwise."""
-    require("finite and > 0", t_lo=t_lo, t_mid=t_mid, t_hi=t_hi)
-    if not t_lo < t_mid < t_hi:
-        raise ConfigurationError(
-            f"need t_lo < t_mid < t_hi, got {t_lo}, {t_mid}, {t_hi}")
-    r = decay_rate_exponent(p, alpha, beta, dim)
-
-    def integrand(t):
-        return float(absorption.rate(t)) * t ** (-r)
-
-    from scipy.integrate import quad
-    head, _ = quad(integrand, t_lo, t_mid, limit=200)
-    tail, _ = quad(integrand, t_mid, t_hi, limit=200)
-    if head <= 0:
-        raise ConfigurationError("coefficient integral vanishes on the head interval")
-    return tail / head
-
-
-_TAIL_RATIO_THRESHOLD = 0.5
-
-
 def condition_h_check(p: float, alpha: float, beta: float, dim: int,
                       absorption) -> str:
     """Decide convergence of int_1^inf t^(-r) h(t) dt, h the rate of `absorption`.
 
-    Closed form for constant and power coefficients: with h ~ (1+t)^sigma
-    the integrand is ~ t^(sigma - r), convergent iff sigma - r < -1.
-    Table coefficients have no tail law, so the decision falls back to
-    the numeric tail-ratio heuristic, restricted to the table's own time
-    range, and a warning is logged that the answer is a heuristic.
+    With h ~ t^sigma (sigma = absorption.tail_exponent) the integrand is
+    ~ t^(sigma - r): "convergent" iff sigma - r < -1, else "divergent".
+    A sampled table (tail_exponent None) does not define h past its last
+    time, so its verdict is "undetermined".
     """
     r = decay_rate_exponent(p, alpha, beta, dim)
-    sigma = getattr(absorption, "tail_exponent", None)
-    if sigma is not None:
-        return "convergent" if sigma - r < -1.0 else "divergent"
-    t_lo, t_hi = 1.0, 1e6
-    times = getattr(absorption, "times", None)
-    if times is not None:
-        t_lo, t_hi = max(t_lo, float(times[0])), float(times[-1])
-        if not t_hi > t_lo:
-            raise ConfigurationError(
-                f"absorption table covers [{times[0]:g}, {t_hi:g}], which ends "
-                "at or before t = 1: the tail test needs h beyond t = 1")
-    # h == 0 has a trivially convergent (zero) integral.
-    if absorption.integral(t_lo, t_hi) == 0.0:
-        return "convergent"
-    _log.warning("tabulated coefficient has no closed-form tail; "
-                 "using the numeric tail-ratio heuristic")
-    t_mid = math.sqrt(t_lo * t_hi)
-    ratio = absorbed_integral_tail_ratio(absorption, p, alpha, beta, dim,
-                                         t_lo=t_lo, t_mid=t_mid, t_hi=t_hi)
-    return "convergent" if ratio < _TAIL_RATIO_THRESHOLD else "divergent"
+    sigma = absorption.tail_exponent
+    if sigma is None:
+        return "undetermined"
+    return "convergent" if sigma - r < -1.0 else "divergent"
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +210,7 @@ def profile_error(u: Field, m_inf: float, t: float, alpha: float, beta: float,
     require("finite and > 0", t=t)
     if not (q >= 1 and math.isfinite(q)):
         raise ConfigurationError(f"q must be a finite real >= 1, got {q}")
-    if m_inf < 0:
-        raise ConfigurationError(f"m_inf must be >= 0, got {m_inf}")
+    require(">= 0 and finite", m_inf=m_inf)
     grid = u.grid
     kernel = mixed_kernel(grid, alpha, time_to_tau(t, beta))
     diff = make_field(grid, u.values - m_inf * kernel.values)

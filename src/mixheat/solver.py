@@ -69,9 +69,9 @@ def _check_grid_budget(grids: int, grid: GridSpec, key: str, what: str):
 
 # ---------------------------------------------------------------------------
 # Absorption coefficients h(t): the closed-form power law and sampled
-# tables. The stepper needs rate(t), integral(a, b) and tail_exponent (the
-# sigma of h ~ t^sigma, None without one); integral must be exact (no
-# quadrature inside the stepper).
+# tables. Each has rate(t), integral(a, b) and tail_exponent (the sigma of
+# h ~ t^sigma, None for a table); integral must be exact (no quadrature
+# inside the stepper).
 
 class PowerAbsorption:
     """h(t) = c (1 + t)^sigma with c >= 0; c = 0 is plain linear flow and
@@ -90,8 +90,8 @@ class PowerAbsorption:
 
     @property
     def tail_exponent(self):
-        # h = 0 has no tail law: condition_h_check calls it convergent
-        return None if self.coefficient == 0 else self.exponent
+        # h = 0 decays faster than any power of t
+        return -np.inf if self.coefficient == 0 else self.exponent
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
@@ -150,16 +150,17 @@ class TableAbsorption:
         out = np.interp(t, self.times, self.values)
         return _float_or_array(out)
 
-    def _antiderivative(self, t: float) -> float:
+    def _antiderivative(self, t: float, h_t: float) -> float:
+        """Integral of h over [times[0], t], given h_t = h(t)."""
         i = int(np.searchsorted(self.times, t, side="right") - 1)
         i = min(max(i, 0), self.times.size - 2)
-        return self._cum[i] + (t - self.times[i]) * (self.values[i] + self.rate(t)) / 2.0
+        return self._cum[i] + (t - self.times[i]) * (self.values[i] + h_t) / 2.0
 
     def integral(self, a: float, b: float) -> float:
         if not a <= b:
             raise ConfigurationError(f"need a <= b, got a={a}, b={b}")
-        self.rate(np.array([a, b]))  # range check
-        return self._antiderivative(b) - self._antiderivative(a)
+        h_a, h_b = self.rate(np.array([a, b]))  # range check
+        return self._antiderivative(b, h_b) - self._antiderivative(a, h_a)
 
 
 def make_absorption(kind: str, coefficient: float = 1.0, exponent: float = 0.0,

@@ -11,9 +11,9 @@ from mixheat import (
     ConfigurationError,
     PowerAbsorption,
     ProblemSpec,
-    absorbed_integral_tail_ratio,
     apply_symbol,
     bracket_frac_laplacian,
+    bracket_laplacian,
     bracket_profile,
     capacity_integral,
     critical_exponent,
@@ -99,6 +99,11 @@ CASES = [
      lambda v: half_width_for_tail(1.0, 1.0, 1, tail_mass=v)),
     ("frac_constant", "s", 1.0, lambda v: frac_constant(1, v)),
     ("frac_constant", "dim", 0, lambda v: frac_constant(v, 0.5)),
+    ("bracket_profile", "q0", 0.0, lambda v: bracket_profile(1.0, v)),
+    ("bracket_laplacian", "q0", 0.0, lambda v: bracket_laplacian(1.0, v, 1)),
+    ("bracket_laplacian", "dim", 0.5, lambda v: bracket_laplacian(1.0, 2.0, v)),
+    ("bracket_frac_laplacian", "q0", 0.0,
+     lambda v: bracket_frac_laplacian(1.0, v, 0.5, 1)),
     ("bracket_frac_laplacian", "s", 0.0, lambda v: bracket_frac_laplacian(1.0, 2.0, v, 1)),
     ("bracket_frac_laplacian", "dim", 0.5,
      lambda v: bracket_frac_laplacian(1.0, 2.0, 0.5, v)),
@@ -114,9 +119,8 @@ CASES = [
     ("decay_rate_exponent", "alpha", 0.0, lambda v: decay_rate_exponent(2.0, v, 0.0, 1)),
     ("decay_rate_exponent", "beta", -1.0, lambda v: decay_rate_exponent(2.0, 1.0, v, 1)),
     ("decay_rate_exponent", "dim", 0, lambda v: decay_rate_exponent(2.0, 1.0, 0.0, v)),
-    ("absorbed_integral_tail_ratio", "t_hi", 0.0,
-     lambda v: absorbed_integral_tail_ratio(H0, 3.0, 1.0, 0.0, 1, t_hi=v)),
     ("profile_error", "t", 0.0, lambda v: profile_error(FIELD, 1.0, v, 1.0, 0.0, 2.0)),
+    ("profile_error", "m_inf", -1.0, lambda v: profile_error(FIELD, v, 1.0, 1.0, 0.0, 2.0)),
     ("frac_laplacian_pointwise", "s", 1.0,
      lambda v: frac_laplacian_pointwise(profile, v, 0.5)),
     ("scaling_check", "R", 0.0, lambda v: scaling_check(profile, 0.5, v, 0.5)),

@@ -1,5 +1,5 @@
 """Import graph and source layout: the quadrature oracles stay off the
-CLI's import path, only the oracles and observers import quadrature, the
+CLI's import path, only the oracles import quadrature, the
 shared argument ranges live in errors.py, and the names the benchmark in
 perfbench/ uses stay where it finds them."""
 
@@ -100,12 +100,11 @@ def test_shared_ranges_are_written_only_in_errors():
     assert not found, "shared ranges outside errors.py:\n" + "\n".join(found)
 
 
-# Modules that may import quadrature: the oracles, and observers for the
-# tail ratio of a sampled absorption table.
-_QUADRATURE_IMPORTERS = {"oracles.py", "observers.py"}
+# The one module that may import quadrature.
+_QUADRATURE_IMPORTERS = {"oracles.py"}
 
 
-def test_only_oracles_and_observers_import_scipy_integrate():
+def test_only_oracles_import_scipy_integrate():
     found = []
     for name, node in _package_nodes(_QUADRATURE_IMPORTERS):
         if isinstance(node, ast.Import):

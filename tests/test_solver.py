@@ -96,7 +96,7 @@ def test_no_absorption_is_zero():
     h = make_absorption("none")
     assert h.rate(3.0) == 0.0
     assert h.integral(0.0, 10.0) == 0.0
-    assert h.tail_exponent is None
+    assert h.tail_exponent == -np.inf
     # the coefficient of kind "none" is not read
     assert make_absorption("none", coefficient=5.0).coefficient == 0.0
 
