@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ConfigurationError, require
 from .grid import Field, GridSpec, delta_field, integral, make_field, make_grid, read_field
-from .solver import (ProblemSpec, default_snapshot_times, geometric_times,
-                     make_absorption)
+from .solver import (_WORK_GRIDS, ProblemSpec, _check_grid_budget,
+                     default_snapshot_times, geometric_times, make_absorption)
 
 _TINY = float(np.finfo(float).tiny)
 # Largest Gaussian value on the box boundary, relative to its peak, that
@@ -144,6 +144,10 @@ def read_absorption_table(path):
                 raise ConfigurationError(
                     f"{path}: line {rows.line_num}: expected two numbers "
                     f"time,value, got {row!r}") from None
+            if not (math.isfinite(t) and math.isfinite(h)):
+                raise ConfigurationError(
+                    f"{path}: line {rows.line_num}: time and value must be "
+                    f"finite, got {row!r}")
             times.append(t)
             values.append(h)
     return np.array(times), np.array(values)
@@ -161,6 +165,8 @@ def build_absorption(cfg: ExperimentConfig):
 
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
     grid = build_grid(cfg)
+    # the datum and solve's work space, checked before the datum exists
+    _check_grid_budget(_WORK_GRIDS + 1, grid, "points", "solve")
     return ProblemSpec(alpha=cfg.alpha, beta=cfg.beta, p=cfg.p,
                        absorption=build_absorption(cfg),
                        initial=build_initial(cfg, grid))

@@ -25,6 +25,17 @@ semigroup leaves the zero mode untouched, so
 
 holds to FFT roundoff plus the (logged) clipped ripple mass, regardless
 of step size.
+
+The semigroup damps every nonzero mode, so a run's upper modes reach
+roundoff long before it ends. At each knot but the last, solve halves the
+grid (keeping L, never below 16 points) as often as both of these allow:
+every mode with |k| >= n/4 on any axis is at most _CUT_TOL of the
+spectrum's peak, and the coarse samples' maximum cannot fall more than
+_LINF_TOL * max u below the fine samples' maximum. The coarse state is the
+fine state's samples at every 2^m-th node; the trace's linf is a maximum
+over the current grid's samples. Snapshots taken on a coarse grid are
+zero-padded back to the problem's grid and their interpolation ripple is
+clipped (and booked in clipped_mass), so every snapshot lives on one grid.
 """
 
 import dataclasses
@@ -49,11 +60,19 @@ _TRACE_ROW_BYTES = 6 * 8
 # and the FFT's own scratch. The ru_maxrss of a solve over the interpreter's
 # just before it, less its one snapshot, measured 3.90 grids in 1D (2^22
 # points) and 3.05 in 2D (2048^2); 5 leaves a margin.
+# After a cut these buffers live on the coarse grid, 2^-(m dim) of the
+# size: the budget checked at the problem's grid still holds.
 _WORK_GRIDS = 5
 # Most Strang steps one schedule may hold: the trace rows of one more step
 # would not fit _MAX_BYTES. A larger count is a config error, caught before
 # any work.
 _MAX_STEPS = _MAX_BYTES // _TRACE_ROW_BYTES - 1
+# The grid cut (see the module docstring): the largest |u_k| above n/4, as
+# a share of the peak |u_0|, that a halving may drop; and the bound on how
+# far the coarse samples' maximum may fall below the fine samples', as a
+# share of max u.
+_CUT_TOL = 1e-14
+_LINF_TOL = 1e-9
 
 
 def _check_grid_budget(grids: int, grid: GridSpec, key: str, what: str):
@@ -385,6 +404,75 @@ def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The grid cut.
+
+def _cut_halvings(grid: GridSpec, u: np.ndarray, spectrum: np.ndarray,
+                  magnitude: np.ndarray):
+    """How many times the grid may halve under u, and the linf bound at
+    that cut: (m, bound). spectrum holds _rfft(grid, u); |u_k| is formed
+    in magnitude, a free half-lattice float buffer. u >= 0, so the zero
+    mode is the spectrum's peak.
+
+    The bound: the coarse grid's nearest sample to the maximum lies within
+    dim (dx_c/2)^2 of it in squared distance, and u there is within half
+    that times sup |D^2 u| <= 2 sum |xi|^2 |u_k| / N (the half lattice
+    counted twice) of the maximum."""
+    np.abs(spectrum, out=magnitude)
+    n, dim = grid.points, grid.dim
+    # sum |xi|^2 |u_k| with xi = pi k / L, one axis at a time on marginal
+    # sums; the 1D k^2 is the one temporary the size of the half lattice
+    curvature = 0.0
+    for axis in range(dim):
+        others = tuple(a for a in range(dim) if a != axis)
+        marginal = np.add.reduce(magnitude, axis=others) if others else magnitude
+        k = np.arange(marginal.size, dtype=float)
+        if axis < dim - 1:  # FFT order: index i is k = i or i - n
+            np.minimum(k, n - k, out=k)
+        curvature += float(np.dot(np.square(k, out=k), marginal))
+    curvature *= 2.0 * (np.pi / grid.half_width) ** 2 / u.size
+    peak, top = float(magnitude.flat[0]), float(u.max())
+    m, bound = 0, 0.0
+    while n >> (m + 1) >= 16:  # GridSpec's least points per axis
+        c = n >> (m + 2)  # the coarse grid's Nyquist index
+        upper = magnitude[..., c:].max()
+        if dim == 2:
+            upper = max(upper, magnitude[c:n - c + 1].max())
+        coarse_dx = grid.spacing * 2 ** (m + 1)
+        next_bound = coarse_dx ** 2 / 8.0 * dim * curvature
+        if upper > _CUT_TOL * peak or next_bound > _LINF_TOL * top:
+            break
+        m, bound = m + 1, next_bound
+    return m, bound
+
+
+def _work_buffers(grid: GridSpec, alpha: float):
+    """The symbol values, spectrum, multiplier and work buffers of solve's
+    step on grid: fresh ones per step would page-fault. work is scratch on
+    the spectrum buffer's first points^dim floats, safe because nothing in
+    it outlives the next transform, which rewrites them."""
+    symbol = make_symbol(grid, alpha).values
+    spectrum = np.empty(symbol.shape, dtype=complex)
+    work = spectrum.view(float).reshape(-1)[:grid.points ** grid.dim].reshape(grid.shape)
+    return symbol, spectrum, np.empty_like(symbol), work
+
+
+def _refine(values: np.ndarray, coarse: GridSpec, fine: GridSpec) -> np.ndarray:
+    """The band-limited interpolant of a coarse grid's samples on a finer
+    grid with the same box: its spectrum zero-padded, the coarse Nyquist
+    modes dropped."""
+    spectrum = _rfft(coarse, values)
+    h = coarse.points // 2
+    padded = np.zeros(fine.shape[:-1] + (fine.points // 2 + 1,), dtype=complex)
+    low = (slice(h),) * coarse.dim
+    padded[low] = spectrum[low]
+    if coarse.dim == 2:  # the leading axis's negative frequencies
+        padded[1 - h:, :h] = spectrum[h + 1:, :h]
+    out = _irfft(fine, padded)
+    out *= 1.0 / values.size  # the inverse's 1/N, at the coarse N
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Driver.
 
 @dataclass(frozen=True)
@@ -467,19 +555,15 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             f"and a trace of {schedule.total_steps} steps need about "
             f"{need / 2 ** 30:.3g} GiB, more than the memory budget of "
             f"{_MAX_BYTES / 2 ** 30:g} GiB")
-    symbol = make_symbol(grid, problem.alpha)
     p = problem.p
     beta = problem.beta
-    dV = grid.cell_volume
+    # g is the grid the state lives on now: the problem's, or a cut of it
+    g = grid
+    symbol, spectrum, multiplier, work = _work_buffers(g, problem.alpha)
+    dV = g.cell_volume
 
     u = problem.initial.values.copy()
     clipped_total = 0.0
-    # the step's only grid-sized buffers: fresh ones would page-fault
-    spectrum = np.empty(symbol.values.shape, dtype=complex)
-    multiplier = np.empty_like(symbol.values)
-    # scratch on the spectrum buffer's first u.size floats, safe because
-    # nothing in work outlives the next transform, which rewrites them
-    work = spectrum.view(float).reshape(-1)[:u.size].reshape(u.shape)
     mass = np.add.reduce(u, axis=None)
     t0 = float(schedule.knot_times[0])
     # one trace row per step, in MassTrace's column order
@@ -493,8 +577,14 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     out_times, out_fields = [], []
 
     def record_snapshot(t_now, values):
+        nonlocal clipped_total
+        if g is grid:
+            values = values.copy()
+        else:
+            values = _refine(values, g, grid)
+            clipped_total += _clip_negative(values, grid.cell_volume)
         out_times.append(t_now)
-        out_fields.append(make_field(grid, values.copy()))
+        out_fields.append(make_field(grid, values))
 
     def partial_result():
         return SolveResult(
@@ -506,6 +596,20 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         record_snapshot(t0, u)
 
     for k in range(schedule.knot_times.size - 1):
+        # the cut, at every knot but the last, once its snapshot is taken
+        _rfft(g, u, out=spectrum)
+        halvings, bound = _cut_halvings(g, u, spectrum, multiplier)
+        if halvings:
+            coarse = dataclasses.replace(g, points=g.points >> halvings)
+            _log.debug("solve cut the grid at t = %g: %d -> %d points per axis, "
+                       "linf bound %.3e", schedule.knot_times[k], g.points,
+                       coarse.points, bound)
+            u = u[(slice(None, None, 2 ** halvings),) * g.dim].copy()
+            g = coarse
+            symbol, spectrum, multiplier, work = _work_buffers(g, problem.alpha)
+            dV = g.cell_volume
+            mass = np.add.reduce(u, axis=None)
+
         tau_a = schedule.knot_taus[k]
         tau_b = schedule.knot_taus[k + 1]
         n_sub = int(schedule.substeps[k])
@@ -517,7 +621,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         sub_times[-1] = schedule.knot_times[k + 1]
         mid_times = tau_to_time((sub_taus[:-1] + sub_taus[1:]) / 2.0, beta)
         dtau = (tau_b - tau_a) / n_sub
-        np.exp(np.multiply(symbol.values, -dtau, out=multiplier), out=multiplier)
+        np.exp(np.multiply(symbol, -dtau, out=multiplier), out=multiplier)
         multiplier *= 1.0 / u.size  # the inverse transform's 1/N
         for j in range(n_sub):
             _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p, work)
@@ -525,9 +629,9 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
 
             # exp(-dtau m) and the ripple clip on u in place: the bits of
             # apply_symbol(mode="semigroup") then _clip_negative
-            _rfft(grid, u, out=spectrum)
+            _rfft(g, u, out=spectrum)
             spectrum *= multiplier
-            _irfft(grid, spectrum, out=u)
+            _irfft(g, spectrum, out=u)
             clipped_total += _clip_negative(u, dV)
 
             mass_pre = np.add.reduce(u, axis=None)
@@ -535,7 +639,8 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             mass = np.add.reduce(u, axis=None)
             absorbed += (mass_pre - mass) * dV
 
-            # u >= 0 here, so max is the sup norm (and NaN propagates)
+            # u >= 0 here, so max is the sup norm of the samples (and NaN
+            # propagates)
             linf = float(u.max())
             if not np.isfinite(linf):
                 err = NumericalFailureError(

@@ -2,8 +2,15 @@
 
 The acceptance tests record one human-readable line per criterion; the
 terminal-summary hook replays them after the run so the pass/fail ledger
-is visible without -s.
+is visible without -s. solve_cut_and_fixed and assert_cut_agrees hold
+solve's grid cut to the run that never cuts, for the solver tests and
+the properties alike.
 """
+
+import numpy as np
+import pytest
+
+from mixheat import solver
 
 _CRITERION_LINES = []
 
@@ -18,3 +25,32 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in _CRITERION_LINES:
         terminalreporter.write_line(line)
+
+
+def solve_cut_and_fixed(problem, schedule):
+    """solve's run, and the same run kept on the problem's grid throughout
+    (a _CUT_TOL below any spectrum's ratio, so no knot cuts)."""
+    cut = solver.solve(problem, schedule)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_CUT_TOL", -1.0)
+        fixed = solver.solve(problem, schedule)
+    return cut, fixed
+
+
+def assert_cut_agrees(cut, fixed):
+    """Mass and l2 to 1e-12 relative; absorbed, a sum of mass differences
+    whose roundoff scales with the initial mass, to 1e-12 of it; linf, a
+    maximum over fewer samples after a cut, to _LINF_TOL relative; every
+    snapshot, on the problem's grid, to 1e-12 of its maximum."""
+    a, b = cut.trace, fixed.trace
+    assert np.array_equal(a.times, b.times)
+    np.testing.assert_allclose(a.mass, b.mass, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(a.l2, b.l2, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(a.absorbed, b.absorbed, rtol=0.0,
+                               atol=1e-12 * b.initial_mass)
+    np.testing.assert_allclose(a.linf, b.linf, rtol=solver._LINF_TOL, atol=0.0)
+    assert len(cut.snapshots) == len(fixed.snapshots)
+    for s, f in zip(cut.snapshots, fixed.snapshots):
+        assert s.grid == f.grid
+        np.testing.assert_allclose(s.values, f.values, rtol=0.0,
+                                   atol=1e-12 * f.values.max())

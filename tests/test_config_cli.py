@@ -246,6 +246,18 @@ def test_absorption_table_rejects_garbled_rows(cfg_path, tmp_path, capsys, body,
     assert capsys.readouterr().err.startswith(f"configuration error: {table}: line {line}: ")
 
 
+@pytest.mark.parametrize("body,line", [("0,1.0\n10,nan\n", 3), ("0,1.0\n\ninf,1\n", 4)])
+def test_absorption_table_names_a_non_finite_cell(cfg_path, tmp_path, capsys, body, line):
+    table = tmp_path / "h.csv"
+    table.write_text("time,value\n" + body)
+    rc = main(["solve", "--config", cfg_path, "--set", "absorption=table",
+               "--set", f"absorption_table={table}", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert re.fullmatch(f"configuration error: {re.escape(str(table))}: line {line}: "
+                        r"time and value must be finite, got \[.*\]\n",
+                        capsys.readouterr().err)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_usage_and_help():
@@ -398,6 +410,16 @@ def test_cli_solve_keeps_one_snapshot_and_the_same_outputs(cfg_path, tmp_path,
     assert result.snapshot_times.tolist() == [60.0] and len(result.snapshots) == 1
     for name in ("mass.csv", "final.fhk"):
         assert (out / name).read_bytes() == (lib / name).read_bytes()
+
+
+def test_cli_checks_the_solve_budget_before_building_the_datum(cfg_path, tmp_path, capsys):
+    """A 2^40-point grid is refused by name before its datum is built."""
+    rc = main(["solve", "--config", cfg_path, "--set", "dim=2", "--set", "points=1048576",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: points = 1048576 gives a 1099511627776-point solve grid "
+        "that needs about ")
 
 
 def test_cli_names_the_time_a_table_misses(cfg_path, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Properties over random inputs: the absorption law and its exact flow,
 the config text round trip, the field reader on damaged files, and the
-mass ledger, sign and order preservation of whole solves."""
+mass ledger, sign, order preservation and grid cut of whole solves."""
 
 import os
 import string
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_cut_agrees, solve_cut_and_fixed
 from mixheat import (ConfigurationError, ExperimentConfig, PowerAbsorption,
                      ProblemSpec, comparison_check, config_from_mapping,
                      make_field, make_grid, make_step_schedule,
@@ -176,6 +177,26 @@ def test_solve_keeps_its_ledger_and_sign(alpha, beta, p, c, sigma, width, mass, 
     result = solve(problem, schedule)
     assert mass_identity_defect(result) <= 1e-12
     assert all(np.min(f.values) >= 0 for f in result.snapshots)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), half_width=st.floats(4.0, 8.0),
+       alpha=st.floats(0.1, 1.9), beta=st.floats(0.0, 2.0), p=p_values,
+       c=st.floats(0.0, 10.0), sigma=st.floats(-2.0, 2.0), width=st.floats(0.3, 0.5),
+       mass=st.floats(1e-3, 1e3), center=st.floats(-0.5, 0.5), t1=st.floats(10.0, 100.0))
+def test_solve_cut_agrees_with_the_fixed_grid(dim, half_width, alpha, beta, p, c, sigma,
+                                              width, mass, center, t1):
+    """On a small box the datum fills it by t1, so the grid cuts; the run
+    agrees with the one that keeps the grid (see assert_cut_agrees). Steps
+    at knots only: a first step [0, t1 * 1e-3], then 10 a decade."""
+    grid = make_grid(dim, half_width, 64)
+    bump = np.exp(-sum((x - center) ** 2 for x in grid.coords()) / (2.0 * width ** 2))
+    u0 = make_field(grid, bump * (mass / (np.sum(bump) * grid.cell_volume)))
+    problem = ProblemSpec(alpha=alpha, beta=beta, p=p,
+                          absorption=PowerAbsorption(c, sigma), initial=u0)
+    schedule = make_step_schedule(0.0, t1, beta, 1e9,
+                                  snapshot_times=np.geomspace(t1 * 1e-3, t1, 31))
+    assert_cut_agrees(*solve_cut_and_fixed(problem, schedule))
 
 
 @few

@@ -2,6 +2,8 @@
 
 import dataclasses
 import decimal
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,6 +36,7 @@ from mixheat import (
     time_to_tau,
     tau_to_time,
 )
+from conftest import assert_cut_agrees, solve_cut_and_fixed
 from mixheat import solver
 from mixheat.solver import _MAX_STEPS, geometric_times
 
@@ -608,6 +611,97 @@ def test_geometric_knots_converge_at_order_two_in_the_c11_setting():
     assert abs(m_inf[40] / 0.09996078 - 1.0) <= 1e-6
     ratio = (m_inf[20] - m_inf[40]) / (m_inf[40] - m_inf[80])
     assert 3.5 <= ratio <= 4.5
+
+
+# -- the grid cut -------------------------------------------------------------
+
+def geometric_steps(t1=1e3, per_decade=40):
+    """A first step [0, 1e-3], then per_decade knots a decade up to t1."""
+    knots = np.geomspace(1e-3, t1, int(round(per_decade * np.log10(t1 / 1e-3))) + 1)
+    return make_step_schedule(0.0, t1, 0.0, 1e9, snapshot_times=knots)
+
+
+def cut_sizes(records):
+    """The (points, coarse points) of each cut solve logged."""
+    return [r.args[1:3] for r in records if r.getMessage().startswith("solve cut")]
+
+
+@pytest.mark.parametrize("p", [1.2, 3.0])
+def test_cut_agrees_with_the_fixed_grid_in_the_c11_setting(p, caplog):
+    u0 = unit_gaussian(make_grid(1, 400.0, 8192))
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=p, absorption=PowerAbsorption(1.0),
+                       initial=make_field(u0.grid, 0.1 * u0.values))
+    with caplog.at_level("DEBUG", logger="mixheat.solver"):
+        cut, fixed = solve_cut_and_fixed(prob, geometric_steps())
+    assert cut_sizes(caplog.records)
+    assert_cut_agrees(cut, fixed)
+
+
+@pytest.fixture(scope="module")
+def solve_2d_runs():
+    """The benchmark's solve-2d run (alpha = 1, p = 3, h = 1, 256^2 on
+    [-64, 64)^2, t in [0, 1e3], dtau_max = 0.5), every knot kept, with
+    and without the cut, and the cut's log records."""
+    grid = make_grid(2, 64.0, 256)
+    u0 = unit_gaussian(grid)
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                       initial=make_field(grid, 0.1 * u0.values))
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    log = logging.getLogger("mixheat.solver")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        cut, fixed = solve_cut_and_fixed(prob, make_step_schedule(0.0, 1e3, 0.0, 0.5))
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    return cut, fixed, records
+
+
+def test_cut_agrees_with_the_fixed_grid_on_solve_2d(solve_2d_runs):
+    cut, fixed, _ = solve_2d_runs
+    assert_cut_agrees(cut, fixed)
+
+
+def test_solve_2d_ends_on_a_grid_of_at_most_32_points(solve_2d_runs):
+    sizes = cut_sizes(solve_2d_runs[2])
+    assert sizes[0][0] == 256 and sizes[-1][1] <= 32
+    assert all(new == old for (_, new), (old, _) in zip(sizes, sizes[1:]))
+
+
+def test_cut_agrees_with_the_fixed_grid_for_an_off_node_2d_datum(caplog):
+    """A datum centred between nodes: its peak is no sample, so only the
+    linf guard keeps the trace's sample maximum within _LINF_TOL."""
+    grid = make_grid(2, 64.0, 256)
+    x, y = grid.coords()
+    bump = np.exp(-((x - 0.3183) ** 2 + (y - 0.3183) ** 2) / (2.0 * 1.53 ** 2))
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                       initial=make_field(grid, 0.1033 * bump / (bump.sum() * grid.cell_volume)))
+    with caplog.at_level("DEBUG", logger="mixheat.solver"):
+        cut, fixed = solve_cut_and_fixed(prob, geometric_steps(per_decade=20))
+    assert cut_sizes(caplog.records)
+    assert_cut_agrees(cut, fixed)
+
+
+def test_solve_logs_each_cut_at_debug(caplog):
+    """One DEBUG line per cut: the knot time, n -> n' and the linf bound,
+    which stays within _LINF_TOL of max u."""
+    u0 = unit_gaussian(make_grid(1, 8.0, 256))
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                       initial=u0)
+    with caplog.at_level("DEBUG", logger="mixheat.solver"):
+        res = solve(prob, geometric_steps(t1=100.0, per_decade=10))
+    cuts = [r for r in caplog.records if r.getMessage().startswith("solve cut")]
+    assert cuts and all(r.levelno == logging.DEBUG for r in cuts)
+    assert re.fullmatch(r"solve cut the grid at t = \S+: 256 -> \d+ points per axis, "
+                        r"linf bound \S+e[-+]\d+", cuts[0].getMessage())
+    for r in cuts:
+        t, _, _, bound = r.args
+        assert t in res.schedule.knot_times[:-1]
+        assert bound <= solver._LINF_TOL * res.trace.linf.max()
 
 
 class _PoisonAbsorption:
