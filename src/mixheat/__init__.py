@@ -8,16 +8,16 @@ importing the package leaves SciPy's quadrature and root finders unloaded.
 
 __version__ = "0.1.0"
 
-from .config import (ExperimentConfig, build_absorption, build_grid,
-                     build_initial, build_problem, capacity_radii,
-                     config_from_mapping, kernel_times, load_config,
-                     parse_config_text, snapshot_times)
+from .config import (ExperimentConfig, build_absorption, build_initial,
+                     build_problem, capacity_radii, config_from_mapping,
+                     kernel_times, load_config, parse_config_text,
+                     snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError
 from .fractional import (bracket_frac_laplacian, bracket_laplacian,
                          bracket_profile, capacity_integral, frac_constant)
 from .grid import (Field, GridSpec, SpectralSymbol, apply_symbol, convolve,
-                   delta_field, frac_laplacian_spectral, integral, make_field,
-                   make_grid, make_symbol, read_field, write_field)
+                   delta_field, frac_laplacian_spectral, integral, make_symbol,
+                   read_field, write_field)
 from .kernels import (gaussian_kernel, half_width_for_tail, kernel_lq_norm,
                       mixed_kernel, mixed_kernel_norms, stable_kernel,
                       stable_tail_constant, taylor_contraction_error)
@@ -28,15 +28,14 @@ from .observers import (MassClassification, classify_mass_limit,
 from .solver import (MassTrace, PowerAbsorption, ProblemSpec, SolveResult,
                      StepSchedule, TableAbsorption, comparison_check,
                      default_snapshot_times, duhamel_residual,
-                     geometric_times, make_absorption, make_step_schedule,
-                     mass_identity_defect, solve, tau_to_time, time_to_tau)
+                     geometric_times, make_step_schedule, mass_identity_defect,
+                     solve, tau_to_time, time_to_tau)
 
 __all__ = [
     "ConfigurationError", "NumericalFailureError",
     "GridSpec", "Field", "SpectralSymbol",
-    "make_grid", "make_field", "delta_field", "integral", "make_symbol",
-    "apply_symbol", "frac_laplacian_spectral", "convolve", "write_field",
-    "read_field",
+    "delta_field", "integral", "make_symbol", "apply_symbol",
+    "frac_laplacian_spectral", "convolve", "write_field", "read_field",
     "gaussian_kernel", "stable_kernel", "mixed_kernel", "mixed_kernel_norms",
     "kernel_lq_norm",
     "taylor_contraction_error", "stable_tail_constant", "half_width_for_tail",
@@ -44,8 +43,8 @@ __all__ = [
     "frac_constant", "bracket_profile", "bracket_laplacian",
     "bracket_frac_laplacian",
     "frac_laplacian_pointwise", "scaling_check", "capacity_integral",
-    "PowerAbsorption", "TableAbsorption",
-    "make_absorption", "ProblemSpec", "time_to_tau", "tau_to_time",
+    "PowerAbsorption", "TableAbsorption", "ProblemSpec", "time_to_tau",
+    "tau_to_time",
     "geometric_times", "default_snapshot_times", "StepSchedule",
     "make_step_schedule",
     "SolveResult", "solve", "mass_identity_defect", "comparison_check",
@@ -54,8 +53,8 @@ __all__ = [
     "critical_exponent", "decay_rate_exponent", "condition_h_check",
     "MassClassification", "classify_mass_limit", "profile_error",
     "ExperimentConfig", "parse_config_text", "config_from_mapping",
-    "load_config", "build_grid", "build_absorption", "build_problem",
-    "build_initial", "snapshot_times", "kernel_times", "capacity_radii",
+    "load_config", "build_absorption", "build_problem", "build_initial",
+    "snapshot_times", "kernel_times", "capacity_radii",
 ]
 
 _ORACLES = ("frac_laplacian_pointwise", "scaling_check",

@@ -16,20 +16,23 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import sys
 import tempfile
 
 import numpy as np
 
-from .config import (build_grid, build_problem, capacity_radii, kernel_times,
-                     load_config, parse_float_list, snapshot_times)
+from .config import (build_problem, capacity_radii, kernel_times, load_config,
+                     parse_float_list, snapshot_times)
 from .errors import ConfigurationError, NumericalFailureError, require
-from .fractional import bracket_laplacian, bracket_profile, capacity_integral
-from .grid import integral, make_field, make_grid, read_field, write_field
+from .fractional import (_check_capacity_box, bracket_laplacian, bracket_profile,
+                         capacity_integral)
+from .grid import Field, GridSpec, convolve, integral, read_field, write_field
 from .kernels import mixed_kernel, mixed_kernel_norms, stable_kernel
 from .observers import (_loglog_slope, classify_mass_limit, condition_h_check,
                         critical_exponent, read_mass_csv, write_mass_csv)
-from .solver import (make_step_schedule, mass_identity_defect, solve)
+from .solver import (PowerAbsorption, ProblemSpec, make_step_schedule,
+                     mass_identity_defect, solve)
 
 _log = logging.getLogger(__name__)
 
@@ -54,7 +57,7 @@ def _add_config_args(sub):
 
 def cmd_kernel(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
-    grid = build_grid(cfg)
+    grid = GridSpec(cfg.dim, cfg.half_width, cfg.points)
     out = _out_dir(args)
     times = kernel_times(cfg)
     norms, last = mixed_kernel_norms(grid, cfg.alpha, times)
@@ -172,9 +175,12 @@ def cmd_capacity(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
     radii = capacity_radii(cfg)
     require("finite and >= 1", capacity_b=cfg.capacity_b)
-    require("finite and > 0", capacity_half_width=cfg.capacity_half_width)
-    require("a power of two >= 16", capacity_points=cfg.capacity_points)
-    grid = make_grid(cfg.dim, cfg.capacity_half_width, cfg.capacity_points)
+    # the box's widest first: it lies inside the range GridSpec checks
+    _check_capacity_box(cfg.capacity_q0, cfg.p, cfg.alpha, cfg.dim, cfg.capacity_half_width)
+    try:
+        grid = GridSpec(cfg.dim, cfg.capacity_half_width, cfg.capacity_points)
+    except ConfigurationError as exc:  # named by the capacity keys
+        raise ConfigurationError(re.sub(r"^(half_width|points) ", r"capacity_\1 ", str(exc)))
     values = capacity_integral(cfg.capacity_q0, cfg.p, cfg.alpha, grid,
                                [cfg.capacity_b * R for R in radii])
     for R, v in zip(radii, values):
@@ -198,9 +204,7 @@ def cmd_selftest(args) -> int:
     """Fast consistency battery: kernel mass, semigroup composition, the
     closed-form alpha=1 kernel, the scaling identity, the mass ledger and a
     field file round trip, which rejects a non-finite field (exit 2)."""
-    from .grid import convolve
     from .oracles import scaling_check
-    from .solver import ProblemSpec, make_absorption
 
     failures = []
 
@@ -209,7 +213,7 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures.append(name)
 
-    grid = make_grid(dim=1, half_width=40.0, points=1024)
+    grid = GridSpec(dim=1, half_width=40.0, points=1024)
     k1 = mixed_kernel(grid, 1.0, 1.0)
     dev = abs(integral(k1) - 1.0)
     check("kernel_mass", dev < 1e-10, f"mass deviation {dev:.2e}")
@@ -219,7 +223,7 @@ def cmd_selftest(args) -> int:
     dist = float(np.sum(np.abs(comp.values - k2.values)) * grid.cell_volume)
     check("semigroup", dist < 1e-6, f"L1 distance {dist:.2e}")
 
-    wide = make_grid(dim=1, half_width=16384.0, points=2 ** 20)
+    wide = GridSpec(dim=1, half_width=16384.0, points=2 ** 20)
     cauchy = stable_kernel(wide, 1.0, 1.0)
     x = wide.axis_coords()
     near = np.abs(x) <= 10.0
@@ -233,9 +237,8 @@ def cmd_selftest(args) -> int:
     check("scaling_identity", sc_rel < 1e-5, f"rel {sc_rel:.2e}")
 
     xg = grid.axis_coords()
-    u0 = make_field(grid, np.exp(-xg * xg))
-    prob = ProblemSpec(alpha=1.2, beta=0.5, p=2.0,
-                       absorption=make_absorption("constant", coefficient=1.0),
+    u0 = Field(grid, np.exp(-xg * xg))
+    prob = ProblemSpec(alpha=1.2, beta=0.5, p=2.0, absorption=PowerAbsorption(1.0),
                        initial=u0)
     schedule = make_step_schedule(0.5, 5.0, 0.5, dtau_max=0.25)
     res = solve(prob, schedule)

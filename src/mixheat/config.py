@@ -14,9 +14,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, require
-from .grid import Field, GridSpec, delta_field, integral, make_field, make_grid, read_field
-from .solver import (_WORK_GRIDS, ProblemSpec, _check_grid_budget,
-                     default_snapshot_times, geometric_times, make_absorption)
+from .grid import Field, GridSpec, delta_field, integral, read_field
+from .solver import (_WORK_GRIDS, PowerAbsorption, ProblemSpec, TableAbsorption,
+                     _check_grid_budget, default_snapshot_times, geometric_times)
 
 _TINY = float(np.finfo(float).tiny)
 # Largest Gaussian value on the box boundary, relative to its peak, that
@@ -124,10 +124,6 @@ def load_config(path, overrides=None) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Builders.
 
-def build_grid(cfg: ExperimentConfig) -> GridSpec:
-    return make_grid(dim=cfg.dim, half_width=cfg.half_width, points=cfg.points)
-
-
 def read_absorption_table(path):
     times, values = [], []
     with open(path, newline="") as fh:
@@ -154,17 +150,24 @@ def read_absorption_table(path):
 
 
 def build_absorption(cfg: ExperimentConfig):
-    times = values = None
+    """h = 0 ("none"), c ("constant"), c (1+t)^sigma ("power"), c > 0 for
+    both, or the interpolated samples of absorption_table ("table")."""
+    if cfg.absorption not in _CHOICES["absorption"]:
+        raise ConfigurationError(f"unknown absorption kind {cfg.absorption!r}")
+    if cfg.absorption == "none":
+        return PowerAbsorption(0.0)
     if cfg.absorption == "table":
         if not cfg.absorption_table:
             raise ConfigurationError("absorption = table needs absorption_table = <path>")
-        times, values = read_absorption_table(cfg.absorption_table)
-    return make_absorption(cfg.absorption, coefficient=cfg.absorption_coefficient,
-                           exponent=cfg.absorption_exponent, times=times, values=values)
+        return TableAbsorption(*read_absorption_table(cfg.absorption_table))
+    require("finite and > 0", absorption_coefficient=cfg.absorption_coefficient)
+    exponent = cfg.absorption_exponent if cfg.absorption == "power" else 0.0
+    require("finite", absorption_exponent=exponent)
+    return PowerAbsorption(cfg.absorption_coefficient, exponent)
 
 
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
-    grid = build_grid(cfg)
+    grid = GridSpec(cfg.dim, cfg.half_width, cfg.points)
     # the datum and solve's work space, checked before the datum exists
     _check_grid_budget(_WORK_GRIDS + 1, grid, "points", "solve")
     return ProblemSpec(alpha=cfg.alpha, beta=cfg.beta, p=cfg.p,
@@ -180,7 +183,7 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
             f"normal float), got {cfg.initial_mass}")
     if cfg.initial == "point":
         f = delta_field(grid)
-        return make_field(grid, cfg.initial_mass * f.values)
+        return Field(grid, cfg.initial_mass * f.values)
     if cfg.initial == "file":
         if not cfg.initial_path:
             raise ConfigurationError("initial = file needs initial_path = <path>")
@@ -196,18 +199,18 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
     require("finite", initial_center=cfg.initial_center)
     # |x - c|^2 from per-axis squared offsets broadcast against each other,
     # then the exponent, exp and scale in place: one grid-sized array
-    d2 = (grid.axis_coords() - cfg.initial_center) ** 2
-    bump = d2 if grid.dim == 1 else d2[:, None] + d2[None, :]
-    np.negative(bump, out=bump)
-    with np.errstate(over="ignore"):  # a far point's exponent -> -inf: bump 0
+    with np.errstate(over="ignore"):  # a far point's square or exponent -> inf: bump 0
+        d2 = (grid.axis_coords() - cfg.initial_center) ** 2
+        bump = d2 if grid.dim == 1 else d2[:, None] + d2[None, :]
+        np.negative(bump, out=bump)
         np.divide(bump, 2.0 * width ** 2, out=bump)
         np.exp(bump, out=bump)
-    m = integral(make_field(grid, bump))
+    m = integral(Field(grid, bump))
     if m <= 0:
         raise ConfigurationError("initial bump has zero mass on this grid")
     _warn_if_cut_off(cfg, bump)
     bump *= cfg.initial_mass / m
-    return make_field(grid, bump)
+    return Field(grid, bump)
 
 
 def _warn_if_cut_off(cfg: ExperimentConfig, bump: np.ndarray) -> None:

@@ -16,7 +16,8 @@ class NumericalFailureError(RuntimeError):
 
 
 # Every shared argument range, by its text. A test takes a float or an
-# array, and NaN fails each one.
+# array (the power-of-two test a scalar only, and a non-integer fails it),
+# and NaN fails each one.
 _RANGES = {
     "finite": lambda v: abs(v) < np.inf,
     "finite and > 0": lambda v: (0 < v) & (v < np.inf),
@@ -25,7 +26,8 @@ _RANGES = {
     "finite and >= 1": lambda v: (1 <= v) & (v < np.inf),
     "in (0, 2)": lambda v: (0 < v) & (v < 2),
     "in (0, 1)": lambda v: (0 < v) & (v < 1),
-    "a power of two >= 16": lambda v: (v >= 16) & (v & (v - 1) == 0),
+    "a power of two >= 16": lambda v: (16 <= v < np.inf and v == int(v)
+                                       and not int(v) & (int(v) - 1)),
 }
 # The paper's alpha, beta and p, and the library's s and dim, carry one
 # range wherever they are passed.

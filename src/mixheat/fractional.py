@@ -105,22 +105,10 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
     of the total as well.
     """
     dim, half = grid.dim, grid.points // 2
-    require(p=p, alpha=alpha, dim=dim)
-    if not dim < q0 < dim + alpha * p:
-        raise ConfigurationError(
-            f"q0={q0} outside the admissible window ({dim}, {dim + alpha * p}) "
-            f"for dim={dim}, alpha={alpha}, p={p}")
+    _check_capacity_box(q0, p, alpha, dim, grid.half_width)
     scales = np.array(scales, dtype=float)
     require("finite and >= 1", scales=scales)
     _check_grid_budget(_CAPACITY_GRIDS, grid, "capacity_points", "capacity")
-    reach = min(_LOG_MAX / (q0 / 2.0 * max(1.0, 1.0 / (p - 1.0))),
-                _LOG_MAX - math.log(q0 + 2.0)) - 1.0  # largest safe log(1 + r^2), less 1
-    widest = math.sqrt(math.expm1(reach) / dim)
-    if not grid.half_width <= widest:
-        raise ConfigurationError(
-            f"capacity_half_width must be at most {widest:.6g} for q0={q0}, p={p}, "
-            f"dim={dim}, beyond which a factor of the integrand leaves the float "
-            f"range at the box corner, got {grid.half_width}")
     radius = np.sqrt(sum(c ** 2 for c in np.meshgrid(
         *(np.arange(half + 1, dtype=float) * grid.spacing,) * dim, indexing="ij")))
     frac_part = bracket_frac_laplacian(radius, q0, alpha / 2.0, dim)
@@ -169,6 +157,24 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
                 "integrand may lose more than 1e-6 of its sum to underflow")
         del integrand, f_window  # before the next B R builds its own
     return totals
+
+
+def _check_capacity_box(q0, p, alpha, dim, half_width) -> None:
+    """Check p, alpha, dim, q0 in (dim, dim + alpha p), and a box whose corner
+    keeps every factor of the integrand in the float range (below 1e154)."""
+    require(p=p, alpha=alpha, dim=dim)
+    if not dim < q0 < dim + alpha * p:
+        raise ConfigurationError(
+            f"q0={q0} outside the admissible window ({dim}, {dim + alpha * p}) "
+            f"for dim={dim}, alpha={alpha}, p={p}")
+    reach = min(_LOG_MAX / (q0 / 2.0 * max(1.0, 1.0 / (p - 1.0))),
+                _LOG_MAX - math.log(q0 + 2.0)) - 1.0  # largest safe log(1 + r^2), less 1
+    widest = math.sqrt(math.expm1(reach) / dim)
+    if not half_width <= widest:
+        raise ConfigurationError(
+            f"capacity_half_width must be at most {widest:.6g} for q0={q0}, p={p}, "
+            f"dim={dim}, beyond which a factor of the integrand leaves the float "
+            f"range at the box corner, got {half_width}")
 
 
 def _log_underflow_loss(weight, part, e):

@@ -13,6 +13,7 @@ factor 1/N (N = points^dim) into a factor of its own, so the bits are the
 n-D round trip's.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalFailureError, require
 
 _FIELD_MAGIC = b"FHK1"
+_TINY = float(np.finfo(float).tiny)
 
 
 def _float_or_array(out: np.ndarray):
@@ -29,7 +31,7 @@ def _float_or_array(out: np.ndarray):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [-half_width, half_width)^dim."""
+    """Uniform periodic grid on [-half_width, half_width)^dim; dim and points are whole."""
 
     dim: int
     half_width: float
@@ -38,8 +40,16 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
-        require("finite and > 0", half_width=self.half_width)
         require("a power of two >= 16", points=self.points)
+        for name, cast in (("dim", int), ("half_width", float), ("points", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        # the cell volume as a product: a float power that overflows raises
+        volume = math.prod((self.spacing,) * self.dim)
+        if not (_TINY <= self.spacing and _TINY <= volume < math.inf):
+            raise ConfigurationError(
+                f"half_width must give a finite cell spacing and volume of at least "
+                f"{_TINY:g} (the least normal float) in {self.dim}D on {self.points} "
+                f"points, got {self.half_width}")
 
     @property
     def spacing(self) -> float:
@@ -79,10 +89,6 @@ class GridSpec:
         return np.hypot(kx, ky)
 
 
-def make_grid(dim: int, half_width: float, points: int) -> GridSpec:
-    return GridSpec(dim=int(dim), half_width=float(half_width), points=int(points))
-
-
 @dataclass(frozen=True)
 class Field:
     """Real scalar field sampled on a GridSpec."""
@@ -98,10 +104,6 @@ class Field:
         if not np.all(np.isfinite(v)):
             raise NumericalFailureError("field contains non-finite values")
         object.__setattr__(self, "values", v)
-
-
-def make_field(grid: GridSpec, values) -> Field:
-    return Field(grid=grid, values=np.asarray(values, dtype=np.float64))
 
 
 def delta_field(grid: GridSpec) -> Field:
@@ -230,7 +232,7 @@ def read_field(path) -> Field:
         magic, dim, points, half_width = struct.unpack("<4sBQd", header)
         if magic != _FIELD_MAGIC:
             raise ConfigurationError(f"{path}: bad magic {magic!r}")
-        grid = make_grid(dim, half_width, points)
+        grid = GridSpec(dim, half_width, points)
         payload = fh.read()
     expected = points ** dim * 8
     if len(payload) != expected:

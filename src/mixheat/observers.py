@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, require
-from .grid import Field, make_field
+from .grid import Field
 from .kernels import kernel_lq_norm, mixed_kernel
 from .solver import MassTrace, time_to_tau
 
@@ -213,6 +213,6 @@ def profile_error(u: Field, m_inf: float, t: float, alpha: float, beta: float,
     require(">= 0 and finite", m_inf=m_inf)
     grid = u.grid
     kernel = mixed_kernel(grid, alpha, time_to_tau(t, beta))
-    diff = make_field(grid, u.values - m_inf * kernel.values)
+    diff = Field(grid, u.values - m_inf * kernel.values)
     weight = t ** ((grid.dim / alpha) * (1.0 - 1.0 / q) * (beta + 1.0))
     return float(weight * kernel_lq_norm(diff, q))

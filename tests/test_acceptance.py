@@ -21,6 +21,8 @@ from scipy.integrate import quad
 
 from conftest import record_criterion
 from mixheat import (
+    Field,
+    GridSpec,
     PowerAbsorption,
     ProblemSpec,
     bracket_laplacian,
@@ -36,8 +38,6 @@ from mixheat import (
     frac_laplacian_spectral,
     half_width_for_tail,
     integral,
-    make_field,
-    make_grid,
     make_step_schedule,
     mass_identity_defect,
     mixed_kernel,
@@ -64,7 +64,7 @@ def gaussian_field(grid, width: float, center: float = 0.0, mass: float = 1.0):
     x = grid.axis_coords()
     profile = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
     profile *= mass / (np.sum(profile) * grid.cell_volume)
-    return make_field(grid, profile)
+    return Field(grid, profile)
 
 
 def l2_distance(a, b) -> float:
@@ -81,7 +81,7 @@ def fitted_slope(x, y) -> float:
 def reference_problem():
     """Small nonlinear run used by the splitting, comparison and
     integral-residual criteria."""
-    grid = make_grid(1, 60.0, 1024)
+    grid = GridSpec(1, 60.0, 1024)
     u0 = gaussian_field(grid, width=1.5)
     return ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
                        absorption=PowerAbsorption(1.0), initial=u0)
@@ -110,7 +110,7 @@ def residual_runs(reference_problem):
 def dichotomy_runs():
     """Two exponents either side of the critical value 2, same diffusion
     and data, horizon 1e3."""
-    grid = make_grid(1, 400.0, 8192)
+    grid = GridSpec(1, 400.0, 8192)
     u0 = gaussian_field(grid, width=1.5, mass=0.1)
     runs = {}
     for p in (3.0, 1.2):
@@ -136,14 +136,14 @@ def test_01_kernel_mass_unity():
     for alpha in ALPHAS:
         for t in (0.1, 1.0, 10.0):
             hw = half_width_for_tail(alpha, t, 1, tail_mass=1e-6)
-            k = mixed_kernel(make_grid(1, hw, 4096), alpha, t)
+            k = mixed_kernel(GridSpec(1, hw, 4096), alpha, t)
             worst = max(worst, abs(integral(k) - 1.0))
     criterion("C01 kernel mass unity", worst <= 1e-6,
               f"max |int - 1| = {worst:.3e} (tol 1e-06)")
 
 
 def test_02_semigroup_composition():
-    grid = make_grid(1, 200.0, 8192)
+    grid = GridSpec(1, 200.0, 8192)
     worst = 0.0
     for alpha in ALPHAS:
         k1 = mixed_kernel(grid, alpha, 1.0)
@@ -155,7 +155,7 @@ def test_02_semigroup_composition():
 
 
 def test_03_cauchy_closed_form():
-    grid = make_grid(1, 16384.0, 2 ** 20)
+    grid = GridSpec(1, 16384.0, 2 ** 20)
     x = grid.axis_coords()
     near = np.abs(x) <= 10.0
     worst = 0.0
@@ -185,7 +185,7 @@ ORACLE_SLOPE_TOL = 1e-3
     "alpha,branch,hw,n,window,target", SUP_NORM_CASES,
     ids=[f"alpha{c[0]}-{c[1]}" for c in SUP_NORM_CASES])
 def test_04_sup_norm_decay(alpha, branch, hw, n, window, target):
-    grid = make_grid(1, hw, n)
+    grid = GridSpec(1, hw, n)
     ts = np.geomspace(window[0], window[1], 9)
     norms = mixed_kernel_norms(grid, alpha, ts)[0][:, 2]
     slope = fitted_slope(ts, norms)
@@ -209,14 +209,14 @@ def test_04_sup_norm_decay(alpha, branch, hw, n, window, target):
 def test_05_rescaling_identity():
     # Spectral route: dilating the lattice with the data turns the
     # identity into equality of the stored arrays.
-    ga = make_grid(1, 40.0, 4096)
-    fa = make_field(ga, np.exp(-ga.axis_coords() ** 2))
+    ga = GridSpec(1, 40.0, 4096)
+    fa = Field(ga, np.exp(-ga.axis_coords() ** 2))
     worst_spec = 0.0
     for s in (0.25, 0.5, 0.75):
         va = frac_laplacian_spectral(fa, 2.0 * s).values
         for R in (2.0, 4.0):
-            gb = make_grid(1, 40.0 * R, 4096)
-            fb = make_field(gb, np.exp(-((gb.axis_coords() / R) ** 2)))
+            gb = GridSpec(1, 40.0 * R, 4096)
+            fb = Field(gb, np.exp(-((gb.axis_coords() / R) ** 2)))
             vb = frac_laplacian_spectral(fb, 2.0 * s).values
             dev = np.max(np.abs(vb - R ** (-2.0 * s) * va)) / np.max(np.abs(va))
             worst_spec = max(worst_spec, float(dev))
@@ -248,7 +248,7 @@ def test_06_far_field_decay():
 
 def test_07_capacity_scaling_slope():
     radii = np.array([8.0, 16.0, 32.0, 64.0, 128.0])
-    vals = capacity_integral(1.5, 2.0, 1.0, make_grid(1, 2e4, 2 ** 17), 2.0 * radii)
+    vals = capacity_integral(1.5, 2.0, 1.0, GridSpec(1, 2e4, 2 ** 17), 2.0 * radii)
     slope = fitted_slope(radii, vals)
     criterion("C07 capacity scaling slope", -1.1 <= slope <= -0.9,
               f"slope = {slope:.4f}, band [-1.1, -0.9] "
@@ -280,8 +280,8 @@ def test_09_mass_ledger(acceptance_runs):
 
 
 def test_10_comparison_ordering(reference_problem):
-    doubled = make_field(reference_problem.grid,
-                         2.0 * reference_problem.initial.values)
+    doubled = Field(reference_problem.grid,
+                    2.0 * reference_problem.initial.values)
     sched = make_step_schedule(0.5, 8.0, 0.0, 0.05)
     gap = comparison_check(reference_problem, doubled, sched)
     floor = -1e-10 * float(np.max(doubled.values))
@@ -323,7 +323,7 @@ def test_12_profile_convergence(dichotomy_runs):
 
 
 def test_13_off_center_contraction(dichotomy_runs):
-    grid = make_grid(1, 1024.0, 16384)
+    grid = GridSpec(1, 1024.0, 16384)
     g = gaussian_field(grid, width=1.0, center=1.0)
     ts = np.geomspace(10.0, 100.0, 9)
     errs, moment = taylor_contraction_error(g, ts, 1.0)

@@ -9,6 +9,8 @@ import pytest
 
 from mixheat import (
     ConfigurationError,
+    Field,
+    GridSpec,
     PowerAbsorption,
     ProblemSpec,
     apply_symbol,
@@ -24,8 +26,6 @@ from mixheat import (
     gaussian_kernel,
     geometric_times,
     half_width_for_tail,
-    make_field,
-    make_grid,
     make_step_schedule,
     make_symbol,
     mixed_kernel,
@@ -36,13 +36,13 @@ from mixheat import (
     stable_kernel,
     stable_kernel_quadrature,
     stable_tail_constant,
-    taylor_contraction_error,
     tau_to_time,
+    taylor_contraction_error,
     time_to_tau,
 )
 
-GRID = make_grid(1, 20.0, 64)
-FIELD = make_field(GRID, np.exp(-GRID.axis_coords() ** 2))
+GRID = GridSpec(1, 20.0, 64)
+FIELD = Field(GRID, np.exp(-GRID.axis_coords() ** 2))
 SYMBOL = make_symbol(GRID, 1.0)
 H0 = PowerAbsorption(0.0)
 
@@ -77,7 +77,9 @@ CASES = [
      lambda v: make_step_schedule(1.0, 10.0, 0.0, v)),
     ("PowerAbsorption", "coefficient", -1.0, lambda v: PowerAbsorption(v, 0.5)),
     ("PowerAbsorption", "exponent", None, lambda v: PowerAbsorption(1.0, v)),
-    ("make_grid", "half_width", 0.0, lambda v: make_grid(1, v, 64)),
+    ("GridSpec", "dim", 1.5, lambda v: GridSpec(v, 20.0, 64)),
+    ("GridSpec", "half_width", 0.0, lambda v: GridSpec(1, v, 64)),
+    ("GridSpec", "points", 256.5, lambda v: GridSpec(1, 20.0, v)),
     ("make_symbol", "alpha", 2.0, lambda v: make_symbol(GRID, v)),
     ("apply_symbol/semigroup", "scale", -1.0,
      lambda v: apply_symbol(FIELD, SYMBOL, scale=v, mode="semigroup")),

@@ -8,10 +8,10 @@ import pytest
 
 from mixheat import (
     ConfigurationError,
+    Field,
+    GridSpec,
     integral,
     kernel_lq_norm,
-    make_field,
-    make_grid,
     make_step_schedule,
     mixed_kernel,
     read_field,
@@ -24,7 +24,6 @@ from mixheat import cli, fractional, kernels, solver
 from mixheat.cli import main
 from mixheat.config import (
     build_absorption,
-    build_grid,
     build_initial,
     build_problem,
     config_from_mapping,
@@ -121,7 +120,7 @@ def test_kernel_and_snapshot_times(cfg_path):
 
 def test_build_grid_and_gaussian_initial(cfg_path):
     cfg = load_config(cfg_path)
-    grid = build_grid(cfg)
+    grid = GridSpec(cfg.dim, cfg.half_width, cfg.points)
     assert grid.dim == 1 and grid.half_width == 40.0 and grid.points == 256
     u0 = build_initial(cfg, grid)
     assert integral(u0) == pytest.approx(1.0, rel=1e-13)
@@ -134,7 +133,7 @@ def test_build_grid_and_gaussian_initial(cfg_path):
 
 def test_build_point_initial(cfg_path):
     cfg = load_config(cfg_path, overrides=["initial=point", "initial_mass=3.0"])
-    grid = build_grid(cfg)
+    grid = GridSpec(cfg.dim, cfg.half_width, cfg.points)
     u0 = build_initial(cfg, grid)
     assert integral(u0) == pytest.approx(3.0, rel=1e-13)
     assert np.count_nonzero(u0.values) == 1
@@ -142,7 +141,7 @@ def test_build_point_initial(cfg_path):
 
 def test_build_file_initial(cfg_path, tmp_path):
     cfg = load_config(cfg_path)
-    grid = build_grid(cfg)
+    grid = GridSpec(cfg.dim, cfg.half_width, cfg.points)
     u0 = build_initial(cfg, grid)
     path = tmp_path / "u0.fhk"
     write_field(u0, path)
@@ -151,7 +150,7 @@ def test_build_file_initial(cfg_path, tmp_path):
     back = build_initial(cfg_file, grid)
     np.testing.assert_array_equal(back.values, u0.values)
     # a file on a different grid is refused
-    other = make_grid(1, 40.0, 512)
+    other = GridSpec(1, 40.0, 512)
     wrong = tmp_path / "wrong.fhk"
     write_field(build_initial(cfg, other), wrong)
     cfg_bad = load_config(cfg_path, overrides=["initial=file",
@@ -165,10 +164,10 @@ def test_gaussian_initial_is_the_meshgrid_formula_bit_for_bit(cfg_path, dim, n):
     cfg = load_config(cfg_path, overrides=[f"dim={dim}", f"points={n}",
                                            "initial_center=3.7", "initial_width=2.3",
                                            "initial_mass=0.37"])
-    grid = build_grid(cfg)
+    grid = GridSpec(cfg.dim, cfg.half_width, cfg.points)
     r2 = sum((c - 3.7) ** 2 for c in grid.coords())
     bump = np.exp(-r2 / (2.0 * 2.3 ** 2))
-    expected = bump * (0.37 / integral(make_field(grid, bump)))
+    expected = bump * (0.37 / integral(Field(grid, bump)))
     assert np.array_equal(build_initial(cfg, grid).values, expected)
 
 
@@ -185,7 +184,7 @@ _SOLVE_2D = {"alpha": 1.0, "dim": 2, "half_width": 64.0, "points": 256,
 def test_gaussian_initial_cut_off_by_the_box_warns(caplog):
     cfg = config_from_mapping(_CUT_OFF)
     with caplog.at_level("WARNING", logger="mixheat.config"):
-        u0 = build_initial(cfg, build_grid(cfg))
+        u0 = build_initial(cfg, GridSpec(cfg.dim, cfg.half_width, cfg.points))
     [record] = caplog.records
     assert record.levelname == "WARNING"
     message = record.getMessage()
@@ -199,7 +198,7 @@ def test_gaussian_initial_cut_off_by_the_box_warns(caplog):
 def test_gaussian_initial_inside_the_box_does_not_warn(caplog, mapping):
     cfg = config_from_mapping(mapping)
     with caplog.at_level("DEBUG", logger="mixheat.config"):
-        build_initial(cfg, build_grid(cfg))
+        build_initial(cfg, GridSpec(cfg.dim, cfg.half_width, cfg.points))
     assert caplog.records == []
 
 
@@ -327,10 +326,17 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
      "snapshot_count must be an integer in [2, 89478485], got 89478486"),
     ("solve", "snapshot_count=10000000000",
      "snapshot_count must be an integer in [2, 89478485], got 10000000000"),
+    # the 2D cell volume overflows too, but the capacity box's own bound,
+    # which names its key, is checked first
+    ("capacity", "dim=2 capacity_q0=3 capacity_points=1024 capacity_half_width=1e300",
+     "capacity_half_width must be at most 2.42053e+102 for q0=3.0, p=2.0, dim=2, "
+     "beyond which a factor of the integrand leaves the float range at the box "
+     "corner, got 1e+300"),
 ])
 def test_cli_states_the_range_of_a_bad_key(cfg_path, tmp_path, capsys, command,
                                            override, message):
-    rc = main([command, "--config", cfg_path, "--set", override,
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    rc = main([command, "--config", cfg_path, *sets,
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
@@ -353,9 +359,16 @@ def test_cli_states_the_range_of_a_bad_key(cfg_path, tmp_path, capsys, command,
     # the square underflows to 0; a subnormal mass loses the ledger
     ("solve", "initial_width=1e-300", "initial_width"),
     ("solve", "initial_mass=1e-320", "initial_mass"),
-    ("solve", "absorption_coefficient=inf", "coefficient"),
-    ("solve", "absorption=power absorption_exponent=nan", "exponent"),
-    ("solve", "absorption=power absorption_exponent=inf", "exponent"),
+    ("solve", "absorption_coefficient=inf", "absorption_coefficient"),
+    ("solve", "absorption=constant absorption_coefficient=0", "absorption_coefficient"),
+    ("solve", "absorption=power absorption_exponent=nan", "absorption_exponent"),
+    ("solve", "absorption=power absorption_exponent=inf", "absorption_exponent"),
+    # the box's cell spacing or volume leaves the normal float range
+    ("solve", "points=64 half_width=1e308", "half_width"),
+    ("solve", "points=64 half_width=1e-320", "half_width"),
+    ("solve", "dim=2 points=16 half_width=1e200", "half_width"),
+    ("kernel", "dim=2 points=16 half_width=1e200", "half_width"),
+    ("capacity", "capacity_half_width=1e-320", "capacity_half_width"),
 ])
 def test_cli_rejects_bad_capacity_and_kernel_inputs(cfg_path, tmp_path, capsys,
                                                    command, override, key):
@@ -366,6 +379,15 @@ def test_cli_rejects_bad_capacity_and_kernel_inputs(cfg_path, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err.startswith(f"configuration error: {key} ")
     assert "R=" not in captured.out
+
+
+def test_cli_solves_on_a_box_too_wide_to_square(cfg_path, tmp_path, capsys):
+    """The grid cut's linf bound never forms L^2, which overflows here."""
+    rc = main(["solve", "--config", cfg_path, "--set", "points=64",
+               "--set", "half_width=1e300", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(lines["ledger_defect"]) <= 2e-15
 
 
 @pytest.mark.parametrize("override", ["initial_width=1e-160", "initial_mass=1e-300"])
@@ -458,7 +480,7 @@ def test_cli_kernel_builds_one_symbol_for_all_its_times(cfg_path, tmp_path, monk
     assert main(["kernel", "--config", cfg_path, "--out-dir", str(out),
                  "--set", "kernel_times=0.5,2,8,32"]) == 0
     assert len(calls) == 1
-    grid = build_grid(load_config(cfg_path))
+    grid = GridSpec(1, 40.0, 256)  # BASE_CFG's
     rows = [line.split(",") for line in (out / "kernel.csv").read_text().splitlines()[1:]]
     expected = []
     for t in (0.5, 2.0, 8.0, 32.0):

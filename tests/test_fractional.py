@@ -11,6 +11,7 @@ from mixheat import fractional
 from mixheat.cli import main
 from mixheat import (
     ConfigurationError,
+    GridSpec,
     NumericalFailureError,
     bracket_frac_laplacian,
     bracket_laplacian,
@@ -18,7 +19,6 @@ from mixheat import (
     capacity_integral,
     frac_constant,
     frac_laplacian_pointwise,
-    make_grid,
     scaling_check,
 )
 
@@ -187,7 +187,7 @@ def test_bracket_frac_laplacian_validation():
 def test_test_function_spec_window():
     # capacity_integral checks the test functions' admissible exponent
     # window, N < q0 < N + alpha p
-    grid = make_grid(1, 2e4, 2 ** 14)
+    grid = GridSpec(1, 2e4, 2 ** 14)
     for q0 in (1.0, 3.0, 0.9):
         with pytest.raises(ConfigurationError, match=f"^q0={q0} outside the admissible"):
             capacity_integral(q0, 2.0, 1.0, grid, [16.0])
@@ -213,15 +213,15 @@ def test_capacity_integral_depends_only_on_product_br(tmp_path, capsys):
 
 def test_capacity_integral_box_invariance():
     # doubling the scaled box at fixed spacing moves the value below 1e-6
-    [small] = capacity_integral(1.5, 2.0, 1.0, make_grid(1, 2e4, 2 ** 17), [16.0])
-    [large] = capacity_integral(1.5, 2.0, 1.0, make_grid(1, 4e4, 2 ** 18), [16.0])
+    [small] = capacity_integral(1.5, 2.0, 1.0, GridSpec(1, 2e4, 2 ** 17), [16.0])
+    [large] = capacity_integral(1.5, 2.0, 1.0, GridSpec(1, 4e4, 2 ** 18), [16.0])
     assert small == pytest.approx(large, rel=1e-6)
 
 
 def test_capacity_integral_tail_guard():
     # a box only a few scaled units wide cannot certify its tail
     with pytest.raises(ConfigurationError, match="^capacity tail estimate"):
-        capacity_integral(1.5, 2.0, 1.0, make_grid(1, 50.0, 1024), [16.0])
+        capacity_integral(1.5, 2.0, 1.0, GridSpec(1, 50.0, 1024), [16.0])
 
 
 def test_capacity_integral_rejects_b_r_whose_underflow_may_cost_1e_minus_6():
@@ -229,7 +229,7 @@ def test_capacity_integral_rejects_b_r_whose_underflow_may_cost_1e_minus_6():
     # 10^-8.3 and 10^-6.3 of the total at B R = 2e150, 2e152, 2e153, and
     # those values keep the (B R)^-1 scaling to 1e-6; at 2e154 the bound
     # reads 10^-5.05 (and the value was 4.3e-6 off), so it is rejected
-    grid = make_grid(1, 2e4, 2 ** 17)
+    grid = GridSpec(1, 2e4, 2 ** 17)
     scales = [2e100, 2e150, 2e152, 2e153]
     values = capacity_integral(1.5, 2.0, 1.0, grid, scales)
     scaled = [v * s for v, s in zip(values, scales)]
@@ -244,7 +244,7 @@ def test_capacity_integral_bounds_each_lost_power_by_its_own_size():
     # 2^-1075 per such point would bound the loss by 10^77 of the total;
     # most of those powers are far below 2^-1075, and the values agree with
     # a sum taken in log space, which nothing underflows, to 1e-15
-    grid = make_grid(1, 68.0, 2 ** 17)
+    grid = GridSpec(1, 68.0, 2 ** 17)
     values = capacity_integral(1.5, 1.01, 1.0, grid, [2.0, 4.0, 16.0])
     assert values == pytest.approx(
         [1.2395785640918268e-11, 1.5137046710648585e-53, 2.63358271599388e-125],
@@ -253,7 +253,7 @@ def test_capacity_integral_bounds_each_lost_power_by_its_own_size():
 
 def test_capacity_integral_2d():
     # alpha = 1.9, p = 3, q0 = 2.1 on a 1024^2 grid spanning 200 B R
-    grid = make_grid(2, 200.0, 1024)
+    grid = GridSpec(2, 200.0, 1024)
     [a] = capacity_integral(2.1, 3.0, 1.9, grid, [16.0])
     assert math.isfinite(a) and a > 0.0
     # 1.4124785976 on (16 * 400, 2048^2)
@@ -289,7 +289,7 @@ def test_capacity_integral_folds_one_orthant_bitwise(monkeypatch, dim, q0, radii
     # and each folded sum equals the per-radius full-lattice sum in physical
     # coordinates (to the bit unless rel says otherwise)
     expected = [_per_radius_capacity(q0, 2.0, R, p, alpha,
-                                     make_grid(dim, 2.0 * R * box, points))
+                                     GridSpec(dim, 2.0 * R * box, points))
                 for R in radii]
     sizes = []
 
@@ -298,7 +298,7 @@ def test_capacity_integral_folds_one_orthant_bitwise(monkeypatch, dim, q0, radii
         return bracket_frac_laplacian(r, *args)
 
     monkeypatch.setattr(fractional, "bracket_frac_laplacian", spy)
-    got = capacity_integral(q0, p, alpha, make_grid(dim, box, points),
+    got = capacity_integral(q0, p, alpha, GridSpec(dim, box, points),
                             [2.0 * R for R in radii])
     if rel == 0.0:
         assert got == expected
@@ -323,7 +323,7 @@ def test_capacity_integral_checks_the_memory_budget_first(monkeypatch):
     """A capacity run holds about fractional._CAPACITY_GRIDS lattices at its
     peak; past the solver's budget it fails before its first array."""
     from mixheat import solver
-    grid = make_grid(1, 2e4, 2 ** 14)
+    grid = GridSpec(1, 2e4, 2 ** 14)
     need = fractional._CAPACITY_GRIDS * 8 * 2 ** 14
     monkeypatch.setattr(solver, "_MAX_BYTES", need)
     assert capacity_integral(1.5, 2.0, 1.0, grid, [16.0])[0] > 0.0
@@ -347,7 +347,7 @@ def test_capacity_integral_peaks_below_six_lattices(dim, q0, p, alpha, box, poin
     charges: 5.3 lattices in 1D and 2.0 in 2D, measured."""
     tracemalloc.start()
     try:
-        capacity_integral(q0, p, alpha, make_grid(dim, box, points), [16.0, 32.0])
+        capacity_integral(q0, p, alpha, GridSpec(dim, box, points), [16.0, 32.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,7 +362,7 @@ def test_capacity_integral_bounds_the_box_by_the_float_range(q0, p, dim, widest)
     alpha = 1.0 if dim == 1 else 1.9
     message = f"capacity_half_width must be at most {widest:.6g} "
     with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
-        capacity_integral(q0, p, alpha, make_grid(dim, widest * 1.000001, 16), [16.0])
+        capacity_integral(q0, p, alpha, GridSpec(dim, widest * 1.000001, 16), [16.0])
     corner = np.array([math.sqrt(dim) * widest * (1.0 - 1e-6)])
     with np.errstate(over="raise", invalid="raise"):
         phi = bracket_profile(corner, q0)

@@ -8,14 +8,14 @@ import pytest
 
 from mixheat import (
     ConfigurationError,
+    Field,
+    GridSpec,
     NumericalFailureError,
     apply_symbol,
     convolve,
     delta_field,
     frac_laplacian_spectral,
     integral,
-    make_field,
-    make_grid,
     make_symbol,
     read_field,
     write_field,
@@ -25,12 +25,12 @@ from mixheat.grid import _irfft, _rfft
 
 def gaussian_field(grid, width=1.0, center=0.0):
     r2 = sum((c - center) ** 2 for c in grid.coords())
-    f = make_field(grid, np.exp(-r2 / (2.0 * width ** 2)))
-    return make_field(grid, f.values / integral(f))
+    f = Field(grid, np.exp(-r2 / (2.0 * width ** 2)))
+    return Field(grid, f.values / integral(f))
 
 
 def test_grid_geometry():
-    g = make_grid(1, 10.0, 64)
+    g = GridSpec(1, 10.0, 64)
     assert g.spacing == pytest.approx(20.0 / 64)
     assert g.cell_volume == g.spacing
     assert g.shape == (64,)
@@ -41,7 +41,7 @@ def test_grid_geometry():
 
 
 def test_grid_geometry_2d():
-    g = make_grid(2, 5.0, 32)
+    g = GridSpec(2, 5.0, 32)
     assert g.shape == (32, 32)
     assert g.cell_volume == pytest.approx(g.spacing ** 2)
     xs, ys = g.coords()
@@ -51,7 +51,7 @@ def test_grid_geometry_2d():
 
 
 def test_axis_freqs_match_fft_convention():
-    g = make_grid(1, 7.0, 32)
+    g = GridSpec(1, 7.0, 32)
     expected = 2.0 * np.pi * np.fft.fftfreq(32, d=g.spacing)
     np.testing.assert_allclose(g.axis_freqs(), expected, rtol=0, atol=0)
 
@@ -65,25 +65,39 @@ def test_axis_freqs_match_fft_convention():
 ])
 def test_grid_validation(dim, half_width, points):
     with pytest.raises(ConfigurationError):
-        make_grid(dim, half_width, points)
+        GridSpec(dim, half_width, points)
+
+
+# boxes whose cell spacing or cell volume leaves the normal float range
+@pytest.mark.parametrize("dim,half_width,points", [
+    (1, 1e308, 64), (1, 1e-320, 64), (2, 1e200, 16), (2, 1e-160, 16)])
+def test_grid_rejects_a_box_outside_the_float_range(dim, half_width, points):
+    with pytest.raises(ConfigurationError, match="^half_width must give a finite cell"):
+        GridSpec(dim, half_width, points)
+
+
+def test_grid_stores_whole_floats_as_ints():
+    g = GridSpec(1.0, 20, 256.0)
+    assert g == GridSpec(1, 20.0, 256) and g.shape == (256,)
+    assert [type(v) for v in (g.dim, g.half_width, g.points)] == [int, float, int]
 
 
 def test_make_field_rejects_wrong_shape_and_nan():
-    g = make_grid(1, 1.0, 16)
+    g = GridSpec(1, 1.0, 16)
     with pytest.raises(ConfigurationError):
-        make_field(g, np.zeros(17))
+        Field(g, np.zeros(17))
     bad = np.zeros(16)
     bad[3] = np.nan
     with pytest.raises(NumericalFailureError):
-        make_field(g, bad)
+        Field(g, bad)
     bad[3] = np.inf
     with pytest.raises(NumericalFailureError):
-        make_field(g, bad)
+        Field(g, bad)
 
 
 def test_delta_field_unit_mass():
     for dim in (1, 2):
-        g = make_grid(dim, 3.0, 32)
+        g = GridSpec(dim, 3.0, 32)
         d = delta_field(g)
         assert integral(d) == pytest.approx(1.0, abs=1e-14)
         # single nonzero entry at the x = 0 node
@@ -93,15 +107,15 @@ def test_delta_field_unit_mass():
 
 
 def test_integral_is_riemann_sum():
-    g = make_grid(1, 2.0, 64)
-    f = make_field(g, np.ones(64))
+    g = GridSpec(1, 2.0, 64)
+    f = Field(g, np.ones(64))
     assert integral(f) == pytest.approx(4.0)
 
 
 def test_parseval():
     rng = np.random.default_rng(7)
-    g = make_grid(1, 5.0, 256)
-    f = make_field(g, rng.standard_normal(256))
+    g = GridSpec(1, 5.0, 256)
+    f = Field(g, rng.standard_normal(256))
     direct = np.sum(f.values ** 2) * g.spacing
     fhat = np.fft.fft(f.values)
     spectral = np.sum(np.abs(fhat) ** 2) / 256 * g.spacing
@@ -109,7 +123,7 @@ def test_parseval():
 
 
 def test_make_symbol_values_and_kinds():
-    g = make_grid(1, 4.0, 64)
+    g = GridSpec(1, 4.0, 64)
     mag = g.freq_magnitude()
     np.testing.assert_allclose(make_symbol(g, 1.5).values, mag ** 2 + mag ** 1.5)
     np.testing.assert_allclose(make_symbol(g, 1.0, kind="fractional").values, mag)
@@ -123,7 +137,7 @@ def test_make_symbol_values_and_kinds():
 
 
 def test_apply_symbol_semigroup_composition():
-    g = make_grid(1, 20.0, 512)
+    g = GridSpec(1, 20.0, 512)
     f = gaussian_field(g, width=1.2)
     sym = make_symbol(g, 1.0)
     one = apply_symbol(f, sym, scale=0.7, mode="semigroup")
@@ -133,15 +147,15 @@ def test_apply_symbol_semigroup_composition():
 
 
 def test_apply_symbol_scale_zero_is_identity():
-    g = make_grid(1, 20.0, 256)
+    g = GridSpec(1, 20.0, 256)
     f = gaussian_field(g)
     out = apply_symbol(f, make_symbol(g, 0.8), scale=0.0, mode="semigroup")
     np.testing.assert_allclose(out.values, f.values, rtol=0, atol=1e-14)
 
 
 def test_apply_symbol_validation():
-    g = make_grid(1, 20.0, 256)
-    other = make_grid(1, 10.0, 256)
+    g = GridSpec(1, 20.0, 256)
+    other = GridSpec(1, 10.0, 256)
     f = gaussian_field(g)
     sym = make_symbol(other, 1.0)
     with pytest.raises(ConfigurationError):
@@ -156,9 +170,9 @@ def test_apply_symbol_validation():
 def test_laplacian_symbol_matches_second_derivative():
     """The mixed multiplier less the fractional one, |xi|^2, must act as
     -d^2/dx^2."""
-    g = make_grid(1, 25.0, 2048)
+    g = GridSpec(1, 25.0, 2048)
     x = g.axis_coords()
-    f = make_field(g, np.exp(-x * x))
+    f = Field(g, np.exp(-x * x))
     exact = -(4.0 * x * x - 2.0) * np.exp(-x * x)
     for alpha in (0.5, 1.0, 1.5):
         out = (apply_symbol(f, make_symbol(g, alpha)).values
@@ -170,14 +184,14 @@ def test_laplacian_symbol_matches_second_derivative():
 
 
 def test_frac_laplacian_spectral_kills_constants():
-    g = make_grid(1, 5.0, 64)
-    f = make_field(g, np.full(64, 2.5))
+    g = GridSpec(1, 5.0, 64)
+    f = Field(g, np.full(64, 2.5))
     out = frac_laplacian_spectral(f, 1.0)
     assert np.abs(out.values).max() < 1e-14
 
 
 def test_convolve_delta_identity():
-    g = make_grid(1, 12.0, 256)
+    g = GridSpec(1, 12.0, 256)
     f = gaussian_field(g, width=0.8)
     out = convolve(f, delta_field(g))
     np.testing.assert_allclose(out.values, f.values, rtol=0, atol=1e-13)
@@ -188,7 +202,7 @@ def test_convolve_delta_identity():
 def test_convolve_gaussians():
     # variance adds under convolution; box is wide enough that wrap-around
     # is below the tolerance
-    g = make_grid(1, 40.0, 4096)
+    g = GridSpec(1, 40.0, 4096)
     a = gaussian_field(g, width=1.0)
     b = gaussian_field(g, width=1.5)
     c = convolve(a, b)
@@ -199,8 +213,8 @@ def test_convolve_gaussians():
 
 
 def test_convolve_grid_mismatch():
-    a = gaussian_field(make_grid(1, 10.0, 128))
-    b = gaussian_field(make_grid(1, 10.0, 256))
+    a = gaussian_field(GridSpec(1, 10.0, 128))
+    b = gaussian_field(GridSpec(1, 10.0, 256))
     with pytest.raises(ConfigurationError):
         convolve(a, b)
 
@@ -219,13 +233,13 @@ def _field_with_nyquist(grid, seed):
     rng = np.random.default_rng(seed)
     idx = np.indices(grid.shape)
     checker = (-1.0) ** idx.sum(axis=0) + (-1.0) ** idx[0]
-    return make_field(grid, rng.random(grid.shape) + 0.5 * checker)
+    return Field(grid, rng.random(grid.shape) + 0.5 * checker)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("mode,scale", [("multiplier", 0.3), ("semigroup", 0.7)])
 def test_half_spectrum_apply_symbol_matches_complex_oracle(dim, mode, scale):
-    g = make_grid(dim, 32.0, 64 if dim == 1 else 32)
+    g = GridSpec(dim, 32.0, 64 if dim == 1 else 32)
     f = _field_with_nyquist(g, seed=dim)
     mag = _full_lattice_magnitude(g)
     full = mag ** 2 + mag ** 1.3
@@ -238,7 +252,7 @@ def test_half_spectrum_apply_symbol_matches_complex_oracle(dim, mode, scale):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_half_spectrum_convolve_matches_complex_oracle(dim):
-    g = make_grid(dim, 32.0, 64 if dim == 1 else 32)
+    g = GridSpec(dim, 32.0, 64 if dim == 1 else 32)
     f = _field_with_nyquist(g, seed=10 + dim)
     k = gaussian_field(g, width=2.0, center=1.0)
     raw = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(k.values)).real
@@ -264,7 +278,7 @@ def test_spectral_apply_in_place_matches_out_of_place(dim):
     """out=values with a reused spectrum buffer (the solver's in-place
     _rfft/_irfft chain) gives the out-of-place result bit for bit, with a
     multiplier and with a kernel."""
-    g = make_grid(dim, 32.0, 64 if dim == 1 else 32)
+    g = GridSpec(dim, 32.0, 64 if dim == 1 else 32)
     mult = np.exp(-0.7 * make_symbol(g, 1.3).values) / g.points ** dim
     kernel = gaussian_field(g, width=2.0, center=1.0).values
     buf = np.empty(mult.shape, dtype=complex)
@@ -300,7 +314,7 @@ def test_spectral_apply_is_the_nd_round_trip_bit_for_bit(dim, n):
     spectrum= buffers; and from a given spectrum (_irfft alone). At
     dtau = 20 on 8192 points the multiplier falls through the subnormals
     to 0."""
-    g = make_grid(dim, 24.0, n)
+    g = GridSpec(dim, 24.0, n)
     axes = tuple(range(dim))
     inverse_n = 1.0 / g.points ** dim
     symbol = make_symbol(g, 1.3).values
@@ -335,7 +349,7 @@ def test_spectral_apply_2d_allocates_no_half_spectrum():
     a real multiplier) runs its inverse transform in the buffer: at 256^2
     its traced peak stays below half of one complex half spectrum (numpy
     casts the real multiplier to complex through a smaller buffer)."""
-    g = make_grid(2, 64.0, 256)
+    g = GridSpec(2, 64.0, 256)
     mult = np.exp(-0.7 * make_symbol(g, 1.3).values) / g.points ** 2
     v = _field_with_nyquist(g, 50).values.copy()
     buf = np.empty(mult.shape, dtype=complex)
@@ -352,8 +366,8 @@ def test_spectral_apply_2d_allocates_no_half_spectrum():
 def test_field_io_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     for dim in (1, 2):
-        g = make_grid(dim, 6.0, 32)
-        f = make_field(g, rng.standard_normal(g.shape))
+        g = GridSpec(dim, 6.0, 32)
+        f = Field(g, rng.standard_normal(g.shape))
         path = tmp_path / f"field{dim}.fhk"
         write_field(f, path)
         back = read_field(path)
@@ -368,8 +382,8 @@ def test_field_file_bytes_are_the_header_and_the_samples(tmp_path):
     rng = np.random.default_rng(5)
     for dim, values in ((1, rng.standard_normal(32)),
                         (2, rng.standard_normal((32, 32)).T)):
-        g = make_grid(dim, 6.0, 32)
-        f = make_field(g, values)
+        g = GridSpec(dim, 6.0, 32)
+        f = Field(g, values)
         path = tmp_path / f"field{dim}.fhk"
         write_field(f, path)
         header = struct.pack("<4sBQd", b"FHK1", dim, 32, 6.0)
@@ -378,7 +392,7 @@ def test_field_file_bytes_are_the_header_and_the_samples(tmp_path):
 
 
 def test_field_io_rejects_corruption(tmp_path):
-    g = make_grid(1, 6.0, 32)
+    g = GridSpec(1, 6.0, 32)
     f = gaussian_field(g)
     path = tmp_path / "field.fhk"
     write_field(f, path)

@@ -1,6 +1,7 @@
 """Import graph and source layout: the quadrature oracles stay off the
 CLI's import path, only the oracles import quadrature, the
-shared argument ranges live in errors.py, and the names the benchmark in
+shared argument ranges live in errors.py, the kinds of the config's choice
+keys are decided only in config.py, and the names the benchmark in
 perfbench/ uses stay where it finds them."""
 
 import ast
@@ -100,6 +101,23 @@ def test_shared_ranges_are_written_only_in_errors():
     assert not found, "shared ranges outside errors.py:\n" + "\n".join(found)
 
 
+def test_config_kinds_are_compared_only_in_config():
+    """config.py maps each kind of a choice key onto its object: a kind
+    compared anywhere else decides it a second time."""
+    from mixheat.config import _CHOICES
+
+    kinds = {kind for allowed in _CHOICES.values() for kind in allowed}
+    found = []
+    for name, node in _package_nodes({"config.py"}):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        operands += [e for o in operands for e in getattr(o, "elts", [])]  # a tuple of kinds
+        if any(isinstance(o, ast.Constant) and o.value in kinds for o in operands):
+            found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "config kinds compared outside config.py:\n" + "\n".join(found)
+
+
 # The one module that may import quadrature.
 _QUADRATURE_IMPORTERS = {"oracles.py"}
 
@@ -148,8 +166,8 @@ def test_names_the_benchmark_reaches_into(tmp_path):
         times=t, taus=t, mass=t, absorbed=t, linf=t, l2=t), path=path)
     assert observers.read_mass_csv(path).times.tolist() == [1.0, 2.0]
 
-    g = grid.make_grid(1, 8.0, 16)
-    u0 = grid.make_field(g, np.exp(-g.axis_coords() ** 2))
+    g = grid.GridSpec(1, 8.0, 16)
+    u0 = grid.Field(g, np.exp(-g.axis_coords() ** 2))
     result = solver.solve(
         solver.ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
                            absorption=solver.PowerAbsorption(1.0), initial=u0),

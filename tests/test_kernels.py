@@ -9,6 +9,8 @@ import pytest
 
 from mixheat import (
     ConfigurationError,
+    Field,
+    GridSpec,
     apply_symbol,
     convolve,
     delta_field,
@@ -16,8 +18,6 @@ from mixheat import (
     half_width_for_tail,
     integral,
     kernel_lq_norm,
-    make_field,
-    make_grid,
     make_symbol,
     mixed_kernel,
     mixed_kernel_norms,
@@ -34,7 +34,7 @@ ALPHAS = (0.5, 1.0, 1.5)
 
 
 def test_gaussian_kernel_closed_form():
-    g = make_grid(1, 30.0, 2048)
+    g = GridSpec(1, 30.0, 2048)
     x = g.axis_coords()
     t = 0.7
     k = gaussian_kernel(g, t)
@@ -44,19 +44,19 @@ def test_gaussian_kernel_closed_form():
 
 def test_gaussian_kernel_unit_peak_time():
     # at t = 1/(4 pi) the prefactor is exactly one
-    g = make_grid(1, 20.0, 4096)
+    g = GridSpec(1, 20.0, 4096)
     k = gaussian_kernel(g, 1.0 / (4.0 * np.pi))
     assert k.values[4096 // 2] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_gaussian_kernel_needs_positive_time():
-    g = make_grid(1, 10.0, 64)
+    g = GridSpec(1, 10.0, 64)
     with pytest.raises(ConfigurationError):
         gaussian_kernel(g, 0.0)
 
 
 def test_cauchy_closed_form_moderate_grid():
-    g = make_grid(1, 2000.0, 2 ** 17)
+    g = GridSpec(1, 2000.0, 2 ** 17)
     x = g.axis_coords()
     t = 1.0
     k = stable_kernel(g, 1.0, t)
@@ -71,8 +71,8 @@ def test_stable_self_similarity_exact_on_dilated_lattice():
     is dilated along with the argument, so the check is roundoff-level."""
     lam = 4.0
     for alpha in ALPHAS:
-        gA = make_grid(1, 50.0, 1024)
-        gB = make_grid(1, 50.0 * lam, 1024)
+        gA = GridSpec(1, 50.0, 1024)
+        gB = GridSpec(1, 50.0 * lam, 1024)
         pA = stable_kernel(gA, alpha, 1.0)
         pB = stable_kernel(gB, alpha, lam ** alpha)
         np.testing.assert_allclose(pB.values, pA.values / lam, rtol=0, atol=1e-15)
@@ -80,7 +80,7 @@ def test_stable_self_similarity_exact_on_dilated_lattice():
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_mixed_kernel_is_product_of_factors(alpha):
-    g = make_grid(1, 80.0, 2048)
+    g = GridSpec(1, 80.0, 2048)
     t = 1.3
     direct = mixed_kernel(g, alpha, t)
     factored = convolve(gaussian_kernel(g, t), stable_kernel(g, alpha, t))
@@ -98,7 +98,7 @@ def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n,
     kernel is the apply_symbol result,
     and a run of mixed kernels over unordered times returns the last of
     them and the kernel_lq_norm of each, bit for bit."""
-    g = make_grid(dim, 0.37 * n, n)
+    g = GridSpec(dim, 0.37 * n, n)
     delta = delta_field(g)
     spectrum = np.fft.rfftn(delta.values, axes=tuple(range(dim)))
     assert not spectrum.imag.any()
@@ -130,21 +130,21 @@ def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n,
 
 def test_mixed_kernel_mass_exact():
     for dim in (1, 2):
-        g = make_grid(dim, 40.0, 256)
+        g = GridSpec(dim, 40.0, 256)
         k = mixed_kernel(g, 1.0, 2.0)
         assert abs(integral(k) - 1.0) < 1e-12
 
 
 def test_mixed_kernel_ripple_warning(caplog):
     # alpha = 1.5 on a deliberately coarse box leaves visible negative ripple
-    g = make_grid(1, 40.0, 64)
+    g = GridSpec(1, 40.0, 64)
     with caplog.at_level(logging.WARNING, logger="mixheat.kernels"):
         mixed_kernel(g, 1.5, 0.1)
     assert any("negative ripple" in r.message for r in caplog.records)
 
 
 def test_kernel_lq_norms():
-    g = make_grid(1, 60.0, 4096)
+    g = GridSpec(1, 60.0, 4096)
     k = mixed_kernel(g, 1.0, 1.0)
     assert kernel_lq_norm(k, 1.0) == pytest.approx(1.0, abs=1e-10)
     assert kernel_lq_norm(k, np.inf) == pytest.approx(float(np.abs(k.values).max()))
@@ -158,10 +158,10 @@ def test_kernel_lq_norms():
 def test_kernel_lq_norm_matches_plain_expression_bitwise(dim, n):
     # alpha = 1.5 on a coarse box leaves negative ripple; the negated
     # kernel puts the largest |value| on the negative side
-    g = make_grid(dim, 40.0, n)
+    g = GridSpec(dim, 40.0, n)
     k = mixed_kernel(g, 1.5, 0.1)
     assert k.values.min() < 0
-    for f in (k, make_field(g, -k.values)):
+    for f in (k, Field(g, -k.values)):
         v = np.abs(f.values)
         assert kernel_lq_norm(f, np.inf) == float(v.max())
         for q in (1.0, 1.5, 2.0, 3.0):
@@ -180,17 +180,17 @@ def test_kernel_run_rejects_bad_times_before_any_work(monkeypatch, times):
 
     monkeypatch.setattr(kernels, "make_symbol", no_allocation)
     with pytest.raises(ConfigurationError, match="^times must"):
-        mixed_kernel_norms(make_grid(1, 10.0, 64), 1.0, times)
+        mixed_kernel_norms(GridSpec(1, 10.0, 64), 1.0, times)
 
 
 def test_every_kernel_builder_checks_the_memory_budget_first(monkeypatch):
     """A kernel run holds about kernels._KERNEL_GRIDS grids at its peak;
     past the solver's budget it fails before the symbol, its first
     grid-sized array, is built."""
-    g = make_grid(2, 10.0, 64)
+    g = GridSpec(2, 10.0, 64)
     need = kernels._KERNEL_GRIDS * 8 * 64 ** 2
     x2 = g.axis_coords() ** 2
-    bump = make_field(g, np.exp(-np.add.outer(x2, x2)))
+    bump = Field(g, np.exp(-np.add.outer(x2, x2)))
     builders = [lambda: mixed_kernel_norms(g, 1.0, [1.0]),
                 lambda: mixed_kernel(g, 1.0, 1.0),
                 lambda: stable_kernel(g, 1.0, 1.0),
@@ -216,8 +216,8 @@ def test_every_kernel_builder_checks_the_memory_budget_first(monkeypatch):
 def test_young_contraction(q):
     """Convolution against a unit-mass kernel cannot raise any Lq norm."""
     rng = np.random.default_rng(11)
-    g = make_grid(1, 60.0, 2048)
-    v = make_field(g, rng.random(2048))
+    g = GridSpec(1, 60.0, 2048)
+    v = Field(g, rng.random(2048))
     for alpha in ALPHAS:
         k = mixed_kernel(g, alpha, 0.5)
         out = convolve(k, v)
@@ -225,7 +225,7 @@ def test_young_contraction(q):
 
 
 def test_sup_norm_decreases_in_time():
-    g = make_grid(1, 200.0, 8192)
+    g = GridSpec(1, 200.0, 8192)
     sups = [kernel_lq_norm(mixed_kernel(g, 1.0, t), np.inf)
             for t in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(a > b for a, b in zip(sups, sups[1:]))
@@ -294,7 +294,7 @@ def test_quadrature_needs_positive_time():
 def test_mixed_quadrature_matches_grid_kernel():
     # box wide enough that periodized tail mass sits below the tolerance;
     # at L = 300 the wrap-around alone is ~3e-6 relative
-    g = make_grid(1, 4800.0, 2 ** 19)
+    g = GridSpec(1, 4800.0, 2 ** 19)
     k = mixed_kernel(g, 1.2, 0.8)
     x = g.axis_coords()
     for xq in (0.0, 1.0, 4.0):
@@ -306,10 +306,10 @@ def test_mixed_quadrature_matches_grid_kernel():
 def test_taylor_contraction_zero_for_centered_even_data():
     """A centered even bump has vanishing first moment only in the signed
     sense; the bound uses | |x| g |, so the error is controlled but small."""
-    g = make_grid(1, 120.0, 8192)
+    g = GridSpec(1, 120.0, 8192)
     x = g.axis_coords()
     bump = np.exp(-x * x)
-    f = make_field(g, bump / (np.sum(bump) * g.spacing))
+    f = Field(g, bump / (np.sum(bump) * g.spacing))
     errors, moment = taylor_contraction_error(f, [50.0, 100.0], 1.0)
     assert moment > 0.0
     assert errors[1] < errors[0]
@@ -319,10 +319,10 @@ def test_taylor_contraction_zero_for_centered_even_data():
 
 
 def test_taylor_contraction_shift_sets_the_rate():
-    g = make_grid(1, 512.0, 8192)
+    g = GridSpec(1, 512.0, 8192)
     x = g.axis_coords()
     bump = np.exp(-((x - 1.0) ** 2) / 2.0)
-    f = make_field(g, bump / (np.sum(bump) * g.spacing))
+    f = Field(g, bump / (np.sum(bump) * g.spacing))
     ts = np.geomspace(10.0, 100.0, 5)
     errors, moment = taylor_contraction_error(f, ts, 1.0)
     assert moment == pytest.approx(np.sum(np.abs(x) * f.values) * g.spacing)
@@ -331,8 +331,8 @@ def test_taylor_contraction_shift_sets_the_rate():
 
 
 def shifted_bump(dim, n):
-    grid = make_grid(dim, 400.0, n)
-    return make_field(grid, np.exp(-sum((c - 3.0) ** 2 for c in grid.coords()) / 8.0))
+    grid = GridSpec(dim, 400.0, n)
+    return Field(grid, np.exp(-sum((c - 3.0) ** 2 for c in grid.coords()) / 8.0))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])

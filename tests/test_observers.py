@@ -8,6 +8,8 @@ import pytest
 
 from mixheat import (
     ConfigurationError,
+    Field,
+    GridSpec,
     MassTrace,
     PowerAbsorption,
     ProblemSpec,
@@ -17,8 +19,6 @@ from mixheat import (
     critical_exponent,
     decay_rate_exponent,
     integral,
-    make_field,
-    make_grid,
     make_step_schedule,
     mixed_kernel,
     profile_error,
@@ -60,9 +60,9 @@ def test_mass_trace_initial_mass():
 
 
 def test_mass_trace_from_solve_result():
-    grid = make_grid(1, 40.0, 256)
+    grid = GridSpec(1, 40.0, 256)
     bump = np.exp(-sum(c ** 2 for c in grid.coords()))
-    u0 = make_field(grid, bump / integral(make_field(grid, bump)))
+    u0 = Field(grid, bump / integral(Field(grid, bump)))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
                        absorption=PowerAbsorption(1.0), initial=u0)
     res = solve(prob, make_step_schedule(0.5, 4.0, 0.0, 0.2))
@@ -217,28 +217,28 @@ def test_classify_validation():
 # -- profile error ------------------------------------------------------------
 
 def test_profile_error_vanishes_on_exact_profile():
-    grid = make_grid(1, 200.0, 2048)
+    grid = GridSpec(1, 200.0, 2048)
     alpha, beta, t = 1.0, 0.5, 50.0
     kern = mixed_kernel(grid, alpha, time_to_tau(t, beta))
-    u = make_field(grid, 0.7 * kern.values)
+    u = Field(grid, 0.7 * kern.values)
     assert profile_error(u, 0.7, t, alpha, beta, 2.0) < 1e-12
 
 
 def test_profile_error_q1_is_plain_l1_distance():
-    grid = make_grid(1, 200.0, 2048)
+    grid = GridSpec(1, 200.0, 2048)
     alpha, beta, t = 1.2, 0.0, 25.0
     kern = mixed_kernel(grid, alpha, time_to_tau(t, beta))
-    u = make_field(grid, 0.5 * kern.values + 0.01 * np.exp(-grid.axis_coords() ** 2))
+    u = Field(grid, 0.5 * kern.values + 0.01 * np.exp(-grid.axis_coords() ** 2))
     err = profile_error(u, 0.5, t, alpha, beta, 1.0)
     direct = np.sum(np.abs(u.values - 0.5 * kern.values)) * grid.spacing
     assert err == pytest.approx(direct, rel=1e-12)
 
 
 def test_profile_error_q2_time_weight():
-    grid = make_grid(1, 200.0, 2048)
+    grid = GridSpec(1, 200.0, 2048)
     alpha, beta, t, q = 1.0, 1.0, 16.0, 2.0
     kern = mixed_kernel(grid, alpha, time_to_tau(t, beta))
-    u = make_field(grid, 0.9 * kern.values + 1e-3 * np.exp(-grid.axis_coords() ** 2))
+    u = Field(grid, 0.9 * kern.values + 1e-3 * np.exp(-grid.axis_coords() ** 2))
     diff = u.values - 0.9 * kern.values
     l2 = np.sqrt(np.sum(diff ** 2) * grid.spacing)
     weight = t ** ((1.0 / alpha) * (1.0 - 1.0 / q) * (beta + 1.0))
@@ -247,8 +247,8 @@ def test_profile_error_q2_time_weight():
 
 
 def test_profile_error_rejects_bad_q():
-    grid = make_grid(1, 50.0, 256)
-    u = make_field(grid, np.exp(-grid.axis_coords() ** 2))
+    grid = GridSpec(1, 50.0, 256)
+    u = Field(grid, np.exp(-grid.axis_coords() ** 2))
     with pytest.raises(ConfigurationError):
         profile_error(u, 1.0, 1.0, 1.0, 0.0, 0.5)
     with pytest.raises(ConfigurationError):

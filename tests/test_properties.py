@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_cut_agrees, solve_cut_and_fixed
-from mixheat import (ConfigurationError, ExperimentConfig, PowerAbsorption,
-                     ProblemSpec, comparison_check, config_from_mapping,
-                     make_field, make_grid, make_step_schedule,
+from mixheat import (ConfigurationError, ExperimentConfig, Field, GridSpec,
+                     PowerAbsorption, ProblemSpec, comparison_check,
+                     config_from_mapping, make_step_schedule,
                      mass_identity_defect, parse_config_text, read_field, solve,
                      write_field)
 from mixheat.config import _CHOICES
@@ -113,7 +113,7 @@ def _field_file_bytes():
     """The bytes of a valid 16-point field file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "u.fhk")
-        write_field(make_field(make_grid(1, 4.0, 16), np.linspace(0.0, 1.0, 16)), path)
+        write_field(Field(GridSpec(1, 4.0, 16), np.linspace(0.0, 1.0, 16)), path)
         with open(path, "rb") as fh:
             return fh.read()
 
@@ -149,7 +149,7 @@ def test_read_field_rejects_an_altered_magic(magic):
 # The datum decays below roundoff at the box edge (8 widths or more away),
 # so it is smooth on the torus: a datum the box cuts off has a jump there,
 # whose spectral ripple the solver clips at a logged cost to the ledger.
-_SOLVE_GRID = make_grid(1, 20.0, 256)
+_SOLVE_GRID = GridSpec(1, 20.0, 256)
 
 
 def _gaussian(width, mass, center):
@@ -166,7 +166,7 @@ def _gaussian(width, mass, center):
        dtau_max=st.floats(0.05, 1.0), ladder=st.booleans())
 def test_solve_keeps_its_ledger_and_sign(alpha, beta, p, c, sigma, width, mass, center,
                                          t0, t1, dtau_max, ladder):
-    u0 = make_field(_SOLVE_GRID, _gaussian(width, mass, center))
+    u0 = Field(_SOLVE_GRID, _gaussian(width, mass, center))
     problem = ProblemSpec(alpha=alpha, beta=beta, p=p,
                           absorption=PowerAbsorption(c, sigma), initial=u0)
     # the default snapshot ladder, or 10 knots per decade from t0 (from
@@ -189,9 +189,9 @@ def test_solve_cut_agrees_with_the_fixed_grid(dim, half_width, alpha, beta, p, c
     """On a small box the datum fills it by t1, so the grid cuts; the run
     agrees with the one that keeps the grid (see assert_cut_agrees). Steps
     at knots only: a first step [0, t1 * 1e-3], then 10 a decade."""
-    grid = make_grid(dim, half_width, 64)
+    grid = GridSpec(dim, half_width, 64)
     bump = np.exp(-sum((x - center) ** 2 for x in grid.coords()) / (2.0 * width ** 2))
-    u0 = make_field(grid, bump * (mass / (np.sum(bump) * grid.cell_volume)))
+    u0 = Field(grid, bump * (mass / (np.sum(bump) * grid.cell_volume)))
     problem = ProblemSpec(alpha=alpha, beta=beta, p=p,
                           absorption=PowerAbsorption(c, sigma), initial=u0)
     schedule = make_step_schedule(0.0, t1, beta, 1e9,
@@ -210,10 +210,10 @@ def test_solve_preserves_the_order_of_its_data(alpha, beta, p, c, sigma, width, 
                                                center, extra_width, extra_mass,
                                                extra_center, t0, t1, dtau_max):
     smaller = _gaussian(width, mass, center)
-    larger = make_field(_SOLVE_GRID, smaller + _gaussian(extra_width, extra_mass,
-                                                         extra_center))
+    larger = Field(_SOLVE_GRID, smaller + _gaussian(extra_width, extra_mass,
+                                                    extra_center))
     problem = ProblemSpec(alpha=alpha, beta=beta, p=p, absorption=PowerAbsorption(c, sigma),
-                          initial=make_field(_SOLVE_GRID, smaller))
+                          initial=Field(_SOLVE_GRID, smaller))
     schedule = make_step_schedule(t0, t1, beta, dtau_max)
     gap = comparison_check(problem, larger, schedule)
     assert gap >= -1e-10 * float(np.max(larger.values))

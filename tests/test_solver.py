@@ -12,29 +12,31 @@ from scipy.integrate import quad, solve_ivp
 
 from mixheat import (
     ConfigurationError,
+    ExperimentConfig,
+    Field,
+    GridSpec,
     NumericalFailureError,
     PowerAbsorption,
     ProblemSpec,
     SolveResult,
     TableAbsorption,
     apply_symbol,
+    build_absorption,
     classify_mass_limit,
     comparison_check,
+    config_from_mapping,
     convolve,
     default_snapshot_times,
     delta_field,
     duhamel_residual,
     integral,
-    make_absorption,
-    make_field,
-    make_grid,
     make_step_schedule,
     make_symbol,
     mass_identity_defect,
     mixed_kernel,
     solve,
-    time_to_tau,
     tau_to_time,
+    time_to_tau,
 )
 from conftest import assert_cut_agrees, solve_cut_and_fixed
 from mixheat import solver
@@ -43,13 +45,13 @@ from mixheat.solver import _MAX_STEPS, geometric_times
 
 def unit_gaussian(grid, width=1.5):
     r2 = sum(c ** 2 for c in grid.coords())
-    f = make_field(grid, np.exp(-r2 / (2.0 * width ** 2)))
-    return make_field(grid, f.values / integral(f))
+    f = Field(grid, np.exp(-r2 / (2.0 * width ** 2)))
+    return Field(grid, f.values / integral(f))
 
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return make_grid(1, 40.0, 512)
+    return GridSpec(1, 40.0, 512)
 
 
 # -- time change ------------------------------------------------------------
@@ -95,24 +97,31 @@ def test_default_snapshot_times():
 
 # -- absorption laws ---------------------------------------------------------
 
+def absorption_law(kind, **keys):
+    """build_absorption's law for absorption = kind and the given keys."""
+    return build_absorption(config_from_mapping(
+        {"alpha": 1.0, "half_width": 20.0, "points": 64, "absorption": kind, **keys}))
+
+
 def test_no_absorption_is_zero():
-    h = make_absorption("none")
+    h = absorption_law("none")
     assert h.rate(3.0) == 0.0
     assert h.integral(0.0, 10.0) == 0.0
     assert h.tail_exponent == -np.inf
     # the coefficient of kind "none" is not read
-    assert make_absorption("none", coefficient=5.0).coefficient == 0.0
+    assert absorption_law("none", absorption_coefficient=5.0).coefficient == 0.0
 
 
 def test_constant_absorption():
-    h = make_absorption("constant", coefficient=2.5, exponent=0.7)
+    h = absorption_law("constant", absorption_coefficient=2.5, absorption_exponent=0.7)
     assert h.exponent == 0.0
     assert h.rate(0.3) == 2.5
     assert h.integral(1.0, 4.0) == 7.5
     assert h.tail_exponent == 0.0
     for kind in ("constant", "power"):
-        with pytest.raises(ConfigurationError, match="^coefficient must be > 0"):
-            make_absorption(kind, coefficient=0.0)
+        with pytest.raises(ConfigurationError,
+                           match="^absorption_coefficient must be finite and > 0"):
+            absorption_law(kind, absorption_coefficient=0.0)
 
 
 @pytest.mark.parametrize("coeff,sigma", [(2.0, 0.7), (1.5, -1.0), (1.0, -2.3)])
@@ -202,17 +211,20 @@ def test_solve_checks_the_table_range_before_any_step(small_grid, monkeypatch):
         solve(problem, schedule)
 
 
-def test_make_absorption_dispatch():
+def test_build_absorption_dispatch(tmp_path):
     for kind, coefficient, exponent in (("none", 0.0, 0.0), ("constant", 1.0, 0.0),
                                         ("power", 1.0, -1.0)):
-        h = make_absorption(kind, coefficient=1.0, exponent=-1.0)
+        h = absorption_law(kind, absorption_coefficient=1.0, absorption_exponent=-1.0)
         assert isinstance(h, PowerAbsorption)
         assert (h.coefficient, h.exponent) == (coefficient, exponent)
-    table = make_absorption("table", times=np.array([0.0, 1.0]),
-                            values=np.array([1.0, 1.0]))
+    path = tmp_path / "h.csv"
+    path.write_text("time,value\n0,1\n1,1\n")
+    table = absorption_law("table", absorption_table=str(path))
     assert isinstance(table, TableAbsorption)
-    with pytest.raises(ConfigurationError):
-        make_absorption("exponential")
+    assert table.times.tolist() == [0.0, 1.0] and table.values.tolist() == [1.0, 1.0]
+    with pytest.raises(ConfigurationError, match="^unknown absorption kind 'exponential'$"):
+        build_absorption(ExperimentConfig(alpha=1.0, half_width=20.0, points=64,
+                                          absorption="exponential"))
 
 
 # -- problem validation -------------------------------------------------------
@@ -235,7 +247,7 @@ def test_problem_spec_validation(small_grid):
                         absorption=PowerAbsorption(0.0), initial=u0)
     with pytest.raises(ConfigurationError):
         ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=PowerAbsorption(0.0),
-                    initial=make_field(small_grid, u0.values - 0.1))
+                    initial=Field(small_grid, u0.values - 0.1))
 
 
 # -- schedule construction ----------------------------------------------------
@@ -360,7 +372,7 @@ def test_absorb_edge_cases(small_grid):
     np.testing.assert_array_equal(out, 0.0)
     # mass cannot grow
     stepped = absorbed(u0.values, PowerAbsorption(1.0), 0.0, 1.0, 2.0)
-    assert integral(make_field(small_grid, stepped)) < integral(u0)
+    assert integral(Field(small_grid, stepped)) < integral(u0)
 
 
 def test_absorb_at_p_3_is_the_power_form_bitwise():
@@ -473,7 +485,7 @@ def test_solve_step_is_absorb_linear_absorb_bitwise(dim, points, p, beta):
     absorption: the in-place loop and the Field-returning transform agree
     bit for bit. A delta on a coarse grid makes the semigroup ripple, so
     the clip runs too."""
-    grid = make_grid(dim, 160.0, points)
+    grid = GridSpec(dim, 160.0, points)
     u0 = delta_field(grid)
     h = PowerAbsorption(1.0, -0.3)
     prob = ProblemSpec(alpha=1.3, beta=beta, p=p, absorption=h, initial=u0)
@@ -483,7 +495,7 @@ def test_solve_step_is_absorb_linear_absorb_bitwise(dim, points, p, beta):
     t_a, t_b = sched.knot_times
     taus = sched.knot_taus
     t_m = tau_to_time((taus[:-1] + taus[1:]) / 2.0, beta)[0]
-    half = make_field(grid, absorbed(u0.values, h, t_a, t_m, p))
+    half = Field(grid, absorbed(u0.values, h, t_a, t_m, p))
     full = apply_symbol(half, make_symbol(grid, 1.3), scale=taus[1] - taus[0],
                         mode="semigroup").values
     solver._clip_negative(full, grid.cell_volume)
@@ -500,7 +512,7 @@ def test_solve_peaks_below_four_and_a_half_grids(dim, points):
     a run holds the state, the spectrum, the symbol, the multiplier and
     its one snapshot: its traced peak, symbol build included, stays below
     4.5 grids (about 4.2; a separate work array made it about 5.2)."""
-    grid = make_grid(dim, 64.0, points)
+    grid = GridSpec(dim, 64.0, points)
     u0 = unit_gaussian(grid)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
                        initial=u0)
@@ -566,9 +578,9 @@ def test_solve_rejects_mismatched_beta(small_grid):
 def test_solve_checks_its_memory_budget_before_allocating(monkeypatch):
     """2^22 points with 241 snapshot knots hold about 7.5 GiB of
     snapshots: rejected before the symbol or any work array exists."""
-    grid = make_grid(1, 400.0, 2 ** 22)
+    grid = GridSpec(1, 400.0, 2 ** 22)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
-                       initial=make_field(grid, np.zeros(grid.shape)))
+                       initial=Field(grid, np.zeros(grid.shape)))
     sched = make_step_schedule(1.0, 100.0, 0.0, 1e9,
                                snapshot_times=geometric_times(1.0, 100.0, 241))
 
@@ -596,9 +608,9 @@ def test_geometric_knots_converge_at_order_two_in_the_c11_setting():
     K = 40 reaches the Richardson limit of the uniform runs, 0.09996078,
     to 1e-6 in at most 250 steps, and doubling K cuts the error four
     times (C08's rule)."""
-    u0 = unit_gaussian(make_grid(1, 400.0, 8192))
+    u0 = unit_gaussian(GridSpec(1, 400.0, 8192))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
-                       initial=make_field(u0.grid, 0.1 * u0.values))
+                       initial=Field(u0.grid, 0.1 * u0.values))
     m_inf, steps = {}, {}
     for K in (20, 40, 80):
         knots = np.geomspace(1e-3, 1e3, 6 * K + 1)
@@ -628,9 +640,9 @@ def cut_sizes(records):
 
 @pytest.mark.parametrize("p", [1.2, 3.0])
 def test_cut_agrees_with_the_fixed_grid_in_the_c11_setting(p, caplog):
-    u0 = unit_gaussian(make_grid(1, 400.0, 8192))
+    u0 = unit_gaussian(GridSpec(1, 400.0, 8192))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=p, absorption=PowerAbsorption(1.0),
-                       initial=make_field(u0.grid, 0.1 * u0.values))
+                       initial=Field(u0.grid, 0.1 * u0.values))
     with caplog.at_level("DEBUG", logger="mixheat.solver"):
         cut, fixed = solve_cut_and_fixed(prob, geometric_steps())
     assert cut_sizes(caplog.records)
@@ -642,10 +654,10 @@ def solve_2d_runs():
     """The benchmark's solve-2d run (alpha = 1, p = 3, h = 1, 256^2 on
     [-64, 64)^2, t in [0, 1e3], dtau_max = 0.5), every knot kept, with
     and without the cut, and the cut's log records."""
-    grid = make_grid(2, 64.0, 256)
+    grid = GridSpec(2, 64.0, 256)
     u0 = unit_gaussian(grid)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
-                       initial=make_field(grid, 0.1 * u0.values))
+                       initial=Field(grid, 0.1 * u0.values))
     records = []
     handler = logging.Handler(logging.DEBUG)
     handler.emit = records.append
@@ -675,21 +687,56 @@ def test_solve_2d_ends_on_a_grid_of_at_most_32_points(solve_2d_runs):
 def test_cut_agrees_with_the_fixed_grid_for_an_off_node_2d_datum(caplog):
     """A datum centred between nodes: its peak is no sample, so only the
     linf guard keeps the trace's sample maximum within _LINF_TOL."""
-    grid = make_grid(2, 64.0, 256)
+    grid = GridSpec(2, 64.0, 256)
     x, y = grid.coords()
     bump = np.exp(-((x - 0.3183) ** 2 + (y - 0.3183) ** 2) / (2.0 * 1.53 ** 2))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
-                       initial=make_field(grid, 0.1033 * bump / (bump.sum() * grid.cell_volume)))
+                       initial=Field(grid, 0.1033 * bump / (bump.sum() * grid.cell_volume)))
     with caplog.at_level("DEBUG", logger="mixheat.solver"):
         cut, fixed = solve_cut_and_fixed(prob, geometric_steps(per_decade=20))
     assert cut_sizes(caplog.records)
     assert_cut_agrees(cut, fixed)
 
 
+def test_cut_bound_is_free_of_the_box_width():
+    """The linf bound is formed from k, not xi = pi k / L: the same samples
+    on boxes where L^2 or (pi / L)^2 overflows cut alike, to 16 points."""
+    grid = GridSpec(1, 20.0, 256)
+    u = 1.0 + 1e-9 * np.cos(np.pi * grid.axis_coords() / 20.0)
+    cuts = []
+    for L in (20.0, 1e300, 1e-300):
+        g = GridSpec(1, L, 256)
+        spectrum = solver._rfft(g, u)
+        cuts.append(solver._cut_halvings(g, u, spectrum, np.empty(spectrum.shape)))
+    assert cuts[0][0] == 4 and cuts == cuts[:1] * 3
+
+
+def test_cut_keeps_the_order_of_a_sharp_datum():
+    """The linf guard also keeps a state that still takes small steps off
+    the coarse grid. Unguarded, this datum (alpha = 1, p = 3, h = 2, 256
+    points on L = 20, t in [0, 1], dtau_max = 1) cuts 256 -> 128 at t = 0,
+    steps dtau ~ 1e-3 far below the coarse grid's positivity threshold of
+    about 0.35 dx_c^2 and reads -1.08e-8 here, past the floor of
+    test_solve_preserves_the_order_of_its_data; guarded it reads +5.5e-88."""
+    grid = GridSpec(1, 20.0, 256)
+    x = grid.axis_coords()
+
+    def gaussian(width, mass):
+        bump = np.exp(-x ** 2 / (2.0 * width ** 2))
+        return bump * (mass / (np.sum(bump) * grid.cell_volume))
+
+    smaller = gaussian(0.875, 28.0)
+    larger = Field(grid, smaller + gaussian(1.0, 1.0))
+    problem = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(2.0),
+                          initial=Field(grid, smaller))
+    gap = comparison_check(problem, larger, make_step_schedule(0.0, 1.0, 0.0, 1.0))
+    assert gap >= -1e-10 * float(np.max(larger.values))
+
+
 def test_solve_logs_each_cut_at_debug(caplog):
     """One DEBUG line per cut: the knot time, n -> n' and the linf bound,
     which stays within _LINF_TOL of max u."""
-    u0 = unit_gaussian(make_grid(1, 8.0, 256))
+    u0 = unit_gaussian(GridSpec(1, 8.0, 256))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
                        initial=u0)
     with caplog.at_level("DEBUG", logger="mixheat.solver"):
@@ -747,7 +794,7 @@ def test_comparison_check_ordering(small_grid):
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
                        absorption=PowerAbsorption(1.0), initial=u0)
     sched = make_step_schedule(0.5, 4.0, 0.0, 0.1)
-    doubled = make_field(small_grid, 2.0 * u0.values)
+    doubled = Field(small_grid, 2.0 * u0.values)
     gap = comparison_check(prob, doubled, sched)
     assert gap >= -1e-10 * 2.0 * float(u0.values.max())
     # identical data: identical runs, gap exactly zero
@@ -759,10 +806,10 @@ def test_comparison_check_rejects_non_dominating(small_grid):
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0,
                        absorption=PowerAbsorption(0.0), initial=u0)
     sched = make_step_schedule(0.5, 2.0, 0.0, 0.1)
-    halved = make_field(small_grid, 0.5 * u0.values)
+    halved = Field(small_grid, 0.5 * u0.values)
     with pytest.raises(ConfigurationError):
         comparison_check(prob, halved, sched)
-    other = unit_gaussian(make_grid(1, 40.0, 256))
+    other = unit_gaussian(GridSpec(1, 40.0, 256))
     with pytest.raises(ConfigurationError):
         comparison_check(prob, other, sched)
 
