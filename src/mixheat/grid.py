@@ -137,7 +137,10 @@ def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed") -> SpectralSy
     mag = grid.freq_magnitude()
     values = mag ** alpha
     if kind == "mixed":  # in place, over mag: a sum commutes, so same bits
-        values += np.square(mag, out=mag)
+        # |xi|^2 overflows to inf on a box narrower than about 1e-150, where
+        # the semigroup's exp(-t m) = 0 is the right factor
+        with np.errstate(over="ignore"):
+            values += np.square(mag, out=mag)
     return SpectralSymbol(grid=grid, values=values)
 
 

@@ -27,15 +27,20 @@ holds to FFT roundoff plus the (logged) clipped ripple mass, regardless
 of step size.
 
 The semigroup damps every nonzero mode, so a run's upper modes reach
-roundoff long before it ends. At each knot but the last, solve halves the
-grid (keeping L, never below 16 points) as often as both of these allow:
-every mode with |k| >= n/4 on any axis is at most _CUT_TOL of the
-spectrum's peak, and the coarse samples' maximum cannot fall more than
-_LINF_TOL * max u below the fine samples' maximum. The coarse state is the
-fine state's samples at every 2^m-th node; the trace's linf is a maximum
-over the current grid's samples. Snapshots taken on a coarse grid are
-zero-padded back to the problem's grid and their interpolation ripple is
-clipped (and booked in clipped_mass), so every snapshot lives on one grid.
+roundoff long before it ends. In the first substep after each knot but
+the last, solve tests the spectrum that the step's own transform makes
+of the state after its first half absorption, so the test sees the
+harmonics that absorption creates. It halves the grid (keeping L, never
+below 16 points) as often as every mode with |k| >= n/4 on any axis is
+at most _CUT_TOL of the spectrum's peak; the absorbed state is then
+decimated to its samples at every 2^m-th node, and the step goes on from
+one transform on the coarse grid. On the problem's grid the trace's linf
+is the samples' maximum; on a coarse grid it is still read on the
+problem's grid, as the maximum of the band-limited interpolant at the
+fine nodes within a coarse cell of the best coarse sample (_FineMax).
+Snapshots taken on a coarse grid are zero-padded back to the problem's
+grid and their interpolation ripple is clipped (and booked in
+clipped_mass), so every snapshot lives on one grid.
 """
 
 import dataclasses
@@ -61,20 +66,17 @@ _TRACE_ROW_BYTES = 6 * 8
 # just before it, less its one snapshot, measured 3.90 grids in 1D (2^22
 # points) and 3.05 in 2D (2048^2); 5 leaves a margin.
 # After a cut these buffers live on the coarse grid, 2^-(m dim) of the
-# size: the budget checked at the problem's grid still holds.
+# size, beside linf's Dirichlet rows, one fine axis of floats (a grid in
+# 1D): the budget checked at the problem's grid still holds.
 _WORK_GRIDS = 5
 # Most Strang steps one schedule may hold: the trace rows of one more step
 # would not fit _MAX_BYTES. A larger count is a config error, caught before
 # any work.
 _MAX_STEPS = _MAX_BYTES // _TRACE_ROW_BYTES - 1
-# The grid cut (see the module docstring): the largest |u_k| above n/4, as
-# a share of the peak |u_0|, that a halving may drop; and the bound on how
-# far the coarse samples' maximum may fall below the fine samples', as a
-# share of max u. The linf bound also keeps states that still take small steps
-# off a coarse grid: unguarded, two centred Gaussians cut 256 -> 128 at t = 0,
-# step dtau ~ 1e-3 below its positivity threshold 0.35 dx_c^2 and lose order.
+# The grid cut (see the module docstring): the largest |u_k| from the coarse
+# grid's Nyquist index up, as a share of the peak |u_0|, that a halving may
+# drop.
 _CUT_TOL = 1e-14
-_LINF_TOL = 1e-9
 
 
 def _check_grid_budget(grids: int, grid: GridSpec, key: str, what: str):
@@ -390,43 +392,85 @@ def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # The grid cut.
 
-def _cut_halvings(grid: GridSpec, u: np.ndarray, spectrum: np.ndarray,
-                  magnitude: np.ndarray):
-    """How many times the grid may halve under u, and the linf bound at
-    that cut: (m, bound). spectrum holds _rfft(grid, u); |u_k| is formed
-    in magnitude, a free half-lattice float buffer. u >= 0, so the zero
-    mode is the spectrum's peak.
-
-    The bound: the coarse grid's nearest sample to the maximum lies within
-    dim (dx_c/2)^2 of it in squared distance, and u there is within half
-    that times sup |D^2 u| <= 2 sum |xi|^2 |u_k| / N (the half lattice
-    counted twice) of the maximum: pi^2 dim 4^(m+1) sum k^2 |u_k| / (n^2 N),
-    with dx_c = 2^(m+1) 2L/n and xi = pi k/L, so L (whose square may overflow) cancels."""
+def _cut_halvings(grid: GridSpec, spectrum: np.ndarray, magnitude: np.ndarray) -> int:
+    """How many times the grid may halve under a state >= 0 whose half
+    spectrum is `spectrum`: every mode from the coarse grid's Nyquist index
+    up, on any axis, is at most _CUT_TOL of the peak, the zero mode. |u_k|
+    is formed in magnitude, a free half-lattice float buffer."""
     np.abs(spectrum, out=magnitude)
     n, dim = grid.points, grid.dim
-    # sum k^2 |u_k|, one axis at a time on marginal sums; the 1D k^2 is the
-    # one temporary the size of the half lattice
-    weighted = 0.0
-    for axis in range(dim):
-        others = tuple(a for a in range(dim) if a != axis)
-        marginal = np.add.reduce(magnitude, axis=others) if others else magnitude
-        k = np.arange(marginal.size, dtype=float)
-        if axis < dim - 1:  # FFT order: index i is k = i or i - n
-            np.minimum(k, n - k, out=k)
-        weighted += float(np.dot(np.square(k, out=k), marginal))
-    unit = np.pi ** 2 * dim * weighted / (float(n) ** 2 * u.size)  # at m + 1 = 0
-    peak, top = float(magnitude.flat[0]), float(u.max())
-    m, bound = 0, 0.0
+    peak = float(magnitude.flat[0])
+    m = 0
     while n >> (m + 1) >= 16:  # GridSpec's least points per axis
         c = n >> (m + 2)  # the coarse grid's Nyquist index
         upper = magnitude[..., c:].max()
         if dim == 2:
             upper = max(upper, magnitude[c:n - c + 1].max())
-        next_bound = 4.0 ** (m + 1) * unit
-        if upper > _CUT_TOL * peak or next_bound > _LINF_TOL * top:
+        if upper > _CUT_TOL * peak:
             break
-        m, bound = m + 1, next_bound
-    return m, bound
+        m += 1
+    return m
+
+
+def _dirichlet_rows(coarse: GridSpec, fine: GridSpec) -> np.ndarray:
+    """rows[s, o] = K(s r + o), r = n / n_c: the Dirichlet kernel
+    K(d) = sin(pi d (n_c - 1) / n) / (n_c sin(pi d / n)), the band-limited
+    interpolant (coarse Nyquist modes dropped, as in _refine) of a coarse
+    unit sample at fine offset d. Every offset appears once, so rows holds
+    one fine axis of floats. K is even and n-periodic: the half d <= n/2 is
+    formed, the numerator's angle reduced exactly, and mirrored."""
+    n, n_c = fine.points, coarse.points
+    half = n // 2 + 1
+    out = np.empty(n)
+    num = out[:half]
+    d = np.arange(half, dtype=float)
+    np.fmod(np.multiply(d, n_c - 1, out=num), 2 * n, out=num)
+    num *= np.pi / n
+    np.sin(num, out=num)
+    d *= np.pi / n
+    np.sin(d, out=d)
+    d *= n_c
+    d[0] = 1.0
+    num /= d
+    num[0] = (n_c - 1) / n_c
+    out[half:] = out[1:n // 2][::-1]
+    return out.reshape(n_c, n // n_c)
+
+
+class _FineMax:
+    """The trace's linf on a coarse grid, read on the problem's: the
+    maximum of the coarse state's band-limited interpolant at the fine
+    nodes in the coarse cells on either side of its best sample, on every
+    axis. On each axis the interpolant at fine node i r + o (0 <= o < r)
+    is sum_s rows[s, o] u[i - s], for rows = _dirichlet_rows, built once
+    per cut."""
+
+    def __init__(self, coarse: GridSpec, fine: GridSpec):
+        self.rows = _dirichlet_rows(coarse, fine)
+        self.best, self.take = -1, None
+
+    def __call__(self, u: np.ndarray) -> float:
+        n_c = u.shape[0]
+        best = int(u.argmax())
+        if best != self.best:  # the flat indices of u[i - c - s], c = 0 or 1
+            cells = np.add.outer((0, 1), np.arange(n_c)).ravel()
+            near = [(i - cells) % n_c for i in np.unravel_index(best, u.shape)]
+            self.take = near[0] if u.ndim == 1 else near[0][:, None] * n_c + near[1]
+            self.best = best
+        v = u.take(self.take).reshape(-1, n_c) @ self.rows
+        if u.ndim == 2:  # the last axis's offsets are in; now the leading one's
+            v = self.rows.T @ v.reshape(2, n_c, -1)
+        return float(v.max())
+
+
+def _l2_norm(u: np.ndarray, top: float, dV: float, work: np.ndarray) -> float:
+    """sqrt(sum u^2 dV) for a finite u >= 0 with maximum top (a float).
+    Only where top^2 N dV overflows, so that the plain sum might, is u
+    scaled by top first: every other state keeps the plain sum's bits."""
+    if top * top * u.size * dV < np.inf:
+        return np.sqrt(np.add.reduce(np.square(u, out=work), axis=None) * dV)
+    np.square(np.divide(u, top, out=work), out=work)
+    return top * np.sqrt(np.add.reduce(work, axis=None) * dV)
 
 
 def _work_buffers(grid: GridSpec, alpha: float):
@@ -545,15 +589,17 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     g = grid
     symbol, spectrum, multiplier, work = _work_buffers(g, problem.alpha)
     dV = g.cell_volume
+    fine_max = None  # the linf reader of a cut grid, set at each cut
 
     u = problem.initial.values.copy()
     clipped_total = 0.0
     mass = np.add.reduce(u, axis=None)
     t0 = float(schedule.knot_times[0])
+    top = float(u.max())
     # one trace row per step, in MassTrace's column order
     rows = np.empty((6, schedule.total_steps + 1))
-    rows[:, 0] = (t0, schedule.knot_taus[0], mass * dV, 0.0, u.max(),
-                  np.sqrt(np.add.reduce(np.square(u, out=work), axis=None) * dV))
+    rows[:, 0] = (t0, schedule.knot_taus[0], mass * dV, 0.0, top,
+                  _l2_norm(u, top, dV, work))
     filled = 1
     absorbed = 0.0
 
@@ -580,20 +626,6 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         record_snapshot(t0, u)
 
     for k in range(schedule.knot_times.size - 1):
-        # the cut, at every knot but the last, once its snapshot is taken
-        _rfft(g, u, out=spectrum)
-        halvings, bound = _cut_halvings(g, u, spectrum, multiplier)
-        if halvings:
-            coarse = dataclasses.replace(g, points=g.points >> halvings)
-            _log.debug("solve cut the grid at t = %g: %d -> %d points per axis, "
-                       "linf bound %.3e", schedule.knot_times[k], g.points,
-                       coarse.points, bound)
-            u = u[(slice(None, None, 2 ** halvings),) * g.dim].copy()
-            g = coarse
-            symbol, spectrum, multiplier, work = _work_buffers(g, problem.alpha)
-            dV = g.cell_volume
-            mass = np.add.reduce(u, axis=None)
-
         tau_a = schedule.knot_taus[k]
         tau_b = schedule.knot_taus[k + 1]
         n_sub = int(schedule.substeps[k])
@@ -605,15 +637,31 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         sub_times[-1] = schedule.knot_times[k + 1]
         mid_times = tau_to_time((sub_taus[:-1] + sub_taus[1:]) / 2.0, beta)
         dtau = (tau_b - tau_a) / n_sub
-        np.exp(np.multiply(symbol, -dtau, out=multiplier), out=multiplier)
-        multiplier *= 1.0 / u.size  # the inverse transform's 1/N
         for j in range(n_sub):
             _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p, work)
             absorbed += (mass - np.add.reduce(u, axis=None)) * dV
 
+            _rfft(g, u, out=spectrum)
+            if j == 0:
+                # the cut, on this step's own spectrum of the absorbed state
+                halvings = _cut_halvings(g, spectrum, multiplier)
+                if halvings:
+                    coarse = dataclasses.replace(g, points=g.points >> halvings)
+                    _log.debug("solve cut the grid at t = %g: %d -> %d points per axis",
+                               schedule.knot_times[k], g.points, coarse.points)
+                    u = u[(slice(None, None, 2 ** halvings),) * g.dim].copy()
+                    g = coarse
+                    # the fine buffers go before the rows are built
+                    symbol = spectrum = multiplier = work = fine_max = None
+                    fine_max = _FineMax(g, grid)
+                    symbol, spectrum, multiplier, work = _work_buffers(g, problem.alpha)
+                    dV = g.cell_volume
+                    _rfft(g, u, out=spectrum)
+                np.exp(np.multiply(symbol, -dtau, out=multiplier), out=multiplier)
+                multiplier *= 1.0 / u.size  # the inverse transform's 1/N
+
             # exp(-dtau m) and the ripple clip on u in place: the bits of
             # apply_symbol(mode="semigroup") then _clip_negative
-            _rfft(g, u, out=spectrum)
             spectrum *= multiplier
             _irfft(g, spectrum, out=u)
             clipped_total += _clip_negative(u, dV)
@@ -625,16 +673,17 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
 
             # u >= 0 here, so max is the sup norm of the samples (and NaN
             # propagates)
-            linf = float(u.max())
-            if not np.isfinite(linf):
+            top = float(u.max())
+            if not np.isfinite(top):
                 err = NumericalFailureError(
                     f"non-finite state at t = {sub_times[j + 1]:g} "
                     f"({filled - 1} steps completed)")
                 err.partial = partial_result()
                 raise err
-            l2 = np.sqrt(np.add.reduce(np.square(u, out=work), axis=None) * dV)
+            # on a cut grid, linf is read at the problem grid's nodes
+            linf = top if g is grid else fine_max(u)
             rows[:, filled] = (sub_times[j + 1], sub_taus[j + 1], mass * dV, absorbed,
-                               linf, l2)
+                               linf, _l2_norm(u, top, dV, work))
             filled += 1
         if is_snapshot[k + 1]:
             record_snapshot(float(schedule.knot_times[k + 1]), u)

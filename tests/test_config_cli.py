@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mixheat import (
     write_field,
     write_mass_csv,
 )
+from conftest import logged_cuts
 from mixheat import cli, fractional, kernels, solver
 from mixheat.cli import main
 from mixheat.config import (
@@ -382,12 +384,30 @@ def test_cli_rejects_bad_capacity_and_kernel_inputs(cfg_path, tmp_path, capsys,
 
 
 def test_cli_solves_on_a_box_too_wide_to_square(cfg_path, tmp_path, capsys):
-    """The grid cut's linf bound never forms L^2, which overflows here."""
+    """The grid cut reads the spectrum by index, never forming L^2, which
+    overflows here."""
     rc = main(["solve", "--config", cfg_path, "--set", "points=64",
                "--set", "half_width=1e300", "--out-dir", str(tmp_path / "out")])
     assert rc == 0
     lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert float(lines["ledger_defect"]) <= 2e-15
+
+
+def test_cli_solves_on_a_box_too_narrow_to_square(cfg_path, tmp_path, capsys):
+    """On half_width = 1e-300 the datum's samples (about 5e299) square to
+    inf, and so does |xi|^2 in the symbol: the trace's l2 stays finite, and
+    no RuntimeWarning leaks."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", "--config", cfg_path, "--set", "points=64",
+                   "--set", "half_width=1e-300", "--out-dir", str(out)])
+    assert rc == 0
+    assert "Warning" not in capsys.readouterr().err
+    trace = read_mass_csv(out / "mass.csv")
+    assert np.all(np.isfinite(trace.l2))
+    # a flat 5e299 on 64 cells of 2e-300 / 64: sqrt(64 * 2.5e599 * 3.125e-302)
+    assert trace.l2[0] == pytest.approx(np.sqrt(5e299), rel=1e-14)
 
 
 @pytest.mark.parametrize("override", ["initial_width=1e-160", "initial_mass=1e-300"])
@@ -591,6 +611,20 @@ def test_cli_sweep(cfg_path, tmp_path, capsys):
                "--out-dir", str(out)])
     assert rc == 0
     assert (out / "sweep.csv").read_text().splitlines() == [lines[0]]
+
+
+def test_cli_sweep_1d_legs_end_on_16_points(cfg_path, tmp_path):
+    """The benchmark's sweep-1d run (the C11 setting stepped at dtau_max =
+    0.5, p = 1.2 and 3): each leg cuts its 8192-point grid down to 16."""
+    keys = {**_SWEEP_1D, "t0": 0.0, "t1": 1000.0, "dtau_max": 0.5, "initial_mass": 0.1}
+    sets = [arg for key, value in keys.items() for arg in ("--set", f"{key}={value}")]
+    with logged_cuts() as cuts:
+        rc = main(["sweep", "--config", cfg_path, *sets, "--p-values", "1.2,3",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    starts = [i for i, (points, _) in enumerate(cuts) if points == 8192]
+    assert starts == [0, starts[1]]
+    assert cuts[starts[1] - 1][1] == 16 and cuts[-1][1] == 16
 
 
 # a table does not define h past its last time, wherever that lies, so its

@@ -9,15 +9,15 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_cut_agrees, solve_cut_and_fixed
+from conftest import assert_cut_agrees, logged_cuts, solve_cut_and_fixed
 from mixheat import (ConfigurationError, ExperimentConfig, Field, GridSpec,
                      PowerAbsorption, ProblemSpec, comparison_check,
                      config_from_mapping, make_step_schedule,
                      mass_identity_defect, parse_config_text, read_field, solve,
-                     write_field)
+                     time_to_tau, write_field)
 from mixheat.config import _CHOICES
 from mixheat.solver import _absorb
 
@@ -216,4 +216,30 @@ def test_solve_preserves_the_order_of_its_data(alpha, beta, p, c, sigma, width, 
                           initial=Field(_SOLVE_GRID, smaller))
     schedule = make_step_schedule(t0, t1, beta, dtau_max)
     gap = comparison_check(problem, larger, schedule)
+    assert gap >= -1e-10 * float(np.max(larger.values))
+
+
+@few
+@given(alpha=st.floats(0.1, 1.9), beta=st.floats(0.0, 2.0), p=st.floats(1.05, 5.0),
+       c=st.floats(0.0, 10.0), sigma=st.floats(-2.0, 2.0),
+       width=st.floats(2.25, 4.5), mass=st.floats(1e-3, 1e3), center=st.floats(-3.0, 3.0),
+       extra_width=st.floats(2.25, 4.5), extra_mass=st.floats(0.0, 1e3),
+       extra_center=st.floats(-3.0, 3.0),
+       t0=st.sampled_from([0.0, 0.5]), t1=st.floats(1.0, 90.0), steps=st.integers(10, 1000))
+def test_solve_preserves_order_where_the_grid_cuts(alpha, beta, p, c, sigma, width, mass,
+                                                   center, extra_width, extra_mass,
+                                                   extra_center, t0, t1, steps):
+    """test_solve_preserves_the_order_of_its_data with data three times as
+    wide and horizons up to 90, so that the grid cuts while the steps may
+    still be small; only the draws that cut count. dtau_max is the tau span
+    over a drawn step count, which bounds the run's cost at any beta."""
+    smaller = _gaussian(width, mass, center)
+    larger = Field(_SOLVE_GRID, smaller + _gaussian(extra_width, extra_mass,
+                                                    extra_center))
+    problem = ProblemSpec(alpha=alpha, beta=beta, p=p, absorption=PowerAbsorption(c, sigma),
+                          initial=Field(_SOLVE_GRID, smaller))
+    with logged_cuts() as cuts:
+        dtau_max = (time_to_tau(t1, beta) - time_to_tau(t0, beta)) / steps
+        gap = comparison_check(problem, larger, make_step_schedule(t0, t1, beta, dtau_max))
+    assume(cuts)
     assert gap >= -1e-10 * float(np.max(larger.values))

@@ -38,7 +38,7 @@ from mixheat import (
     tau_to_time,
     time_to_tau,
 )
-from conftest import assert_cut_agrees, solve_cut_and_fixed
+from conftest import assert_cut_agrees, logged_cuts, solve_cut_and_fixed
 from mixheat import solver
 from mixheat.solver import _MAX_STEPS, geometric_times
 
@@ -633,19 +633,14 @@ def geometric_steps(t1=1e3, per_decade=40):
     return make_step_schedule(0.0, t1, 0.0, 1e9, snapshot_times=knots)
 
 
-def cut_sizes(records):
-    """The (points, coarse points) of each cut solve logged."""
-    return [r.args[1:3] for r in records if r.getMessage().startswith("solve cut")]
-
-
 @pytest.mark.parametrize("p", [1.2, 3.0])
-def test_cut_agrees_with_the_fixed_grid_in_the_c11_setting(p, caplog):
+def test_cut_agrees_with_the_fixed_grid_in_the_c11_setting(p):
     u0 = unit_gaussian(GridSpec(1, 400.0, 8192))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=p, absorption=PowerAbsorption(1.0),
                        initial=Field(u0.grid, 0.1 * u0.values))
-    with caplog.at_level("DEBUG", logger="mixheat.solver"):
+    with logged_cuts() as cuts:
         cut, fixed = solve_cut_and_fixed(prob, geometric_steps())
-    assert cut_sizes(caplog.records)
+    assert cuts
     assert_cut_agrees(cut, fixed)
 
 
@@ -653,24 +648,14 @@ def test_cut_agrees_with_the_fixed_grid_in_the_c11_setting(p, caplog):
 def solve_2d_runs():
     """The benchmark's solve-2d run (alpha = 1, p = 3, h = 1, 256^2 on
     [-64, 64)^2, t in [0, 1e3], dtau_max = 0.5), every knot kept, with
-    and without the cut, and the cut's log records."""
+    and without the cut, and the cut's (points, coarse points)."""
     grid = GridSpec(2, 64.0, 256)
     u0 = unit_gaussian(grid)
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
                        initial=Field(grid, 0.1 * u0.values))
-    records = []
-    handler = logging.Handler(logging.DEBUG)
-    handler.emit = records.append
-    log = logging.getLogger("mixheat.solver")
-    level = log.level
-    log.addHandler(handler)
-    log.setLevel(logging.DEBUG)
-    try:
+    with logged_cuts() as cuts:
         cut, fixed = solve_cut_and_fixed(prob, make_step_schedule(0.0, 1e3, 0.0, 0.5))
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
-    return cut, fixed, records
+    return cut, fixed, cuts
 
 
 def test_cut_agrees_with_the_fixed_grid_on_solve_2d(solve_2d_runs):
@@ -679,45 +664,48 @@ def test_cut_agrees_with_the_fixed_grid_on_solve_2d(solve_2d_runs):
 
 
 def test_solve_2d_ends_on_a_grid_of_at_most_32_points(solve_2d_runs):
-    sizes = cut_sizes(solve_2d_runs[2])
+    sizes = solve_2d_runs[2]
     assert sizes[0][0] == 256 and sizes[-1][1] <= 32
     assert all(new == old for (_, new), (old, _) in zip(sizes, sizes[1:]))
 
 
-def test_cut_agrees_with_the_fixed_grid_for_an_off_node_2d_datum(caplog):
-    """A datum centred between nodes: its peak is no sample, so only the
-    linf guard keeps the trace's sample maximum within _LINF_TOL."""
+def test_cut_agrees_with_the_fixed_grid_for_an_off_node_2d_datum():
+    """A datum centred between nodes: its peak is no sample, so a coarse
+    grid's sample maximum falls short of the fixed grid's (by 5e-3 here);
+    linf read from the interpolant on the problem's grid does not."""
     grid = GridSpec(2, 64.0, 256)
     x, y = grid.coords()
     bump = np.exp(-((x - 0.3183) ** 2 + (y - 0.3183) ** 2) / (2.0 * 1.53 ** 2))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
                        initial=Field(grid, 0.1033 * bump / (bump.sum() * grid.cell_volume)))
-    with caplog.at_level("DEBUG", logger="mixheat.solver"):
+    with logged_cuts() as cuts:
         cut, fixed = solve_cut_and_fixed(prob, geometric_steps(per_decade=20))
-    assert cut_sizes(caplog.records)
+    assert cuts
     assert_cut_agrees(cut, fixed)
 
 
 def test_cut_bound_is_free_of_the_box_width():
-    """The linf bound is formed from k, not xi = pi k / L: the same samples
-    on boxes where L^2 or (pi / L)^2 overflows cut alike, to 16 points."""
+    """The cut test reads the spectrum by index k, never xi = pi k / L: the
+    same samples on boxes where L^2 or (pi / L)^2 overflows cut alike, to
+    16 points."""
     grid = GridSpec(1, 20.0, 256)
     u = 1.0 + 1e-9 * np.cos(np.pi * grid.axis_coords() / 20.0)
     cuts = []
     for L in (20.0, 1e300, 1e-300):
         g = GridSpec(1, L, 256)
         spectrum = solver._rfft(g, u)
-        cuts.append(solver._cut_halvings(g, u, spectrum, np.empty(spectrum.shape)))
-    assert cuts[0][0] == 4 and cuts == cuts[:1] * 3
+        cuts.append(solver._cut_halvings(g, spectrum, np.empty(spectrum.shape)))
+    assert cuts == [4] * 3
 
 
 def test_cut_keeps_the_order_of_a_sharp_datum():
-    """The linf guard also keeps a state that still takes small steps off
-    the coarse grid. Unguarded, this datum (alpha = 1, p = 3, h = 2, 256
-    points on L = 20, t in [0, 1], dtau_max = 1) cuts 256 -> 128 at t = 0,
-    steps dtau ~ 1e-3 far below the coarse grid's positivity threshold of
-    about 0.35 dx_c^2 and reads -1.08e-8 here, past the floor of
-    test_solve_preserves_the_order_of_its_data; guarded it reads +5.5e-88."""
+    """The cut tests the spectrum after the step's first half absorption,
+    whose harmonics keep this datum (alpha = 1, p = 3, h = 2, 256 points on
+    L = 20, t in [0, 1], dtau_max = 1) on its grid while it takes small
+    steps. A test of the state before absorption cuts 256 -> 128 at t = 0;
+    the steps dtau ~ 1e-3 then lie far below the coarse grid's positivity
+    threshold of about 0.35 dx_c^2, and the gap reads -1.08e-8, past the
+    floor of test_solve_preserves_the_order_of_its_data."""
     grid = GridSpec(1, 20.0, 256)
     x = grid.axis_coords()
 
@@ -734,8 +722,7 @@ def test_cut_keeps_the_order_of_a_sharp_datum():
 
 
 def test_solve_logs_each_cut_at_debug(caplog):
-    """One DEBUG line per cut: the knot time, n -> n' and the linf bound,
-    which stays within _LINF_TOL of max u."""
+    """One DEBUG line per cut: the knot time and n -> n'."""
     u0 = unit_gaussian(GridSpec(1, 8.0, 256))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
                        initial=u0)
@@ -743,12 +730,66 @@ def test_solve_logs_each_cut_at_debug(caplog):
         res = solve(prob, geometric_steps(t1=100.0, per_decade=10))
     cuts = [r for r in caplog.records if r.getMessage().startswith("solve cut")]
     assert cuts and all(r.levelno == logging.DEBUG for r in cuts)
-    assert re.fullmatch(r"solve cut the grid at t = \S+: 256 -> \d+ points per axis, "
-                        r"linf bound \S+e[-+]\d+", cuts[0].getMessage())
+    assert re.fullmatch(r"solve cut the grid at t = \S+: 256 -> \d+ points per axis",
+                        cuts[0].getMessage())
     for r in cuts:
-        t, _, _, bound = r.args
-        assert t in res.schedule.knot_times[:-1]
-        assert bound <= solver._LINF_TOL * res.trace.linf.max()
+        assert r.args[0] in res.schedule.knot_times[:-1]
+
+
+def test_solve_transforms_once_each_way_per_step(monkeypatch):
+    """The cut tests the spectrum its step's transform already made: a
+    solve that keeps one snapshot makes one forward and one inverse
+    transform per step, one more forward per cut (on the coarse grid), and
+    the pair that refines its final state to the problem's grid."""
+    counts = {"forward": 0, "inverse": 0}
+
+    def counted(name, transform):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(solver, "_rfft", counted("forward", solver._rfft))
+    monkeypatch.setattr(solver, "_irfft", counted("inverse", solver._irfft))
+    u0 = unit_gaussian(GridSpec(1, 400.0, 8192))
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                       initial=Field(u0.grid, 0.1 * u0.values))
+    schedule = geometric_steps()
+    with logged_cuts() as cuts:
+        res = solve(prob, dataclasses.replace(schedule,
+                                              snapshot_times=schedule.knot_times[-1:]))
+    assert cuts[-1][1] < 8192
+    assert counts == {"forward": res.total_steps + len(cuts) + 1,
+                      "inverse": res.total_steps + 1}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dirichlet_rows_are_the_refined_unit_sample(dim):
+    """rows[s, o] is the band-limited interpolant of a coarse unit sample
+    at fine offset s r + o: _refine's zero-padded spectrum, in closed form,
+    and a tensor product of the rows in 2D."""
+    fine, coarse = GridSpec(dim, 3.0, 64), GridSpec(dim, 3.0, 16)
+    unit = np.zeros(coarse.shape)
+    unit[(0,) * dim] = 1.0
+    rows = solver._dirichlet_rows(coarse, fine)
+    kernel = rows.ravel()
+    expected = kernel if dim == 1 else np.multiply.outer(kernel, kernel)
+    np.testing.assert_allclose(solver._refine(unit, coarse, fine), expected,
+                               rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fine_max_is_the_refined_maximum(dim):
+    """_FineMax reads the maximum of the refined state, whose peak lies
+    between coarse nodes, wherever the best sample sits on the torus."""
+    fine, coarse = GridSpec(dim, 4.0, 128), GridSpec(dim, 4.0, 16)
+    x = coarse.coords()
+    fine_max = solver._FineMax(coarse, fine)
+    for centre in (0.23, -3.6, 3.7):
+        u = np.exp(-sum((2.0 * np.sin(np.pi * (c - centre) / 8.0)) ** 2 for c in x))
+        refined = solver._refine(u, coarse, fine)
+        assert refined.max() > 1.001 * u.max()
+        assert fine_max(u) == pytest.approx(refined.max(), rel=1e-14)
 
 
 class _PoisonAbsorption:
