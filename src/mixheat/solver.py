@@ -285,7 +285,7 @@ class StepSchedule:
         snaps = self.snapshot_times
         t1 = self.knot_times[-1]
         if not (snaps.size and snaps[-1] == t1 and np.all(np.diff(snaps) > 0)
-                and np.all(np.isin(snaps, self.knot_times))):
+                and np.all(np.isin(snaps, self.knot_times, assume_unique=True))):
             raise ConfigurationError(
                 f"snapshot times must be increasing knot times ending at "
                 f"t1 = {t1}, got {snaps}")
@@ -321,7 +321,7 @@ def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
                 f"of {_MAX_STEPS}")
         if not np.all((snaps >= t0) & (snaps <= t1)):
             raise ConfigurationError("snapshot times must lie inside [t0, t1]")
-    knot_times = np.unique(np.concatenate([[t0, t1], snaps]))
+    knot_times = _distinct(np.concatenate([[t0, t1], snaps]))
     # Overflow to inf is caught below, before the count is cast to int.
     with np.errstate(over="ignore"):
         knot_taus = time_to_tau(knot_times, beta)
@@ -338,7 +338,16 @@ def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
             f"than the budget of {_MAX_STEPS}")
     return StepSchedule(beta=beta, knot_times=knot_times, knot_taus=knot_taus,
                         substeps=counts.astype(int),
-                        snapshot_times=np.unique(np.append(snaps, t1)))
+                        snapshot_times=_distinct(np.append(snaps, t1)))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1D float array, without its masked-array test, whose
+    first call imports numpy.ma: about 20 ms of every solve otherwise. For
+    the same reason the np.isin calls on schedules pass assume_unique (the
+    knots and snapshot times are distinct)."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +612,8 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     filled = 1
     absorbed = 0.0
 
-    is_snapshot = np.isin(schedule.knot_times, schedule.snapshot_times)
+    is_snapshot = np.isin(schedule.knot_times, schedule.snapshot_times,
+                          assume_unique=True)
     out_times, out_fields = [], []
 
     def record_snapshot(t_now, values):

@@ -169,10 +169,73 @@ def test_bracket_frac_laplacian_far_field_reference(s, q0, r, dim, expected):
     (0.45, 4.0, 2, -5.470606197987311e-06),
 ])
 def test_bracket_frac_laplacian_integer_exponent_gap(s, q0, dim, expected):
-    # q0 - N even: the large-r connection formula takes its logarithmic
-    # form, which hyp2f1 only uses when a - b is exactly an integer
+    # q0 - N even: the large-r connection formula takes its logarithmic form
     assert bracket_frac_laplacian(50.0, q0, s, dim) == pytest.approx(
         expected, rel=1e-10)
+
+
+# 40-digit values of the closed form, each from mpmath 1.3.0 at mp.dps = 40
+# with q0, s and r the binary floats in the row:
+#     4**s * gamma(q0/2 + s) * gamma(N/2 + s) / (gamma(q0/2) * gamma(N/2))
+#         * hyp2f1(q0/2 + s, N/2 + s, N/2, -r**2)
+_AFTER_ONE = 1.0000000000000002  # the float after 1, in the r > 1 branch
+
+
+@pytest.mark.parametrize("s,q0,r,dim,expected", [
+    # either side of the branch switch at r = 1, and r = 3e4
+    (0.5, 1.5, 1.0, 1, 6.8375922899947599e-2),
+    (0.5, 1.5, _AFTER_ONE, 1, 6.8375922899947494e-2),
+    (0.5, 1.5, 3e4, 1, -1.8451038062418764e-9),
+    (0.375, 2.5, 1.0, 2, 2.8719531177534197e-1),
+    (0.375, 2.5, _AFTER_ONE, 2, 2.871953117753418e-1),
+    (0.375, 2.5, 3e4, 2, -7.5591199961799229e-13),
+    # either side of the zero, at r = 1.1814 in 1D and 2.2462 in 2D
+    (0.5, 1.5, 1.17, 1, 3.4185478546681507e-3),
+    (0.5, 1.5, 1.19, 1, -2.5023370461494434e-3),
+    (0.375, 2.5, 2.24, 2, 2.0002641526631411e-4),
+    (0.375, 2.5, 2.25, 2, -1.2175101570967781e-4),
+])
+def test_bracket_frac_laplacian_matches_40_digit_values(s, q0, r, dim, expected):
+    # the 1D rows are C07's q0 and s
+    assert bracket_frac_laplacian(r, q0, s, dim) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s,q0,r,dim,expected", [
+    (0.7, 3.0, 0.5, 1, 3.5123215547540351e-1),
+    (0.7, 3.0, 1.0, 1, -3.5050729173681434e-1),
+    (0.7, 3.0, 2.0, 1, -1.7332462888032985e-1),
+    (0.7, 3.0, 1e3, 1, -4.036746818417182e-8),
+    (0.7, 3.0, 3e4, 1, -1.1506085169084442e-11),
+    (0.45, 4.0, 0.5, 2, 9.2719236703693592e-1),
+    (0.45, 4.0, 1.0, 2, 8.8216364094053473e-2),
+    (0.45, 4.0, 2.0, 2, -4.2262282611840499e-2),
+    (0.45, 4.0, 1e3, 2, -9.1821259591452344e-10),
+    (0.45, 4.0, 3e4, 2, -4.7783817777027549e-14),
+    # s near 0, which puts c - a and c - b next to poles of Gamma
+    (1e-12, 3.0, 2.0, 1, 8.9442719098939777e-2),
+    # large q0, past the default capacity box
+    (0.3, 15.0, 4e5, 1, -1.7076089536964315e-10),
+    (0.5, 15.0, 4e5, 1, -1.3567654156373249e-12),
+    (0.3, 40.0, 4e5, 2, -4.501494721106305e-17),
+    (0.5, 40.0, 4e5, 2, -4.1118421052663703e-19),
+])
+def test_bracket_frac_laplacian_logarithmic_form_matches_40_digit_values(
+        s, q0, r, dim, expected):
+    # q0 - N even (same mpmath call as above)
+    assert bracket_frac_laplacian(r, q0, s, dim) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("s,q0,dim", [(0.5, 1.5, 1), (0.375, 2.5, 2), (0.7, 3.0, 1)])
+def test_bracket_frac_laplacian_reads_each_radius_alone(s, q0, dim):
+    # each value depends on its own radius only, to the bit: not on the
+    # array's length, shape or order, which sets how far each series runs
+    rng = np.random.default_rng(7)
+    r = np.concatenate([rng.uniform(0.0, 3.0, 300), 10.0 ** rng.uniform(0.0, 4.5, 300)])
+    whole = bracket_frac_laplacian(r, q0, s, dim)
+    shuffle = rng.permutation(r.size)
+    assert bracket_frac_laplacian(r[shuffle].reshape(20, 30), q0, s, dim).ravel().tolist() \
+        == whole[shuffle].tolist()
+    assert [bracket_frac_laplacian(v, q0, s, dim) for v in r[::37]] == whole[::37].tolist()
 
 
 def test_bracket_frac_laplacian_validation():
@@ -344,7 +407,7 @@ def test_capacity_integral_checks_the_memory_budget_first(monkeypatch):
     (1, 1.5, 2.0, 1.0, 2e4, 2 ** 17), (2, 2.1, 3.0, 1.9, 200.0, 512)])
 def test_capacity_integral_peaks_below_six_lattices(dim, q0, p, alpha, box, points):
     """The run holds no more than the _CAPACITY_GRIDS its memory check
-    charges: 5.3 lattices in 1D and 2.0 in 2D, measured."""
+    charges: 5.3 lattices in 1D and 2.5 in 2D, measured."""
     tracemalloc.start()
     try:
         capacity_integral(q0, p, alpha, GridSpec(dim, box, points), [16.0, 32.0])

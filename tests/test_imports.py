@@ -1,5 +1,5 @@
 """Import graph and source layout: the quadrature oracles stay off the
-CLI's import path, only the oracles import quadrature, the
+CLI's import path and no CLI run loads SciPy, only the oracles import it, the
 shared argument ranges live in errors.py, the kinds of the config's choice
 keys are decided only in config.py, and the names the benchmark in
 perfbench/ uses stay where it finds them."""
@@ -31,13 +31,31 @@ def _run_fresh(code: str) -> str:
     return done.stdout
 
 
+def _loaded(names):
+    """Code that prints the loaded modules named in names or under them."""
+    return (f"print(sorted(m for m in sys.modules if any(m == n or m.startswith(n + '.')"
+            f" for n in {names!r})))\n")
+
+
 def test_cli_import_skips_quadrature_stack():
+    # the CLI loads no scipy module at all: the closed form sums its own 2F1
+    out = _run_fresh("import sys, mixheat.cli\n" + _loaded(["scipy", "mixheat.oracles"]))
+    assert out.splitlines() == ["[]"]
+
+
+@pytest.mark.parametrize("command", ["capacity", "solve"])
+def test_cli_run_loads_no_scipy(tmp_path, command):
+    # nor does a run; and solve's set operations skip the masked-array test
+    # that would import numpy.ma (about 20 ms)
+    config = tmp_path / "run.cfg"
+    config.write_text("alpha = 1.0\ndim = 1\nhalf_width = 8.0\npoints = 16\n"
+                      "capacity_points = 16384\ncapacity_radii = 8, 16\n")
     out = _run_fresh(
         "import sys, mixheat.cli\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize',"
-        " 'mixheat.oracles') if m in sys.modules))\n"
-        "print('scipy.special' in sys.modules)\n")
-    assert out.splitlines() == ["[]", "True"]
+        f"code = mixheat.cli.main([{command!r}, '--config', {str(config)!r},"
+        f" '--out-dir', {str(tmp_path / 'out')!r}])\n"
+        "print(code)\n" + _loaded(["scipy", "mixheat.oracles", "numpy.ma"]))
+    assert out.splitlines()[-2:] == ["0", "[]"]
 
 
 def test_oracle_resolves_lazily_from_package():
@@ -118,22 +136,22 @@ def test_config_kinds_are_compared_only_in_config():
     assert not found, "config kinds compared outside config.py:\n" + "\n".join(found)
 
 
-# The one module that may import quadrature.
-_QUADRATURE_IMPORTERS = {"oracles.py"}
+# The one module that may import SciPy: the quadrature oracles.
+_SCIPY_IMPORTERS = {"oracles.py"}
 
 
-def test_only_oracles_import_scipy_integrate():
+def test_only_oracles_import_scipy():
     found = []
-    for name, node in _package_nodes(_QUADRATURE_IMPORTERS):
+    for name, node in _package_nodes(_SCIPY_IMPORTERS):
         if isinstance(node, ast.Import):
             modules = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            modules = [f"{node.module}.{a.name}" for a in node.names]
+            modules = [node.module or ""]
         else:
             continue
-        if any((m + ".").startswith("scipy.integrate.") for m in modules):
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
             found.append(f"{name}:{node.lineno}")
-    assert not found, "scipy.integrate imported in:\n" + "\n".join(found)
+    assert not found, "scipy imported in:\n" + "\n".join(found)
 
 
 def test_only_the_transform_pair_calls_numpy_fft():
