@@ -9,7 +9,7 @@ an error: typos must not silently fall back to defaults.
 import csv
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,12 @@ _TINY = float(np.finfo(float).tiny)
 _EDGE_RATIO_WARN = 1e-6
 
 _log = logging.getLogger(__name__)
+
+# The kinds each choice key takes; ExperimentConfig refuses any other.
+_CHOICES = {
+    "absorption": ("none", "constant", "power", "table"),
+    "initial": ("gaussian", "point", "file"),
+}
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,12 @@ class ExperimentConfig:
     capacity_half_width: float = 2e4
     capacity_points: int = 131072
 
-
-_CHOICES = {
-    "absorption": ("none", "constant", "power", "table"),
-    "initial": ("gaussian", "point", "file"),
-}
+    def __post_init__(self):
+        for key, allowed in _CHOICES.items():
+            kind = getattr(self, key)
+            if kind not in allowed:
+                raise ConfigurationError(
+                    f"config key {key!r} must be one of {allowed}, got {kind!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -98,15 +105,10 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         except ValueError:
             raise ConfigurationError(
                 f"config key {name!r}: cannot parse {raw[name]!r} as {caster.__name__}")
-    missing = [n for n in ("alpha", "half_width", "points") if n not in raw]
+    missing = [n for n, f in spec.items() if f.default is MISSING and n not in raw]
     if missing:
         raise ConfigurationError(f"missing required config keys: {', '.join(missing)}")
-    cfg = ExperimentConfig(**kwargs)
-    for key, allowed in _CHOICES.items():
-        if getattr(cfg, key) not in allowed:
-            raise ConfigurationError(
-                f"config key {key!r} must be one of {allowed}, got {getattr(cfg, key)!r}")
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:
@@ -152,8 +154,6 @@ def read_absorption_table(path):
 def build_absorption(cfg: ExperimentConfig):
     """h = 0 ("none"), c ("constant"), c (1+t)^sigma ("power"), c > 0 for
     both, or the interpolated samples of absorption_table ("table")."""
-    if cfg.absorption not in _CHOICES["absorption"]:
-        raise ConfigurationError(f"unknown absorption kind {cfg.absorption!r}")
     if cfg.absorption == "none":
         return PowerAbsorption(0.0)
     if cfg.absorption == "table":

@@ -24,6 +24,7 @@ _RANGES = {
     ">= 0 and finite": lambda v: (0 <= v) & (v < np.inf),
     "finite and > 1": lambda v: (1 < v) & (v < np.inf),
     "finite and >= 1": lambda v: (1 <= v) & (v < np.inf),
+    "a whole number >= 1": lambda v: (1 <= v) & (v < np.inf) & (np.floor(v) == v),
     "in (0, 2)": lambda v: (0 < v) & (v < 2),
     "in (0, 1)": lambda v: (0 < v) & (v < 1),
     "a power of two >= 16": lambda v: (16 <= v < np.inf and v == int(v)
@@ -32,7 +33,7 @@ _RANGES = {
 # The paper's alpha, beta and p, and the library's s and dim, carry one
 # range wherever they are passed.
 _PARAMETERS = {"alpha": "in (0, 2)", "beta": ">= 0 and finite",
-               "p": "finite and > 1", "s": "in (0, 1)", "dim": "finite and >= 1"}
+               "p": "finite and > 1", "s": "in (0, 1)", "dim": "a whole number >= 1"}
 
 
 def require(range_text=None, **named) -> None:

@@ -231,5 +231,7 @@ def half_width_for_tail(alpha: float, t: float, dim: int,
     """
     require("finite and > 0", t=t, tail_mass=tail_mass)
     a = stable_tail_constant(alpha, dim)
+    if dim not in (1, 2):  # the surfaces below are the 1D and 2D ones
+        raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
     surface = 2.0 if dim == 1 else 2.0 * np.pi
     return (surface * a * t / (alpha * tail_mass)) ** (1.0 / alpha)

@@ -571,16 +571,24 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     every substep. The state is updated in place; snapshots, copies of it,
     are taken at the schedule's snapshot times only. A run whose snapshots,
     _WORK_GRIDS grids of work space and trace rows would need more than
-    _MAX_BYTES, or whose absorption table misses t0 or t1, is a
-    ConfigurationError before anything is allocated. A non-finite state
-    aborts with the partial result attached to the raised error as .partial.
+    _MAX_BYTES, whose absorption table misses t0 or t1, or whose integral
+    of h over [t0, t1] overflows, is a ConfigurationError before anything
+    is allocated. A non-finite state aborts with the partial result
+    attached to the raised error as .partial.
     """
     if schedule.beta != problem.beta:
         raise ConfigurationError(
             f"schedule beta {schedule.beta} does not match problem beta {problem.beta}")
     absorption = problem.absorption
-    if isinstance(absorption, TableAbsorption):
-        absorption.rate(schedule.knot_times[[0, -1]])  # the table covers [t0, t1]
+    # any law's integral over [t0, t1]: a table must cover the window, and an
+    # overflow would overflow its steps (a NaN is left to the step meeting it)
+    t_first, t_last = schedule.knot_times[[0, -1]]
+    with np.errstate(over="ignore"):
+        h_total = absorption.integral(t_first, t_last)
+    if np.isinf(h_total):
+        raise ConfigurationError(
+            f"the integral of h over [t0, t1] = [{t_first:g}, {t_last:g}] "
+            f"overflows the float range (h's tail exponent {absorption.tail_exponent})")
     grid = problem.grid
     n_snaps = schedule.snapshot_times.size
     u0 = problem.initial.values

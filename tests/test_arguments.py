@@ -96,9 +96,11 @@ CASES = [
      lambda v: taylor_contraction_error(FIELD, [1.0, v], 1.0)),
     ("stable_tail_constant", "alpha", 2.0, lambda v: stable_tail_constant(v, 1)),
     ("stable_tail_constant", "dim", 0, lambda v: stable_tail_constant(1.0, v)),
+    ("stable_tail_constant/whole", "dim", 1.5, lambda v: stable_tail_constant(1.0, v)),
     ("half_width_for_tail", "t", 0.0, lambda v: half_width_for_tail(1.0, v, 1)),
     ("half_width_for_tail", "tail_mass", 0.0,
      lambda v: half_width_for_tail(1.0, 1.0, 1, tail_mass=v)),
+    ("half_width_for_tail", "dim", 3, lambda v: half_width_for_tail(1.0, 1.0, v)),
     ("frac_constant", "s", 1.0, lambda v: frac_constant(1, v)),
     ("frac_constant", "dim", 0, lambda v: frac_constant(v, 0.5)),
     ("bracket_profile", "q0", 0.0, lambda v: bracket_profile(1.0, v)),
@@ -117,6 +119,7 @@ CASES = [
     ("critical_exponent", "alpha", 2.0, lambda v: critical_exponent(v, 0.0, 1)),
     ("critical_exponent", "beta", -1.0, lambda v: critical_exponent(1.0, v, 1)),
     ("critical_exponent", "dim", 0, lambda v: critical_exponent(1.0, 0.0, v)),
+    ("critical_exponent/whole", "dim", 1.5, lambda v: critical_exponent(1.0, 0.0, v)),
     ("decay_rate_exponent", "p", 1.0, lambda v: decay_rate_exponent(v, 1.0, 0.0, 1)),
     ("decay_rate_exponent", "alpha", 0.0, lambda v: decay_rate_exponent(2.0, v, 0.0, 1)),
     ("decay_rate_exponent", "beta", -1.0, lambda v: decay_rate_exponent(2.0, 1.0, v, 1)),

@@ -1,5 +1,6 @@
 """Config parsing and the command-line harness (exit codes, artifacts)."""
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -25,6 +26,7 @@ from conftest import logged_cuts
 from mixheat import cli, fractional, kernels, solver
 from mixheat.cli import main
 from mixheat.config import (
+    ExperimentConfig,
     build_absorption,
     build_initial,
     build_problem,
@@ -90,6 +92,20 @@ def test_config_from_mapping_validation():
         config_from_mapping({**base, "absorption": "bogus"})
     with pytest.raises(ConfigurationError):
         config_from_mapping({"alpha": "1.0"})  # missing required keys
+
+
+@pytest.mark.parametrize("key,kind", [("initial", "bogus"), ("absorption", "exponential")])
+def test_unknown_kind_is_refused_however_the_config_is_built(cfg_path, key, kind):
+    """The kind is checked when the config is constructed: built directly,
+    replaced or loaded, an unknown kind never reaches the builders, which
+    would otherwise fall back on a Gaussian datum."""
+    message = rf"^config key '{key}' must be one of \(.*\), got '{kind}'$"
+    with pytest.raises(ConfigurationError, match=message):
+        build_problem(ExperimentConfig(alpha=1.0, half_width=8.0, points=16, **{key: kind}))
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(load_config(cfg_path), **{key: kind})
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(cfg_path, overrides=[f"{key}={kind}"])
 
 
 def test_load_config_with_overrides(cfg_path):
@@ -472,6 +488,16 @@ def test_cli_names_the_time_a_table_misses(cfg_path, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "configuration error: time 0.5 outside the absorption table range [1, 10]\n")
+
+
+def test_cli_refuses_an_overflowing_absorption_integral(cfg_path, tmp_path, capsys):
+    rc = main(["solve", "--config", cfg_path, "--set", "absorption=power",
+               "--set", "absorption_coefficient=1", "--set", "absorption_exponent=400",
+               "--set", "t0=1", "--set", "t1=100", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "configuration error: the integral of h over [t0, t1] = [1, 100] overflows "
+        "the float range (h's tail exponent 400.0)\n")
 
 
 def test_cli_kernel_outputs(cfg_path, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Import graph and source layout: the quadrature oracles stay off the
 CLI's import path and no CLI run loads SciPy, only the oracles import it, the
 shared argument ranges live in errors.py, the kinds of the config's choice
-keys are decided only in config.py, and the names the benchmark in
-perfbench/ uses stay where it finds them."""
+keys are decided only in config.py (no other module tests an absorption
+law's class), and the names the benchmark in perfbench/ uses stay where it
+finds them."""
 
 import ast
 import inspect
@@ -121,19 +122,26 @@ def test_shared_ranges_are_written_only_in_errors():
 
 def test_config_kinds_are_compared_only_in_config():
     """config.py maps each kind of a choice key onto its object: a kind
-    compared anywhere else decides it a second time."""
+    compared, or an absorption law's class tested, anywhere else decides it
+    a second time. Every other module asks a law through its interface."""
     from mixheat.config import _CHOICES
 
     kinds = {kind for allowed in _CHOICES.values() for kind in allowed}
+    classes = {"PowerAbsorption", "TableAbsorption"}
     found = []
     for name, node in _package_nodes({"config.py"}):
-        if not isinstance(node, ast.Compare):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+              in ("isinstance", "issubclass")):
+            operands = node.args[1:]
+        else:
             continue
-        operands = [node.left, *node.comparators]
-        operands += [e for o in operands for e in getattr(o, "elts", [])]  # a tuple of kinds
-        if any(isinstance(o, ast.Constant) and o.value in kinds for o in operands):
+        operands += [e for o in operands for e in getattr(o, "elts", [])]  # a tuple
+        if any(isinstance(o, ast.Constant) and o.value in kinds
+               or getattr(o, "id", getattr(o, "attr", None)) in classes for o in operands):
             found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
-    assert not found, "config kinds compared outside config.py:\n" + "\n".join(found)
+    assert not found, "config kinds decided outside config.py:\n" + "\n".join(found)
 
 
 # The one module that may import SciPy: the quadrature oracles.

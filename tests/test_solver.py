@@ -211,6 +211,21 @@ def test_solve_checks_the_table_range_before_any_step(small_grid, monkeypatch):
         solve(problem, schedule)
 
 
+def test_solve_refuses_an_overflowing_integral_before_any_step(small_grid, monkeypatch):
+    # the integral of (1 + t)^400 over [1, 100] is about 1e801: its steps
+    # would overflow from t = 4.9 on, so the run is refused before the symbol
+    def no_symbol(*args, **kwargs):
+        raise AssertionError("built the symbol before checking the integral")
+
+    monkeypatch.setattr(solver, "make_symbol", no_symbol)
+    problem = ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=PowerAbsorption(1.0, 400.0),
+                          initial=unit_gaussian(small_grid))
+    with pytest.raises(ConfigurationError,
+                       match=r"^the integral of h over \[t0, t1\] = \[1, 100\] overflows "
+                             r"the float range \(h's tail exponent 400\.0\)$"):
+        solve(problem, make_step_schedule(1.0, 100.0, 0.0, 0.1))
+
+
 def test_build_absorption_dispatch(tmp_path):
     for kind, coefficient, exponent in (("none", 0.0, 0.0), ("constant", 1.0, 0.0),
                                         ("power", 1.0, -1.0)):
@@ -222,7 +237,9 @@ def test_build_absorption_dispatch(tmp_path):
     table = absorption_law("table", absorption_table=str(path))
     assert isinstance(table, TableAbsorption)
     assert table.times.tolist() == [0.0, 1.0] and table.values.tolist() == [1.0, 1.0]
-    with pytest.raises(ConfigurationError, match="^unknown absorption kind 'exponential'$"):
+    # an unknown kind never reaches build_absorption: the config refuses it
+    with pytest.raises(ConfigurationError, match=r"^config key 'absorption' must be one "
+                                                 r"of \(.*\), got 'exponential'$"):
         build_absorption(ExperimentConfig(alpha=1.0, half_width=20.0, points=64,
                                           absorption="exponential"))
 
