@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: kernel, solve, analyze, sweep, capacity, selftest. Results
-go to stdout as deterministic key=value lines (floats printed with %.17g
-so reruns diff byte-for-byte); files land under --out-dir, which defaults
-to $MIXHEAT_OUTPUT_ROOT or the working directory.
+go to stdout as key=value lines and to CSV tables, every float in %.17g
+(observers' one format) so reruns diff byte-for-byte; files land under
+--out-dir, which defaults to $MIXHEAT_OUTPUT_ROOT or the working directory.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 failure (including a failing selftest) or any other internal error, which
@@ -11,7 +11,6 @@ is reported in one line (its traceback goes to the debug log).
 """
 
 import argparse
-import csv
 import dataclasses
 import logging
 import math
@@ -29,16 +28,12 @@ from .fractional import (_check_capacity_box, bracket_laplacian, bracket_profile
                          capacity_integral)
 from .grid import Field, GridSpec, convolve, integral, read_field, write_field
 from .kernels import mixed_kernel, mixed_kernel_norms, stable_kernel
-from .observers import (_loglog_slope, classify_mass_limit, condition_h_check,
-                        critical_exponent, read_mass_csv, write_mass_csv)
+from .observers import (_fmt, _loglog_slope, _write_table, classify_mass_limit,
+                        condition_h_check, critical_exponent, read_mass_csv, write_mass_csv)
 from .solver import (PowerAbsorption, ProblemSpec, make_step_schedule,
                      mass_identity_defect, solve)
 
 _log = logging.getLogger(__name__)
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
 
 
 def _out_dir(args) -> str:
@@ -62,12 +57,9 @@ def cmd_kernel(args) -> int:
     times = kernel_times(cfg)
     norms, last = mixed_kernel_norms(grid, cfg.alpha, times)
     csv_path = os.path.join(out, "kernel.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", "q", "norm"))
-        for t, row in zip(times, norms):
-            for q, norm in zip((1.0, 2.0, math.inf), row):
-                writer.writerow((_fmt(t), _fmt(q), _fmt(norm)))
+    _write_table(csv_path, ("t", "q", "norm"), (
+        (_fmt(t), _fmt(q), _fmt(norm)) for t, row in zip(times, norms)
+        for q, norm in zip((1.0, 2.0, math.inf), row)))
     field_path = os.path.join(out, "kernel.fhk")
     write_field(last, field_path)
     print(f"alpha={_fmt(cfg.alpha)}")
@@ -160,11 +152,8 @@ def cmd_sweep(args) -> int:
                          f"error: {exc}", "", _fmt(p_crit), ""))
             print(f"p={_fmt(p)} FAILED: {exc}", file=sys.stderr)
     csv_path = os.path.join(out, "sweep.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("p", "alpha", "beta", "classification",
-                         "M_inf_estimate", "critical_exponent", "condition_h"))
-        writer.writerows(rows)
+    _write_table(csv_path, ("p", "alpha", "beta", "classification",
+                            "M_inf_estimate", "critical_exponent", "condition_h"), rows)
     print(f"csv={csv_path}")
     if failures:
         return 2 if any(isinstance(e, NumericalFailureError) for _, e in failures) else 1
@@ -191,11 +180,8 @@ def cmd_capacity(args) -> int:
         print(f"slope={_fmt(slope)}")
         print(f"reference_slope={_fmt(cfg.dim - cfg.alpha * cfg.p / (cfg.p - 1.0))}")
     csv_path = os.path.join(_out_dir(args), "capacity.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("R", "integral", "fitted_slope"))
-        for R, v in zip(radii, values):
-            writer.writerow((_fmt(R), _fmt(v), _fmt(slope)))
+    _write_table(csv_path, ("R", "integral", "fitted_slope"),
+                 ((_fmt(R), _fmt(v), _fmt(slope)) for R, v in zip(radii, values)))
     print(f"csv={csv_path}")
     return 0
 

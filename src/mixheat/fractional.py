@@ -68,7 +68,7 @@ def bracket_frac_laplacian(r, q0: float, s: float, dim: int):
     r = np.asarray(r, dtype=float)
     a, b = q0 / 2.0 + s, dim / 2.0 + s
     prefactor = 4.0 ** s * _gamma_ratio((a, b), (q0 / 2.0, dim / 2.0))
-    out = prefactor * _hyp2f1_neg(a, b, dim / 2.0, r * r)
+    out = prefactor * _hyp2f1_neg(a, b, dim / 2.0, -s, r * r)
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError(
             f"closed-form fractional Laplacian is not finite for q0={q0}, "
@@ -86,10 +86,11 @@ _LOG_SERIES_TOL = math.log(_SERIES_TOL)
 _INTEGER_GAP = 1e-9
 
 
-def _hyp2f1_neg(a, b, c, x):
+def _hyp2f1_neg(a, b, c, c_b, x):
     """2F1(a, b; c; -x) elementwise in an array x >= 0, for scalars a, b,
-    c > 0; NaN where x is not finite. With a >= b (2F1 is symmetric in a
-    and b):
+    c > 0 and c_b = c - b, given apart: at b = c + s the float c - b holds
+    s only to ulp(c), and c - a is taken as c_b - (a - b). NaN where x is
+    not finite. With a >= b (2F1 is symmetric in a and b):
 
     - x <= 1: (1 + x)^-a 2F1(a, c - b; c; w), w = x / (1 + x) <= 1/2, the
       Pfaff transform (Abramowitz & Stegun 15.3.4). Where c - a or c - b
@@ -100,29 +101,30 @@ def _hyp2f1_neg(a, b, c, x):
     Each series runs over its variable in ascending order (`_series`), x
     sorted and put back; every output depends only on its own x.
     """
+    c_a = c_b - (a - b)
     if a < b:
-        a, b = b, a
+        a, b, c_a, c_b = b, a, c_b, c_a
     x = np.asarray(x, dtype=float)
     order = np.argsort(x, axis=None)
     xs = x.ravel()[order]
     end = int(np.searchsorted(xs, np.inf))  # inf and NaN sort last
-    p, q = (b, a) if _is_pole(c - a) else (a, b)
-    near = end if _is_pole(c - q) else int(np.searchsorted(xs, 1.0, side="right"))
+    p, c_q = (b, c_a) if _is_pole(c_a) else (a, c_b)
+    near = end if _is_pole(c_q) else int(np.searchsorted(xs, 1.0, side="right"))
     out = np.full(xs.size, np.nan)
 
     u = 1.0 + xs[:near]
-    out[:near] = _series(xs[:near] / u, lambda n: (p + n) * (c - q + n)
+    out[:near] = _series(xs[:near] / u, lambda n: (p + n) * (c_q + n)
                          / ((c + n) * (n + 1)))
     out[:near] *= u ** -p
     if near < end:
-        out[near:end] = _connection(a, b, c, 1.0 + xs[near:end][::-1])[::-1]
+        out[near:end] = _connection(a, b, c, c_a, c_b, 1.0 + xs[near:end][::-1])[::-1]
     xs[order] = out  # back in the order of x, in a buffer no longer needed
     return xs.reshape(x.shape)
 
 
-def _connection(a, b, c, u):
-    """2F1(a, b; c; 1 - u) for a >= b, neither c - a nor c - b in 0, -1,
-    -2, ..., and u = 1 + x > 2 in descending order, so v = 1/u ascends:
+def _connection(a, b, c, c_a, c_b, u):
+    """2F1(a, b; c; 1 - u) for a >= b, neither c_a = c - a nor c_b = c - b
+    in 0, -1, -2, ..., and u = 1 + x > 2 descending, so v = 1/u ascends:
     the connection formula (DLMF 15.8.2 written in 1/(1 - z); A&S 15.3.8),
 
         G(c, b - a; b, c - a) v^a 2F1(a, c - b; a - b + 1; v)
@@ -140,29 +142,29 @@ def _connection(a, b, c, u):
     v = 1.0 / u
     m = round(a - b)
     if abs(a - b - m) > _INTEGER_GAP:
-        value = _series(v, lambda n: (a + n) * (c - b + n) / ((a - b + 1 + n) * (n + 1)))
+        value = _series(v, lambda n: (a + n) * (c_b + n) / ((a - b + 1 + n) * (n + 1)))
         value *= u ** -a
-        value *= _gamma_ratio((c, b - a), (b, c - a))
-        head = _series(v, lambda n: (b + n) * (c - a + n) / ((b - a + 1 + n) * (n + 1)))
-        head *= _gamma_ratio((c, a - b), (a, c - b))
+        value *= _gamma_ratio((c, b - a), (b, c_a))
+        head = _series(v, lambda n: (b + n) * (c_a + n) / ((b - a + 1 + n) * (n + 1)))
+        head *= _gamma_ratio((c, a - b), (a, c_b))
     else:
         plain, value = _series(
-            v, lambda n: (a + n) * (c - b + n) / ((n + 1) * (n + m + 1)),
-            shift=lambda n: (_digamma(a + n) + _digamma(c - b + n)
+            v, lambda n: (a + n) * (c_b + n) / ((n + 1) * (n + m + 1)),
+            shift=lambda n: (_digamma(a + n) + _digamma(c_b + n)
                              - _digamma(n + 1.0) - _digamma(n + m + 1.0)))
         plain *= np.log(u)
         value -= plain
         del plain
         value *= u ** -a
-        # 1/Gamma(c - a) as (c - b - 1) ... (c - b - m) / Gamma(c - b): no
-        # float holds c - a as near a pole as c - b stands, for small s
-        value *= (-(-1) ** m * math.prod(c - b - k for k in range(1, m + 1))
-                  * _gamma_ratio((c,), (b, c - b, m + 1.0)))
+        # 1/Gamma(c - a) as (c_b - 1) ... (c_b - m) / Gamma(c_b): no float
+        # holds c - a as near a pole as c_b stands, for small s
+        value *= (-(-1) ** m * math.prod(c_b - k for k in range(1, m + 1))
+                  * _gamma_ratio((c,), (b, c_b, m + 1.0)))
         if not m:
             return value
-        head = _series(v, lambda n: ((b + n) * (c - a + n) / ((1 - m + n) * (n + 1))
+        head = _series(v, lambda n: ((b + n) * (c_a + n) / ((1 - m + n) * (n + 1))
                                      if n < m - 1 else 0.0))
-        head *= _gamma_ratio((m, c), (a, c - b))
+        head *= _gamma_ratio((m, c), (a, c_b))
     head *= u ** -b
     value += head
     return value

@@ -26,18 +26,28 @@ from .solver import MassTrace, time_to_tau
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip of the solver's MassTrace.
+# CSV tables. Every float the CLI writes is %.17g, which round-trips it, so
+# reruns diff byte for byte; write_mass_csv applies it inline, one % a value.
 
+_FLOAT = "%.17g"
 _TRACE_COLUMNS = ("t", "tau", "mass", "absorbed", "linf", "l2")
 
 
-def write_mass_csv(trace: MassTrace, path) -> None:
+def _fmt(x) -> str:
+    return _FLOAT % float(x)
+
+
+def _write_table(path, header, rows) -> None:
+    """Write the header, then rows of strings, as one CSV table."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_TRACE_COLUMNS)
-        for row in zip(trace.times, trace.taus, trace.mass, trace.absorbed,
-                       trace.linf, trace.l2):
-            writer.writerow(["%.17g" % v for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_mass_csv(trace: MassTrace, path) -> None:
+    _write_table(path, _TRACE_COLUMNS, ([_FLOAT % v for v in row] for row in zip(
+        trace.times, trace.taus, trace.mass, trace.absorbed, trace.linf, trace.l2)))
 
 
 def read_mass_csv(path) -> MassTrace:

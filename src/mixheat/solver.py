@@ -97,8 +97,8 @@ def _check_grid_budget(grids: int, grid: GridSpec, key: str, what: str):
 # inside the stepper).
 
 class PowerAbsorption:
-    """h(t) = c (1 + t)^sigma with c >= 0; c = 0 is plain linear flow and
-    sigma = 0 a constant coefficient.
+    """h(t) = c (1 + t)^sigma with c >= 0; c = 0 is plain linear flow (sigma
+    reads 0 then, so no power overflows) and sigma = 0 a constant coefficient.
 
     The shift keeps h bounded near t = 0 for any sigma, so the exact
     integral needs no sign restriction on the exponent.
@@ -109,7 +109,7 @@ class PowerAbsorption:
         if not coefficient >= 0:
             raise ConfigurationError(f"coefficient must be >= 0, got {coefficient}")
         self.coefficient = float(coefficient)
-        self.exponent = float(exponent)
+        self.exponent = float(exponent) if coefficient else 0.0
 
     @property
     def tail_exponent(self):

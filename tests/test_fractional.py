@@ -196,8 +196,9 @@ _AFTER_ONE = 1.0000000000000002  # the float after 1, in the r > 1 branch
     (0.375, 2.5, 2.25, 2, -1.2175101570967781e-4),
 ])
 def test_bracket_frac_laplacian_matches_40_digit_values(s, q0, r, dim, expected):
-    # the 1D rows are C07's q0 and s
-    assert bracket_frac_laplacian(r, q0, s, dim) == pytest.approx(expected, rel=1e-12)
+    # the 1D rows are C07's q0 and s; abs=0, or approx's default absolute
+    # floor of 1e-12 would dwarf the relative tolerance on the 3e4 rows
+    assert bracket_frac_laplacian(r, q0, s, dim) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("s,q0,r,dim,expected", [
@@ -211,8 +212,11 @@ def test_bracket_frac_laplacian_matches_40_digit_values(s, q0, r, dim, expected)
     (0.45, 4.0, 2.0, 2, -4.2262282611840499e-2),
     (0.45, 4.0, 1e3, 2, -9.1821259591452344e-10),
     (0.45, 4.0, 3e4, 2, -4.7783817777027549e-14),
-    # s near 0, which puts c - a and c - b next to poles of Gamma
+    # s near 0, which puts c - a and c - b next to poles of Gamma; the
+    # float N/2 + s holds s only to ulp(N/2), so c - b = -s is passed apart
     (1e-12, 3.0, 2.0, 1, 8.9442719098939777e-2),
+    (1e-8, 3.0, 300.0, 1, 3.696974556428297e-8),
+    (1e-8, 4.0, 3e4, 2, -9.8765414166889209e-18),
     # large q0, past the default capacity box
     (0.3, 15.0, 4e5, 1, -1.7076089536964315e-10),
     (0.5, 15.0, 4e5, 1, -1.3567654156373249e-12),
@@ -221,8 +225,8 @@ def test_bracket_frac_laplacian_matches_40_digit_values(s, q0, r, dim, expected)
 ])
 def test_bracket_frac_laplacian_logarithmic_form_matches_40_digit_values(
         s, q0, r, dim, expected):
-    # q0 - N even (same mpmath call as above)
-    assert bracket_frac_laplacian(r, q0, s, dim) == pytest.approx(expected, rel=1e-10)
+    # q0 - N even (same mpmath call as above); abs=0 as above
+    assert bracket_frac_laplacian(r, q0, s, dim) == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("s,q0,dim", [(0.5, 1.5, 1), (0.375, 2.5, 2), (0.7, 3.0, 1)])

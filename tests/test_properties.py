@@ -9,7 +9,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_cut_agrees, logged_cuts, solve_cut_and_fixed
@@ -57,9 +57,12 @@ def test_integral_is_additive_and_nonnegative(c, sigma, a, m, b):
 
 @few
 @given(exponents, times, times)
+@example(400.0, 1.0, 100.0)  # (1 + t)^400 overflows: h = 0 must not read 0 * inf
 def test_zero_coefficient_integrates_to_exactly_zero(sigma, a, b):
     a, b = sorted((a, b))
-    assert PowerAbsorption(0.0, sigma).integral(a, b) == 0.0
+    h = PowerAbsorption(0.0, sigma)
+    assert h.integral(a, b) == 0.0
+    assert h.rate(b) == 0.0
 
 
 @few
