@@ -6,7 +6,6 @@ command-line `--set key=value` override is unambiguous. Unknown keys are
 an error: typos must not silently fall back to defaults.
 """
 
-import csv
 import logging
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -15,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, require
 from .grid import Field, GridSpec, delta_field, integral, read_field
+from .observers import _read_table
 from .solver import (_WORK_GRIDS, PowerAbsorption, ProblemSpec, TableAbsorption,
                      _check_grid_budget, default_snapshot_times, geometric_times)
 
@@ -113,8 +113,12 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
 
 def load_config(path, overrides=None) -> ExperimentConfig:
     """Parse a config file, apply `key=value` override strings on top."""
-    with open(path) as fh:
-        raw = parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{path}: not UTF-8 text") from None
+    raw = parse_config_text(text)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigurationError(f"override must be key=value, got {item!r}")
@@ -127,28 +131,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
 # Builders.
 
 def read_absorption_table(path):
-    times, values = [], []
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None or [h.strip() for h in header[:2]] != ["time", "value"]:
-            raise ConfigurationError(f"absorption table must start with 'time,value': {path}")
-        for row in rows:
-            if not row:
-                continue
-            try:
-                t, h = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise ConfigurationError(
-                    f"{path}: line {rows.line_num}: expected two numbers "
-                    f"time,value, got {row!r}") from None
-            if not (math.isfinite(t) and math.isfinite(h)):
-                raise ConfigurationError(
-                    f"{path}: line {rows.line_num}: time and value must be "
-                    f"finite, got {row!r}")
-            times.append(t)
-            values.append(h)
-    return np.array(times), np.array(values)
+    """The times and values of a CSV table under the header time,value."""
+    return _read_table(path, ("time", "value"))
 
 
 def build_absorption(cfg: ExperimentConfig):

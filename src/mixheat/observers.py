@@ -26,8 +26,9 @@ from .solver import MassTrace, time_to_tau
 
 
 # ---------------------------------------------------------------------------
-# CSV tables. Every float the CLI writes is %.17g, which round-trips it, so
-# reruns diff byte for byte; write_mass_csv applies it inline, one % a value.
+# CSV tables, written and read here alone. Every float the CLI writes is
+# %.17g, which round-trips it, so reruns diff byte for byte; write_mass_csv
+# applies it inline, one % a value.
 
 _FLOAT = "%.17g"
 _TRACE_COLUMNS = ("t", "tau", "mass", "absorbed", "linf", "l2")
@@ -50,30 +51,40 @@ def write_mass_csv(trace: MassTrace, path) -> None:
         trace.times, trace.taus, trace.mass, trace.absorbed, trace.linf, trace.l2)))
 
 
+def _read_table(path, header) -> np.ndarray:
+    """The columns of a UTF-8 CSV table, one per entry of `header`, which
+    must be its first row exactly. Blank rows are skipped; every other row
+    holds one finite number per column."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if tuple(next(reader, ())) != header:
+                raise ConfigurationError(f"{path}: expected header {','.join(header)}")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    values = [float(cell) for cell in row]
+                except ValueError:
+                    values = []
+                if len(values) != len(header) or not all(map(math.isfinite, values)):
+                    raise ConfigurationError(
+                        f"{path}: line {reader.line_num}: expected "
+                        f"{len(header)} numbers, all finite, got {row!r}")
+                rows.append(values)
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # a cell past csv's field size limit, say
+        raise ConfigurationError(f"{path}: line {reader.line_num}: {exc}") from None
+    return np.array(rows).reshape(-1, len(header)).T
+
+
 def read_mass_csv(path) -> MassTrace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _TRACE_COLUMNS:
-            raise ConfigurationError(f"{path}: expected header {','.join(_TRACE_COLUMNS)}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                values = []
-            if len(values) != len(_TRACE_COLUMNS) or not all(map(math.isfinite, values)):
-                raise ConfigurationError(
-                    f"{path}: line {reader.line_num}: expected "
-                    f"{len(_TRACE_COLUMNS)} numbers, all finite, got {row!r}")
-            rows.append(values)
-    if len(rows) < 2:
+    columns = _read_table(path, _TRACE_COLUMNS)
+    if columns.shape[1] < 2:
         raise ConfigurationError(f"{path}: trace needs at least 2 rows")
-    cols = np.array(rows).T
-    return MassTrace(times=cols[0], taus=cols[1], mass=cols[2],
-                     absorbed=cols[3], linf=cols[4], l2=cols[5])
+    return MassTrace(*columns)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ decimated to its samples at every 2^m-th node, and the step goes on from
 one transform on the coarse grid. On the problem's grid the trace's linf
 is the samples' maximum; on a coarse grid it is still read on the
 problem's grid, as the maximum of the band-limited interpolant at the
-fine nodes within a coarse cell of the best coarse sample (_FineMax).
+fine nodes within a coarse cell of the best coarse sample (_FineMax, whose
+rows are the _refine of a coarse unit sample along one axis).
 Snapshots taken on a coarse grid are zero-padded back to the problem's
 grid and their interpolation ripple is clipped (and booked in
 clipped_mass), so every snapshot lives on one grid.
@@ -66,8 +67,9 @@ _TRACE_ROW_BYTES = 6 * 8
 # just before it, less its one snapshot, measured 3.90 grids in 1D (2^22
 # points) and 3.05 in 2D (2048^2); 5 leaves a margin.
 # After a cut these buffers live on the coarse grid, 2^-(m dim) of the
-# size, beside linf's Dirichlet rows, one fine axis of floats (a grid in
-# 1D): the budget checked at the problem's grid still holds.
+# size, beside linf's rows, one fine axis of floats (a grid in 1D) that
+# _refine builds once the fine buffers are gone: the budget checked at the
+# problem's grid still holds.
 _WORK_GRIDS = 5
 # Most Strang steps one schedule may hold: the trace rows of one more step
 # would not fit _MAX_BYTES. A larger count is a config error, caught before
@@ -421,41 +423,20 @@ def _cut_halvings(grid: GridSpec, spectrum: np.ndarray, magnitude: np.ndarray) -
     return m
 
 
-def _dirichlet_rows(coarse: GridSpec, fine: GridSpec) -> np.ndarray:
-    """rows[s, o] = K(s r + o), r = n / n_c: the Dirichlet kernel
-    K(d) = sin(pi d (n_c - 1) / n) / (n_c sin(pi d / n)), the band-limited
-    interpolant (coarse Nyquist modes dropped, as in _refine) of a coarse
-    unit sample at fine offset d. Every offset appears once, so rows holds
-    one fine axis of floats. K is even and n-periodic: the half d <= n/2 is
-    formed, the numerator's angle reduced exactly, and mirrored."""
-    n, n_c = fine.points, coarse.points
-    half = n // 2 + 1
-    out = np.empty(n)
-    num = out[:half]
-    d = np.arange(half, dtype=float)
-    np.fmod(np.multiply(d, n_c - 1, out=num), 2 * n, out=num)
-    num *= np.pi / n
-    np.sin(num, out=num)
-    d *= np.pi / n
-    np.sin(d, out=d)
-    d *= n_c
-    d[0] = 1.0
-    num /= d
-    num[0] = (n_c - 1) / n_c
-    out[half:] = out[1:n // 2][::-1]
-    return out.reshape(n_c, n // n_c)
-
-
 class _FineMax:
     """The trace's linf on a coarse grid, read on the problem's: the
     maximum of the coarse state's band-limited interpolant at the fine
     nodes in the coarse cells on either side of its best sample, on every
     axis. On each axis the interpolant at fine node i r + o (0 <= o < r)
-    is sum_s rows[s, o] u[i - s], for rows = _dirichlet_rows, built once
-    per cut."""
+    is sum_s rows[s, o] u[i - s], r = n / n_c, for rows[s, o] the _refine
+    of a coarse unit sample along one axis at fine node s r + o, built
+    once per cut."""
 
     def __init__(self, coarse: GridSpec, fine: GridSpec):
-        self.rows = _dirichlet_rows(coarse, fine)
+        axis, fine_axis = (dataclasses.replace(g, dim=1) for g in (coarse, fine))
+        unit = np.zeros(coarse.points)
+        unit[0] = 1.0
+        self.rows = _refine(unit, axis, fine_axis).reshape(coarse.points, -1)
         self.best, self.take = -1, None
 
     def __call__(self, u: np.ndarray) -> float:

@@ -251,7 +251,11 @@ def test_absorption_table_io(cfg_path, tmp_path):
         read_absorption_table(bad)
 
 
-@pytest.mark.parametrize("body,line", [("0,1.0\n10,abc\n", 3), ("0,1.0\n\n10\n", 4)])
+# the last row's cell is longer than csv's field size limit (128 Ki characters)
+@pytest.mark.parametrize("body,line", [
+    ("0,1.0\n10,abc\n", 3), ("0,1.0\n\n10\n", 4), ("0,1.0,2\n10,1.0\n", 2),
+    pytest.param("0,1.0\n10," + "1" * 200_000 + "\n", 3, id="cell-past-the-field-limit"),
+])
 def test_absorption_table_rejects_garbled_rows(cfg_path, tmp_path, capsys, body, line):
     table = tmp_path / "h.csv"
     table.write_text("time,value\n" + body)
@@ -271,8 +275,25 @@ def test_absorption_table_names_a_non_finite_cell(cfg_path, tmp_path, capsys, bo
                "--set", f"absorption_table={table}", "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert re.fullmatch(f"configuration error: {re.escape(str(table))}: line {line}: "
-                        r"time and value must be finite, got \[.*\]\n",
+                        r"expected 2 numbers, all finite, got \[.*\]\n",
                         capsys.readouterr().err)
+
+
+# a byte that is not UTF-8 in each text file the CLI reads
+@pytest.mark.parametrize("kind", ["trace", "table", "config"])
+def test_cli_names_a_file_that_is_not_utf8(cfg_path, tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.txt"
+    head = {"trace": "t,tau,mass,absorbed,linf,l2\n", "table": "time,value\n0,1\n",
+            "config": BASE_CFG}[kind]
+    path.write_bytes(head.encode() + b"\xff\n")
+    argv = {"trace": ["analyze", "--trace", str(path)],
+            "table": ["solve", "--config", cfg_path, "--set", "absorption=table",
+                      "--set", f"absorption_table={path}"],
+            "config": ["solve", "--config", str(path)]}[kind]
+    if kind != "trace":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"configuration error: {path}: not UTF-8 text\n"
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 CLI's import path and no CLI run loads SciPy, only the oracles import it, the
 shared argument ranges live in errors.py, the kinds of the config's choice
 keys are decided only in config.py (no other module tests an absorption
-law's class), only observers.py formats floats and writes CSV tables, and
-the names the benchmark in perfbench/ uses stay where it finds them."""
+law's class), only observers.py formats floats and writes and reads CSV
+tables, and the names the benchmark in perfbench/ uses stay where it finds
+them."""
 
 import ast
 import inspect
@@ -146,9 +147,11 @@ def test_config_kinds_are_compared_only_in_config():
 
 def test_only_observers_formats_floats_and_writes_csv():
     """observers owns the one float format, %.17g, and the one CSV table
-    writer: another module that spells the format or calls csv.writer states
-    the byte-identical artifacts' contract a second time. Docstrings may name
-    the format (ast.walk reaches a docstring after its owner)."""
+    writer and reader: another module that spells the format or calls
+    csv.writer states the byte-identical artifacts' contract a second time,
+    and one that calls csv.reader checks a table's header and cells a second
+    time. Docstrings may name the format (ast.walk reaches a docstring after
+    its owner)."""
     docstrings, found = set(), []
     for name, node in _package_nodes({"observers.py"}):
         if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
@@ -156,10 +159,11 @@ def test_only_observers_formats_floats_and_writes_csv():
             docstrings.add(id(node.body[0].value))
         elif (isinstance(node, ast.Constant) and "%.17g" in str(node.value)
               and id(node) not in docstrings
-              or isinstance(node, ast.Attribute) and node.attr == "writer"
+              or isinstance(node, ast.Attribute) and node.attr in ("writer", "reader")
               and getattr(node.value, "id", None) == "csv"):
             found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
-    assert not found, "float format or CSV writer outside observers.py:\n" + "\n".join(found)
+    assert not found, ("float format or CSV writer or reader outside observers.py:\n"
+                       + "\n".join(found))
 
 
 # The one module that may import SciPy: the quadrature oracles.
