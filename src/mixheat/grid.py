@@ -11,6 +11,11 @@ numpy's n-D real transforms do, but run the 2D inverse in the caller's
 spectrum buffer and leave it unnormalised; each caller folds the exact
 factor 1/N (N = points^dim) into a factor of its own, so the bits are the
 n-D round trip's.
+
+Beside the pair sits the one grid cut path: _cut_halvings says how often a
+grid may halve under a spectrum whose upper modes are below roundoff, and
+_refine zero-pads a coarse grid's samples back onto a finer one. solve cuts
+its state with them, and mixed_kernel_norms its kernels.
 """
 
 import math
@@ -23,6 +28,9 @@ from .errors import ConfigurationError, NumericalFailureError, require
 
 _FIELD_MAGIC = b"FHK1"
 _TINY = float(np.finfo(float).tiny)
+# The grid cut: the largest |u_k| from the coarse grid's Nyquist index up,
+# as a share of the peak |u_0|, that a halving may drop.
+_CUT_TOL = 1e-14
 
 
 def _float_or_array(out: np.ndarray):
@@ -163,6 +171,42 @@ def _irfft(grid: GridSpec, spectrum: np.ndarray, out=None) -> np.ndarray:
     for axis in range(grid.dim - 1):
         np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
     return np.fft.irfft(spectrum, n=grid.points, axis=-1, norm="forward", out=out)
+
+
+def _cut_halvings(grid: GridSpec, magnitude: np.ndarray) -> int:
+    """How many times grid may halve (keeping L, never below 16 points)
+    under a half spectrum whose moduli are `magnitude`: every mode from the
+    coarse grid's Nyquist index up, on any axis, is at most _CUT_TOL of the
+    peak, the zero mode. The spectrum's index k is read, never xi, so the
+    box width cannot overflow the test."""
+    n, dim = grid.points, grid.dim
+    peak = float(magnitude.flat[0])
+    m = 0
+    while n >> (m + 1) >= 16:  # GridSpec's least points per axis
+        c = n >> (m + 2)  # the coarse grid's Nyquist index
+        upper = magnitude[..., c:].max()
+        if dim == 2:
+            upper = max(upper, magnitude[c:n - c + 1].max())
+        if upper > _CUT_TOL * peak:
+            break
+        m += 1
+    return m
+
+
+def _refine(values: np.ndarray, coarse: GridSpec, fine: GridSpec) -> np.ndarray:
+    """The band-limited interpolant of a coarse grid's samples on a finer
+    grid with the same box: its spectrum zero-padded, the coarse Nyquist
+    modes dropped."""
+    spectrum = _rfft(coarse, values)
+    h = coarse.points // 2
+    padded = np.zeros(fine.shape[:-1] + (fine.points // 2 + 1,), dtype=complex)
+    low = (slice(h),) * coarse.dim
+    padded[low] = spectrum[low]
+    if coarse.dim == 2:  # the leading axis's negative frequencies
+        padded[1 - h:, :h] = spectrum[h + 1:, :h]
+    out = _irfft(fine, padded)
+    out *= 1.0 / values.size  # the inverse's 1/N, at the coarse N
+    return out
 
 
 def apply_symbol(f: Field, symbol: SpectralSymbol, scale: float = 1.0,

@@ -14,11 +14,21 @@ discrete mass to one, and by Poisson summation the grid kernel is the
 periodization of the exact one.
 
 A run of kernels on one grid (mixed_kernel_norms) builds one symbol and
-one complex half-spectrum buffer, and each kernel overwrites the array of
-the one before. At its peak the run holds the symbol, the spectrum
-buffer, one kernel and numpy's transform scratch, about five grids of
-float64 (_KERNEL_GRIDS); every kernel builder checks that against the
-solver's memory budget before it allocates anything grid-sized.
+one complex half-spectrum buffer. The kernel of every time but the last
+is taken on the coarsest grid that grid._cut_halvings allows under its
+multiplier exp(-t m), as that grid's mixed_kernel, from a sub-block of the
+one symbol. At C04's nine times in [1e2, 1e3] for alpha = 0.5 on 2^21
+points the grid halves 1 to 7 times, and L^1, L^2 and L^inf move by at
+most 2.2e-16, 2.2e-16 and 2.7e-13 relative from their full-grid values.
+The last kernel, which the run returns, and any time that does not cut
+stay on the full grid, and they come before any coarse one: numpy caches
+a plan per transform length, and coarse plans made first sit under the
+full transform's scratch, which lifted that run's ru_maxrss from 102.8 to
+114.9 MiB. At its peak, during a full transform, the run holds the
+symbol, the spectrum buffer, one kernel and numpy's transform scratch,
+about five grids of float64 (_KERNEL_GRIDS); every kernel builder checks
+that against the solver's memory budget before it allocates anything
+grid-sized.
 
 Quadrature inversions of the Fourier formulas, the cross-check oracles
 for these kernels, live in `mixheat.oracles`, which no simulation module
@@ -31,8 +41,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, SpectralSymbol, _irfft, apply_symbol,
-                   integral, make_symbol)
+from .grid import (Field, GridSpec, SpectralSymbol, _cut_halvings, _irfft,
+                   apply_symbol, integral, make_symbol)
 from .solver import _check_grid_budget
 
 log = logging.getLogger(__name__)
@@ -43,11 +53,13 @@ _MASS_FAILURE = 1e-4
 _RIPPLE_REPORT = 1e-10
 
 # Grid-sized float64 arrays a kernel run holds at its peak, during a
-# transform: the symbol (half a grid), the complex spectrum buffer, the
-# kernel and numpy's irfft scratch (about 2.5 grids in 1D). The ru_maxrss
-# of mixed_kernel_norms over nine times, less the interpreter's, measured
-# 5.07, 5.04 and 4.64 grids on 2^21, 2^22 and 2^23 points in 1D and 4.17
-# and 4.04 on 1024^2 and 2048^2 in 2D; 6 leaves a margin.
+# full-grid transform (the first; a coarse one holds less): the symbol
+# (half a grid), the complex spectrum buffer, the kernel and numpy's irfft
+# scratch (about 2.5 grids in 1D). The ru_maxrss of mixed_kernel_norms
+# over nine times, less the interpreter's, measured 5.07, 5.04 and 4.64
+# grids on 2^21, 2^22 and 2^23 points in 1D and 4.17 and 4.04 on 1024^2
+# and 2048^2 in 2D before the coarse kernels, which left the peak as it
+# was on 2^21 points and 1024^2; 6 leaves a margin.
 _KERNEL_GRIDS = 6
 
 
@@ -73,36 +85,47 @@ def _kernel_run(grid: GridSpec, alpha: float, kind: str):
 
 
 def _delta_response(sym: SpectralSymbol, spectrum: np.ndarray, t: float,
-                    out: np.ndarray = None) -> Field:
-    """exp(-t m(xi)) applied to the grid delta, bit for bit as apply_symbol
-    would return it, into out (a fresh array if None).
+                    out: np.ndarray = None, halvings: int = 0) -> Field:
+    """exp(-t m(xi)) applied to the delta of sym's grid cut `halvings`
+    times, bit for bit as apply_symbol would return it on that grid, into
+    out (a fresh array if None).
 
-    The multiplier is formed in the leading entries of out, which the
-    inverse transform then overwrites. The delta sits at index n//2 on
-    every axis, so its half spectrum is (1/dV) exp(-i pi sum k) =
-    (-1)^(sum k) / dV, with k the FFT index on each axis, and a zero
-    imaginary part. spectrum's real part is overwritten with the
-    multiplier times (1/dV)/N, negated where sum k is odd (1/N is the
-    inverse's). Sign flips and powers of two are exact and multiplication
-    commutes, so the product is the delta's forward transform times
-    apply_symbol's multiplier, bit for bit. In 1D the transform leaves
-    spectrum as it was, so its imaginary part must be zero on entry; in
-    2D the transform runs in spectrum, so the imaginary part is zeroed
-    here.
+    The cut grid keeps L, so its frequencies xi = pi k / L are the full
+    grid's at the same k, and its symbol is a sub-block of sym's, bit for
+    bit: a prefix in 1D, and in 2D the rows [0, n/2) and [N - n/2, N) of
+    the first n/2 + 1 columns (n points on the cut grid, N on sym's). That
+    block is gathered into the head of spectrum, where the transform runs.
+    The delta sits at index n//2 on every axis, so its half spectrum is
+    (1/dV) exp(-i pi sum k) = (-1)^(sum k) / dV, with k the FFT index on
+    each axis, and a zero imaginary part. The block's real part is the
+    multiplier times (1/dV)/n^dim, negated where sum k is odd (1/n^dim is
+    the inverse's). Sign flips and powers of two are exact and
+    multiplication commutes, so the product is the delta's forward
+    transform times apply_symbol's multiplier, bit for bit. In 1D the
+    transform leaves spectrum as it was, so its imaginary part must be
+    zero on entry; in 2D the transform runs in spectrum, so the imaginary
+    part is zeroed here.
     """
     grid = sym.grid
+    if halvings:
+        grid = GridSpec(grid.dim, grid.half_width, grid.points >> halvings)
+    h = grid.points // 2
+    block = spectrum[(slice(2 * h),) * (grid.dim - 1) + (slice(h + 1),)]
+    product = block.real
+    if grid.dim == 1:
+        np.multiply(sym.values[:h + 1], -t, out=product)
+    else:  # the leading axis's negative frequencies follow its positive ones
+        np.multiply(sym.values[:h, :h + 1], -t, out=product[:h])
+        np.multiply(sym.values[sym.grid.points - h:, :h + 1], -t, out=product[h:])
+    np.exp(product, out=product)
     if out is None:
         out = np.empty(grid.shape)
-    m = out.reshape(-1)[:sym.values.size].reshape(sym.values.shape)
-    np.multiply(sym.values, -t, out=m)
-    np.exp(m, out=m)
-    product = spectrum.real
-    np.multiply(m, 1.0 / grid.cell_volume / out.size, out=product)
+    product *= 1.0 / grid.cell_volume / out.size
     product[..., 1::2] *= -1.0
     if grid.dim == 2:
         product[1::2] *= -1.0
-        spectrum.imag[...] = 0.0
-    return Field(grid=grid, values=_irfft(grid, spectrum, out=out))
+        block.imag[...] = 0.0
+    return Field(grid=grid, values=_irfft(grid, block, out=out))
 
 
 def _lq_from_power_sum(w: np.ndarray, grid: GridSpec, q: float) -> float:
@@ -150,23 +173,41 @@ def mixed_kernel_norms(grid: GridSpec, alpha: float, times):
     kernel at the last time.
 
     Returns (norms, kernel): norms has shape (len(times), 3), its columns
-    q = 1, 2, inf, each bit for bit kernel_lq_norm(mixed_kernel(grid,
-    alpha, t), q). The run builds one symbol and one spectrum buffer, and
-    each kernel overwrites the array of the one before, once its norms are
-    taken; one |k| temporary serves its L^1 and L^2 norms.
+    q = 1, 2, inf. The last time's kernel is mixed_kernel(grid, alpha, t)
+    and its row is its kernel_lq_norm, bit for bit. Every other time's
+    kernel is taken on the coarsest grid that the cut test allows under
+    its multiplier exp(-t m), where it is the coarse grid's mixed_kernel;
+    a time that does not cut keeps grid's bits. The run builds one symbol
+    and one spectrum buffer; one |k| temporary serves each kernel's L^1
+    and L^2 norms.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
         raise ConfigurationError("times must hold at least one time")
     require("finite and > 0", times=times)
     sym, spectrum = _kernel_run(grid, alpha, "mixed")
-    out = np.empty(grid.shape)
     norms = np.empty((times.size, 3))
-    for row, t in zip(norms, times.tolist()):
-        k = _delta_response(sym, spectrum, t, out)
+
+    def take_norms(row, k, t):
         row[2] = _check_kernel(k, f"mixed_kernel(alpha={alpha}, t={t})")
         row[:2] = _l1_l2_norms(k)
-    return norms, k
+
+    times = times.tolist()
+    out = np.empty(grid.shape)
+    # each earlier time's cut, tested on its multiplier in out's head
+    head = out.reshape(-1)[:sym.values.size].reshape(sym.values.shape)
+    cuts = [_cut_halvings(grid, np.exp(np.multiply(sym.values, -t, out=head), out=head))
+            for t in times[:-1]] + [0]
+    # every full-grid kernel before any coarse one, the last time's last so
+    # that it stays in out (see the module docstring)
+    for row, t, halvings in zip(norms, times, cuts):
+        if not halvings:
+            last = _delta_response(sym, spectrum, t, out)
+            take_norms(row, last, t)
+    for row, t, halvings in zip(norms, times, cuts):
+        if halvings:
+            take_norms(row, _delta_response(sym, spectrum, t, halvings=halvings), t)
+    return norms, last
 
 
 def kernel_lq_norm(f: Field, q: float) -> float:

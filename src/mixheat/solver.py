@@ -32,7 +32,7 @@ the last, solve tests the spectrum that the step's own transform makes
 of the state after its first half absorption, so the test sees the
 harmonics that absorption creates. It halves the grid (keeping L, never
 below 16 points) as often as every mode with |k| >= n/4 on any axis is
-at most _CUT_TOL of the spectrum's peak; the absorbed state is then
+at most grid._CUT_TOL of the spectrum's peak; the absorbed state is then
 decimated to its samples at every 2^m-th node, and the step goes on from
 one transform on the coarse grid. On the problem's grid the trace's linf
 is the samples' maximum; on a coarse grid it is still read on the
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, _float_or_array, _irfft, _rfft,
-                   apply_symbol, make_symbol)
+from .grid import (Field, GridSpec, _cut_halvings, _float_or_array, _irfft,
+                   _refine, _rfft, apply_symbol, make_symbol)
 
 _log = logging.getLogger(__name__)
 
@@ -75,10 +75,6 @@ _WORK_GRIDS = 5
 # would not fit _MAX_BYTES. A larger count is a config error, caught before
 # any work.
 _MAX_STEPS = _MAX_BYTES // _TRACE_ROW_BYTES - 1
-# The grid cut (see the module docstring): the largest |u_k| from the coarse
-# grid's Nyquist index up, as a share of the peak |u_0|, that a halving may
-# drop.
-_CUT_TOL = 1e-14
 
 
 def _check_grid_budget(grids: int, grid: GridSpec, key: str, what: str):
@@ -401,27 +397,7 @@ def _absorb(values: np.ndarray, H: float, p: float, work: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The grid cut.
-
-def _cut_halvings(grid: GridSpec, spectrum: np.ndarray, magnitude: np.ndarray) -> int:
-    """How many times the grid may halve under a state >= 0 whose half
-    spectrum is `spectrum`: every mode from the coarse grid's Nyquist index
-    up, on any axis, is at most _CUT_TOL of the peak, the zero mode. |u_k|
-    is formed in magnitude, a free half-lattice float buffer."""
-    np.abs(spectrum, out=magnitude)
-    n, dim = grid.points, grid.dim
-    peak = float(magnitude.flat[0])
-    m = 0
-    while n >> (m + 1) >= 16:  # GridSpec's least points per axis
-        c = n >> (m + 2)  # the coarse grid's Nyquist index
-        upper = magnitude[..., c:].max()
-        if dim == 2:
-            upper = max(upper, magnitude[c:n - c + 1].max())
-        if upper > _CUT_TOL * peak:
-            break
-        m += 1
-    return m
-
+# The grid cut (its test and _refine are grid's).
 
 class _FineMax:
     """The trace's linf on a coarse grid, read on the problem's: the
@@ -472,22 +448,6 @@ def _work_buffers(grid: GridSpec, alpha: float):
     spectrum = np.empty(symbol.shape, dtype=complex)
     work = spectrum.view(float).reshape(-1)[:grid.points ** grid.dim].reshape(grid.shape)
     return symbol, spectrum, np.empty_like(symbol), work
-
-
-def _refine(values: np.ndarray, coarse: GridSpec, fine: GridSpec) -> np.ndarray:
-    """The band-limited interpolant of a coarse grid's samples on a finer
-    grid with the same box: its spectrum zero-padded, the coarse Nyquist
-    modes dropped."""
-    spectrum = _rfft(coarse, values)
-    h = coarse.points // 2
-    padded = np.zeros(fine.shape[:-1] + (fine.points // 2 + 1,), dtype=complex)
-    low = (slice(h),) * coarse.dim
-    padded[low] = spectrum[low]
-    if coarse.dim == 2:  # the leading axis's negative frequencies
-        padded[1 - h:, :h] = spectrum[h + 1:, :h]
-    out = _irfft(fine, padded)
-    out *= 1.0 / values.size  # the inverse's 1/N, at the coarse N
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +603,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             _rfft(g, u, out=spectrum)
             if j == 0:
                 # the cut, on this step's own spectrum of the absorbed state
-                halvings = _cut_halvings(g, spectrum, multiplier)
+                halvings = _cut_halvings(g, np.abs(spectrum, out=multiplier))
                 if halvings:
                     coarse = dataclasses.replace(g, points=g.points >> halvings)
                     _log.debug("solve cut the grid at t = %g: %d -> %d points per axis",

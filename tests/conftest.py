@@ -13,7 +13,7 @@ import logging
 import numpy as np
 import pytest
 
-from mixheat import solver
+from mixheat import grid, solver
 
 _CRITERION_LINES = []
 
@@ -61,7 +61,7 @@ def solve_cut_and_fixed(problem, schedule):
     (a _CUT_TOL below any spectrum's ratio, so no knot cuts)."""
     cut = solver.solve(problem, schedule)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_CUT_TOL", -1.0)
+        mp.setattr(grid, "_CUT_TOL", -1.0)
         fixed = solver.solve(problem, schedule)
     return cut, fixed
 

@@ -549,12 +549,18 @@ def test_cli_kernel_builds_one_symbol_for_all_its_times(cfg_path, tmp_path, monk
     assert len(calls) == 1
     grid = GridSpec(1, 40.0, 256)  # BASE_CFG's
     rows = [line.split(",") for line in (out / "kernel.csv").read_text().splitlines()[1:]]
-    expected = []
-    for t in (0.5, 2.0, 8.0, 32.0):
+    assert [row[:2] for row in rows] == [[cli._fmt(t), cli._fmt(q)]
+                                         for t in (0.5, 2.0, 8.0, 32.0)
+                                         for q in (1.0, 2.0, np.inf)]
+    for t, row in zip((0.5, 2.0, 8.0, 32.0), np.reshape(rows, (4, 3, 3))):
         k = mixed_kernel(grid, 1.0, t)
-        expected += [[cli._fmt(t), cli._fmt(q), cli._fmt(kernel_lq_norm(k, q))]
-                     for q in (1.0, 2.0, np.inf)]
-    assert rows == expected
+        norms = [kernel_lq_norm(k, q) for q in (1.0, 2.0, np.inf)]
+        if t in (0.5, 32.0):  # t = 0.5 does not cut the grid; the last time never does
+            assert row[:, 2].tolist() == [cli._fmt(v) for v in norms]
+        else:  # a cut row is the coarse grid's kernel's
+            got = row[:, 2].astype(float)
+            np.testing.assert_allclose(got[:2], norms[:2], rtol=1e-15, atol=0.0)
+            assert got[2] == pytest.approx(norms[2], rel=1e-12, abs=0.0)
     assert np.array_equal(read_field(out / "kernel.fhk").values, k.values)
     assert f"mass={cli._fmt(integral(k))}" in capsys.readouterr().out
 

@@ -204,6 +204,27 @@ def test_only_the_transform_pair_calls_numpy_fft():
     assert callers == {"grid._rfft", "grid._irfft"}
 
 
+def test_grid_holds_the_one_cut_path():
+    """grid._cut_halvings and grid._refine, beside the transform pair, are
+    the one grid cut: no other module defines either or spells the cut's
+    tolerance, and solver and kernels import what they use of it from
+    grid."""
+    cut_path = {"_cut_halvings", "_refine"}
+    defined, imported, tolerance = [], {}, []
+    for name, node in _package_nodes(set()):
+        if isinstance(node, ast.FunctionDef) and node.name in cut_path:
+            defined.append(f"{name}:{node.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "grid":
+            imported[name] = cut_path & {a.name for a in node.names}
+        elif (name != "grid.py"
+              and getattr(node, "id", getattr(node, "attr", None)) == "_CUT_TOL"):
+            tolerance.append(f"{name}:{node.lineno}")
+    assert sorted(defined) == ["grid.py:_cut_halvings", "grid.py:_refine"]
+    assert imported["solver.py"] == cut_path
+    assert imported["kernels.py"] == {"_cut_halvings"}
+    assert not tolerance, "_CUT_TOL named outside grid.py:\n" + "\n".join(tolerance)
+
+
 def test_names_the_benchmark_reaches_into(tmp_path):
     """perfbench/ drives mixheat through these names and signatures, and
     reads its trace columns and step count; moving one breaks it."""

@@ -27,6 +27,7 @@ from mixheat import (
     stable_tail_constant,
     taylor_contraction_error,
 )
+from mixheat import grid as grid_module
 from mixheat import kernels, solver
 from mixheat.kernels import _delta_response
 
@@ -97,7 +98,9 @@ def test_kernels_equal_semigroup_on_transformed_delta(builder, kind, dim, n,
     is the delta's rfftn times the inverse transform's 1/N exactly, every
     kernel is the apply_symbol result,
     and a run of mixed kernels over unordered times returns the last of
-    them and the kernel_lq_norm of each, bit for bit."""
+    them and the kernel_lq_norm of each, bit for bit: no time but the last
+    cuts the grid here (runs that cut are held to the coarse kernels in
+    test_kernel_norms_cut_the_grid_where_the_multiplier_allows)."""
     g = GridSpec(dim, 0.37 * n, n)
     delta = delta_field(g)
     spectrum = np.fft.rfftn(delta.values, axes=tuple(range(dim)))
@@ -171,6 +174,94 @@ def test_kernel_lq_norm_matches_plain_expression_bitwise(dim, n):
     norms, last = mixed_kernel_norms(g, 1.5, [0.1])
     assert np.array_equal(last.values, k.values)
     assert norms.tolist() == [[kernel_lq_norm(k, q) for q in (1.0, 2.0, np.inf)]]
+
+
+# Grids and unordered times on which mixed_kernel_norms cuts 0 to 6 times.
+CUT_RUNS = [(GridSpec(1, 0.37 * 1024, 1024), (1.0, 1e-3, 300.0, 30.0, 3000.0, 0.5)),
+            (GridSpec(2, 40.0, 256), (1.0, 1e-3, 300.0, 30.0, 3000.0, 0.5))]
+
+
+def _halvings(g, alpha, t):
+    return grid_module._cut_halvings(g, np.exp(-t * make_symbol(g, alpha).values))
+
+
+def _transform_sizes(monkeypatch):
+    """The points per axis of each grid that kernels._irfft transforms on,
+    in call order, filled as the transforms run."""
+    sizes = []
+
+    def spy(grid, spectrum, apply=kernels._irfft, **kwargs):
+        sizes.append(grid.points)
+        return apply(grid, spectrum, **kwargs)
+
+    monkeypatch.setattr(kernels, "_irfft", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("g,times", CUT_RUNS, ids=["1d", "2d"])
+def test_kernel_norms_cut_the_grid_where_the_multiplier_allows(g, times):
+    """The last kernel is mixed_kernel's and every row that does not cut
+    is its kernel_lq_norm, bit for bit. A row that cuts is the coarse
+    grid's kernel_lq_norm of the coarse grid's mixed_kernel, bit for bit,
+    and within 1e-15 (L^1, L^2) and 1e-12 (L^inf) of the full grid's."""
+    seen = set()
+    for alpha in ALPHAS:
+        norms, last = mixed_kernel_norms(g, alpha, times)
+        assert np.array_equal(last.values, mixed_kernel(g, alpha, times[-1]).values)
+        for row, t in zip(norms, times):
+            full = [kernel_lq_norm(mixed_kernel(g, alpha, t), q)
+                    for q in (1.0, 2.0, np.inf)]
+            halvings = 0 if t == times[-1] else _halvings(g, alpha, t)
+            seen.add(halvings)
+            if not halvings:
+                assert row.tolist() == full
+                continue
+            coarse = GridSpec(g.dim, g.half_width, g.points >> halvings)
+            k = mixed_kernel(coarse, alpha, t)
+            assert row.tolist() == [kernel_lq_norm(k, q) for q in (1.0, 2.0, np.inf)]
+            np.testing.assert_allclose(row[:2], full[:2], rtol=1e-15, atol=0.0)
+            assert row[2] == pytest.approx(full[2], rel=1e-12, abs=0.0)
+    assert 0 in seen and max(seen) >= 4
+
+
+@pytest.mark.parametrize("g,times", CUT_RUNS, ids=["1d", "2d"])
+def test_kernel_norms_take_one_full_size_transform_first(g, times, monkeypatch):
+    """Where every time but the last cuts, the run's one full-size
+    transform is its first: numpy's plan for it is made before the coarse
+    ones, which would otherwise sit under its scratch."""
+    times = [t for t in times if t >= 30.0] + [1.0]
+    sizes = _transform_sizes(monkeypatch)
+    mixed_kernel_norms(g, 1.0, times)
+    assert len(sizes) == len(times)
+    assert sizes[0] == g.points and max(sizes[1:]) < g.points
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_norms_never_cut_a_16_point_grid(dim, monkeypatch):
+    g = GridSpec(dim, 40.0, 16)
+    times = (1e4, 1e3, 1.0)
+    sizes = _transform_sizes(monkeypatch)
+    norms, _ = mixed_kernel_norms(g, 1.0, times)
+    assert sizes == [16] * 3
+    assert norms.tolist() == [[kernel_lq_norm(mixed_kernel(g, 1.0, t), q)
+                               for q in (1.0, 2.0, np.inf)] for t in times]
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2 ** 16), (2, 256)])
+def test_kernel_norms_hold_one_full_grid_kernel_at_a_time(dim, n):
+    """Times that do not cut take their kernels on the full grid before
+    the last one, in its array: the run's peak stays at the symbol, the
+    spectrum buffer, one kernel and one |k| temporary, 3.5 grids
+    measured, whether or not the earlier times cut."""
+    g = GridSpec(dim, 0.37 * n, n)
+    for times in ([0.5, 1e-3, 1.0], [300.0, 0.5, 30.0, 1.0]):
+        tracemalloc.start()
+        try:
+            mixed_kernel_norms(g, 1.0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * 8 * n ** dim
 
 
 @pytest.mark.parametrize("times", [[], [1.0, 0.0]])

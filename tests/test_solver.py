@@ -39,6 +39,7 @@ from mixheat import (
     time_to_tau,
 )
 from conftest import assert_cut_agrees, logged_cuts, solve_cut_and_fixed
+import mixheat.grid
 from mixheat import solver
 from mixheat.solver import _MAX_STEPS, geometric_times
 
@@ -710,8 +711,7 @@ def test_cut_bound_is_free_of_the_box_width():
     cuts = []
     for L in (20.0, 1e300, 1e-300):
         g = GridSpec(1, L, 256)
-        spectrum = solver._rfft(g, u)
-        cuts.append(solver._cut_halvings(g, spectrum, np.empty(spectrum.shape)))
+        cuts.append(mixheat.grid._cut_halvings(g, np.abs(mixheat.grid._rfft(g, u))))
     assert cuts == [4] * 3
 
 
@@ -767,8 +767,10 @@ def test_solve_transforms_once_each_way_per_step(monkeypatch):
             return transform(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(solver, "_rfft", counted("forward", solver._rfft))
-    monkeypatch.setattr(solver, "_irfft", counted("inverse", solver._irfft))
+    # solve's own calls and those of grid's _refine
+    for module in (solver, mixheat.grid):
+        monkeypatch.setattr(module, "_rfft", counted("forward", mixheat.grid._rfft))
+        monkeypatch.setattr(module, "_irfft", counted("inverse", mixheat.grid._irfft))
     u0 = unit_gaussian(GridSpec(1, 400.0, 8192))
     prob = ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
                        initial=Field(u0.grid, 0.1 * u0.values))
@@ -790,7 +792,7 @@ def test_fine_max_is_the_refined_maximum(dim):
     fine_max = solver._FineMax(coarse, fine)
     for centre in (0.23, -3.6, 3.7):
         u = np.exp(-sum((2.0 * np.sin(np.pi * (c - centre) / 8.0)) ** 2 for c in x))
-        refined = solver._refine(u, coarse, fine)
+        refined = mixheat.grid._refine(u, coarse, fine)
         assert refined.max() > 1.001 * u.max()
         assert fine_max(u) == pytest.approx(refined.max(), rel=1e-14)
 
