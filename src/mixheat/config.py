@@ -13,12 +13,12 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, require
-from .grid import Field, GridSpec, delta_field, integral, read_field
+from .grid import (_TINY, Field, GridSpec, _check_grid_budget, delta_field,
+                   integral, read_field)
 from .observers import _read_table
 from .solver import (_WORK_GRIDS, PowerAbsorption, ProblemSpec, TableAbsorption,
-                     _check_grid_budget, default_snapshot_times, geometric_times)
+                     default_snapshot_times, geometric_times)
 
-_TINY = float(np.finfo(float).tiny)
 # Largest Gaussian value on the box boundary, relative to its peak, that
 # build_initial accepts without a warning. The periodic box joins the two
 # edges, so a larger value is a jump whose spectral ripple the solver clips

@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import GridSpec, _float_or_array
-from .solver import _check_grid_budget
+from .grid import _TINY, GridSpec, _check_grid_budget, _float_or_array
 
 
 def frac_constant(dim: int, s: float) -> float:
@@ -246,7 +245,6 @@ def _digamma(x):
 # less the interpreter's, read 5.7-5.9 in 1D (2^17-2^21 points), 2.5-2.8 in 2D.
 _CAPACITY_GRIDS = 7
 _LOG_MAX = math.log(np.finfo(float).max)
-_TINY = np.finfo(float).tiny
 # log 2^-1075: the most a power that rounds below _TINY is off by
 _LOG_HALF_SUBNORMAL = -1075 * math.log(2.0)
 

@@ -31,6 +31,7 @@ _TINY = float(np.finfo(float).tiny)
 # The grid cut: the largest |u_k| from the coarse grid's Nyquist index up,
 # as a share of the peak |u_0|, that a halving may drop.
 _CUT_TOL = 1e-14
+_MAX_BYTES = 4 * 2 ** 30  # the memory budget: see _check_budget
 
 
 def _float_or_array(out: np.ndarray):
@@ -95,6 +96,22 @@ class GridSpec:
             return half
         kx, ky = np.meshgrid(self.axis_freqs(), half, indexing="ij")
         return np.hypot(kx, ky)
+
+
+def _check_budget(need: int, needer: str):
+    """Raise if `need` bytes, the most a run will hold, exceed _MAX_BYTES;
+    `needer` says what needs them. Each builder counts its need first."""
+    if need > _MAX_BYTES:
+        raise ConfigurationError(
+            f"{needer} about {need / 2 ** 30:.3g} GiB, more than the memory "
+            f"budget of {_MAX_BYTES / 2 ** 30:g} GiB")
+
+
+def _check_grid_budget(grids: int, grid: GridSpec, key: str, what: str):
+    """Raise, naming `key`, if `grids` float64 grids exceed _MAX_BYTES."""
+    points = grid.points ** grid.dim
+    _check_budget(grids * 8 * points,
+                  f"{key} = {grid.points} gives a {points}-point {what} grid that needs")
 
 
 @dataclass(frozen=True)

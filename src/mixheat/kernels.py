@@ -27,8 +27,7 @@ full transform's scratch, which lifted that run's ru_maxrss from 102.8 to
 114.9 MiB. At its peak, during a full transform, the run holds the
 symbol, the spectrum buffer, one kernel and numpy's transform scratch,
 about five grids of float64 (_KERNEL_GRIDS); every kernel builder checks
-that against the solver's memory budget before it allocates anything
-grid-sized.
+that against grid's memory budget before it allocates anything grid-sized.
 
 Quadrature inversions of the Fourier formulas, the cross-check oracles
 for these kernels, live in `mixheat.oracles`, which no simulation module
@@ -41,9 +40,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, SpectralSymbol, _cut_halvings, _irfft,
-                   apply_symbol, integral, make_symbol)
-from .solver import _check_grid_budget
+from .grid import (Field, GridSpec, SpectralSymbol, _check_grid_budget,
+                   _cut_halvings, _irfft, apply_symbol, integral, make_symbol)
 
 log = logging.getLogger(__name__)
 
@@ -78,7 +76,7 @@ def _check_kernel(k: Field, label: str) -> float:
 
 def _kernel_run(grid: GridSpec, alpha: float, kind: str):
     """The symbol and a zeroed complex half-spectrum buffer for kernels on
-    one grid, once the run is known to fit the solver's memory budget."""
+    one grid, once the run is known to fit grid's memory budget."""
     _check_grid_budget(_KERNEL_GRIDS, grid, "points", "kernel")
     sym = make_symbol(grid, alpha, kind)
     return sym, np.zeros(sym.values.shape, dtype=complex)
@@ -266,13 +264,18 @@ def half_width_for_tail(alpha: float, t: float, dim: int,
                         tail_mass: float = 1e-8) -> float:
     """Box half-width so the exact stable tail mass stays below target.
 
-    For small alpha and large t this grows like (t / tail_mass)^(1/alpha)
-    and can be impractically large; callers sizing sup-norm experiments
-    should bound the wrapped peak contamination instead.
-    """
+    It grows like (t / tail_mass)^(1/alpha), a ConfigurationError past the
+    float range. Size sup-norm runs by the wrapped peak contamination instead."""
     require("finite and > 0", t=t, tail_mass=tail_mass)
+    alpha, t, tail_mass = float(alpha), float(t), float(tail_mass)  # raise on overflow
     a = stable_tail_constant(alpha, dim)
     if dim not in (1, 2):  # the surfaces below are the 1D and 2D ones
         raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
     surface = 2.0 if dim == 1 else 2.0 * np.pi
-    return (surface * a * t / (alpha * tail_mass)) ** (1.0 / alpha)
+    ratio = surface * a * t / (alpha * tail_mass)
+    try:  # where the ratio alone overflows (alpha > 1), its power in log space
+        return ratio ** (1.0 / alpha) if ratio < math.inf else math.exp(
+            (math.log(surface * a / alpha) + math.log(t) - math.log(tail_mass)) / alpha)
+    except OverflowError:
+        raise ConfigurationError(f"half_width_for_tail(alpha={alpha}, t={t}, dim={dim}, "
+                                 f"tail_mass={tail_mass}) overflows the float range") from None

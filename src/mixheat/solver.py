@@ -52,15 +52,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, _cut_halvings, _float_or_array, _irfft,
-                   _refine, _rfft, apply_symbol, make_symbol)
+from .grid import (_MAX_BYTES, Field, GridSpec, _check_budget, _cut_halvings,
+                   _float_or_array, _irfft, _refine, _rfft, apply_symbol,
+                   make_symbol)
 
 _log = logging.getLogger(__name__)
 
-# Most bytes one solve may hold in snapshots, work arrays and trace rows,
-# checked before it allocates.
-_MAX_BYTES = 4 * 2 ** 30
-_TRACE_ROW_BYTES = 6 * 8
+_TRACE_ROW_BYTES = 6 * 8  # one trace row: MassTrace's six float64 columns
 # Grid-sized arrays solve holds besides its snapshots: state, spectrum (the
 # work buffer is a view on it), symbol and multiplier (half lattice each)
 # and the FFT's own scratch. The ru_maxrss of a solve over the interpreter's
@@ -72,20 +70,8 @@ _TRACE_ROW_BYTES = 6 * 8
 # problem's grid still holds.
 _WORK_GRIDS = 5
 # Most Strang steps one schedule may hold: the trace rows of one more step
-# would not fit _MAX_BYTES. A larger count is a config error, caught before
-# any work.
+# would not fit grid's _MAX_BYTES. A larger count fails before any work.
 _MAX_STEPS = _MAX_BYTES // _TRACE_ROW_BYTES - 1
-
-
-def _check_grid_budget(grids: int, grid: GridSpec, key: str, what: str):
-    """Raise, naming `key`, if `grids` float64 grids exceed _MAX_BYTES."""
-    points = grid.points ** grid.dim
-    need = grids * 8 * points
-    if need > _MAX_BYTES:
-        raise ConfigurationError(
-            f"{key} = {grid.points} gives a {points}-point {what} grid that "
-            f"needs about {need / 2 ** 30:.3g} GiB, more than the memory "
-            f"budget of {_MAX_BYTES / 2 ** 30:g} GiB")
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +519,10 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     grid = problem.grid
     n_snaps = schedule.snapshot_times.size
     u0 = problem.initial.values
-    need = ((n_snaps + _WORK_GRIDS) * u0.nbytes
-            + _TRACE_ROW_BYTES * (schedule.total_steps + 1))
-    if need > _MAX_BYTES:
-        raise ConfigurationError(
-            f"{n_snaps} snapshots of a {u0.size}-point grid "
-            f"and a trace of {schedule.total_steps} steps need about "
-            f"{need / 2 ** 30:.3g} GiB, more than the memory budget of "
-            f"{_MAX_BYTES / 2 ** 30:g} GiB")
+    _check_budget((n_snaps + _WORK_GRIDS) * u0.nbytes
+                  + _TRACE_ROW_BYTES * (schedule.total_steps + 1),
+                  f"{n_snaps} snapshots of a {u0.size}-point grid "
+                  f"and a trace of {schedule.total_steps} steps need")
     p = problem.p
     beta = problem.beta
     # g is the grid the state lives on now: the problem's, or a cut of it

@@ -11,6 +11,7 @@ from mixheat import (
     ConfigurationError,
     Field,
     GridSpec,
+    MassTrace,
     PowerAbsorption,
     ProblemSpec,
     apply_symbol,
@@ -18,6 +19,7 @@ from mixheat import (
     bracket_laplacian,
     bracket_profile,
     capacity_integral,
+    classify_mass_limit,
     critical_exponent,
     decay_rate_exponent,
     default_snapshot_times,
@@ -45,6 +47,10 @@ GRID = GridSpec(1, 20.0, 64)
 FIELD = Field(GRID, np.exp(-GRID.axis_coords() ** 2))
 SYMBOL = make_symbol(GRID, 1.0)
 H0 = PowerAbsorption(0.0)
+# a flat trace over two decades, so only the window can be out of range
+_T = np.geomspace(1.0, 100.0, 9)
+TRACE = MassTrace(times=_T, taus=_T, mass=np.ones(9), absorbed=np.zeros(9),
+                  linf=np.ones(9), l2=np.ones(9))
 
 
 def problem(alpha=1.0, beta=0.0, p=2.0):
@@ -126,6 +132,8 @@ CASES = [
     ("decay_rate_exponent", "dim", 0, lambda v: decay_rate_exponent(2.0, 1.0, 0.0, v)),
     ("profile_error", "t", 0.0, lambda v: profile_error(FIELD, 1.0, v, 1.0, 0.0, 2.0)),
     ("profile_error", "m_inf", -1.0, lambda v: profile_error(FIELD, v, 1.0, 1.0, 0.0, 2.0)),
+    ("profile_error", "q", 0.5, lambda v: profile_error(FIELD, 1.0, 1.0, 1.0, 0.0, v)),
+    ("classify_mass_limit", "window", 0.0, lambda v: classify_mass_limit(TRACE, window=v)),
     ("frac_laplacian_pointwise", "s", 1.0,
      lambda v: frac_laplacian_pointwise(profile, v, 0.5)),
     ("scaling_check", "R", 0.0, lambda v: scaling_check(profile, 0.5, v, 0.5)),

@@ -24,6 +24,7 @@ from mixheat import (
 )
 from conftest import logged_cuts
 from mixheat import cli, fractional, kernels, solver
+from mixheat import grid as grid_module
 from mixheat.cli import main
 from mixheat.config import (
     ExperimentConfig,
@@ -471,7 +472,7 @@ def test_cli_solve_keeps_one_snapshot_and_the_same_outputs(cfg_path, tmp_path,
 
     # a budget that fits one snapshot but not nine
     grid_bytes = every.final.values.nbytes
-    monkeypatch.setattr(solver, "_MAX_BYTES",
+    monkeypatch.setattr(grid_module, "_MAX_BYTES",
                         (1 + solver._WORK_GRIDS) * grid_bytes
                         + 48 * (every.total_steps + 1))
     with pytest.raises(ConfigurationError, match="^9 snapshots of a 256-point grid"):
@@ -781,7 +782,7 @@ def test_cli_capacity_evaluates_the_closed_forms_once(cfg_path, tmp_path, capsys
 
 def test_cli_capacity_checks_the_memory_budget(cfg_path, tmp_path, capsys, monkeypatch):
     # a lowered budget stands in for a huge capacity_points: nothing runs
-    monkeypatch.setattr(solver, "_MAX_BYTES", fractional._CAPACITY_GRIDS * 8 * 1024 - 1)
+    monkeypatch.setattr(grid_module, "_MAX_BYTES", fractional._CAPACITY_GRIDS * 8 * 1024 - 1)
     rc = main(["capacity", "--config", cfg_path, "--set", "capacity_points=1024",
                "--out-dir", str(tmp_path / "out")])
     assert rc == 1

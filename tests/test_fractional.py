@@ -388,17 +388,17 @@ def test_capacity_tail_slope_is_polyfit_to_roundoff(offset):
 
 def test_capacity_integral_checks_the_memory_budget_first(monkeypatch):
     """A capacity run holds about fractional._CAPACITY_GRIDS lattices at its
-    peak; past the solver's budget it fails before its first array."""
-    from mixheat import solver
+    peak; past grid's memory budget it fails before its first array."""
+    from mixheat import grid as grid_module
     grid = GridSpec(1, 2e4, 2 ** 14)
     need = fractional._CAPACITY_GRIDS * 8 * 2 ** 14
-    monkeypatch.setattr(solver, "_MAX_BYTES", need)
+    monkeypatch.setattr(grid_module, "_MAX_BYTES", need)
     assert capacity_integral(1.5, 2.0, 1.0, grid, [16.0])[0] > 0.0
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before the memory check")
 
-    monkeypatch.setattr(solver, "_MAX_BYTES", need - 1)
+    monkeypatch.setattr(grid_module, "_MAX_BYTES", need - 1)
     monkeypatch.setattr(np, "arange", no_allocation)
     with pytest.raises(ConfigurationError,
                        match=r"^capacity_points = 16384 gives a 16384-point capacity "

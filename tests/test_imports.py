@@ -3,8 +3,8 @@ CLI's import path and no CLI run loads SciPy, only the oracles import it, the
 shared argument ranges live in errors.py, the kinds of the config's choice
 keys are decided only in config.py (no other module tests an absorption
 law's class), only observers.py formats floats and writes and reads CSV
-tables, and the names the benchmark in perfbench/ uses stay where it finds
-them."""
+tables, grid.py holds the one memory budget, and the names the benchmark
+in perfbench/ uses stay where it finds them."""
 
 import ast
 import inspect
@@ -223,6 +223,33 @@ def test_grid_holds_the_one_cut_path():
     assert imported["solver.py"] == cut_path
     assert imported["kernels.py"] == {"_cut_halvings"}
     assert not tolerance, "_CUT_TOL named outside grid.py:\n" + "\n".join(tolerance)
+
+
+def test_grid_holds_the_one_memory_budget():
+    """grid._MAX_BYTES is the one memory budget and grid._check_budget its
+    one raise: no other module assigns the budget or spells its message, so
+    solve's snapshot-and-trace check goes through grid too. The linear
+    layers, kernels and fractional, take their check from grid and import
+    nothing from the stepper."""
+    message = "more than the memory budget"
+    assigned, spelled, from_solver = [], [], []
+    for name, node in _package_nodes(set()):
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if (isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                and any(getattr(t, "id", None) == "_MAX_BYTES" for t in targets)):
+            assigned.append(name)
+        elif isinstance(node, ast.Constant) and message in str(node.value):
+            spelled.append(name)
+        elif name in ("kernels.py", "fractional.py") and (
+                isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").endswith("solver")
+                    or any(a.name == "solver" for a in node.names))
+                or isinstance(node, ast.Import)
+                and any(a.name.endswith("solver") for a in node.names)):
+            from_solver.append(f"{name}:{node.lineno}")
+    assert assigned == ["grid.py"]
+    assert spelled == ["grid.py"]
+    assert not from_solver, "the stepper imported in:\n" + "\n".join(from_solver)
 
 
 def test_names_the_benchmark_reaches_into(tmp_path):

@@ -28,7 +28,7 @@ from mixheat import (
     taylor_contraction_error,
 )
 from mixheat import grid as grid_module
-from mixheat import kernels, solver
+from mixheat import kernels
 from mixheat.kernels import _delta_response
 
 ALPHAS = (0.5, 1.0, 1.5)
@@ -276,7 +276,7 @@ def test_kernel_run_rejects_bad_times_before_any_work(monkeypatch, times):
 
 def test_every_kernel_builder_checks_the_memory_budget_first(monkeypatch):
     """A kernel run holds about kernels._KERNEL_GRIDS grids at its peak;
-    past the solver's budget it fails before the symbol, its first
+    past grid's memory budget it fails before the symbol, its first
     grid-sized array, is built."""
     g = GridSpec(2, 10.0, 64)
     need = kernels._KERNEL_GRIDS * 8 * 64 ** 2
@@ -286,14 +286,14 @@ def test_every_kernel_builder_checks_the_memory_budget_first(monkeypatch):
                 lambda: mixed_kernel(g, 1.0, 1.0),
                 lambda: stable_kernel(g, 1.0, 1.0),
                 lambda: taylor_contraction_error(bump, [1.0], 1.0)]
-    monkeypatch.setattr(solver, "_MAX_BYTES", need)
+    monkeypatch.setattr(grid_module, "_MAX_BYTES", need)
     for build in builders:
         build()
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before the memory check")
 
-    monkeypatch.setattr(solver, "_MAX_BYTES", need - 1)
+    monkeypatch.setattr(grid_module, "_MAX_BYTES", need - 1)
     monkeypatch.setattr(kernels, "make_symbol", no_allocation)
     for build in builders:
         with pytest.raises(ConfigurationError,
@@ -349,6 +349,24 @@ def test_half_width_for_tail_inverts_tail_mass():
     # tighter tolerance must demand a wider box
     assert (half_width_for_tail(1.0, 3.0, 1, tail_mass=1e-8)
             > half_width_for_tail(1.0, 3.0, 1, tail_mass=1e-6))
+
+
+@pytest.mark.parametrize("real", [float, np.float64])
+def test_half_width_past_the_float_range_is_a_config_error(real):
+    # alpha = 0.01 needs a width of about e^1841: named, not an OverflowError
+    # (nor, for numpy arguments, a RuntimeWarning)
+    with pytest.raises(ConfigurationError,
+                       match=r"^half_width_for_tail\(alpha=0\.01, t=1\.0, dim=1, "
+                             r"tail_mass=1e-08\) overflows the float range$"):
+        half_width_for_tail(real(0.01), real(1.0), 1)
+
+
+def test_half_width_survives_a_ratio_past_the_float_range():
+    # at alpha = 1.9 the ratio (about 1e316) overflows while its 1/alpha
+    # power does not: the width still grows like t^(1/alpha)
+    wide = half_width_for_tail(1.9, 1e308, 1)
+    assert wide == pytest.approx(half_width_for_tail(1.9, 1e300, 1) * 1e8 ** (1 / 1.9),
+                                 rel=1e-12)
 
 
 def test_stable_quadrature_matches_cauchy():

@@ -319,7 +319,7 @@ def test_knot_counts_past_the_step_budget_fail_before_any_ladder(monkeypatch):
     """Each gap between knots costs a step, so a ladder or a set of
     snapshot times longer than _MAX_STEPS + 1 is rejected before it is
     built; the trace of _MAX_STEPS steps is the most _MAX_BYTES holds."""
-    assert (solver._TRACE_ROW_BYTES * (_MAX_STEPS + 1) <= solver._MAX_BYTES
+    assert (solver._TRACE_ROW_BYTES * (_MAX_STEPS + 1) <= mixheat.grid._MAX_BYTES
             < solver._TRACE_ROW_BYTES * (_MAX_STEPS + 2))
 
     def built(*args, **kwargs):
@@ -613,7 +613,7 @@ def test_solve_checks_its_memory_budget_before_allocating(monkeypatch):
         solve(prob, sched)
     # the trace rows count too: 48 B per row, two rows for one step
     small = make_step_schedule(1.0, 100.0, 0.0, 1e9, snapshot_times=[100.0])
-    monkeypatch.setattr(solver, "_MAX_BYTES",
+    monkeypatch.setattr(mixheat.grid, "_MAX_BYTES",
                         (1 + solver._WORK_GRIDS) * grid.points * 8 + 48)
     with pytest.raises(ConfigurationError, match="memory budget"):
         solve(prob, small)
