@@ -26,7 +26,7 @@ from .config import (build_problem, capacity_radii, kernel_times, load_config,
 from .errors import ConfigurationError, NumericalFailureError, require
 from .fractional import (_check_capacity_box, bracket_laplacian, bracket_profile,
                          capacity_integral)
-from .grid import Field, GridSpec, convolve, integral, read_field, write_field
+from .grid import Field, GridSpec, _lq_norm, convolve, integral, read_field, write_field
 from .kernels import mixed_kernel, mixed_kernel_norms, stable_kernel
 from .observers import (_fmt, _loglog_slope, _write_table, classify_mass_limit,
                         condition_h_check, critical_exponent, read_mass_csv, write_mass_csv)
@@ -206,7 +206,7 @@ def cmd_selftest(args) -> int:
 
     k2 = mixed_kernel(grid, 1.0, 2.0)
     comp = convolve(k1, k1)
-    dist = float(np.sum(np.abs(comp.values - k2.values)) * grid.cell_volume)
+    dist = _lq_norm(comp.values - k2.values, 1.0, grid.cell_volume)
     check("semigroup", dist < 1e-6, f"L1 distance {dist:.2e}")
 
     wide = GridSpec(dim=1, half_width=16384.0, points=2 ** 20)

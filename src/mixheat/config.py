@@ -165,6 +165,11 @@ def build_initial(cfg: ExperimentConfig, grid: GridSpec) -> Field:
         raise ConfigurationError(
             f"initial_mass must be finite and at least {_TINY:g} (the least "
             f"normal float), got {cfg.initial_mass}")
+    # the point and Gaussian samples sum to about initial_mass / dV
+    if not cfg.initial_mass / grid.cell_volume < math.inf:
+        raise ConfigurationError(
+            f"initial_mass must leave the sum of its samples, about initial_mass "
+            f"/ dV with dV = {grid.cell_volume:g}, finite, got {cfg.initial_mass}")
     if cfg.initial == "point":
         f = delta_field(grid)
         return Field(grid, cfg.initial_mass * f.values)

@@ -15,7 +15,8 @@ n-D round trip's.
 Beside the pair sits the one grid cut path: _cut_halvings says how often a
 grid may halve under a spectrum whose upper modes are below roundoff, and
 _refine zero-pads a coarse grid's samples back onto a finer one. solve cuts
-its state with them, and mixed_kernel_norms its kernels.
+its state with them, and mixed_kernel_norms its kernels. Beside integral
+sits the one L^q norm, _lq_norm, safe across the float range.
 """
 
 import math
@@ -141,6 +142,30 @@ def delta_field(grid: GridSpec) -> Field:
 
 def integral(f: Field) -> float:
     return float(np.sum(f.values) * f.grid.cell_volume)
+
+
+def _lq_norm(values: np.ndarray, q: float, dV: float, top: float = None,
+             work: np.ndarray = None) -> float:
+    """(sum |v|^q dV)^(1/q) of a finite array, or at q = inf its sup top,
+    found if not given; work (values' shape) is scratch, made if not given.
+    Where top^q, N and dV keep the plain sum normal (N the point count) it
+    has the plain sum's bits, with np.sqrt at q = 2; elsewhere v is scaled
+    by top first, so that no power overflows or underflows."""
+    top = float(max(values.max(), -values.min())) if top is None else top
+    if q == math.inf or top == 0.0:
+        return top
+    work = np.empty_like(values) if work is None else work
+    # log2 of the largest power and of the sum's factors N and dV
+    e, n, v = q * math.log2(top), math.log2(values.size), math.log2(dV)
+    scaled = not (n - 1022 <= e + min(v, 0.0) and e + n + max(v, 0.0) < 1023)
+    values = np.divide(values, top, out=work) if scaled else values
+    (np.square if q == 2.0 else np.abs)(values, out=work)
+    if q not in (1.0, 2.0):
+        np.power(work, q, out=work)
+    total = np.add.reduce(work, axis=None)
+    root = np.sqrt if q == 2.0 else (lambda x: x ** (1.0 / q))
+    # scaled, top dV^(1/q) is at most the norm: no factor overflows alone
+    return float(top * root(dV) * root(total) if scaled else root(total * dV))
 
 
 @dataclass(frozen=True)

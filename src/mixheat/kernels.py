@@ -40,8 +40,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, SpectralSymbol, _check_grid_budget,
-                   _cut_halvings, _irfft, apply_symbol, integral, make_symbol)
+from .grid import (Field, GridSpec, SpectralSymbol, _check_grid_budget, _cut_halvings,
+                   _irfft, _lq_norm, apply_symbol, integral, make_symbol)
 
 log = logging.getLogger(__name__)
 
@@ -126,21 +126,6 @@ def _delta_response(sym: SpectralSymbol, spectrum: np.ndarray, t: float,
     return Field(grid=grid, values=_irfft(grid, block, out=out))
 
 
-def _lq_from_power_sum(w: np.ndarray, grid: GridSpec, q: float) -> float:
-    """(sum(w) dV)^(1/q): the L^q norm of f once w holds |f|^q."""
-    return float((np.sum(w) * grid.cell_volume) ** (1.0 / q))
-
-
-def _l1_l2_norms(k: Field):
-    """kernel_lq_norm(k, 1) and (k, 2), bit for bit, from one |k|
-    temporary that is freed on return, before the next transform needs
-    its scratch."""
-    w = np.abs(k.values)
-    l1 = _lq_from_power_sum(w, k.grid, 1.0)
-    np.multiply(w, w, out=w)
-    return l1, _lq_from_power_sum(w, k.grid, 2.0)
-
-
 def gaussian_kernel(grid: GridSpec, t: float) -> Field:
     """Pointwise Gaussian kernel (4 pi t)^(-N/2) exp(-|x|^2 / 4t)."""
     require("finite and > 0", t=t)
@@ -176,8 +161,8 @@ def mixed_kernel_norms(grid: GridSpec, alpha: float, times):
     kernel is taken on the coarsest grid that the cut test allows under
     its multiplier exp(-t m), where it is the coarse grid's mixed_kernel;
     a time that does not cut keeps grid's bits. The run builds one symbol
-    and one spectrum buffer; one |k| temporary serves each kernel's L^1
-    and L^2 norms.
+    and one spectrum buffer; one scratch array serves each kernel's L^1
+    and L^2 norms (grid._lq_norm's).
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
@@ -187,8 +172,10 @@ def mixed_kernel_norms(grid: GridSpec, alpha: float, times):
     norms = np.empty((times.size, 3))
 
     def take_norms(row, k, t):
-        row[2] = _check_kernel(k, f"mixed_kernel(alpha={alpha}, t={t})")
-        row[:2] = _l1_l2_norms(k)
+        top = row[2] = _check_kernel(k, f"mixed_kernel(alpha={alpha}, t={t})")
+        work = np.empty_like(k.values)
+        row[:2] = [_lq_norm(k.values, q, k.grid.cell_volume, top, work)
+                   for q in (1.0, 2.0)]
 
     times = times.tolist()
     out = np.empty(grid.shape)
@@ -210,17 +197,10 @@ def mixed_kernel_norms(grid: GridSpec, alpha: float, times):
 
 def kernel_lq_norm(f: Field, q: float) -> float:
     """Discrete L^q norm with cell-volume weighting; q = inf gives max |f|.
-
-    One grid-sized temporary at most: |f|^q is formed in place.
-    """
-    v = f.values
-    if q == np.inf:
-        return float(max(v.max(), -v.min()))
+    It is grid._lq_norm's, with one grid-sized temporary at most."""
     if not q >= 1:
         raise ConfigurationError(f"q must be >= 1 or inf, got {q}")
-    w = np.abs(v)
-    np.power(w, q, out=w)
-    return _lq_from_power_sum(w, f.grid, q)
+    return _lq_norm(f.values, q, f.grid.cell_volume)
 
 
 def taylor_contraction_error(g: Field, t_list, alpha: float):
@@ -237,7 +217,9 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
     mass = integral(g)
     coords = grid.coords()
     radius = np.sqrt(sum(c ** 2 for c in coords))
-    x_moment = float(np.sum(radius * np.abs(g.values)) * grid.cell_volume)
+    # |x| |g| = | |x| g |, bit for bit: a product's rounding keeps its sign
+    x_moment = _lq_norm(np.multiply(radius, g.values, out=radius), 1.0,
+                        grid.cell_volume, work=radius)
     del coords, radius
 
     def error(t):
@@ -247,7 +229,7 @@ def taylor_contraction_error(g: Field, t_list, alpha: float):
         diff = _delta_response(sym, spectrum, t).values
         np.multiply(mass, diff, out=diff)
         np.subtract(smoothed, diff, out=diff)
-        return float(np.sum(np.abs(diff, out=diff)) * grid.cell_volume)
+        return _lq_norm(diff, 1.0, grid.cell_volume, work=diff)
 
     return np.array([error(t) for t in times]), x_moment
 

@@ -226,7 +226,9 @@ def profile_error(u: Field, m_inf: float, t: float, alpha: float, beta: float,
         t^((dim/alpha)(1-1/q)(beta+1)) * ||u - m_inf E(tau(t))||_q
 
     which the supercritical theory sends to zero as t grows, for every
-    finite q >= 1.
+    finite q >= 1. Where the weight alone leaves the float range the
+    product is taken in log space; a product outside it is a
+    ConfigurationError.
     """
     require("finite and > 0", t=t)
     if not (q >= 1 and math.isfinite(q)):
@@ -235,5 +237,16 @@ def profile_error(u: Field, m_inf: float, t: float, alpha: float, beta: float,
     grid = u.grid
     kernel = mixed_kernel(grid, alpha, time_to_tau(t, beta))
     diff = Field(grid, u.values - m_inf * kernel.values)
-    weight = t ** ((grid.dim / alpha) * (1.0 - 1.0 / q) * (beta + 1.0))
-    return float(weight * kernel_lq_norm(diff, q))
+    norm = kernel_lq_norm(diff, q)
+    if norm == 0.0:
+        return 0.0
+    exponent = (grid.dim / alpha) * (1.0 - 1.0 / q) * (beta + 1.0)
+    with np.errstate(over="ignore"):
+        weight = np.float64(t) ** exponent
+        product = float(weight * norm if 0.0 < weight < np.inf
+                        else np.exp(exponent * np.log(t) + np.log(norm)))
+    if not 0.0 < product < math.inf:
+        raise ConfigurationError(
+            f"profile_error(m_inf={m_inf}, t={t}, alpha={alpha}, beta={beta}, q={q}): "
+            f"t^{exponent:g} times the L^{q:g} distance {norm:g} leaves the float range")
+    return product

@@ -53,8 +53,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
 from .grid import (_MAX_BYTES, Field, GridSpec, _check_budget, _cut_halvings,
-                   _float_or_array, _irfft, _refine, _rfft, apply_symbol,
-                   make_symbol)
+                   _float_or_array, _irfft, _lq_norm, _refine, _rfft,
+                   apply_symbol, make_symbol)
 
 _log = logging.getLogger(__name__)
 
@@ -187,6 +187,14 @@ class ProblemSpec:
         require(alpha=self.alpha, beta=self.beta, p=self.p)
         if np.min(self.initial.values) < 0:
             raise ConfigurationError("initial data must be nonnegative")
+        # u >= 0 bounds every Fourier mode by sum u, so this keeps the
+        # transforms finite too
+        with np.errstate(over="ignore"):
+            total = float(np.add.reduce(self.initial.values, axis=None))
+        if not total * self.grid.cell_volume < np.inf:
+            raise ConfigurationError(
+                f"initial data must have a finite sum of samples and mass on "
+                f"cells of volume {self.grid.cell_volume:g}, got a sum of {total:g}")
 
     @property
     def grid(self) -> GridSpec:
@@ -415,16 +423,6 @@ class _FineMax:
         return float(v.max())
 
 
-def _l2_norm(u: np.ndarray, top: float, dV: float, work: np.ndarray) -> float:
-    """sqrt(sum u^2 dV) for a finite u >= 0 with maximum top (a float).
-    Only where top^2 N dV overflows, so that the plain sum might, is u
-    scaled by top first: every other state keeps the plain sum's bits."""
-    if top * top * u.size * dV < np.inf:
-        return np.sqrt(np.add.reduce(np.square(u, out=work), axis=None) * dV)
-    np.square(np.divide(u, top, out=work), out=work)
-    return top * np.sqrt(np.add.reduce(work, axis=None) * dV)
-
-
 def _work_buffers(grid: GridSpec, alpha: float):
     """The symbol values, spectrum, multiplier and work buffers of solve's
     step on grid: fresh ones per step would page-fault. work is scratch on
@@ -539,7 +537,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     # one trace row per step, in MassTrace's column order
     rows = np.empty((6, schedule.total_steps + 1))
     rows[:, 0] = (t0, schedule.knot_taus[0], mass * dV, 0.0, top,
-                  _l2_norm(u, top, dV, work))
+                  _lq_norm(u, 2.0, dV, top, work))
     filled = 1
     absorbed = 0.0
 
@@ -624,7 +622,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             # on a cut grid, linf is read at the problem grid's nodes
             linf = top if g is grid else fine_max(u)
             rows[:, filled] = (sub_times[j + 1], sub_taus[j + 1], mass * dV, absorbed,
-                               linf, _l2_norm(u, top, dV, work))
+                               linf, _lq_norm(u, 2.0, dV, top, work))
             filled += 1
         if is_snapshot[k + 1]:
             record_snapshot(float(schedule.knot_times[k + 1]), u)
@@ -696,8 +694,8 @@ def duhamel_residual(result: SolveResult) -> float:
         rhs = rhs - (times[j + 1] - times[j]) / 2.0 * (props[j] + props[j + 1])
 
     lhs = fields[-1].values
-    denom = np.sum(np.abs(lhs)) * grid.cell_volume
+    denom = _lq_norm(lhs, 1.0, grid.cell_volume)
     if denom == 0:
         raise ConfigurationError("final snapshot has zero mass")
-    defect = np.sum(np.abs(lhs - rhs)) * grid.cell_volume
-    return float(defect / denom)
+    diff = np.subtract(lhs, rhs, out=rhs)
+    return _lq_norm(diff, 1.0, grid.cell_volume, work=diff) / denom

@@ -409,6 +409,11 @@ def test_cli_states_the_range_of_a_bad_key(cfg_path, tmp_path, capsys, command,
     ("solve", "dim=2 points=16 half_width=1e200", "half_width"),
     ("kernel", "dim=2 points=16 half_width=1e200", "half_width"),
     ("capacity", "capacity_half_width=1e-320", "capacity_half_width"),
+    # the samples of a mass of 1e300 on cells of 7.8e-10 sum past the float
+    # range, and so would the transforms: before the point sample is formed
+    ("solve", "half_width=1e-7 initial_width=1e-8 initial_mass=1e300", "initial_mass"),
+    ("solve", "half_width=1e-7 initial_width=1e-8 initial_mass=1e300 initial=point",
+     "initial_mass"),
 ])
 def test_cli_rejects_bad_capacity_and_kernel_inputs(cfg_path, tmp_path, capsys,
                                                    command, override, key):
@@ -429,6 +434,9 @@ def test_cli_solves_on_a_box_too_wide_to_square(cfg_path, tmp_path, capsys):
     assert rc == 0
     lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert float(lines["ledger_defect"]) <= 2e-15
+    # a point of 3.2e-299, whose square underflows, on a cell of 3.125e298
+    trace = read_mass_csv(tmp_path / "out" / "mass.csv")
+    assert trace.l2[0] == pytest.approx(5.656854249492381e-150, rel=1e-14)
 
 
 def test_cli_solves_on_a_box_too_narrow_to_square(cfg_path, tmp_path, capsys):
@@ -448,6 +456,12 @@ def test_cli_solves_on_a_box_too_narrow_to_square(cfg_path, tmp_path, capsys):
     assert trace.l2[0] == pytest.approx(np.sqrt(5e299), rel=1e-14)
 
 
+# the trace's first l2, summed in 40-digit arithmetic from the datum: at
+# initial_mass = 1e-300 every sample's square underflows
+TINY_INPUT_L2 = {"initial_width=1e-160": 1.788854381999832,
+                 "initial_mass=1e-300": 4.336625352920387e-301}
+
+
 @pytest.mark.parametrize("override", ["initial_width=1e-160", "initial_mass=1e-300"])
 def test_cli_solves_tiny_normal_inputs(cfg_path, tmp_path, capsys, override):
     rc = main(["solve", "--config", cfg_path, "--set", override,
@@ -455,6 +469,8 @@ def test_cli_solves_tiny_normal_inputs(cfg_path, tmp_path, capsys, override):
     assert rc == 0
     lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert float(lines["ledger_defect"]) <= 2e-15
+    trace = read_mass_csv(tmp_path / "out" / "mass.csv")
+    assert trace.l2[0] == pytest.approx(TINY_INPUT_L2[override], rel=1e-14)
 
 
 def test_cli_solve_keeps_one_snapshot_and_the_same_outputs(cfg_path, tmp_path,

@@ -3,8 +3,8 @@ CLI's import path and no CLI run loads SciPy, only the oracles import it, the
 shared argument ranges live in errors.py, the kinds of the config's choice
 keys are decided only in config.py (no other module tests an absorption
 law's class), only observers.py formats floats and writes and reads CSV
-tables, grid.py holds the one memory budget, and the names the benchmark
-in perfbench/ uses stay where it finds them."""
+tables, grid.py holds the one memory budget and the one L^q norm reader,
+and the names the benchmark in perfbench/ uses stay where it finds them."""
 
 import ast
 import inspect
@@ -250,6 +250,36 @@ def test_grid_holds_the_one_memory_budget():
     assert assigned == ["grid.py"]
     assert spelled == ["grid.py"]
     assert not from_solver, "the stepper imported in:\n" + "\n".join(from_solver)
+
+
+def _np_call(node, names):
+    """Whether node calls np.<name> (or np.add.<name>) for a name in names."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+            and func.attr in names
+            and getattr(func.value, "id", getattr(func.value, "attr", None)) in ("np", "add"))
+
+
+def test_grid_holds_the_one_lq_norm_reader():
+    """grid._lq_norm is the one L^q norm: no other module defines a norm
+    helper of its own or sums an |v|, a square or a power of an array, so
+    the float-range guard lives in one copy. solver and kernels import the
+    reader from grid."""
+    helpers = {"_lq_norm", "_l2_norm", "_lq_from_power_sum", "_l1_l2_norms"}
+    defined, imported, sums = [], {}, []
+    for name, node in _package_nodes(set()):
+        if isinstance(node, ast.FunctionDef) and node.name in helpers:
+            defined.append(f"{name}:{node.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "grid":
+            imported[name] = {a.name for a in node.names}
+        elif (name != "grid.py" and _np_call(node, ("sum", "reduce"))
+              and any(_np_call(inner, ("abs", "absolute", "square", "power"))
+                      or isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Pow)
+                      for arg in node.args for inner in ast.walk(arg))):
+            sums.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert defined == ["grid.py:_lq_norm"]
+    assert "_lq_norm" in imported["solver.py"] & imported["kernels.py"]
+    assert not sums, "a sum of powers outside grid.py:\n" + "\n".join(sums)
 
 
 def test_names_the_benchmark_reaches_into(tmp_path):

@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,22 @@ def test_kernel_norms_never_cut_a_16_point_grid(dim, monkeypatch):
     assert sizes == [16] * 3
     assert norms.tolist() == [[kernel_lq_norm(mixed_kernel(g, 1.0, t), q)
                                for q in (1.0, 2.0, np.inf)] for t in times]
+
+
+@pytest.mark.parametrize("half_width,l2,top", [
+    # a flat 5e154, whose square overflows, on cells of 1.25e-156
+    (1e-155, 2.2360679774997896e+77, 5e154),
+    # a delta of 8e-300, whose square underflows, on a cell of 1.25e299
+    (1e300, 2.8284271247461904e-150, 8e-300),
+])
+def test_kernel_norms_on_boxes_too_narrow_or_wide_to_square(half_width, l2, top):
+    """Each norm is the 40-digit value, and no RuntimeWarning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms, _ = mixed_kernel_norms(GridSpec(1, half_width, 16), 1.0, [1.0])
+    assert norms[0, 0] == pytest.approx(1.0, rel=1e-14)
+    assert norms[0, 1] == pytest.approx(l2, rel=1e-14)
+    assert norms[0, 2] == pytest.approx(top, rel=1e-14)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2 ** 16), (2, 256)])

@@ -2,6 +2,7 @@
 
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,34 @@ def test_profile_error_q2_time_weight():
     weight = t ** ((1.0 / alpha) * (1.0 - 1.0 / q) * (beta + 1.0))
     assert profile_error(u, 0.9, t, alpha, beta, q) == pytest.approx(
         weight * l2, rel=1e-12)
+
+
+@pytest.mark.parametrize("real", [float, np.float64])
+def test_profile_error_past_the_float_range_is_a_config_error(real):
+    # t^5 = 1e1500 times a distance of about 1: named, not an OverflowError
+    # (nor, for numpy arguments, inf and a RuntimeWarning)
+    grid = GridSpec(1, 20.0, 64)
+    u = Field(grid, np.exp(-grid.axis_coords() ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError,
+                           match=r"^profile_error\(m_inf=1\.0, t=1e\+300, alpha=0\.1, "
+                                 r"beta=0\.0, q=2\.0\): t\^5 times the L\^2 distance "
+                                 r"[0-9.]+ leaves the float range$"):
+            profile_error(u, 1.0, real(1e300), 0.1, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("real", [float, np.float64])
+def test_profile_error_survives_a_weight_past_the_float_range(real):
+    # t^5 = 1e350 overflows while its product with a distance of about
+    # 1e-300 does not: taken in log space
+    grid = GridSpec(1, 20.0, 64)
+    u = Field(grid, 1e-300 * np.exp(-grid.axis_coords() ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = profile_error(u, 0.0, real(1e70), 0.1, 0.0, 2.0)
+    unit = np.sqrt(np.sum(np.exp(-2.0 * grid.axis_coords() ** 2)) * grid.cell_volume)
+    assert err == pytest.approx(1e50 * unit, rel=1e-12)  # 1e350 * 1e-300 * unit
 
 
 def test_profile_error_rejects_bad_q():

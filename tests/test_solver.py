@@ -5,6 +5,7 @@ import decimal
 import logging
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,21 @@ def test_problem_spec_validation(small_grid):
     with pytest.raises(ConfigurationError):
         ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=PowerAbsorption(0.0),
                     initial=Field(small_grid, u0.values - 0.1))
+
+
+@pytest.mark.parametrize("half_width,value", [(8.0, 1e308), (1e300, 1e300)])
+def test_problem_spec_refuses_data_past_the_float_range(half_width, value):
+    """u >= 0 bounds every Fourier mode by sum u: a datum whose samples sum
+    to inf (1e308 on 16 points), or whose mass does (1e300 on cells of
+    1.25e299), is refused before solve transforms it, with no warning."""
+    g = GridSpec(1, half_width, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError,
+                           match=r"^initial data must have a finite sum of samples "
+                                 r"and mass on cells of volume "):
+            ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=PowerAbsorption(0.0),
+                        initial=Field(g, np.full(16, value)))
 
 
 # -- schedule construction ----------------------------------------------------
