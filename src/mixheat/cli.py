@@ -57,9 +57,8 @@ def cmd_kernel(args) -> int:
     times = kernel_times(cfg)
     norms, last = mixed_kernel_norms(grid, cfg.alpha, times)
     csv_path = os.path.join(out, "kernel.csv")
-    _write_table(csv_path, ("t", "q", "norm"), (
-        (_fmt(t), _fmt(q), _fmt(norm)) for t, row in zip(times, norms)
-        for q, norm in zip((1.0, 2.0, math.inf), row)))
+    _write_table(csv_path, ("t", "q", "norm"), np.column_stack((
+        np.repeat(times, 3), np.tile((1.0, 2.0, math.inf), len(times)), norms.ravel())))
     field_path = os.path.join(out, "kernel.fhk")
     write_field(last, field_path)
     print(f"alpha={_fmt(cfg.alpha)}")
@@ -181,7 +180,7 @@ def cmd_capacity(args) -> int:
         print(f"reference_slope={_fmt(cfg.dim - cfg.alpha * cfg.p / (cfg.p - 1.0))}")
     csv_path = os.path.join(_out_dir(args), "capacity.csv")
     _write_table(csv_path, ("R", "integral", "fitted_slope"),
-                 ((_fmt(R), _fmt(v), _fmt(slope)) for R, v in zip(radii, values)))
+                 np.column_stack((radii, values, np.full(len(radii), slope))))
     print(f"csv={csv_path}")
     return 0
 

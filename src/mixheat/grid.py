@@ -16,7 +16,8 @@ Beside the pair sits the one grid cut path: _cut_halvings says how often a
 grid may halve under a spectrum whose upper modes are below roundoff, and
 _refine zero-pads a coarse grid's samples back onto a finer one. solve cuts
 its state with them, and mixed_kernel_norms its kernels. Beside integral
-sits the one L^q norm, _lq_norm, safe across the float range.
+sits the one L^q norm, _lq_norm, safe across the float range, which reads
+one state or a stack of them.
 """
 
 import math
@@ -144,28 +145,45 @@ def integral(f: Field) -> float:
     return float(np.sum(f.values) * f.grid.cell_volume)
 
 
-def _lq_norm(values: np.ndarray, q: float, dV: float, top: float = None,
-             work: np.ndarray = None) -> float:
+def _lq_norm(values: np.ndarray, q: float, dV: float, top=None,
+             work: np.ndarray = None):
     """(sum |v|^q dV)^(1/q) of a finite array, or at q = inf its sup top,
-    found if not given; work (values' shape) is scratch, made if not given.
-    Where top^q, N and dV keep the plain sum normal (N the point count) it
-    has the plain sum's bits, with np.sqrt at q = 2; elsewhere v is scaled
-    by top first, so that no power overflows or underflows."""
-    top = float(max(values.max(), -values.min())) if top is None else top
-    if q == math.inf or top == 0.0:
+    found if not given; work (values' shape, contiguous) is scratch, made
+    if not given. Given top as an array of k sups, values is a stack of k
+    states along its leading axis, and their k norms come back as an
+    array: a lone state is the one-row case, and its norm a float.
+
+    At q = 1 and 2, where top^q, N and dV keep the plain sum normal (N the
+    point count), a row has the plain sum's bits, with np.sqrt at q = 2.
+    Any other row, and every row at any other q, is divided by its top
+    first, so that no power overflows or underflows and the root is taken
+    of a sum S in [1, N] (times dV where N dV is finite): a rounded 1/q
+    then errs by about |ln(S dV)| 2^-53 / q, not by the log of the plain
+    sum."""
+    lone = np.ndim(top) == 0
+    if top is None:
+        top = float(max(values.max(), -values.min()))
+    if q == math.inf:
         return top
-    work = np.empty_like(values) if work is None else work
-    # log2 of the largest power and of the sum's factors N and dV
-    e, n, v = q * math.log2(top), math.log2(values.size), math.log2(dV)
-    scaled = not (n - 1022 <= e + min(v, 0.0) and e + n + max(v, 0.0) < 1023)
-    values = np.divide(values, top, out=work) if scaled else values
-    (np.square if q == 2.0 else np.abs)(values, out=work)
+    tops = [top] if lone else top.tolist()
+    rows = values.reshape(len(tops), -1)
+    work = np.empty_like(rows) if work is None else work.reshape(rows.shape)
+    # log2 of the sum's factors N and dV; a zero row sums to 0 as it is
+    n, v = math.log2(rows.shape[1]), math.log2(dV)
+    plain = [t == 0.0 or q in (1.0, 2.0) and n - 1022 <= q * math.log2(t) + min(v, 0.0)
+             and q * math.log2(t) + n + max(v, 0.0) < 1023 for t in tops]
+    if not all(plain):
+        rows = np.divide(rows, [[1.0 if p else t] for p, t in zip(plain, tops)], out=work)
+    (np.square if q == 2.0 else np.abs)(rows, out=work)
     if q not in (1.0, 2.0):
         np.power(work, q, out=work)
-    total = np.add.reduce(work, axis=None)
-    root = np.sqrt if q == 2.0 else (lambda x: x ** (1.0 / q))
-    # scaled, top dV^(1/q) is at most the norm: no factor overflows alone
-    return float(top * root(dV) * root(total) if scaled else root(total * dV))
+    root = math.sqrt if q == 2.0 else (lambda x: x ** (1.0 / q))
+    # a divided row: N dV overflows only on the widest boxes (dV is normal),
+    # and then top dV^(1/q) is at most the norm
+    norms = [root(s * dV) if p else t * root(s * dV) if n + v < 1023
+             else t * root(dV) * root(s)
+             for p, t, s in zip(plain, tops, np.add.reduce(work, axis=1).tolist())]
+    return float(norms[0]) if lone else np.array(norms)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,13 @@ from .solver import MassTrace, time_to_tau
 
 # ---------------------------------------------------------------------------
 # CSV tables, written and read here alone. Every float the CLI writes is
-# %.17g, which round-trips it, so reruns diff byte for byte; write_mass_csv
-# applies it inline, one % a value.
+# %.17g, which round-trips it, so reruns diff byte for byte; a table of
+# floats takes one % per chunk of _CHUNK_ROWS rows, framed as csv.writer
+# frames a row (no float cell needs quoting).
 
 _FLOAT = "%.17g"
 _TRACE_COLUMNS = ("t", "tau", "mass", "absorbed", "linf", "l2")
+_CHUNK_ROWS = 256
 
 
 def _fmt(x) -> str:
@@ -39,15 +41,24 @@ def _fmt(x) -> str:
 
 
 def _write_table(path, header, rows) -> None:
-    """Write the header, then rows of strings, as one CSV table."""
+    """Write the header, then rows, as one CSV table: a 2D float array in
+    %.17g, or rows of strings, which csv.writer quotes where a cell needs
+    it (an error message with a comma, say)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if not isinstance(rows, np.ndarray):
+            writer.writerows(rows)
+            return
+        dialect = writer.dialect
+        line = dialect.delimiter.join([_FLOAT] * rows.shape[1]) + dialect.lineterminator
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_mass_csv(trace: MassTrace, path) -> None:
-    _write_table(path, _TRACE_COLUMNS, ([_FLOAT % v for v in row] for row in zip(
+    _write_table(path, _TRACE_COLUMNS, np.column_stack((
         trace.times, trace.taus, trace.mass, trace.absorbed, trace.linf, trace.l2)))
 
 

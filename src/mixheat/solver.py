@@ -38,7 +38,12 @@ one transform on the coarse grid. On the problem's grid the trace's linf
 is the samples' maximum; on a coarse grid it is still read on the
 problem's grid, as the maximum of the band-limited interpolant at the
 fine nodes within a coarse cell of the best coarse sample (_FineMax, whose
-rows are the _refine of a coarse unit sample along one axis).
+rows are the _refine of a coarse unit sample along one axis). There
+solve reads linf and l2 a block of steps at a time: it copies each step's
+state into a block of _BLOCK_GRIDS (an eighth) problem grids, small enough
+to keep a solve's peak below 4.5 grids, and reads the block when it fills,
+at a cut, at a snapshot and before it returns or raises a result, with the
+bits of per-step reading.
 Snapshots taken on a coarse grid are zero-padded back to the problem's
 grid and their interpolation ripple is clipped (and booked in
 clipped_mass), so every snapshot lives on one grid.
@@ -66,9 +71,16 @@ _TRACE_ROW_BYTES = 6 * 8  # one trace row: MassTrace's six float64 columns
 # points) and 3.05 in 2D (2048^2); 5 leaves a margin.
 # After a cut these buffers live on the coarse grid, 2^-(m dim) of the
 # size, beside linf's rows, one fine axis of floats (a grid in 1D) that
-# _refine builds once the fine buffers are gone: the budget checked at the
-# problem's grid still holds.
+# _refine builds once the fine buffers are gone, the trace block below, and
+# while the block is read, one grid of fine values: the budget checked at
+# the problem's grid still holds.
 _WORK_GRIDS = 5
+# The trace block: on a cut grid, solve copies each step's state into a
+# block of _BLOCK_GRIDS problem grids (never less than one state) and reads
+# the linf and l2 of its states together, a call per block instead of two
+# per step. A block of a whole grid took the 1D solve's traced peak past
+# the 4.5 grids its test allows; an eighth keeps it below.
+_BLOCK_GRIDS = 0.125
 # Most Strang steps one schedule may hold: the trace rows of one more step
 # would not fit grid's _MAX_BYTES. A larger count fails before any work.
 _MAX_STEPS = _MAX_BYTES // _TRACE_ROW_BYTES - 1
@@ -400,27 +412,44 @@ class _FineMax:
     axis. On each axis the interpolant at fine node i r + o (0 <= o < r)
     is sum_s rows[s, o] u[i - s], r = n / n_c, for rows[s, o] the _refine
     of a coarse unit sample along one axis at fine node s r + o, built
-    once per cut."""
+    once per cut.
+
+    It reads a stack of states. In 1D one gather takes every state's two
+    cells, and a stacked matmul multiplies them by chunks of n_c / 2 states,
+    so that a chunk's fine values fill one problem grid: each state's
+    product is the one BLAS call that a lone state makes, and keeps its
+    bits. In 2D the states are read one at a time; a gather of the whole
+    stack cost more than it saved."""
 
     def __init__(self, coarse: GridSpec, fine: GridSpec):
         axis, fine_axis = (dataclasses.replace(g, dim=1) for g in (coarse, fine))
         unit = np.zeros(coarse.points)
         unit[0] = 1.0
         self.rows = _refine(unit, axis, fine_axis).reshape(coarse.points, -1)
+        # c + s for u[i - c - s], the two cells (c = 0 or 1) beside node i
+        self.cells = np.add.outer((0, 1), np.arange(coarse.points)).ravel()
         self.best, self.take = -1, None
 
-    def __call__(self, u: np.ndarray) -> float:
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        n_c = states.shape[1]
+        if states.ndim == 3:
+            return np.array([self._plane(u) for u in states])
+        best = states.argmax(axis=1)
+        near = (best[:, None] - self.cells) % n_c + n_c * np.arange(len(states))[:, None]
+        v = states.take(near).reshape(-1, 2, n_c)
+        chunks = (v[i:i + n_c // 2] @ self.rows for i in range(0, len(v), n_c // 2))
+        return np.concatenate([c.reshape(len(c), -1).max(axis=1) for c in chunks])
+
+    def _plane(self, u: np.ndarray) -> float:
         n_c = u.shape[0]
         best = int(u.argmax())
-        if best != self.best:  # the flat indices of u[i - c - s], c = 0 or 1
-            cells = np.add.outer((0, 1), np.arange(n_c)).ravel()
-            near = [(i - cells) % n_c for i in np.unravel_index(best, u.shape)]
-            self.take = near[0] if u.ndim == 1 else near[0][:, None] * n_c + near[1]
+        if best != self.best:
+            near = [(i - self.cells) % n_c for i in np.unravel_index(best, u.shape)]
+            self.take = near[0][:, None] * n_c + near[1]
             self.best = best
         v = u.take(self.take).reshape(-1, n_c) @ self.rows
-        if u.ndim == 2:  # the last axis's offsets are in; now the leading one's
-            v = self.rows.T @ v.reshape(2, n_c, -1)
-        return float(v.max())
+        # the last axis's offsets are in; now the leading one's
+        return (self.rows.T @ v.reshape(2, n_c, -1)).max()
 
 
 def _work_buffers(grid: GridSpec, alpha: float):
@@ -528,6 +557,8 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     symbol, spectrum, multiplier, work = _work_buffers(g, problem.alpha)
     dV = g.cell_volume
     fine_max = None  # the linf reader of a cut grid, set at each cut
+    # on a cut grid, the states whose linf and l2 wait to be read together
+    block, waiting = None, 0
 
     u = problem.initial.values.copy()
     clipped_total = 0.0
@@ -555,7 +586,19 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         out_times.append(t_now)
         out_fields.append(Field(grid, values))
 
+    def read_block():
+        """linf and l2 of the states waiting in the block, read together;
+        till then each one's top holds its place in linf's row."""
+        nonlocal waiting
+        if waiting:
+            states, cols = block[:waiting], rows[4:, filled - waiting:filled]
+            linf = fine_max(states)
+            cols[1] = _lq_norm(states, 2.0, dV, cols[0], work=states)
+            cols[0] = linf
+            waiting = 0
+
     def partial_result():
+        read_block()
         return SolveResult(
             problem=problem, schedule=schedule, trace=MassTrace(*rows[:, :filled]),
             snapshot_times=np.array(out_times), snapshots=tuple(out_fields),
@@ -585,15 +628,18 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
                 # the cut, on this step's own spectrum of the absorbed state
                 halvings = _cut_halvings(g, np.abs(spectrum, out=multiplier))
                 if halvings:
+                    read_block()
                     coarse = dataclasses.replace(g, points=g.points >> halvings)
                     _log.debug("solve cut the grid at t = %g: %d -> %d points per axis",
                                schedule.knot_times[k], g.points, coarse.points)
                     u = u[(slice(None, None, 2 ** halvings),) * g.dim].copy()
                     g = coarse
                     # the fine buffers go before the rows are built
-                    symbol = spectrum = multiplier = work = fine_max = None
+                    symbol = spectrum = multiplier = work = fine_max = block = None
                     fine_max = _FineMax(g, grid)
                     symbol, spectrum, multiplier, work = _work_buffers(g, problem.alpha)
+                    block = np.empty((max(1, int(_BLOCK_GRIDS * u0.size) // u.size),)
+                                     + g.shape)
                     dV = g.cell_volume
                     _rfft(g, u, out=spectrum)
                 np.exp(np.multiply(symbol, -dtau, out=multiplier), out=multiplier)
@@ -619,12 +665,17 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
                     f"({filled - 1} steps completed)")
                 err.partial = partial_result()
                 raise err
-            # on a cut grid, linf is read at the problem grid's nodes
-            linf = top if g is grid else fine_max(u)
-            rows[:, filled] = (sub_times[j + 1], sub_taus[j + 1], mass * dV, absorbed,
-                               linf, _lq_norm(u, 2.0, dV, top, work))
+            rows[:5, filled] = (sub_times[j + 1], sub_taus[j + 1], mass * dV, absorbed, top)
+            if g is grid:  # linf is top
+                rows[5, filled] = _lq_norm(u, 2.0, dV, top, work)
+            else:  # linf, read at the problem grid's nodes, and l2 wait
+                block[waiting] = u
+                waiting += 1
             filled += 1
+            if g is not grid and waiting == len(block):
+                read_block()
         if is_snapshot[k + 1]:
+            read_block()
             record_snapshot(float(schedule.knot_times[k + 1]), u)
 
     if clipped_total:

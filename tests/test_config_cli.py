@@ -683,6 +683,14 @@ def test_cli_sweep(cfg_path, tmp_path, capsys):
     assert (out / "sweep.csv").read_text().splitlines() == [lines[0]]
 
 
+def test_cli_sweep_quotes_an_error_cell_with_a_comma(cfg_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--p-values", "0.5",
+                 "--out-dir", str(out)]) == 1
+    assert (out / "sweep.csv").read_bytes().split(b"\r\n")[1:] == [
+        b'0.5,1,0,"error: p must be finite and > 1, got 0.5",,2,', b""]
+
+
 def test_cli_sweep_1d_legs_end_on_16_points(cfg_path, tmp_path):
     """The benchmark's sweep-1d run (the C11 setting stepped at dtau_max =
     0.5, p = 1.2 and 3): each leg cuts its 8192-point grid down to 16."""

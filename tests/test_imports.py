@@ -260,6 +260,38 @@ def _np_call(node, names):
             and getattr(func.value, "id", getattr(func.value, "attr", None)) in ("np", "add"))
 
 
+_POWERS = ("abs", "absolute", "square", "power")
+# Functions whose sum of a power, set by name, is no norm: the capacity
+# functional weighs |L phi|^(p/(p-1)) by phi^(-1/(p-1)) on a folded lattice.
+_WEIGHTED_SUMS = {"capacity_integral"}
+
+
+def _power_sums(tree):
+    """(line, source) of each numpy sum in tree of an |v|, a square or a
+    power of an array: one spelled in the sum's arguments, or a name that
+    the same function set from np.abs, np.square or np.power (assigned, or
+    as its out=), outside _WEIGHTED_SUMS."""
+    found = set()
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+        powered = set()
+        # a name is a power only in its own function
+        if scope is not tree and scope.name not in _WEIGHTED_SUMS:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Assign) and _np_call(node.value, _POWERS):
+                    powered |= {getattr(t, "id", None) for t in node.targets}
+                elif _np_call(node, _POWERS):
+                    powered |= {getattr(k.value, "id", None)
+                                for k in node.keywords if k.arg == "out"}
+        for node in ast.walk(scope):
+            if _np_call(node, ("sum", "reduce")) and any(
+                    _np_call(inner, _POWERS)
+                    or isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Pow)
+                    or isinstance(inner, ast.Name) and inner.id in powered
+                    for arg in node.args for inner in ast.walk(arg)):
+                found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
 def test_grid_holds_the_one_lq_norm_reader():
     """grid._lq_norm is the one L^q norm: no other module defines a norm
     helper of its own or sums an |v|, a square or a power of an array, so
@@ -272,14 +304,23 @@ def test_grid_holds_the_one_lq_norm_reader():
             defined.append(f"{name}:{node.name}")
         elif isinstance(node, ast.ImportFrom) and node.module == "grid":
             imported[name] = {a.name for a in node.names}
-        elif (name != "grid.py" and _np_call(node, ("sum", "reduce"))
-              and any(_np_call(inner, ("abs", "absolute", "square", "power"))
-                      or isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Pow)
-                      for arg in node.args for inner in ast.walk(arg))):
-            sums.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Module) and name != "grid.py":
+            sums += [f"{name}:{line}: {text}" for line, text in _power_sums(node)]
     assert defined == ["grid.py:_lq_norm"]
     assert "_lq_norm" in imported["solver.py"] & imported["kernels.py"]
     assert not sums, "a sum of powers outside grid.py:\n" + "\n".join(sums)
+
+
+@pytest.mark.parametrize("source,flagged", [
+    # a stacked norm that squares into a name first, then sums it by rows
+    ("def f(x):\n    w = np.square(x)\n    return np.add.reduce(w, axis=1)", True),
+    ("def f(x, w):\n    np.power(x, 3.0, out=w)\n    return np.sum(w)", True),
+    ("def f(x):\n    return np.add.reduce(np.abs(x) ** 3.0)", True),
+    ("def f(x):\n    w = np.exp(x)\n    return np.sum(w)", False),
+    ("def f(x):\n    w = np.square(x)\n\ndef g(w):\n    return np.sum(w)", False),
+], ids=["assigned-square", "out-power", "inline", "not-a-power", "other-function"])
+def test_lq_norm_reader_check_sees_a_power_by_name(source, flagged):
+    assert bool(_power_sums(ast.parse(source))) == flagged
 
 
 def test_names_the_benchmark_reaches_into(tmp_path):

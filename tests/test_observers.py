@@ -1,5 +1,6 @@
 """Mass traces, classification, condition checks, and profile errors."""
 
+import csv
 import logging
 import re
 import warnings
@@ -28,6 +29,7 @@ from mixheat import (
     time_to_tau,
     write_mass_csv,
 )
+from mixheat import observers
 
 
 def synthetic_trace(times, mass, m0=None):
@@ -84,6 +86,33 @@ def test_mass_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.mass, tr.mass)
     np.testing.assert_array_equal(back.absorbed, tr.absorbed)
     np.testing.assert_array_equal(back.l2, tr.l2)
+
+
+# the float edges: a signed zero, the least subnormal, the largest float
+EDGES = (-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, -2.5e-300)
+
+
+@pytest.mark.parametrize("count", [1, observers._CHUNK_ROWS - 1, observers._CHUNK_ROWS,
+                                   observers._CHUNK_ROWS + 1])
+def test_mass_csv_bytes_are_csv_writer_s(tmp_path, count):
+    """One % per chunk of rows writes the bytes that csv.writer wrote with
+    one % per value, \r\n line ends included, on either side of a chunk's
+    end; a trace read back is written again byte for byte."""
+    times = np.arange(1.0, count + 1.0)
+    columns = [times] + [np.resize(np.roll(EDGES, k), count) for k in range(5)]
+    write_mass_csv(MassTrace(*columns), tmp_path / "trace.csv")
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t", "tau", "mass", "absorbed", "linf", "l2"))
+        writer.writerows(["%.17g" % v for v in row] for row in zip(*columns))
+    written = (tmp_path / "trace.csv").read_bytes()
+    assert written == (tmp_path / "old.csv").read_bytes()
+    assert written.count(b"\r\n") == count + 1
+    assert {b"-0", b"4.9406564584124654e-324", b"1.7976931348623157e+308"} <= set(
+        written.replace(b"\r\n", b",").split(b","))
+    if count > 1:  # a trace needs two rows
+        write_mass_csv(read_mass_csv(tmp_path / "trace.csv"), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == written
 
 
 def test_mass_csv_rejects_one_row(tmp_path):

@@ -810,7 +810,96 @@ def test_fine_max_is_the_refined_maximum(dim):
         u = np.exp(-sum((2.0 * np.sin(np.pi * (c - centre) / 8.0)) ** 2 for c in x))
         refined = mixheat.grid._refine(u, coarse, fine)
         assert refined.max() > 1.001 * u.max()
-        assert fine_max(u) == pytest.approx(refined.max(), rel=1e-14)
+        assert fine_max(u[None])[0] == pytest.approx(refined.max(), rel=1e-14)
+
+
+# -- the trace block ------------------------------------------------------------
+
+TRACE_COLUMNS = ("times", "taus", "mass", "absorbed", "linf", "l2")
+
+
+def _bumps(grid, *bumps):
+    """Gaussians (centre on every axis, width, mass) summed on grid."""
+    r2 = [sum((c - centre) ** 2 for c in grid.coords()) for centre, _, _ in bumps]
+    return sum(mass * np.exp(-d / (2.0 * width ** 2)) / (
+        np.exp(-d / (2.0 * width ** 2)).sum() * grid.cell_volume)
+        for d, (_, width, mass) in zip(r2, bumps))
+
+
+def _block_run(name):
+    """The problem and schedule of a run whose trace block is read on cut
+    grids."""
+    if name == "1d-8192":  # the sweep-1d setting at p = 3: 8192 -> 16 points
+        grid = GridSpec(1, 400.0, 8192)
+        return (ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                            initial=Field(grid, 0.1 * unit_gaussian(grid).values)),
+                geometric_steps())
+    if name == "2d-256":  # the solve-2d run: 256^2 -> 32^2 points
+        grid = GridSpec(2, 64.0, 256)
+        return (ProblemSpec(alpha=1.0, beta=0.0, p=3.0, absorption=PowerAbsorption(1.0),
+                            initial=Field(grid, 0.1 * unit_gaussian(grid).values)),
+                make_step_schedule(0.0, 1e3, 0.0, 0.5))
+    if name == "initial_mass=1e-300":  # every square underflows: l2 is scaled
+        grid = GridSpec(1, 40.0, 256)
+        initial = Field(grid, 1e-300 * unit_gaussian(grid).values)
+    elif name == "half_width=1e300":  # samples of 5e-301 on cells of 2e297: scaled
+        grid = GridSpec(1, 1e300, 1024)
+        x = grid.axis_coords()
+        initial = Field(grid, 5e-301 * (1.0 + 0.5 * np.cos(np.pi * x / 1e300)))
+    else:  # "moving-argmax": the best sample of a 2D state moves between cells
+        grid = GridSpec(2, 32.0, 128)
+        initial = Field(grid, _bumps(grid, (-8.0, 0.6, 1.0), (8.0, 3.0, 1.5)))
+        return (ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=PowerAbsorption(0.1),
+                            initial=initial),
+                make_step_schedule(0.0, 100.0, 0.0, 1e9,
+                                   snapshot_times=np.geomspace(0.01, 100.0, 41)))
+    return (ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=PowerAbsorption(1.0),
+                        initial=initial),
+            make_step_schedule(0.5, 60.0, 0.0, 0.2,
+                               snapshot_times=geometric_times(0.5, 60.0, 9)))
+
+
+@pytest.mark.parametrize("run", ["1d-8192", "2d-256", "initial_mass=1e-300",
+                                 "half_width=1e300", "moving-argmax"])
+def test_trace_block_reads_each_state_as_a_lone_one(run, monkeypatch):
+    """On a cut grid solve reads linf and l2 a block of states at a time;
+    a block of one state is per-step reading, and every trace column is
+    the same, bit for bit."""
+    problem, schedule = _block_run(run)
+    bests = set()
+    plane = solver._FineMax._plane
+
+    def seen(fine_max, u):  # the 2D reader's best sample, after each state
+        out = plane(fine_max, u)
+        bests.add((u.shape, fine_max.best))
+        return out
+
+    monkeypatch.setattr(solver._FineMax, "_plane", seen)
+    with logged_cuts() as cuts:
+        blocked = solve(problem, schedule).trace
+    # the last grid's block holds more than one state
+    assert cuts and int(solver._BLOCK_GRIDS * problem.initial.values.size) > (
+        cuts[-1][1] ** problem.grid.dim)
+    monkeypatch.setattr(solver, "_BLOCK_GRIDS", 0.0)
+    stepped = solve(problem, schedule).trace
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(blocked, name), getattr(stepped, name)), name
+    if run == "moving-argmax":  # the gather is rebuilt as the best sample moves
+        shapes = [shape for shape, _ in bests]
+        assert max(map(shapes.count, shapes)) >= 2
+
+
+@pytest.mark.parametrize("dim,coarse,fine", [(1, 16, 2 ** 17), (1, 2048, 4096), (2, 16, 128)])
+def test_fine_max_reads_a_stack_as_lone_states(dim, coarse, fine):
+    """Each state of a stack takes the one BLAS product a lone state takes,
+    so its linf has the same bits. One product of a chunk's rows need not:
+    with r = 2 fine nodes a cell (the 2048-point row), OpenBLAS sums a
+    product of more than two rows another way."""
+    coarse, fine = GridSpec(dim, 4.0, coarse), GridSpec(dim, 4.0, fine)
+    states = np.random.default_rng(7).random((20,) + coarse.shape)
+    fine_max = solver._FineMax(coarse, fine)
+    lone = [fine_max(u[None])[0] for u in states]
+    assert np.array_equal(fine_max(states), lone)
 
 
 class _PoisonAbsorption:
@@ -840,6 +929,20 @@ def test_solve_attaches_partial_result_on_blowup(small_grid):
     assert partial.trace.times[0] == 1.0
     assert partial.trace.times[-1] < 8.0
     assert np.isfinite(partial.trace.mass).all()
+
+    # a blow-up after a cut (8192 -> 128 points at t = 1, a trace block of 8
+    # states) leaves 2 states in the block: every completed row is read, and
+    # is the healthy run's, linf and l2 too, with no top left in linf's place
+    prob = ProblemSpec(alpha=1.0, beta=0.0, p=2.0, absorption=_PoisonAbsorption(),
+                       initial=unit_gaussian(GridSpec(1, 400.0, 8192), width=24.0))
+    sched = make_step_schedule(1.0, 8.0, 0.0, 0.1)
+    with logged_cuts() as cuts, pytest.raises(NumericalFailureError) as exc:
+        solve(prob, sched)
+    partial = exc.value.partial.trace
+    healthy = solve(dataclasses.replace(prob, absorption=PowerAbsorption(1.0)), sched).trace
+    assert cuts == [(8192, 128)] and partial.times.size == 35
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(partial, name), getattr(healthy, name)[:35]), name
 
     # poisoned from the first step: the partial trace is the initial row
     with pytest.raises(NumericalFailureError,
