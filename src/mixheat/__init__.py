@@ -8,6 +8,8 @@ importing the package leaves SciPy's quadrature and root finders unloaded.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .config import (ExperimentConfig, build_absorption, build_initial,
                      build_problem, capacity_radii, config_from_mapping,
                      kernel_times, load_config, parse_config_text,
@@ -31,34 +33,12 @@ from .solver import (MassTrace, PowerAbsorption, ProblemSpec, SolveResult,
                      geometric_times, make_step_schedule, mass_identity_defect,
                      solve, tau_to_time, time_to_tau)
 
-__all__ = [
-    "ConfigurationError", "NumericalFailureError",
-    "GridSpec", "Field", "SpectralSymbol",
-    "delta_field", "integral", "make_symbol", "apply_symbol",
-    "frac_laplacian_spectral", "convolve", "write_field", "read_field",
-    "gaussian_kernel", "stable_kernel", "mixed_kernel", "mixed_kernel_norms",
-    "kernel_lq_norm",
-    "taylor_contraction_error", "stable_tail_constant", "half_width_for_tail",
-    "stable_kernel_quadrature", "mixed_kernel_quadrature",
-    "frac_constant", "bracket_profile", "bracket_laplacian",
-    "bracket_frac_laplacian",
-    "frac_laplacian_pointwise", "scaling_check", "capacity_integral",
-    "PowerAbsorption", "TableAbsorption", "ProblemSpec", "time_to_tau",
-    "tau_to_time",
-    "geometric_times", "default_snapshot_times", "StepSchedule",
-    "make_step_schedule",
-    "SolveResult", "solve", "mass_identity_defect", "comparison_check",
-    "duhamel_residual",
-    "MassTrace", "write_mass_csv", "read_mass_csv",
-    "critical_exponent", "decay_rate_exponent", "condition_h_check",
-    "MassClassification", "classify_mass_limit", "profile_error",
-    "ExperimentConfig", "parse_config_text", "config_from_mapping",
-    "load_config", "build_absorption", "build_problem", "build_initial",
-    "snapshot_times", "kernel_times", "capacity_radii",
-]
-
 _ORACLES = ("frac_laplacian_pointwise", "scaling_check",
             "stable_kernel_quadrature", "mixed_kernel_quadrature")
+
+# the names imported above, less the submodules they bind, and the oracles
+__all__ = [name for name, value in globals().items() if not name.startswith("_")
+           and not isinstance(value, _ModuleType)] + list(_ORACLES)
 
 
 def __getattr__(name):

@@ -38,12 +38,13 @@ one transform on the coarse grid. On the problem's grid the trace's linf
 is the samples' maximum; on a coarse grid it is still read on the
 problem's grid, as the maximum of the band-limited interpolant at the
 fine nodes within a coarse cell of the best coarse sample (_FineMax, whose
-rows are the _refine of a coarse unit sample along one axis). There
-solve reads linf and l2 a block of steps at a time: it copies each step's
-state into a block of _BLOCK_GRIDS (an eighth) problem grids, small enough
-to keep a solve's peak below 4.5 grids, and reads the block when it fills,
-at a cut, at a snapshot and before it returns or raises a result, with the
-bits of per-step reading.
+rows are the _refine of a coarse unit sample along one axis). On every
+grid solve copies each step's state into a trace block and reads linf and
+l2 of the block when it fills, at a cut, at a snapshot and before it
+returns or raises a result: one state in the step's work buffer on the
+problem's grid, _BLOCK_GRIDS (an eighth) problem grids on a cut grid, which
+keeps a solve's peak below 4.5 grids. A lone state is the L2 reader's
+one-row case, so a block keeps the bits of per-step reading.
 Snapshots taken on a coarse grid are zero-padded back to the problem's
 grid and their interpolation ripple is clipped (and booked in
 clipped_mass), so every snapshot lives on one grid.
@@ -78,8 +79,9 @@ _WORK_GRIDS = 5
 # The trace block: on a cut grid, solve copies each step's state into a
 # block of _BLOCK_GRIDS problem grids (never less than one state) and reads
 # the linf and l2 of its states together, a call per block instead of two
-# per step. A block of a whole grid took the 1D solve's traced peak past
-# the 4.5 grids its test allows; an eighth keeps it below.
+# per step; on the problem grid the block is the one state in work. A block
+# of a whole grid took the 1D solve's traced peak past the 4.5 grids its
+# test allows; an eighth keeps it below.
 _BLOCK_GRIDS = 0.125
 # Most Strang steps one schedule may hold: the trace rows of one more step
 # would not fit grid's _MAX_BYTES. A larger count fails before any work.
@@ -456,7 +458,8 @@ def _work_buffers(grid: GridSpec, alpha: float):
     """The symbol values, spectrum, multiplier and work buffers of solve's
     step on grid: fresh ones per step would page-fault. work is scratch on
     the spectrum buffer's first points^dim floats, safe because nothing in
-    it outlives the next transform, which rewrites them."""
+    it outlives the next transform, which rewrites them; on the problem's
+    grid it is also the trace block of one state, read as it fills."""
     symbol = make_symbol(grid, alpha).values
     spectrum = np.empty(symbol.shape, dtype=complex)
     work = spectrum.view(float).reshape(-1)[:grid.points ** grid.dim].reshape(grid.shape)
@@ -557,19 +560,18 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
     symbol, spectrum, multiplier, work = _work_buffers(g, problem.alpha)
     dV = g.cell_volume
     fine_max = None  # the linf reader of a cut grid, set at each cut
-    # on a cut grid, the states whose linf and l2 wait to be read together
-    block, waiting = None, 0
+    # the states whose linf and l2 wait to be read: one, in work, at first
+    block, waiting = work[None], 0
 
     u = problem.initial.values.copy()
     clipped_total = 0.0
     mass = np.add.reduce(u, axis=None)
     t0 = float(schedule.knot_times[0])
-    top = float(u.max())
     # one trace row per step, in MassTrace's column order
     rows = np.empty((6, schedule.total_steps + 1))
-    rows[:, 0] = (t0, schedule.knot_taus[0], mass * dV, 0.0, top,
-                  _lq_norm(u, 2.0, dV, top, work))
-    filled = 1
+    rows[:5, 0] = (t0, schedule.knot_taus[0], mass * dV, 0.0, u.max())
+    block[0] = u
+    filled = waiting = 1
     absorbed = 0.0
 
     is_snapshot = np.isin(schedule.knot_times, schedule.snapshot_times,
@@ -588,11 +590,11 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
 
     def read_block():
         """linf and l2 of the states waiting in the block, read together;
-        till then each one's top holds its place in linf's row."""
+        till then (for good on the problem grid) each one's top is linf."""
         nonlocal waiting
         if waiting:
             states, cols = block[:waiting], rows[4:, filled - waiting:filled]
-            linf = fine_max(states)
+            linf = fine_max(states) if fine_max else cols[0]
             cols[1] = _lq_norm(states, 2.0, dV, cols[0], work=states)
             cols[0] = linf
             waiting = 0
@@ -604,6 +606,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             snapshot_times=np.array(out_times), snapshots=tuple(out_fields),
             clipped_mass=clipped_total)
 
+    read_block()
     if is_snapshot[0]:
         record_snapshot(t0, u)
 
@@ -666,13 +669,10 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
                 err.partial = partial_result()
                 raise err
             rows[:5, filled] = (sub_times[j + 1], sub_taus[j + 1], mass * dV, absorbed, top)
-            if g is grid:  # linf is top
-                rows[5, filled] = _lq_norm(u, 2.0, dV, top, work)
-            else:  # linf, read at the problem grid's nodes, and l2 wait
-                block[waiting] = u
-                waiting += 1
+            block[waiting] = u
+            waiting += 1
             filled += 1
-            if g is not grid and waiting == len(block):
+            if waiting == len(block):
                 read_block()
         if is_snapshot[k + 1]:
             read_block()

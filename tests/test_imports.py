@@ -4,7 +4,8 @@ shared argument ranges live in errors.py, the kinds of the config's choice
 keys are decided only in config.py (no other module tests an absorption
 law's class), only observers.py formats floats and writes and reads CSV
 tables, grid.py holds the one memory budget and the one L^q norm reader,
-and the names the benchmark in perfbench/ uses stay where it finds them."""
+solve reads its trace norms in one block reader, and the names the
+benchmark in perfbench/ uses stay where it finds them."""
 
 import ast
 import inspect
@@ -309,6 +310,20 @@ def test_grid_holds_the_one_lq_norm_reader():
     assert defined == ["grid.py:_lq_norm"]
     assert "_lq_norm" in imported["solver.py"] & imported["kernels.py"]
     assert not sums, "a sum of powers outside grid.py:\n" + "\n".join(sums)
+
+
+def test_solve_reads_the_trace_norms_in_its_block_reader():
+    """solver.solve names _lq_norm once, in its block reader, which fills
+    every trace row's linf and l2 on every grid: no second trace path."""
+    solve = ast.parse(inspect.getsource(solver.solve)).body[0]
+
+    def named(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "_lq_norm"]
+
+    readers = [node.name for node in ast.walk(solve)
+               if isinstance(node, ast.FunctionDef) and node is not solve and named(node)]
+    assert len(named(solve)) == 1
+    assert readers == ["read_block"]
 
 
 @pytest.mark.parametrize("source,flagged", [

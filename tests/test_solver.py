@@ -902,6 +902,31 @@ def test_fine_max_reads_a_stack_as_lone_states(dim, coarse, fine):
     assert np.array_equal(fine_max(states), lone)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-300], ids=["plain", "scaled"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_problem_grid_rows_read_their_state(dim, scale):
+    """A 16-point grid cannot cut, so every row is read on the problem grid:
+    at t0 and at each snapshot, linf is the state's sample maximum and l2
+    grid's L2 norm of it, bit for bit (a 1e-300 datum takes the scaled
+    path)."""
+    grid = GridSpec(dim, 8.0, 16)
+    problem = ProblemSpec(alpha=1.5, beta=0.5, p=2.0, absorption=PowerAbsorption(1.0),
+                          initial=Field(grid, scale * unit_gaussian(grid, 1.0).values))
+    schedule = make_step_schedule(0.0, 4.0, 0.5, 0.1)
+    with logged_cuts() as cuts:
+        result = solve(problem, schedule)
+    assert not cuts
+    assert np.array_equal(result.snapshot_times, schedule.knot_times)
+    trace = result.trace
+    assert trace.times.size > result.snapshot_times.size  # steps between knots
+    rows = np.searchsorted(trace.times, result.snapshot_times)
+    assert np.array_equal(trace.times[rows], result.snapshot_times)
+    for row, field in zip(rows, result.snapshots):
+        values = field.values
+        assert trace.linf[row] == values.max()
+        assert trace.l2[row] == mixheat.grid._lq_norm(values, 2.0, grid.cell_volume)
+
+
 class _PoisonAbsorption:
     """Valid until t > 4, then reports NaN; drives the solver into its
     non-finite abort path."""
