@@ -15,9 +15,10 @@ n-D round trip's.
 Beside the pair sits the one grid cut path: _cut_halvings says how often a
 grid may halve under a spectrum whose upper modes are below roundoff, and
 _refine zero-pads a coarse grid's samples back onto a finer one. solve cuts
-its state with them, and mixed_kernel_norms its kernels. Beside integral
-sits the one L^q norm, _lq_norm, safe across the float range, which reads
-one state or a stack of them.
+its state with them; mixed_kernel_norms cuts its kernels by the same band
+walk, read from a symbol's band minima. Beside integral sits the one L^q
+norm, _lq_norm, safe across the float range, which reads one state or a
+stack of them.
 """
 
 import math
@@ -233,24 +234,49 @@ def _irfft(grid: GridSpec, spectrum: np.ndarray, out=None) -> np.ndarray:
     return np.fft.irfft(spectrum, n=grid.points, axis=-1, norm="forward", out=out)
 
 
-def _cut_halvings(grid: GridSpec, magnitude: np.ndarray) -> int:
-    """How many times grid may halve (keeping L, never below 16 points)
-    under a half spectrum whose moduli are `magnitude`: every mode from the
-    coarse grid's Nyquist index up, on any axis, is at most _CUT_TOL of the
-    peak, the zero mode. The spectrum's index k is read, never xi, so the
-    box width cannot overflow the test."""
-    n, dim = grid.points, grid.dim
-    peak = float(magnitude.flat[0])
+def _bands(grid: GridSpec) -> list:
+    """Each halving's coarse Nyquist index c, in order: n/4, n/8, ..., 8
+    (never below 16 points). It drops the band from index c up on any axis."""
+    return [grid.points >> (m + 2) for m in range(grid.points.bit_length() - 5)]
+
+
+def _band_walk(peak: float, uppers) -> int:
+    """How many times a grid may halve: the number of leading band maxima
+    in uppers (in _bands' order, read no further than the first that stops
+    the walk) at most _CUT_TOL of peak, the zero mode's modulus."""
     m = 0
-    while n >> (m + 1) >= 16:  # GridSpec's least points per axis
-        c = n >> (m + 2)  # the coarse grid's Nyquist index
-        upper = magnitude[..., c:].max()
-        if dim == 2:
-            upper = max(upper, magnitude[c:n - c + 1].max())
+    for upper in uppers:
         if upper > _CUT_TOL * peak:
             break
         m += 1
     return m
+
+
+def _cut_halvings(grid: GridSpec, magnitude: np.ndarray) -> int:
+    """How many times grid may halve (keeping L) under a half spectrum whose
+    moduli are `magnitude`. The spectrum's index k is read, never xi, so the
+    box width cannot overflow the test."""
+    n = grid.points
+
+    def band_max(c):
+        upper = magnitude[..., c:].max()
+        if grid.dim == 2:
+            upper = max(upper, magnitude[c:n - c + 1].max())
+        return upper
+
+    return _band_walk(float(magnitude.flat[0]), map(band_max, _bands(grid)))
+
+
+def _band_minima(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The least of `values` (on grid's half lattice) on each of _bands, from
+    one reduction per axis, where a multiplier that falls as values rise,
+    such as exp(-t m), peaks."""
+    line = values  # the least value with index r on some axis
+    if grid.dim == 2:  # column r, and rows r and n - r
+        h, rows = grid.points // 2, values.min(axis=1)
+        line = np.minimum(values.min(axis=0), np.minimum(rows[:h + 1], rows[-np.arange(h + 1)]))
+    # a band is its narrower neighbour and one shell of indices more
+    return np.minimum.accumulate(np.minimum.reduceat(line, _bands(grid)[::-1])[::-1])
 
 
 def _refine(values: np.ndarray, coarse: GridSpec, fine: GridSpec) -> np.ndarray:

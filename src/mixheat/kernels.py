@@ -15,11 +15,15 @@ periodization of the exact one.
 
 A run of kernels on one grid (mixed_kernel_norms) builds one symbol and
 one complex half-spectrum buffer. The kernel of every time but the last
-is taken on the coarsest grid that grid._cut_halvings allows under its
+is taken on the coarsest grid that grid's cut test allows under its
 multiplier exp(-t m), as that grid's mixed_kernel, from a sub-block of the
-one symbol. At C04's nine times in [1e2, 1e3] for alpha = 0.5 on 2^21
-points the grid halves 1 to 7 times, and L^1, L^2 and L^inf move by at
-most 2.2e-16, 2.2e-16 and 2.7e-13 relative from their full-grid values.
+one symbol. The multiplier falls as m rises, so it peaks on each band a
+halving drops where m is least: the run reads those log2(n) - 4 minima
+once, with nothing grid-sized allocated, and decides each time from their
+exps, never forming a whole multiplier. At C04's nine times in [1e2, 1e3]
+for alpha = 0.5 on 2^21 points the eight earlier times halve the grid 1,
+1, 2, 3, 4, 5, 5 and 6 times, and L^1, L^2 and L^inf move by at most
+2.2e-16, 2.2e-16 and 2.7e-13 relative from their full-grid values.
 The last kernel, which the run returns, and any time that does not cut
 stay on the full grid, and they come before any coarse one: numpy caches
 a plan per transform length, and coarse plans made first sit under the
@@ -40,8 +44,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, SpectralSymbol, _check_grid_budget, _cut_halvings,
-                   _irfft, _lq_norm, apply_symbol, integral, make_symbol)
+from .grid import (Field, GridSpec, SpectralSymbol, _band_minima, _band_walk,
+                   _check_grid_budget, _irfft, _lq_norm, apply_symbol, integral, make_symbol)
 
 log = logging.getLogger(__name__)
 
@@ -160,9 +164,10 @@ def mixed_kernel_norms(grid: GridSpec, alpha: float, times):
     and its row is its kernel_lq_norm, bit for bit. Every other time's
     kernel is taken on the coarsest grid that the cut test allows under
     its multiplier exp(-t m), where it is the coarse grid's mixed_kernel;
-    a time that does not cut keeps grid's bits. The run builds one symbol
-    and one spectrum buffer; one scratch array serves each kernel's L^1
-    and L^2 norms (grid._lq_norm's).
+    a time that does not cut keeps grid's bits, and each cut is decided from
+    the symbol's band minima, read once. The run builds one symbol and one
+    spectrum buffer; one scratch array serves each kernel's L^1 and L^2
+    norms (grid._lq_norm's).
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
@@ -178,11 +183,10 @@ def mixed_kernel_norms(grid: GridSpec, alpha: float, times):
                    for q in (1.0, 2.0)]
 
     times = times.tolist()
+    # each earlier time's cut; the multiplier is 1 at the zero mode
+    minima = _band_minima(grid, sym.values)
+    cuts = [_band_walk(1.0, np.exp(np.multiply(minima, -t))) for t in times[:-1]] + [0]
     out = np.empty(grid.shape)
-    # each earlier time's cut, tested on its multiplier in out's head
-    head = out.reshape(-1)[:sym.values.size].reshape(sym.values.shape)
-    cuts = [_cut_halvings(grid, np.exp(np.multiply(sym.values, -t, out=head), out=head))
-            for t in times[:-1]] + [0]
     # every full-grid kernel before any coarse one, the last time's last so
     # that it stays in out (see the module docstring)
     for row, t, halvings in zip(norms, times, cuts):

@@ -183,18 +183,27 @@ def _cosine_transform(symbol_exponent, x: float, t: float) -> float:
     """(1/pi) int_0^inf exp(-t * symbol(xi)) cos(x xi) dxi for 1D oracles."""
     require("finite and > 0", t=t)
     f = lambda xi: np.exp(-t * symbol_exponent(xi))
-    if abs(x) < 1e-12:
-        # The integrand is a peak of width xi*, where t * symbol(xi*) = 1,
-        # and xi* moves over decades with t; in eta = xi / xi* the peak has
-        # unit width, so the infinite-range map cannot step over it.
-        u_star = brentq(lambda u: t * symbol_exponent(math.exp(u)) - 1.0,
-                        -200.0, 200.0)
-        xi_star = math.exp(u_star)
+    # where t * symbol(xi) = level, found on log xi
+    level_at = lambda level: math.exp(brentq(
+        lambda u: t * symbol_exponent(math.exp(u)) - level, -200.0, 200.0))
+    # The integrand is a peak of width xi*, where t * symbol(xi*) = 1, and
+    # xi* moves over decades with t; in eta = xi / xi* the peak has unit
+    # width, and a rule that samples [0, b] sees it.
+    xi_star = level_at(1.0)
+    w = abs(x)
+    if w < 1e-12:
         val, err = quad(lambda eta: f(xi_star * eta), 0.0, np.inf, limit=400)
         val *= xi_star
     else:
-        # QAWF Fourier integration; absolute accuracy only.
-        val, err = quad(f, 0.0, np.inf, weight="cos", wvar=abs(x), limit=400)
+        # QAWF Fourier integration; absolute accuracy only. Its first cycle,
+        # [0, (2 floor(w) + 1) pi / w], would miss a narrower peak, which is
+        # taken in eta with the finite-range cosine weight up to where the
+        # integrand is e^-40 of its peak, or to that cycle's end.
+        cycle = (2 * math.floor(w) + 1) * math.pi / w
+        cut = min(level_at(40.0), cycle) if xi_star < cycle else 0.0
+        val = xi_star * quad(lambda eta: f(xi_star * eta), 0.0, cut / xi_star,
+                             weight="cos", wvar=w * xi_star, limit=400)[0]
+        val += quad(f, cut, np.inf, weight="cos", wvar=w, limit=400)[0]
     if not np.isfinite(val):
         raise NumericalFailureError("kernel quadrature oracle diverged")
     return val / np.pi

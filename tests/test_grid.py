@@ -20,7 +20,8 @@ from mixheat import (
     read_field,
     write_field,
 )
-from mixheat.grid import _irfft, _rfft
+from mixheat import kernels
+from mixheat.grid import _band_minima, _bands, _irfft, _rfft
 
 
 def gaussian_field(grid, width=1.0, center=0.0):
@@ -361,6 +362,44 @@ def test_spectral_apply_2d_allocates_no_half_spectrum():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * buf.nbytes
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 256), (2, 16), (2, 64)])
+def test_band_minima_are_the_least_value_of_each_band(dim, n):
+    """On any half-lattice values, not only an even symbol that rises with
+    |xi|: the least value from each band's index c up on the last axis, or
+    in rows c to n - c of the leading one (none on 16 points)."""
+    g = GridSpec(dim, 1.0, n)
+    rng = np.random.default_rng(n + dim)
+    for _ in range(20):
+        values = rng.random(g.shape[:-1] + (n // 2 + 1,))
+        expected = [min(values[..., c:].min(), values[c:n - c + 1].min()) for c in _bands(g)]
+        assert _band_minima(g, values).tolist() == expected
+
+
+@pytest.mark.parametrize("dim,n", [(1, 2 ** 14), (2, 128)])
+def test_kernel_norms_exp_no_grid_sized_multiplier_to_cut(dim, n, monkeypatch):
+    """mixed_kernel_norms decides each time's cut from the symbol's band
+    minima: np.exp sees each kernel's own half lattice, at its own points,
+    and O(log n) numbers a time, never a whole multiplier per time."""
+    exped, points = [], []
+    exp, irfft = np.exp, kernels._irfft
+
+    def counting_exp(x, *args, **kwargs):
+        exped.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    def transform(grid, spectrum, **kwargs):
+        points.append(grid.points)
+        return irfft(grid, spectrum, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(kernels, "_irfft", transform)
+    times = [300.0, 1e-3, 30.0, 0.5, 3000.0, 1.0]  # some cut, some do not
+    kernels.mixed_kernel_norms(GridSpec(dim, 0.37 * n, n), 1.0, times)
+    assert len(points) == len(times) and min(points) < n
+    half_lattices = sum(p ** (dim - 1) * (p // 2 + 1) for p in points)
+    assert sum(exped) <= half_lattices + len(times) * n.bit_length()
 
 
 def test_field_io_roundtrip(tmp_path):

@@ -206,23 +206,28 @@ def test_only_the_transform_pair_calls_numpy_fft():
 
 
 def test_grid_holds_the_one_cut_path():
-    """grid._cut_halvings and grid._refine, beside the transform pair, are
-    the one grid cut: no other module defines either or spells the cut's
-    tolerance, and solver and kernels import what they use of it from
+    """grid's cut path, beside the transform pair, is the one grid cut:
+    _cut_halvings, _refine and the band helpers that decide a halving
+    (_bands, _band_walk, _band_minima). No other module defines any of
+    them, nor any function whose name speaks of a band, nor spells the
+    cut's tolerance; solver and kernels import what they use of it from
     grid."""
-    cut_path = {"_cut_halvings", "_refine"}
+    cut_path = {"_cut_halvings", "_refine", "_bands", "_band_walk", "_band_minima"}
     defined, imported, tolerance = [], {}, []
     for name, node in _package_nodes(set()):
-        if isinstance(node, ast.FunctionDef) and node.name in cut_path:
+        if isinstance(node, ast.FunctionDef) and (node.name in cut_path
+                                                  or "band" in node.name.lower()):
             defined.append(f"{name}:{node.name}")
         elif isinstance(node, ast.ImportFrom) and node.module == "grid":
             imported[name] = cut_path & {a.name for a in node.names}
         elif (name != "grid.py"
               and getattr(node, "id", getattr(node, "attr", None)) == "_CUT_TOL"):
             tolerance.append(f"{name}:{node.lineno}")
-    assert sorted(defined) == ["grid.py:_cut_halvings", "grid.py:_refine"]
-    assert imported["solver.py"] == cut_path
-    assert imported["kernels.py"] == {"_cut_halvings"}
+    assert [d for d in defined if not d.startswith("grid.py:")] == []
+    assert sorted(d for d in defined if d.split(":")[1] in cut_path) == sorted(
+        f"grid.py:{f}" for f in cut_path)
+    assert imported["solver.py"] == {"_cut_halvings", "_refine"}
+    assert imported["kernels.py"] == {"_band_minima", "_band_walk"}
     assert not tolerance, "_CUT_TOL named outside grid.py:\n" + "\n".join(tolerance)
 
 

@@ -1,7 +1,7 @@
 """Properties over random inputs: the absorption law and its exact flow,
-the one L^q norm reader, the config text round trip, the field reader on
-damaged files, and the mass ledger, sign, order preservation and grid cut
-of whole solves."""
+the one L^q norm reader, the grid cut decided from a symbol's band minima,
+the config text round trip, the field reader on damaged files, and the
+mass ledger, sign, order preservation and grid cut of whole solves."""
 
 import math
 import os
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from conftest import assert_cut_agrees, logged_cuts, solve_cut_and_fixed
 from mixheat import (ConfigurationError, ExperimentConfig, Field, GridSpec,
                      PowerAbsorption, ProblemSpec, comparison_check,
-                     config_from_mapping, make_step_schedule,
+                     config_from_mapping, make_step_schedule, make_symbol,
                      mass_identity_defect, parse_config_text, read_field, solve,
                      time_to_tau, write_field)
 from mixheat.config import _CHOICES
-from mixheat.grid import _lq_norm
+from mixheat.grid import _band_minima, _band_walk, _cut_halvings, _lq_norm
 from mixheat.solver import _absorb
 
 few = settings(max_examples=60, deadline=None)
@@ -112,6 +112,29 @@ def test_lq_norm_is_the_plain_sum_in_range_and_scales_past_it(q, v, dV, e):
     scaled = _lq_norm(np.ldexp(v, e), q, dV)
     assert scaled == pytest.approx(math.ldexp(norm, e), rel=1e-15)
     assert _lq_norm(np.zeros_like(v), q, dV) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([1, 2]), log2_points=st.integers(4, 14),
+       half_width=st.floats(-1.0, 6.0).map(lambda e: 10.0 ** e),
+       alpha=st.floats(0.01, 1.99), kind=st.sampled_from(["mixed", "fractional"]),
+       t=st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e))
+@example(dim=1, log2_points=6, half_width=1e-160, alpha=1.0, kind="mixed", t=1.0)  # |xi|^2 = inf
+@example(dim=2, log2_points=5, half_width=2.5e-153, alpha=1.5, kind="mixed", t=1e-6)
+@example(dim=1, log2_points=4, half_width=1.0, alpha=1.0, kind="mixed", t=1e12)  # never cuts
+@example(dim=2, log2_points=4, half_width=1.0, alpha=0.5, kind="fractional", t=1e12)
+def test_band_minima_decide_the_halvings_of_the_whole_multiplier(dim, log2_points,
+                                                                 half_width, alpha, kind, t):
+    """The semigroup multiplier exp(-t m) falls as the symbol m rises, so
+    its band maxima are its values at the symbol's band minima: the walk
+    over those few numbers halves the grid as often as the cut test on the
+    whole multiplier does."""
+    g = GridSpec(dim, half_width, 2 ** min(log2_points, 14 if dim == 1 else 8))
+    symbol = make_symbol(g, alpha, kind).values
+    minima = _band_minima(g, symbol)
+    assert minima.shape == (max(0, g.points.bit_length() - 5),)
+    assert _band_walk(1.0, np.exp(np.multiply(minima, -t))) == _cut_halvings(
+        g, np.exp(-t * symbol))
 
 
 # -- config text --------------------------------------------------------------
