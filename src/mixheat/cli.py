@@ -42,14 +42,6 @@ def _out_dir(args) -> str:
     return root
 
 
-def _add_config_args(sub):
-    sub.add_argument("--config", required=True, help="flat key=value config file")
-    sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override a config entry (repeatable)")
-    sub.add_argument("--out-dir", default=None,
-                     help="output directory (default: $MIXHEAT_OUTPUT_ROOT or .)")
-
-
 def cmd_kernel(args) -> int:
     cfg = load_config(args.config, overrides=args.set)
     grid = GridSpec(cfg.dim, cfg.half_width, cfg.points)
@@ -248,34 +240,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "local/fractional operator on a periodic box.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("kernel", help="evaluate linear-kernel norms across times")
-    _add_config_args(sub)
-    sub.set_defaults(func=cmd_kernel)
+    def add(name, func, help_text, config=True):
+        sub = subs.add_parser(name, help=help_text)
+        if config:
+            sub.add_argument("--config", required=True, help="flat key=value config file")
+            sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                             help="override a config entry (repeatable)")
+            sub.add_argument("--out-dir", default=None,
+                             help="output directory (default: $MIXHEAT_OUTPUT_ROOT or .)")
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subs.add_parser("solve", help="run one absorbed-diffusion simulation")
-    _add_config_args(sub)
-    sub.set_defaults(func=cmd_solve)
-
-    sub = subs.add_parser("analyze", help="classify a mass trace CSV")
+    add("kernel", cmd_kernel, "evaluate linear-kernel norms across times")
+    add("solve", cmd_solve, "run one absorbed-diffusion simulation")
+    sub = add("analyze", cmd_analyze, "classify a mass trace CSV", config=False)
     sub.add_argument("--trace", required=True, help="mass trace CSV from solve")
     sub.add_argument("--window", type=float, default=None,
                      help="trailing fit window as a fraction of the log-time span "
                           "(default: the last decade)")
-    sub.set_defaults(func=cmd_analyze)
-
-    sub = subs.add_parser("sweep", help="solve across several nonlinearity exponents")
-    _add_config_args(sub)
+    sub = add("sweep", cmd_sweep, "solve across several nonlinearity exponents")
     sub.add_argument("--p-values", required=True,
                      help="comma list, e.g. 1.2,2,3 (empty list is an empty report)")
-    sub.set_defaults(func=cmd_sweep)
-
-    sub = subs.add_parser("capacity", help="rescaled test-function integral across radii")
-    _add_config_args(sub)
-    sub.set_defaults(func=cmd_capacity)
-
-    sub = subs.add_parser("selftest", help="quick internal consistency battery")
-    sub.set_defaults(func=cmd_selftest)
-
+    add("capacity", cmd_capacity, "rescaled test-function integral across radii")
+    add("selftest", cmd_selftest, "quick internal consistency battery", config=False)
     return parser
 
 

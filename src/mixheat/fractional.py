@@ -245,6 +245,9 @@ def _digamma(x):
 # less the interpreter's, read 5.7-5.9 in 1D (2^17-2^21 points), 2.5-2.8 in 2D.
 _CAPACITY_GRIDS = 7
 _LOG_MAX = math.log(np.finfo(float).max)
+# The least capacity box: the tail window's radii sqrt(sum (k dy)^2) exceed
+# r_edge / 10 >= L / 12 (on 16 points or more), so their squares stay normal.
+_NARROWEST = 12.0 * math.sqrt(_TINY)
 # log 2^-1075: the most a power that rounds below _TINY is off by
 _LOG_HALF_SUBNORMAL = -1075 * math.log(2.0)
 
@@ -300,9 +303,8 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
         lattice_sum = float(np.sum(integrand[fold]))
         totals.append(lattice_sum * cell_volume)
         f_window = integrand[axis][window]
-        # the tail fit needs 4 points of the window that did not underflow to 0
-        underflows = (np.count_nonzero(f_window) < min(4, f_window.size)
-                      or cell_volume == math.inf)
+        # the tail fit needs 4 points of the window (7 or more) that did not underflow to 0
+        underflows = np.count_nonzero(f_window) < 4 or cell_volume == math.inf
         if not underflows:
             try:
                 _check_capacity_tail(log_r, f_window, r_edge, dim, totals[-1])
@@ -326,15 +328,29 @@ def capacity_integral(q0: float, p: float, alpha: float, grid: GridSpec,
 
 def _check_capacity_box(q0, p, alpha, dim, half_width) -> None:
     """Check p, alpha, dim, q0 in (dim, dim + alpha p), and a box whose corner
-    keeps every factor of the integrand in the float range (below 1e154)."""
+    keeps every factor of the integrand in the float range (below 1e154) and
+    whose tail window's radii keep normal squares (from 1.79e-153 up)."""
     require(p=p, alpha=alpha, dim=dim)
     if not dim < q0 < dim + alpha * p:
         raise ConfigurationError(
             f"q0={q0} outside the admissible window ({dim}, {dim + alpha * p}) "
             f"for dim={dim}, alpha={alpha}, p={p}")
-    reach = min(_LOG_MAX / (q0 / 2.0 * max(1.0, 1.0 / (p - 1.0))),
+    weight_power = 1.0 / (p - 1.0)  # Phi^(-1/(p-1)) = <y>^(q0 weight_power)
+    reach = min(_LOG_MAX / (q0 / 2.0 * max(1.0, weight_power)),
                 _LOG_MAX - math.log(q0 + 2.0)) - 1.0  # largest safe log(1 + r^2), less 1
+    if not reach > 0 and weight_power > 1.0:  # within |y| = sqrt(e - 1)
+        raise ConfigurationError(
+            f"p must be above {1.0 + q0 / (2.0 * _LOG_MAX):.6g} for q0={q0}: nearer 1 the "
+            f"weight Phi^(-1/(p-1)) leaves the float range on any box, got {p}")
+    if not reach > 0:
+        raise ConfigurationError(
+            f"q0 must be below {2.0 * _LOG_MAX:.6g}, beyond which Phi underflows on any "
+            f"box, got {q0}")
     widest = math.sqrt(math.expm1(reach) / dim)
+    if not _NARROWEST <= half_width:
+        raise ConfigurationError(
+            f"capacity_half_width must be at least {_NARROWEST:.6g}, below which the squares "
+            f"of the tail window's radii leave the normal float range, got {half_width}")
     if not half_width <= widest:
         raise ConfigurationError(
             f"capacity_half_width must be at most {widest:.6g} for q0={q0}, p={p}, "
@@ -377,8 +393,6 @@ def _check_capacity_tail(log_r, f_window, r_edge, dim, total):
 def _tail_slope(log_r, f):
     """Least-squares slope of log f on log r where f > 0, by centred sums."""
     x, y = log_r[f > 0], np.log(f[f > 0])
-    if x.size < 4:
-        raise ConfigurationError("capacity grid too coarse for a tail estimate")
     x -= np.add.reduce(x) / x.size
     y -= np.add.reduce(y) / y.size
     return float(np.add.reduce(x * y) / np.add.reduce(x * x))

@@ -12,11 +12,11 @@ spectrum buffer and leave it unnormalised; each caller folds the exact
 factor 1/N (N = points^dim) into a factor of its own, so the bits are the
 n-D round trip's.
 
-Beside the pair sits the one grid cut path: _cut_halvings says how often a
-grid may halve under a spectrum whose upper modes are below roundoff, and
-_refine zero-pads a coarse grid's samples back onto a finer one. solve cuts
-its state with them; mixed_kernel_norms cuts its kernels by the same band
-walk, read from a symbol's band minima. Beside integral sits the one L^q
+Beside the pair sits the one grid cut path: _band_walk says how often a grid
+may halve, from the band extrema that _band_reduce reads, and _refine
+zero-pads a coarse grid's samples back onto a finer one. solve walks its
+spectrum's band maxima; mixed_kernel_norms walks exp(-t m) at the symbol's
+band minima. Beside integral sits the one L^q
 norm, _lq_norm, safe across the float range, which reads one state or a
 stack of them.
 """
@@ -242,8 +242,8 @@ def _bands(grid: GridSpec) -> list:
 
 def _band_walk(peak: float, uppers) -> int:
     """How many times a grid may halve: the number of leading band maxima
-    in uppers (in _bands' order, read no further than the first that stops
-    the walk) at most _CUT_TOL of peak, the zero mode's modulus."""
+    in uppers (in _bands' order) at most _CUT_TOL of peak, the zero mode's
+    modulus."""
     m = 0
     for upper in uppers:
         if upper > _CUT_TOL * peak:
@@ -252,31 +252,16 @@ def _band_walk(peak: float, uppers) -> int:
     return m
 
 
-def _cut_halvings(grid: GridSpec, magnitude: np.ndarray) -> int:
-    """How many times grid may halve (keeping L) under a half spectrum whose
-    moduli are `magnitude`. The spectrum's index k is read, never xi, so the
-    box width cannot overflow the test."""
-    n = grid.points
-
-    def band_max(c):
-        upper = magnitude[..., c:].max()
-        if grid.dim == 2:
-            upper = max(upper, magnitude[c:n - c + 1].max())
-        return upper
-
-    return _band_walk(float(magnitude.flat[0]), map(band_max, _bands(grid)))
-
-
-def _band_minima(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """The least of `values` (on grid's half lattice) on each of _bands, from
-    one reduction per axis, where a multiplier that falls as values rise,
-    such as exp(-t m), peaks."""
-    line = values  # the least value with index r on some axis
+def _band_reduce(grid: GridSpec, values: np.ndarray, ufunc) -> np.ndarray:
+    """The ufunc (np.maximum or np.minimum) of `values` on grid's half lattice
+    over each of _bands, from one reduction per axis. It reads index k, never
+    xi, so the box width cannot overflow a cut."""
+    line = values  # the reduction over the indices r on some axis
     if grid.dim == 2:  # column r, and rows r and n - r
-        h, rows = grid.points // 2, values.min(axis=1)
-        line = np.minimum(values.min(axis=0), np.minimum(rows[:h + 1], rows[-np.arange(h + 1)]))
+        h, rows = grid.points // 2, ufunc.reduce(values, axis=1)
+        line = ufunc(ufunc.reduce(values, axis=0), ufunc(rows[:h + 1], rows[-np.arange(h + 1)]))
     # a band is its narrower neighbour and one shell of indices more
-    return np.minimum.accumulate(np.minimum.reduceat(line, _bands(grid)[::-1])[::-1])
+    return ufunc.accumulate(ufunc.reduceat(line, _bands(grid)[::-1])[::-1])
 
 
 def _refine(values: np.ndarray, coarse: GridSpec, fine: GridSpec) -> np.ndarray:

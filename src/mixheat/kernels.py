@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (Field, GridSpec, SpectralSymbol, _band_minima, _band_walk,
+from .grid import (Field, GridSpec, SpectralSymbol, _band_reduce, _band_walk,
                    _check_grid_budget, _irfft, _lq_norm, apply_symbol, integral, make_symbol)
 
 log = logging.getLogger(__name__)
@@ -184,7 +184,7 @@ def mixed_kernel_norms(grid: GridSpec, alpha: float, times):
 
     times = times.tolist()
     # each earlier time's cut; the multiplier is 1 at the zero mode
-    minima = _band_minima(grid, sym.values)
+    minima = _band_reduce(grid, sym.values, np.minimum)
     cuts = [_band_walk(1.0, np.exp(np.multiply(minima, -t))) for t in times[:-1]] + [0]
     out = np.empty(grid.shape)
     # every full-grid kernel before any coarse one, the last time's last so

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, require
-from .grid import (_MAX_BYTES, Field, GridSpec, _check_budget, _cut_halvings,
+from .grid import (_MAX_BYTES, Field, GridSpec, _band_reduce, _band_walk, _check_budget,
                    _float_or_array, _irfft, _lq_norm, _refine, _rfft,
                    apply_symbol, make_symbol)
 
@@ -116,6 +116,7 @@ class PowerAbsorption:
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
+        require(">= 0 and finite", t=t)
         out = self.coefficient * (1.0 + t) ** self.exponent
         return _float_or_array(out)
 
@@ -162,8 +163,9 @@ class TableAbsorption:
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
+        require(">= 0 and finite", t=t)
         lo, hi = self.times[0], self.times[-1]
-        outside = (t < lo) | (t > hi)
+        outside = ~((lo <= t) & (t <= hi))  # NaN too
         if np.any(outside):
             raise ConfigurationError(
                 f"time {t[outside].flat[0]:g} outside the absorption "
@@ -318,7 +320,13 @@ def make_step_schedule(t0: float, t1: float, beta: float, dtau_max: float,
     if snapshot_times is None:
         snaps = default_snapshot_times(t0, t1)
     else:
-        snaps = np.asarray(snapshot_times, dtype=float)
+        try:
+            snaps = np.asarray(snapshot_times, dtype=float)
+            flat = snaps.ndim == 1
+        except (TypeError, ValueError):  # ragged, or not numbers
+            flat = False
+        if not flat:
+            raise ConfigurationError("snapshot_times must be a flat sequence of numbers")
         # each gap between knots costs a step; checked before any array
         # of their size exists
         if snaps.size > _MAX_STEPS + 1:
@@ -629,7 +637,9 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             _rfft(g, u, out=spectrum)
             if j == 0:
                 # the cut, on this step's own spectrum of the absorbed state
-                halvings = _cut_halvings(g, np.abs(spectrum, out=multiplier))
+                np.abs(spectrum, out=multiplier)
+                halvings = _band_walk(float(multiplier.flat[0]),
+                                      _band_reduce(g, multiplier, np.maximum))
                 if halvings:
                     read_block()
                     coarse = dataclasses.replace(g, points=g.points >> halvings)

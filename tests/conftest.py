@@ -5,6 +5,8 @@ terminal-summary hook replays them after the run so the pass/fail ledger
 is visible without -s. solve_cut_and_fixed and assert_cut_agrees hold
 solve's grid cut to the run that never cuts, and logged_cuts lists the
 cuts a block makes, for the solver, CLI and property tests alike.
+sliced_band_extrema and sliced_halvings read the bands a halving drops by
+slicing them one at a time, the reference for grid's band reducer.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from mixheat import grid, solver
+from mixheat.grid import _band_walk, _bands
 
 _CRITERION_LINES = []
 
@@ -54,6 +57,20 @@ def logged_cuts():
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+
+
+def sliced_band_extrema(g, values, reduce):
+    """reduce (np.max or np.min) of half-lattice values over each band a
+    halving of g drops, sliced band by band: from index c up on the last
+    axis, and rows c to n - c of the leading one."""
+    n = g.points
+    return [reduce([reduce(values[..., c:]), reduce(values[c:n - c + 1])]) for c in _bands(g)]
+
+
+def sliced_halvings(g, magnitude):
+    """How often g may halve under a half spectrum whose moduli are
+    `magnitude`, from its sliced band maxima."""
+    return _band_walk(float(magnitude.flat[0]), sliced_band_extrema(g, magnitude, np.max))
 
 
 def solve_cut_and_fixed(problem, schedule):

@@ -14,6 +14,7 @@ from mixheat import (
     MassTrace,
     PowerAbsorption,
     ProblemSpec,
+    TableAbsorption,
     apply_symbol,
     bracket_frac_laplacian,
     bracket_laplacian,
@@ -83,6 +84,11 @@ CASES = [
      lambda v: make_step_schedule(1.0, 10.0, 0.0, v)),
     ("PowerAbsorption", "coefficient", -1.0, lambda v: PowerAbsorption(v, 0.5)),
     ("PowerAbsorption", "exponent", None, lambda v: PowerAbsorption(1.0, v)),
+    # a negative 1 + t to a fractional power: inf at sigma = -2.5, NaN at 0.5
+    ("PowerAbsorption.rate", "t", -1.0, lambda v: PowerAbsorption(1.0, -2.5).rate(v)),
+    ("PowerAbsorption.rate/sqrt", "t", -2.0, lambda v: PowerAbsorption(1.0, 0.5).rate(v)),
+    ("TableAbsorption.rate", "t", -1.0,
+     lambda v: TableAbsorption([0.0, 10.0], [1.0, 2.0]).rate(v)),
     ("GridSpec", "dim", 1.5, lambda v: GridSpec(v, 20.0, 64)),
     ("GridSpec", "half_width", 0.0, lambda v: GridSpec(1, v, 64)),
     ("GridSpec", "points", 256.5, lambda v: GridSpec(1, 20.0, v)),
@@ -122,6 +128,9 @@ CASES = [
     ("capacity_integral", "p", 1.0, lambda v: capacity_integral(1.5, v, 1.0, GRID, [16.0])),
     ("capacity_integral", "alpha", 2.0,
      lambda v: capacity_integral(1.5, 2.0, v, GRID, [16.0])),
+    # nearer 1 the weight Phi^(-1/(p-1)) leaves the float range on any box
+    ("capacity_integral/near 1", "p", 1.001,
+     lambda v: capacity_integral(1.5, v, 1.0, GridSpec(1, 1e3, 1024), [8.0])),
     ("critical_exponent", "alpha", 2.0, lambda v: critical_exponent(v, 0.0, 1)),
     ("critical_exponent", "beta", -1.0, lambda v: critical_exponent(1.0, v, 1)),
     ("critical_exponent", "dim", 0, lambda v: critical_exponent(1.0, 0.0, v)),
@@ -171,3 +180,10 @@ def test_bad_time_window_names_both_ends(function, call, t0, t1):
 def test_array_argument_reports_its_first_bad_entry():
     with pytest.raises(ConfigurationError, match=r"^t must be >= 0 and finite, got nan$"):
         time_to_tau(np.array([0.0, 1.0, math.nan, -1.0]), 0.0)
+
+
+@pytest.mark.parametrize("snapshot_times", [[[0.5, 1.0]], ["a"]], ids=["nested", "text"])
+def test_snapshot_times_must_be_a_flat_sequence_of_numbers(snapshot_times):
+    with pytest.raises(ConfigurationError,
+                       match=r"^snapshot_times must be a flat sequence of numbers$"):
+        make_step_schedule(0.0, 1.0, 0.0, 0.1, snapshot_times=snapshot_times)

@@ -346,6 +346,14 @@ def test_cli_rejects_non_finite_clock(cfg_path, tmp_path, capsys, override, key)
      "capacity_half_width must be at most 68.8396 for q0=1.5, p=1.01, dim=1, "
      "beyond which a factor of the integrand leaves the float range at the box "
      "corner, got 20000.0"),
+    # nearer 1 than 1 + q0 / (2 log(max float)), no box keeps the weight in range
+    *[("capacity", f"p={p}",
+       f"p must be above 1.00106 for q0=1.5: nearer 1 the weight Phi^(-1/(p-1)) "
+       f"leaves the float range on any box, got {p}") for p in ("1.001", "1.0000001")],
+    # the radii's squares underflow to 0, so the tail window is empty
+    ("capacity", "capacity_half_width=1e-300",
+     "capacity_half_width must be at least 1.79e-153, below which the squares of "
+     "the tail window's radii leave the normal float range, got 1e-300"),
     # B R = 2e160 and 2e300 underflow the integrand's tail window to 0;
     # 2e305 also overflows the physical box B R capacity_half_width; at
     # 2e155 the window holds subnormal values, which bend the tail fit

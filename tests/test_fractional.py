@@ -194,6 +194,15 @@ _AFTER_ONE = 1.0000000000000002  # the float after 1, in the r > 1 branch
     (0.5, 1.5, 1.19, 1, -2.5023370461494434e-3),
     (0.375, 2.5, 2.24, 2, 2.0002641526631411e-4),
     (0.375, 2.5, 2.25, 2, -1.2175101570967781e-4),
+    # Gamma arguments of 40 and up: the Gamma ratios come from lgamma
+    (0.3, 100.0, 2.0, 1, -1.9274291922645179e-2),
+    (0.7, 120.0, 2.0, 2, -9.1230909393227038e-4),
+    # q0 < N, so a = q0/2 + s < b = N/2 + s and the 2F1 swaps them
+    (0.3, 0.5, 2.0, 1, 1.0440006305353728e-1),
+    (0.45, 0.7, 2.0, 2, 1.2654032814043236e-1),
+    # q0 = N, so a = b: the r > 1 connection takes its logarithmic form at m = 0
+    (0.3, 1.0, 2.0, 1, 5.4863227602833037e-2),
+    (0.25, 2.0, 2.0, 2, 8.5003554666576796e-2),
 ])
 def test_bracket_frac_laplacian_matches_40_digit_values(s, q0, r, dim, expected):
     # the 1D rows are C07's q0 and s; abs=0, or approx's default absolute
@@ -419,6 +428,14 @@ def test_capacity_integral_peaks_below_six_lattices(dim, q0, p, alpha, box, poin
     finally:
         tracemalloc.stop()
     assert peak <= 6.0 * 8 * points ** dim
+
+
+def test_capacity_integral_refuses_a_profile_past_the_float_range_on_any_box():
+    """At p >= 2 the bound is Phi = <y>^-q0 itself: past q0 = 2 log(max
+    float) it underflows within |y| = sqrt(e - 1), so no box is wide enough."""
+    with pytest.raises(ConfigurationError,
+                       match=r"^q0 must be below 1419\.57, beyond which Phi underflows"):
+        capacity_integral(1500.0, 1000.0, 1.99, GridSpec(1, 1.0, 16), [16.0])
 
 
 @pytest.mark.parametrize("q0,p,dim,widest", [

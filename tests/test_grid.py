@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import sliced_band_extrema
 from mixheat import (
     ConfigurationError,
     Field,
@@ -21,7 +22,7 @@ from mixheat import (
     write_field,
 )
 from mixheat import kernels
-from mixheat.grid import _band_minima, _bands, _irfft, _rfft
+from mixheat.grid import _band_reduce, _irfft, _rfft
 
 
 def gaussian_field(grid, width=1.0, center=0.0):
@@ -364,17 +365,20 @@ def test_spectral_apply_2d_allocates_no_half_spectrum():
     assert peak < 0.5 * buf.nbytes
 
 
+@pytest.mark.parametrize("ufunc,reduce", [(np.minimum, np.min), (np.maximum, np.max)],
+                         ids=["minimum", "maximum"])
 @pytest.mark.parametrize("dim,n", [(1, 16), (1, 256), (2, 16), (2, 64)])
-def test_band_minima_are_the_least_value_of_each_band(dim, n):
+def test_band_reduce_is_the_extremum_of_each_band(dim, n, ufunc, reduce):
     """On any half-lattice values, not only an even symbol that rises with
-    |xi|: the least value from each band's index c up on the last axis, or
-    in rows c to n - c of the leading one (none on 16 points)."""
+    |xi| or a spectrum's moduli: the least or greatest value from each
+    band's index c up on the last axis, or in rows c to n - c of the
+    leading one (none on 16 points), as slicing each band gives it."""
     g = GridSpec(dim, 1.0, n)
     rng = np.random.default_rng(n + dim)
     for _ in range(20):
         values = rng.random(g.shape[:-1] + (n // 2 + 1,))
-        expected = [min(values[..., c:].min(), values[c:n - c + 1].min()) for c in _bands(g)]
-        assert _band_minima(g, values).tolist() == expected
+        expected = sliced_band_extrema(g, values, reduce)
+        assert _band_reduce(g, values, ufunc).tolist() == expected
 
 
 @pytest.mark.parametrize("dim,n", [(1, 2 ** 14), (2, 128)])

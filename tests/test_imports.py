@@ -207,12 +207,12 @@ def test_only_the_transform_pair_calls_numpy_fft():
 
 def test_grid_holds_the_one_cut_path():
     """grid's cut path, beside the transform pair, is the one grid cut:
-    _cut_halvings, _refine and the band helpers that decide a halving
-    (_bands, _band_walk, _band_minima). No other module defines any of
-    them, nor any function whose name speaks of a band, nor spells the
-    cut's tolerance; solver and kernels import what they use of it from
-    grid."""
-    cut_path = {"_cut_halvings", "_refine", "_bands", "_band_walk", "_band_minima"}
+    _refine and the band helpers that decide a halving (_bands, _band_walk
+    and _band_reduce, the one reader of band extrema). No other module
+    defines any of them, nor any function whose name speaks of a band, nor
+    spells the cut's tolerance; solver and kernels import what they use of
+    it from grid."""
+    cut_path = {"_refine", "_bands", "_band_walk", "_band_reduce"}
     defined, imported, tolerance = [], {}, []
     for name, node in _package_nodes(set()):
         if isinstance(node, ast.FunctionDef) and (node.name in cut_path
@@ -226,8 +226,8 @@ def test_grid_holds_the_one_cut_path():
     assert [d for d in defined if not d.startswith("grid.py:")] == []
     assert sorted(d for d in defined if d.split(":")[1] in cut_path) == sorted(
         f"grid.py:{f}" for f in cut_path)
-    assert imported["solver.py"] == {"_cut_halvings", "_refine"}
-    assert imported["kernels.py"] == {"_band_minima", "_band_walk"}
+    assert imported["solver.py"] == {"_band_reduce", "_band_walk", "_refine"}
+    assert imported["kernels.py"] == {"_band_reduce", "_band_walk"}
     assert not tolerance, "_CUT_TOL named outside grid.py:\n" + "\n".join(tolerance)
 
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import sliced_halvings
 from mixheat import (
     ConfigurationError,
     Field,
@@ -188,7 +189,7 @@ CUT_RUNS = [(GridSpec(1, 0.37 * 1024, 1024), (1.0, 1e-3, 300.0, 30.0, 3000.0, 0.
 
 
 def _halvings(g, alpha, t):
-    return grid_module._cut_halvings(g, np.exp(-t * make_symbol(g, alpha).values))
+    return sliced_halvings(g, np.exp(-t * make_symbol(g, alpha).values))
 
 
 def _transform_sizes(monkeypatch):

@@ -233,6 +233,24 @@ def test_classify_window_argument():
         classify_mass_limit(tr, window=1.5)
 
 
+def test_classify_zero_mass_is_decay():
+    """Mass that reaches 0 (to rounding) in the window decays, with no fit."""
+    t = np.geomspace(0.1, 1000.0, 50)
+    mass = 2.0 * t ** -0.8
+    mass[-3:] = 0.0
+    c = classify_mass_limit(synthetic_trace(t, mass))
+    assert (c.kind, c.trailing_slope, c.relative_drop, c.m_inf_estimate) == (
+        "decaying_to_zero", -np.inf, 1.0, None)
+
+
+def test_classify_refuses_a_window_of_fewer_than_4_samples():
+    # two decades, but the last holds only the samples at 10 and 100
+    t = np.array([1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 10.0, 100.0])
+    with pytest.raises(ConfigurationError,
+                       match="^trailing window holds fewer than 4 samples$"):
+        classify_mass_limit(synthetic_trace(t, np.linspace(1.0, 0.5, 8)))
+
+
 def test_classify_validation():
     t = np.geomspace(1.0, 10.0, 20)  # a single decade
     tr = synthetic_trace(t, np.linspace(1.0, 0.9, 20))

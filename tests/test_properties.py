@@ -14,14 +14,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_cut_agrees, logged_cuts, solve_cut_and_fixed
+from conftest import assert_cut_agrees, logged_cuts, sliced_halvings, solve_cut_and_fixed
 from mixheat import (ConfigurationError, ExperimentConfig, Field, GridSpec,
                      PowerAbsorption, ProblemSpec, comparison_check,
                      config_from_mapping, make_step_schedule, make_symbol,
                      mass_identity_defect, parse_config_text, read_field, solve,
                      time_to_tau, write_field)
 from mixheat.config import _CHOICES
-from mixheat.grid import _band_minima, _band_walk, _cut_halvings, _lq_norm
+from mixheat.grid import _band_reduce, _band_walk, _lq_norm
 from mixheat.solver import _absorb
 
 few = settings(max_examples=60, deadline=None)
@@ -127,13 +127,13 @@ def test_band_minima_decide_the_halvings_of_the_whole_multiplier(dim, log2_point
                                                                  half_width, alpha, kind, t):
     """The semigroup multiplier exp(-t m) falls as the symbol m rises, so
     its band maxima are its values at the symbol's band minima: the walk
-    over those few numbers halves the grid as often as the cut test on the
-    whole multiplier does."""
+    over those few numbers halves the grid as often as the walk over the
+    whole multiplier's band maxima, sliced band by band, does."""
     g = GridSpec(dim, half_width, 2 ** min(log2_points, 14 if dim == 1 else 8))
     symbol = make_symbol(g, alpha, kind).values
-    minima = _band_minima(g, symbol)
+    minima = _band_reduce(g, symbol, np.minimum)
     assert minima.shape == (max(0, g.points.bit_length() - 5),)
-    assert _band_walk(1.0, np.exp(np.multiply(minima, -t))) == _cut_halvings(
+    assert _band_walk(1.0, np.exp(np.multiply(minima, -t))) == sliced_halvings(
         g, np.exp(-t * symbol))
 
 

@@ -39,7 +39,7 @@ from mixheat import (
     tau_to_time,
     time_to_tau,
 )
-from conftest import assert_cut_agrees, logged_cuts, solve_cut_and_fixed
+from conftest import assert_cut_agrees, logged_cuts, sliced_halvings, solve_cut_and_fixed
 import mixheat.grid
 from mixheat import solver
 from mixheat.solver import _MAX_STEPS, geometric_times
@@ -721,14 +721,16 @@ def test_cut_agrees_with_the_fixed_grid_for_an_off_node_2d_datum():
 def test_cut_bound_is_free_of_the_box_width():
     """The cut test reads the spectrum by index k, never xi = pi k / L: the
     same samples on boxes where L^2 or (pi / L)^2 overflows cut alike, to
-    16 points."""
+    16 points, by solve's band maxima and by slicing each band."""
     grid = GridSpec(1, 20.0, 256)
     u = 1.0 + 1e-9 * np.cos(np.pi * grid.axis_coords() / 20.0)
     cuts = []
     for L in (20.0, 1e300, 1e-300):
         g = GridSpec(1, L, 256)
-        cuts.append(mixheat.grid._cut_halvings(g, np.abs(mixheat.grid._rfft(g, u))))
-    assert cuts == [4] * 3
+        mag = np.abs(mixheat.grid._rfft(g, u))
+        maxima = mixheat.grid._band_reduce(g, mag, np.maximum)
+        cuts.append((mixheat.grid._band_walk(float(mag[0]), maxima), sliced_halvings(g, mag)))
+    assert cuts == [(4, 4)] * 3
 
 
 def test_cut_keeps_the_order_of_a_sharp_datum():
