@@ -6,11 +6,12 @@ frequencies are xi_k = pi k / L and symbols act diagonally under the FFT.
 Conventions: x_j = -L + j dx with dx = 2L/n, so x = 0 sits exactly on the
 lattice. Fields are real, so every transform is a real FFT: symbols live
 on its half lattice, and one pair, _rfft and _irfft, is the only place
-that transforms. They call numpy's one-axis transforms in the order that
-numpy's n-D real transforms do, but run the 2D inverse in the caller's
-spectrum buffer and leave it unnormalised; each caller folds the exact
-factor 1/N (N = points^dim) into a factor of its own, so the bits are the
-n-D round trip's.
+that transforms. They call the pocketfft gufuncs behind numpy.fft's
+one-axis wrappers, in the order that numpy's n-D real transforms do and
+with the same bits, but run the 2D inverse in the caller's spectrum buffer
+and leave it unnormalised; each caller folds the exact factor 1/N
+(N = points^dim) into a factor of its own, so the bits are the n-D round
+trip's.
 
 Beside the pair sits the one grid cut path: _band_walk says how often a grid
 may halve, from the band extrema that _band_reduce reads, and _refine
@@ -215,23 +216,33 @@ def make_symbol(grid: GridSpec, alpha: float, kind: str = "mixed") -> SpectralSy
 
 def _rfft(grid: GridSpec, values: np.ndarray, out=None) -> np.ndarray:
     """The half spectrum of a real grid array: numpy's rfftn, bit for bit,
-    into out (complex, half lattice) if given."""
-    spectrum = np.fft.rfft(values, axis=-1, out=out)
-    for axis in range(grid.dim - 1):  # the leading axis, in 2D
-        np.fft.fft(spectrum, axis=axis, out=spectrum)
-    return spectrum
+    into out (complex, half lattice) if given. It calls the pocketfft
+    gufuncs behind numpy.fft's rfft and fft wrappers, in their order and
+    with their factor 1, and skips the wrappers' per-call Python."""
+    pfu = np.fft._pocketfft_umath  # looked up here: importing grid loads no numpy.fft
+    if out is None:
+        out = np.empty(values.shape[:-1] + (grid.points // 2 + 1,), dtype=complex)
+    pfu.rfft_n_even(values, 1.0, out=out)  # points is a power of two
+    if grid.dim == 2:  # the leading axis
+        pfu.fft(out, 1.0, axes=[(0,), (), (0,)], out=(out,))
+    return out
 
 
 def _irfft(grid: GridSpec, spectrum: np.ndarray, out=None) -> np.ndarray:
     """N times numpy's irfftn of a half spectrum (N = points^dim), into out
     if given: the inverse skips its 1/N scaling pass, so the caller scales
     a factor of its own by the power of two 1/N and gets the n-D round
-    trip's bits. In 2D the inverse runs in spectrum and overwrites it."""
+    trip's bits. In 2D the inverse runs in spectrum and overwrites it. Like
+    _rfft it calls the gufuncs behind numpy.fft's ifft and irfft wrappers,
+    with the factor 1 they pass at norm="forward"."""
+    pfu = np.fft._pocketfft_umath
     # numpy's n-D inverse makes these calls in this order, but gives its
     # leading-axis ifft no out= and so allocates a complex half spectrum
-    for axis in range(grid.dim - 1):
-        np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
-    return np.fft.irfft(spectrum, n=grid.points, axis=-1, norm="forward", out=out)
+    if grid.dim == 2:
+        pfu.ifft(spectrum, 1.0, axes=[(0,), (), (0,)], out=(spectrum,))
+    if out is None:  # irfft reads n = points from out's last axis
+        out = np.empty(spectrum.shape[:-1] + (grid.points,))
+    return pfu.irfft(spectrum, 1.0, out=out)
 
 
 def _bands(grid: GridSpec) -> list:

@@ -52,6 +52,7 @@ clipped_mass), so every snapshot lives on one grid.
 
 import dataclasses
 import logging
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -99,7 +100,9 @@ class PowerAbsorption:
     reads 0 then, so no power overflows) and sigma = 0 a constant coefficient.
 
     The shift keeps h bounded near t = 0 for any sigma, so the exact
-    integral needs no sign restriction on the exponent.
+    integral needs no sign restriction on the exponent. Where (1 + t)^sigma
+    or its integral passes the float range, rate and integral read inf,
+    quietly.
     """
 
     def __init__(self, coefficient: float, exponent: float = 0.0):
@@ -108,6 +111,12 @@ class PowerAbsorption:
             raise ConfigurationError(f"coefficient must be >= 0, got {coefficient}")
         self.coefficient = float(coefficient)
         self.exponent = float(exponent) if coefficient else 0.0
+        # no factor of integral's closed form passes max(c, 1) (1 + b)^max(e1, 0)
+        # log1p(b), e1 = sigma + 1: for b below this it runs with no errstate
+        # (about 1 us, twice a step) and stays well inside the float range
+        e1, lift = self.exponent + 1.0, 700.0 - math.log(max(self.coefficient, 1.0))
+        self._closed_below = (math.expm1(min(lift / e1, 709.0)) if e1 > 0
+                              else math.inf if lift > 0 else 0.0)
 
     @property
     def tail_exponent(self):
@@ -117,12 +126,20 @@ class PowerAbsorption:
     def rate(self, t):
         t = np.asarray(t, dtype=float)
         require(">= 0 and finite", t=t)
-        out = self.coefficient * (1.0 + t) ** self.exponent
+        with np.errstate(over="ignore"):
+            out = self.coefficient * (1.0 + t) ** self.exponent
         return _float_or_array(out)
 
     def integral(self, a: float, b: float) -> float:
         if not 0 <= a <= b:
             raise ConfigurationError(f"need 0 <= a <= b, got a={a}, b={b}")
+        if b < self._closed_below:
+            return self._closed_form(a, b)
+        with np.errstate(over="ignore", divide="ignore"):
+            # numpy floats: a power past the float range reads inf, not raises
+            return self._closed_form(np.float64(a), np.float64(b))
+
+    def _closed_form(self, a, b):
         # sigma = 0: b - a is exact where (1+b) - (1+a) rounds
         if self.exponent == 0.0:
             return self.coefficient * (b - a)
@@ -132,7 +149,10 @@ class PowerAbsorption:
         if self.exponent == -1.0:
             return self.coefficient * log_ratio
         e1 = self.exponent + 1.0
-        return self.coefficient * ((1.0 + a) ** e1 * np.expm1(e1 * log_ratio) / e1)
+        base, grow = (1.0 + a) ** e1, np.expm1(e1 * log_ratio)
+        if base == np.inf:  # (1 + a)^e1 alone overflows (e1 > 0): in logs
+            return self.coefficient * (np.exp(e1 * np.log1p(a) + np.log(grow)) / e1)
+        return self.coefficient * (base * grow / e1)
 
 
 class TableAbsorption:

@@ -4,8 +4,9 @@ shared argument ranges live in errors.py, the kinds of the config's choice
 keys are decided only in config.py (no other module tests an absorption
 law's class), only observers.py formats floats and writes and reads CSV
 tables, grid.py holds the one memory budget and the one L^q norm reader,
-solve reads its trace norms in one block reader, and the names the
-benchmark in perfbench/ uses stay where it finds them."""
+solve reads its trace norms in one block reader, only grid's transform
+pair reaches numpy.fft and importing the CLI loads none of it, and the
+names the benchmark in perfbench/ uses stay where it finds them."""
 
 import ast
 import inspect
@@ -59,6 +60,13 @@ def test_cli_run_loads_no_scipy(tmp_path, command):
         f" '--out-dir', {str(tmp_path / 'out')!r}])\n"
         "print(code)\n" + _loaded(["scipy", "mixheat.oracles", "numpy.ma"]))
     assert out.splitlines()[-2:] == ["0", "[]"]
+
+
+def test_cli_import_loads_no_numpy_fft():
+    # the transform pair looks the pocketfft gufuncs up at call time, not at
+    # import: numpy.fft loads (about 1 ms) only when a run transforms
+    out = _run_fresh("import sys, mixheat.cli\n" + _loaded(["numpy.fft"]))
+    assert out.splitlines() == ["[]"]
 
 
 def test_oracle_resolves_lazily_from_package():
@@ -185,24 +193,70 @@ def test_only_oracles_import_scipy():
     assert not found, "scipy imported in:\n" + "\n".join(found)
 
 
+# numpy.fft and the module of pocketfft gufuncs under its wrappers
+_FFT_MODULES = {"fft", "_pocketfft", "_pocketfft_umath"}
+
+
+def _transform_sites(tree, module):
+    """({owner of each transform}, [line of each import of an FFT module])
+    in tree. A transform is any name reached through numpy.fft or its
+    gufunc module, except the frequency tables fftfreq and rfftfreq: a call
+    np.fft.rfft(u), or the lookup pfu = np.fft._pocketfft_umath before
+    pfu.irfft(...). Its owner is the innermost function, module.name, or
+    the module at its top level."""
+    owners, imports = set(), []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                base = f"{child.module or ''}." if isinstance(child, ast.ImportFrom) else ""
+                if any(_FFT_MODULES & set((base + a.name).split(".")) for a in child.names):
+                    imports.append(child.lineno)
+            elif isinstance(child, ast.Attribute):
+                chain, root = [], child  # a whole chain a.b.c, read once
+                while isinstance(root, ast.Attribute):
+                    chain.append(root.attr)
+                    root = root.value
+                chain.append(getattr(root, "id", ""))
+                if _FFT_MODULES & set(chain) and not chain[0].endswith("freq"):
+                    owners.add(owner)
+                visit(root, owner)
+            else:
+                visit(child, f"{module}.{child.name}"
+                      if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, module)
+    return owners, imports
+
+
 def test_only_the_transform_pair_calls_numpy_fft():
     """grid._rfft and grid._irfft are the one spectral path: no other
-    function calls a numpy.fft transform (the frequency tables fftfreq and
-    rfftfreq are not transforms), and no module imports one by name."""
+    function, nor any module's top level, transforms through numpy.fft or
+    the pocketfft gufuncs under it, and no module imports either by name."""
     callers, imports = set(), []
     for name, node in _package_nodes(set()):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
-            imports.append(f"{name}:{node.lineno}")
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        for call in ast.walk(node):
-            func = getattr(call, "func", None)
-            if (isinstance(call, ast.Call) and isinstance(func, ast.Attribute)
-                    and getattr(func.value, "attr", None) == "fft"
-                    and not func.attr.endswith("freq")):
-                callers.add(f"{name[:-3]}.{node.name}")
+        if isinstance(node, ast.Module):
+            owners, lines = _transform_sites(node, name[:-3])
+            callers |= owners
+            imports += [f"{name}:{line}" for line in lines]
     assert not imports, "numpy.fft imported by name in:\n" + "\n".join(imports)
     assert callers == {"grid._rfft", "grid._irfft"}
+
+
+@pytest.mark.parametrize("source,owners,lines", [
+    ("def f(u):\n    return np.fft.rfft(u).real", {"m.f"}, []),
+    ("def f(u):\n    pfu = np.fft._pocketfft_umath\n    return pfu.irfft(u, 1.0)",
+     {"m.f"}, []),
+    ("def f(u):\n    def g():\n        return np.fft.ifft(u)\n    return g", {"m.g"}, []),
+    ("spectrum = np.fft.fft(u)", {"m"}, []),
+    ("def f(n):\n    return 2 * np.pi * np.fft.rfftfreq(n)", set(), []),
+    ("import numpy.fft", set(), [1]),
+    ("from numpy import fft", set(), [1]),
+    ("import numpy as np\nfrom numpy.fft import _pocketfft_umath as pfu", set(), [2]),
+], ids=["call", "gufunc-lookup", "nested", "top-level", "freq-table", "import",
+        "import-from", "gufunc-import"])
+def test_transform_check_sees_each_spelling(source, owners, lines):
+    assert _transform_sites(ast.parse(source), "m") == (owners, lines)
 
 
 def test_grid_holds_the_one_cut_path():

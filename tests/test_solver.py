@@ -134,6 +134,26 @@ def test_power_absorption_integral_matches_quadrature(coeff, sigma):
         assert h.integral(a, b) == pytest.approx(oracle, rel=1e-10, abs=1e-13)
 
 
+# a power law past the float range reads inf with no RuntimeWarning (an error
+# in tier-1), as solve's numpy times do at a huge coefficient; where (1 + a)^3
+# alone overflows, the integral is taken in logs, so a finite one stays
+# finite: ((1 + b)^3 - (1 + a)^3) / 3 to 40 digits
+@pytest.mark.parametrize("law,call,expected", [
+    ((1.0, 2.0), lambda h: h.rate(1e200), np.inf),
+    ((1.0, 2.0), lambda h: h.rate([1.0, 1e200]).tolist(), [4.0, np.inf]),
+    ((1.0, 2.0), lambda h: h.integral(0.0, 1e200), np.inf),
+    ((1.0, 2.0), lambda h: h.integral(1e100, 1e103), np.inf),
+    ((1.0, 2.0), lambda h: h.integral(1e200, 1e200), 0.0),
+    ((1.0, 2.0), lambda h: h.integral(1e103, 1e103 * (1 + 2 ** -50)),
+     pytest.approx(7.957171782556592636631105155336047e+293, rel=1e-13)),
+    ((1e307, 0.0), lambda h: h.integral(np.float64(0.0), np.float64(1e300)), np.inf),
+    ((1e307, -1.0), lambda h: h.integral(np.float64(0.0), np.float64(1e300)), np.inf),
+], ids=["rate", "rate-array", "integral", "integral-product", "integral-empty",
+        "integral-finite", "constant", "log"])
+def test_power_absorption_past_the_float_range(law, call, expected):
+    assert call(PowerAbsorption(*law)) == expected
+
+
 def test_power_absorption_log_case_closed_form():
     h = PowerAbsorption(1.5, -1.0)
     assert h.integral(0.0, np.e - 1.0) == pytest.approx(1.5, rel=1e-12)
