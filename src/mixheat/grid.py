@@ -218,7 +218,9 @@ def _rfft(grid: GridSpec, values: np.ndarray, out=None) -> np.ndarray:
     """The half spectrum of a real grid array: numpy's rfftn, bit for bit,
     into out (complex, half lattice) if given. It calls the pocketfft
     gufuncs behind numpy.fft's rfft and fft wrappers, in their order and
-    with their factor 1, and skips the wrappers' per-call Python."""
+    with their factor 1, and skips the wrappers' per-call Python, and with
+    it their check of out: out must have values' leading shape and
+    points // 2 + 1 on its last axis, as nothing here checks it."""
     pfu = np.fft._pocketfft_umath  # looked up here: importing grid loads no numpy.fft
     if out is None:
         out = np.empty(values.shape[:-1] + (grid.points // 2 + 1,), dtype=complex)
@@ -234,7 +236,10 @@ def _irfft(grid: GridSpec, spectrum: np.ndarray, out=None) -> np.ndarray:
     a factor of its own by the power of two 1/N and gets the n-D round
     trip's bits. In 2D the inverse runs in spectrum and overwrites it. Like
     _rfft it calls the gufuncs behind numpy.fft's ifft and irfft wrappers,
-    with the factor 1 they pass at norm="forward"."""
+    with the factor 1 they pass at norm="forward". irfft reads the length
+    n from out's last axis and nothing checks it: out must have the grid's
+    full shape (spectrum's leading shape and points on the last axis), or
+    the transform takes another length without an error."""
     pfu = np.fft._pocketfft_umath
     # numpy's n-D inverse makes these calls in this order, but gives its
     # leading-axis ifft no out= and so allocates a complex half spectrum

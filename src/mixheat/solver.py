@@ -52,7 +52,6 @@ clipped_mass), so every snapshot lives on one grid.
 
 import dataclasses
 import logging
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -111,12 +110,6 @@ class PowerAbsorption:
             raise ConfigurationError(f"coefficient must be >= 0, got {coefficient}")
         self.coefficient = float(coefficient)
         self.exponent = float(exponent) if coefficient else 0.0
-        # no factor of integral's closed form passes max(c, 1) (1 + b)^max(e1, 0)
-        # log1p(b), e1 = sigma + 1: for b below this it runs with no errstate
-        # (about 1 us, twice a step) and stays well inside the float range
-        e1, lift = self.exponent + 1.0, 700.0 - math.log(max(self.coefficient, 1.0))
-        self._closed_below = (math.expm1(min(lift / e1, 709.0)) if e1 > 0
-                              else math.inf if lift > 0 else 0.0)
 
     @property
     def tail_exponent(self):
@@ -133,26 +126,22 @@ class PowerAbsorption:
     def integral(self, a: float, b: float) -> float:
         if not 0 <= a <= b:
             raise ConfigurationError(f"need 0 <= a <= b, got a={a}, b={b}")
-        if b < self._closed_below:
-            return self._closed_form(a, b)
+        # numpy floats: a power past the float range reads inf, not raises
+        a, b = np.float64(a), np.float64(b)
         with np.errstate(over="ignore", divide="ignore"):
-            # numpy floats: a power past the float range reads inf, not raises
-            return self._closed_form(np.float64(a), np.float64(b))
-
-    def _closed_form(self, a, b):
-        # sigma = 0: b - a is exact where (1+b) - (1+a) rounds
-        if self.exponent == 0.0:
-            return self.coefficient * (b - a)
-        # log((1+b)/(1+a)) without the cancellation of (1+b)^e1 - (1+a)^e1
-        # near sigma = -1, whose limit it is
-        log_ratio = np.log1p((b - a) / (1.0 + a))
-        if self.exponent == -1.0:
-            return self.coefficient * log_ratio
-        e1 = self.exponent + 1.0
-        base, grow = (1.0 + a) ** e1, np.expm1(e1 * log_ratio)
-        if base == np.inf:  # (1 + a)^e1 alone overflows (e1 > 0): in logs
-            return self.coefficient * (np.exp(e1 * np.log1p(a) + np.log(grow)) / e1)
-        return self.coefficient * (base * grow / e1)
+            # sigma = 0: b - a is exact where (1+b) - (1+a) rounds
+            if self.exponent == 0.0:
+                return self.coefficient * (b - a)
+            # log((1+b)/(1+a)) without the cancellation of (1+b)^e1 - (1+a)^e1
+            # near sigma = -1, whose limit it is
+            log_ratio = np.log1p((b - a) / (1.0 + a))
+            if self.exponent == -1.0:
+                return self.coefficient * log_ratio
+            e1 = self.exponent + 1.0
+            base, grow = (1.0 + a) ** e1, np.expm1(e1 * log_ratio)
+            if base == np.inf:  # (1 + a)^e1 alone overflows (e1 > 0): in logs
+                return self.coefficient * (np.exp(e1 * np.log1p(a) + np.log(grow)) / e1)
+            return self.coefficient * (base * grow / e1)
 
 
 class TableAbsorption:

@@ -199,19 +199,24 @@ _FFT_MODULES = {"fft", "_pocketfft", "_pocketfft_umath"}
 
 def _transform_sites(tree, module):
     """({owner of each transform}, [line of each import of an FFT module])
-    in tree. A transform is any name reached through numpy.fft or its
-    gufunc module, except the frequency tables fftfreq and rfftfreq: a call
-    np.fft.rfft(u), or the lookup pfu = np.fft._pocketfft_umath before
-    pfu.irfft(...). Its owner is the innermost function, module.name, or
-    the module at its top level."""
+    in tree. An FFT module is one whose dotted name has a part ending in
+    "fft" (numpy.fft, mkl_fft, scipy.fft), or _pocketfft or its gufuncs,
+    imported as a module or from one. A transform is any name reached
+    through numpy.fft or its gufunc module, except the frequency tables
+    fftfreq and rfftfreq: a call np.fft.rfft(u), or the lookup
+    pfu = np.fft._pocketfft_umath before pfu.irfft(...). Its owner is the
+    innermost function, module.name, or the module at its top level."""
     owners, imports = set(), []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.Import, ast.ImportFrom)):
-                base = f"{child.module or ''}." if isinstance(child, ast.ImportFrom) else ""
-                if any(_FFT_MODULES & set((base + a.name).split(".")) for a in child.names):
-                    imports.append(child.lineno)
+                for a in child.names:
+                    source = child.module if isinstance(child, ast.ImportFrom) else a.name
+                    parts = (source or "").split(".")
+                    if any(p.endswith("fft") for p in parts) or _FFT_MODULES & {*parts, a.name}:
+                        imports.append(child.lineno)
+                        break
             elif isinstance(child, ast.Attribute):
                 chain, root = [], child  # a whole chain a.b.c, read once
                 while isinstance(root, ast.Attribute):
@@ -253,8 +258,11 @@ def test_only_the_transform_pair_calls_numpy_fft():
     ("import numpy.fft", set(), [1]),
     ("from numpy import fft", set(), [1]),
     ("import numpy as np\nfrom numpy.fft import _pocketfft_umath as pfu", set(), [2]),
+    ("from mkl_fft import rfft", set(), [1]),
+    ("from pyfftw.interfaces.numpy_fft import rfft", set(), [1]),
+    ("from .grid import _irfft, _rfft", set(), []),
 ], ids=["call", "gufunc-lookup", "nested", "top-level", "freq-table", "import",
-        "import-from", "gufunc-import"])
+        "import-from", "gufunc-import", "mkl-fft", "fft-suffix", "the-pair"])
 def test_transform_check_sees_each_spelling(source, owners, lines):
     assert _transform_sites(ast.parse(source), "m") == (owners, lines)
 

@@ -146,8 +146,8 @@ def test_power_absorption_integral_matches_quadrature(coeff, sigma):
     ((1.0, 2.0), lambda h: h.integral(1e200, 1e200), 0.0),
     ((1.0, 2.0), lambda h: h.integral(1e103, 1e103 * (1 + 2 ** -50)),
      pytest.approx(7.957171782556592636631105155336047e+293, rel=1e-13)),
-    ((1e307, 0.0), lambda h: h.integral(np.float64(0.0), np.float64(1e300)), np.inf),
-    ((1e307, -1.0), lambda h: h.integral(np.float64(0.0), np.float64(1e300)), np.inf),
+    ((1e307, 0.0), lambda h: h.integral(0.0, 1e300), np.inf),
+    ((1e307, -1.0), lambda h: h.integral(0.0, 1e300), np.inf),
 ], ids=["rate", "rate-array", "integral", "integral-product", "integral-empty",
         "integral-finite", "constant", "log"])
 def test_power_absorption_past_the_float_range(law, call, expected):
