@@ -92,7 +92,21 @@ _MAX_STEPS = _MAX_BYTES // _TRACE_ROW_BYTES - 1
 # Absorption coefficients h(t): the closed-form power law and sampled
 # tables. Each has rate(t), integral(a, b) and tail_exponent (the sigma of
 # h ~ t^sigma, None for a table); integral must be exact (no quadrature
-# inside the stepper).
+# inside the stepper) and work elementwise on arrays of a and b, with the
+# scalar call's bits at every entry (solve integrates a knot gap at once).
+
+def _window(a, b):
+    """a and b as float arrays, refused unless 0 <= a <= b at every entry
+    (NaN fails), naming the first pair that fails and, in an array, its index."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ok = (0 <= a) & (a <= b)
+    if not np.all(ok):
+        i = int(np.argmin(ok))  # the first False
+        at = f" at index {i}" if ok.ndim else ""
+        a, b = (np.broadcast_to(v, ok.shape).flat[i] for v in (a, b))
+        raise ConfigurationError(f"need 0 <= a <= b, got a={a}, b={b}{at}")
+    return a, b
+
 
 class PowerAbsorption:
     """h(t) = c (1 + t)^sigma with c >= 0; c = 0 is plain linear flow (sigma
@@ -120,14 +134,11 @@ class PowerAbsorption:
         t = np.asarray(t, dtype=float)
         require(">= 0 and finite", t=t)
         with np.errstate(over="ignore"):
-            out = self.coefficient * (1.0 + t) ** self.exponent
+            out = self.coefficient * np.float_power(1.0 + t, self.exponent)
         return _float_or_array(out)
 
-    def integral(self, a: float, b: float) -> float:
-        if not 0 <= a <= b:
-            raise ConfigurationError(f"need 0 <= a <= b, got a={a}, b={b}")
-        # numpy floats: a power past the float range reads inf, not raises
-        a, b = np.float64(a), np.float64(b)
+    def integral(self, a, b):
+        a, b = _window(a, b)  # numpy floats: past the float range is inf, not a raise
         with np.errstate(over="ignore", divide="ignore"):
             # sigma = 0: b - a is exact where (1+b) - (1+a) rounds
             if self.exponent == 0.0:
@@ -138,9 +149,12 @@ class PowerAbsorption:
             if self.exponent == -1.0:
                 return self.coefficient * log_ratio
             e1 = self.exponent + 1.0
-            base, grow = (1.0 + a) ** e1, np.expm1(e1 * log_ratio)
-            if base == np.inf:  # (1 + a)^e1 alone overflows (e1 > 0): in logs
-                return self.coefficient * (np.exp(e1 * np.log1p(a) + np.log(grow)) / e1)
+            # float_power: np.power's SIMD loop strays from a scalar pow's last bit
+            base, grow = np.float_power(1.0 + a, e1), np.expm1(e1 * log_ratio)
+            big = base == np.inf  # (1 + a)^e1 alone overflows (e1 > 0): in logs
+            if np.any(big):
+                grow = np.where(big, np.exp(e1 * np.log1p(a) + np.log(grow)), grow)
+                base = np.where(big, 1.0, base)
             return self.coefficient * (base * grow / e1)
 
 
@@ -182,16 +196,15 @@ class TableAbsorption:
         out = np.interp(t, self.times, self.values)
         return _float_or_array(out)
 
-    def _antiderivative(self, t: float, h_t: float) -> float:
-        """Integral of h over [times[0], t], given h_t = h(t)."""
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), self.times.size - 2)
+    def _antiderivative(self, t, h_t):
+        """Integral of h over [times[0], t], given h_t = h(t), elementwise."""
+        i = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2)
         return self._cum[i] + (t - self.times[i]) * (self.values[i] + h_t) / 2.0
 
-    def integral(self, a: float, b: float) -> float:
-        if not a <= b:
-            raise ConfigurationError(f"need a <= b, got a={a}, b={b}")
-        h_a, h_b = self.rate(np.array([a, b]))  # range check
+    def integral(self, a, b):
+        a, b = _window(a, b)
+        # range check, pair by pair: a miss names a time of the first pair out
+        h_a, h_b = np.moveaxis(self.rate(np.stack(np.broadcast_arrays(a, b), axis=-1)), -1, 0)
         return self._antiderivative(b, h_b) - self._antiderivative(a, h_a)
 
 
@@ -638,9 +651,11 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
         sub_times[0] = schedule.knot_times[k]
         sub_times[-1] = schedule.knot_times[k + 1]
         mid_times = tau_to_time((sub_taus[:-1] + sub_taus[1:]) / 2.0, beta)
+        h_first = absorption.integral(sub_times[:-1], mid_times)
+        h_second = absorption.integral(mid_times, sub_times[1:])
         dtau = (tau_b - tau_a) / n_sub
         for j in range(n_sub):
-            _absorb(u, absorption.integral(sub_times[j], mid_times[j]), p, work)
+            _absorb(u, h_first[j], p, work)
             absorbed += (mass - np.add.reduce(u, axis=None)) * dV
 
             _rfft(g, u, out=spectrum)
@@ -674,7 +689,7 @@ def solve(problem: ProblemSpec, schedule: StepSchedule) -> SolveResult:
             clipped_total += _clip_negative(u, dV)
 
             mass_pre = np.add.reduce(u, axis=None)
-            _absorb(u, absorption.integral(mid_times[j], sub_times[j + 1]), p, work)
+            _absorb(u, h_second[j], p, work)
             mass = np.add.reduce(u, axis=None)
             absorbed += (mass_pre - mass) * dV
 
@@ -752,7 +767,7 @@ def duhamel_residual(result: SolveResult) -> float:
     tau1 = taus[-1]
 
     rhs = apply_symbol(fields[0], symbol, scale=tau1 - taus[0], mode="semigroup").values
-    h_vals = np.array([float(problem.absorption.rate(t)) for t in times])
+    h_vals = problem.absorption.rate(times)
     props = []
     for f, tau_s, h in zip(fields, taus, h_vals):
         if h == 0.0:

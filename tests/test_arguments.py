@@ -177,6 +177,21 @@ def test_bad_time_window_names_both_ends(function, call, t0, t1):
         call(t0, t1)
 
 
+# an array window names the first pair out of 0 <= a <= b, and its index
+@pytest.mark.parametrize("a,b,pair", [
+    ([0.0, -1.0, -2.0], [1.0, 2.0, 3.0], r"a=-1\.0, b=2\.0 at index 1"),
+    ([0.0, 1.0, 3.0], [1.0, 2.0, 2.5], r"a=3\.0, b=2\.5 at index 2"),
+    ([0.0, 1.0], [math.nan, 2.0], r"a=0\.0, b=nan at index 0"),
+    ([0.0, 1.0, 5.0], 4.0, r"a=5\.0, b=4\.0 at index 2"),
+], ids=["negative a", "a > b", "nan", "scalar b"])
+@pytest.mark.parametrize("law", [PowerAbsorption(1.0, 1.5),
+                                 TableAbsorption([0.0, 10.0], [1.0, 2.0])],
+                         ids=["PowerAbsorption", "TableAbsorption"])
+def test_bad_array_window_names_its_first_pair(law, a, b, pair):
+    with pytest.raises(ConfigurationError, match=rf"^need 0 <= a <= b, got {pair}$"):
+        law.integral(np.array(a), np.array(b))
+
+
 def test_array_argument_reports_its_first_bad_entry():
     with pytest.raises(ConfigurationError, match=r"^t must be >= 0 and finite, got nan$"):
         time_to_tau(np.array([0.0, 1.0, math.nan, -1.0]), 0.0)

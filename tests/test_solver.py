@@ -217,6 +217,71 @@ def test_table_absorption_validation():
             TableAbsorption(times, values)
 
 
+def half_step_columns(beta, tau_b=300.0, n_sub=1000):
+    """The (a, b) columns solve passes for a knot gap's first and second
+    half steps, here one gap [0, tau_b] of n_sub steps, end to end."""
+    sub_taus = np.linspace(0.0, tau_b, n_sub + 1)
+    sub, mid = (tau_to_time(taus, beta)
+                for taus in (sub_taus, (sub_taus[:-1] + sub_taus[1:]) / 2.0))
+    return np.concatenate([sub[:-1], mid]), np.concatenate([mid, sub[1:]])
+
+
+def assert_elementwise(call, *columns):
+    """call on arrays gives, bit for bit, its calls on each entry's scalars."""
+    got = np.asarray(call(*columns))
+    want = np.array([call(*row) for row in zip(*columns)])
+    assert got.shape == columns[0].shape and got.tobytes() == want.tobytes()
+
+
+# every branch of the power law: sigma = 0, sigma = -1, the closed-form
+# power, and at sigma = 2 the pairs of test_power_absorption_past_the_float_range
+# (with inf, 0 and the integral in logs among finite closed forms)
+PAST_THE_RANGE = ((0.0, 1e200), (1e100, 1e103), (1e200, 1e200),
+                  (1e103, 1e103 * (1 + 2 ** -50)), (1e104, 1e104 * (1 + 2 ** -40)))
+
+
+@pytest.mark.parametrize("law", [(1.0, 0.0), (1e307, 0.0), (2.0, -1.0), (1e307, -1.0),
+                                 (1.5, 0.5), (1.5, 1.5), (0.7, -0.5), (3.0, -2.0),
+                                 (0.2, 2.5), (1.0, 2.0)],
+                         ids=lambda law: f"c={law[0]:g},sigma={law[1]:g}")
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_power_integral_on_arrays_keeps_the_scalar_bits(law, beta):
+    """np.power's SIMD loop on an array strays from a scalar pow in the
+    last bit on a few percent of these pairs; float_power does not."""
+    a, b = half_step_columns(beta)
+    past_a, past_b = np.array(PAST_THE_RANGE).T
+    assert_elementwise(PowerAbsorption(*law).integral,
+                       np.concatenate([a, past_a]), np.concatenate([b, past_b]))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_table_integral_on_arrays_keeps_the_scalar_bits(beta):
+    h = TableAbsorption([0.0, 0.7, 2.0, 3.1, 10.0, 40.0, 400.0],
+                        [1.0, 0.2, 2.5, 2.5, 0.0, 0.7, 1.1])
+    a, b = half_step_columns(beta)
+    # and pairs that cross one knot or several
+    assert_elementwise(h.integral, np.concatenate([a, [0.0, 0.5, 0.69, 1.0]]),
+                       np.concatenate([b, [400.0, 35.0, 0.71, 3.1]]))
+
+
+def test_table_integral_names_a_time_of_the_first_pair_it_misses():
+    # pair 0's b and pair 1's a and b lie past the table
+    h = TableAbsorption([0.0, 50.0], [1.0, 1.0])
+    with pytest.raises(ConfigurationError,
+                       match=r"^time 60 outside the absorption table range \[0, 50\]$"):
+        h.integral(np.array([0.0, 55.0]), np.array([60.0, 70.0]))
+
+
+@pytest.mark.parametrize("sigma", [1.5, -0.5, 2.5])
+def test_power_rate_on_arrays_keeps_the_scalar_bits(sigma):
+    # at sigma = 1.5, np.power's loop read another last bit at 1,092 of these;
+    # a scalar keeps the bits of Python's float pow
+    t = np.linspace(0.0, 1000.0, 20001)
+    h = PowerAbsorption(1.3, sigma)
+    assert_elementwise(h.rate, t)
+    assert h.rate(t).tolist() == [1.3 * (1.0 + x) ** sigma for x in t.tolist()]
+
+
 def test_solve_checks_the_table_range_before_any_step(small_grid, monkeypatch):
     # a table on [0, 50] cannot carry a run to t1 = 100: the 10,018-step
     # schedule fails before its symbol is built, naming the time it misses
@@ -821,6 +886,35 @@ def test_solve_transforms_once_each_way_per_step(monkeypatch):
                       "inverse": res.total_steps + len(cuts) + 1}
 
 
+class _CountingAbsorption:
+    """A law that counts the calls of its integral."""
+
+    def __init__(self, law):
+        self.law, self.calls = law, 0
+        self.tail_exponent = law.tail_exponent
+
+    def rate(self, t):
+        return self.law.rate(t)
+
+    def integral(self, a, b):
+        self.calls += 1
+        return self.law.integral(a, b)
+
+
+def test_solve_integrates_h_once_per_knot_gap(small_grid):
+    """solve asks the law for the integrals of a knot gap's half steps in
+    two array calls, after one call over the whole window [t0, t1]; not
+    in two calls a step."""
+    law = _CountingAbsorption(PowerAbsorption(1.0, 1.5))
+    prob = ProblemSpec(alpha=1.0, beta=0.5, p=2.0, absorption=law,
+                       initial=unit_gaussian(small_grid))
+    sched = make_step_schedule(0.0, 20.0, 0.5, 0.1, snapshot_times=[1.0, 5.0, 20.0])
+    res = solve(prob, sched)
+    gaps = sched.knot_times.size - 1
+    assert gaps == 3 and res.total_steps > 100 * gaps
+    assert law.calls == 2 * gaps + 1
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fine_max_is_the_refined_maximum(dim):
     """_FineMax reads the maximum of the refined state, whose peak lies
@@ -951,7 +1045,7 @@ def test_problem_grid_rows_read_their_state(dim, scale):
 
 class _PoisonAbsorption:
     """Valid until t > 4, then reports NaN; drives the solver into its
-    non-finite abort path."""
+    non-finite abort path. Its integral works elementwise, as solve asks."""
 
     tail_exponent = 0.0
 
@@ -959,9 +1053,7 @@ class _PoisonAbsorption:
         return 1.0
 
     def integral(self, a, b):
-        if b > 4.0:
-            return float("nan")
-        return b - a
+        return np.where(b > 4.0, np.nan, b - a)
 
 
 def test_solve_attaches_partial_result_on_blowup(small_grid):
